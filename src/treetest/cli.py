@@ -94,6 +94,8 @@ def _read_trials(path: str) -> np.ndarray:
 
 def _config_from_file(path: str, seed: Optional[int]) -> SimConfig:
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: configuration must be a JSON object")
     if seed is not None:
         doc["seed"] = seed
     elif "seed" not in doc:

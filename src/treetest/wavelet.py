@@ -244,7 +244,10 @@ def denoise(
     off the finest detail level.  Returns the reconstruction together with
     the kept-coefficient count and the per-level thresholds.
     """
-    tree = haar_forward(np.asarray(signal, dtype=np.float64))
+    samples = np.asarray(signal, dtype=np.float64)
+    if not np.isfinite(samples).all():
+        raise ValueError("signal samples must be finite")
+    tree = haar_forward(samples)
     if tree.coeffs.ndim != 1:
         raise ValueError("denoise expects a single 1-D signal")
     if isinstance(sigma, str):

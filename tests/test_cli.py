@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from treetest.cli import main
 
@@ -74,6 +75,25 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "cfg2.json", {"tree": {"branching": [2]}, "alhpa": 0.05})
         assert main(["simulate", "--config", cfg]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_config_of_wrong_shape_exits_2(self, tmp_path, capsys):
+        for name, doc in (
+            ("alloc.json", {**SIM_CONFIG, "allocation": 5}),
+            ("truth.json", {**SIM_CONFIG, "truth": ["x"]}),
+            ("list.json", [1, 2]),
+            ("tree.json", {**SIM_CONFIG, "tree": 5}),
+        ):
+            cfg = write_json(tmp_path / name, doc)
+            assert main(["simulate", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)
+        assert main(["simulate", "--config", cfg, "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "threads" in err and len(err.strip().splitlines()) == 1
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -158,6 +178,15 @@ class TestDenoiseCommand:
         sig = tmp_path / "sig.txt"
         sig.write_text("".join("1.0\n" for _ in range(100)))
         assert main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, bad):
+        sig = tmp_path / "sig.txt"
+        sig.write_text("".join("1.0\n" for _ in range(63)) + f"{bad}\n")
+        out = tmp_path / "o.txt"
+        assert main(["denoise", "--signal", str(sig), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_column_input(self, tmp_path):
         sig = tmp_path / "sig.csv"

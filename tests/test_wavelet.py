@@ -261,6 +261,14 @@ class TestDenoise:
         with pytest.raises(ValueError, match="estimate"):
             denoise(np.zeros(64), 0.05, "guess")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", [1.0, "estimate"])
+    def test_non_finite_samples_rejected(self, bad, sigma):
+        noisy = blocks_signal(64)
+        noisy[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            denoise(noisy, 0.05, sigma)
+
 
 class TestCoefficientForest:
     def test_structure(self):
