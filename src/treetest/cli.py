@@ -100,7 +100,10 @@ def _config_from_file(path: str, seed: Optional[int]) -> SimConfig:
         doc["seed"] = seed
     elif "seed" not in doc:
         doc["seed"] = DEFAULT_SEED
-    return SimConfig.from_doc(doc)
+    try:
+        return SimConfig.from_doc(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_frequency_csv(path: str, report: SimReport) -> None:

@@ -9,6 +9,16 @@ Two kinds of evidence back the familywise guarantee of the tree descent:
   ``default_rng([seed, b])``, so results are bit-identical for any degree
   of parallelism).
 
+  The simulator decides on the score ``-|z|`` rather than on the p-value
+  ``2*ndtr(-|z|)``: every threshold ``t`` of a procedure is replaced by its
+  cut, the largest float64 ``c`` with ``2*ndtr(c) <= t``, and ``p <= t`` by
+  ``-|z| <= c``.  That is exact only where float64 ``ndtr`` steps cleanly
+  across ``c``, so each cut is checked over +-16 ulps around it (see
+  ``_score_cuts``); if any cut of a configuration fails the check, that
+  configuration decides on p-values against the thresholds themselves.
+  Only the data differs between the two paths, so decisions, and reports,
+  are identical to those of the p-value rule either way.
+
 * ``audit_alpha_sums`` exhaustively verifies the combinatorial inequality
   the guarantee rests on: over every truth assignment of every tree shape
   in range, the total level attached to the first-true vertices never
@@ -24,6 +34,8 @@ given tree, allocation and truth assignment.
 from __future__ import annotations
 
 import itertools
+import operator
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -170,10 +182,10 @@ class SimConfig:
             kwargs: dict = {}
             if "forest" in doc:
                 kwargs["trees"] = tuple(
-                    tuple(int(b) for b in entry["branching"]) for entry in doc["forest"]
+                    _branching(entry, f"forest[{i}]") for i, entry in enumerate(doc["forest"])
                 )
             elif "tree" in doc:
-                kwargs["trees"] = (tuple(int(b) for b in doc["tree"]["branching"]),)
+                kwargs["trees"] = (_branching(doc["tree"], "tree"),)
             if "root_levels" in doc:
                 kwargs["root_levels"] = tuple(float(x) for x in doc["root_levels"])
             alloc = doc.get("allocation", "uniform")
@@ -234,6 +246,13 @@ class SimConfig:
         elif self.truth == "explicit":
             doc["truth"] = {"kind": "explicit", "values": list(self.truth_values or ())}
         return doc
+
+
+def _branching(entry, where: str) -> tuple[int, ...]:
+    """Branching factors of one ``tree`` or ``forest`` entry of a config document."""
+    if isinstance(entry, Mapping) and "branching" not in entry:
+        raise ValueError(f"{where}: missing key 'branching'")
+    return tuple(int(b) for b in entry["branching"])
 
 
 @dataclass
@@ -304,6 +323,22 @@ class _Instance:
     stop, child start, branching)`` entry per layer step of every tree; the
     children of parent ``a + j`` are rows ``c + j*br .. c + (j+1)*br - 1``.
     A descent therefore costs one numpy step per tree layer.
+
+    Scores and cuts: every kernel rejects where ``score <= cut``.  The cut
+    table holds one cut per threshold the procedures use:
+
+    * ``vertex_cuts``: the per-vertex levels (descend);
+    * ``local_cuts``: ``level / (m - r)`` for each family of ``m`` children
+      and rank ``r``, one ``(parents, branching)`` array per layer (local
+      Holm);
+    * ``holm_cuts``, ``bonferroni_cut``, ``bh_cuts``: ``alpha / (m - r)``,
+      ``alpha / m`` and ``i * alpha / m`` over the ``m`` leaves (flat Holm,
+      Bonferroni, BH).
+
+    Family tables increase with rank along their last axis.  Scores are
+    ``-|z|`` and cuts come from ``_score_cuts``, unless one cut of the
+    config fails its clean-step check; then ``pvalue_score`` is set, scores
+    are the p-values ``2*ndtr(-|z|)`` and each cut is its threshold.
     """
 
     def __init__(self, config: SimConfig):
@@ -376,6 +411,22 @@ class _Instance:
         elif config.truth == "global_null":
             self.fixed_truth = np.ones(self.n_vertices, dtype=bool)
 
+        m, alpha = self.n_leaves, config.alpha
+        tables = [self.levels_flat]
+        tables += [self.levels_flat[a:b, None] / np.arange(br, 0, -1) for a, b, _, br in self.layers]
+        tables += [alpha / np.arange(m, 0, -1), np.array([alpha / m])]
+        tables += [np.arange(1, m + 1) * alpha / m]
+        thresholds = np.concatenate([t.ravel() for t in tables])
+        cuts = _score_cuts(thresholds)
+        self.pvalue_score = bool(np.isnan(cuts).any())
+        if self.pvalue_score:
+            cuts = thresholds
+        ends = np.cumsum([t.size for t in tables])
+        split = [c.reshape(t.shape) for c, t in zip(np.split(cuts, ends[:-1]), tables)]
+        self.vertex_cuts = split[0]
+        self.local_cuts = split[1:-3]
+        self.holm_cuts, (self.bonferroni_cut,), self.bh_cuts = split[-3:]
+
     def _count_leaves(self) -> np.ndarray:
         counts = np.zeros(self.n_vertices, dtype=np.int64)
         for tree, off in zip(self.trees, self.offsets):
@@ -397,14 +448,19 @@ class _Instance:
 
     # -- per-block work ---------------------------------------------------
 
-    def draw_block(self, block: int, rows: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Draw vertex-major (pvalues, truth) matrices for one replication block.
+    def draw_block(
+        self, block: int, rows: int, sort_leaves: bool = False
+    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Draw one replication block: vertex-major scores and truth, sorted leaf scores.
 
-        Both are ``(n_vertices, rows)``; truth is ``None`` when it is fixed
-        (``global_null`` or ``explicit``; see ``fixed_truth``).  The stream
-        for block ``b`` is ``default_rng([seed, b])`` and the draw order
-        inside a block is fixed (truth first when random, then the Gaussian
-        data, both drawn row-major), so results do not depend on scheduling.
+        Scores and truth are ``(n_vertices, rows)``; truth is ``None`` when
+        it is fixed (``global_null`` or ``explicit``; see ``fixed_truth``).
+        With ``sort_leaves`` the third item holds the leaf scores of each
+        replication sorted ascending, ``(rows, n_leaves)``, which flat Holm
+        and BH share; otherwise it is ``None``.  The stream for block ``b``
+        is ``default_rng([seed, b])`` and the draw order inside a block is
+        fixed (truth first when random, then the Gaussian data, both drawn
+        row-major), so results do not depend on scheduling.
         """
         cfg = self.config
         rng = np.random.default_rng([cfg.seed, block])
@@ -439,45 +495,51 @@ class _Instance:
                         z[:, g] = z[:, off + kids].sum(axis=1)
             z /= np.sqrt(self.leaf_counts)
 
-        pvals = _transposed(z)
-        del z
-        np.abs(pvals, out=pvals)
-        np.negative(pvals, out=pvals)
-        special.ndtr(pvals, out=pvals)
-        pvals *= 2.0
-        return pvals, None if truth is None else _transposed(truth)
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        if self.pvalue_score:
+            special.ndtr(z, out=z)
+            z *= 2.0
+        sorted_leaves = None
+        if sort_leaves:
+            # ``take`` keeps rows contiguous (``z[:, ids]`` comes out column-major)
+            sorted_leaves = np.take(z, self.leaf_ids, axis=1)
+            sorted_leaves.sort(axis=1)
+        return _transposed(z), None if truth is None else _transposed(truth), sorted_leaves
 
-    def run_procedure(self, procedure: str, pvals: np.ndarray) -> np.ndarray:
-        """Rejection flags of one procedure on vertex-major p-values.
+    def run_procedure(
+        self, procedure: str, scores: np.ndarray, sorted_leaves: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Rejection flags of one procedure on vertex-major scores.
 
         Row ``i`` of the result holds the flags of vertex
         ``scope[procedure][0][i]``; every other vertex is never rejected.
+        Flat Holm and BH cut from ``sorted_leaves`` (see ``draw_block``).
         """
         if procedure == "descend":
-            rejected = pvals <= self.levels_flat[:, None]
+            rejected = scores <= self.vertex_cuts[:, None]
             for a, b, c, br in self.layers:
                 rejected[c : c + (b - a) * br] &= np.repeat(rejected[a:b], br, axis=0)
             return rejected
         if procedure == "descend_local":
-            rows = pvals.shape[1]
-            rejected = np.zeros(pvals.shape, dtype=bool)
-            active = np.zeros(pvals.shape, dtype=bool)
+            rows = scores.shape[1]
+            rejected = np.zeros(scores.shape, dtype=bool)
+            active = np.zeros(scores.shape, dtype=bool)
             active[self.root_ids] = True
-            for a, b, c, br in self.layers:
+            for (a, b, c, br), cuts in zip(self.layers, self.local_cuts):
                 w = (b - a) * br
-                flags, all_rej = _holm(pvals[c : c + w].reshape(b - a, br, rows), self.levels_flat[a:b])
+                flags, all_rej = _holm(scores[c : c + w].reshape(b - a, br, rows), cuts)
                 live = active[a:b]
                 rejected[c : c + w] = (flags & live[:, None, :]).reshape(w, rows)
                 active[c : c + w] = np.repeat(all_rej & live, br, axis=0)
             return rejected
-        leaf_p = pvals[self.leaf_ids]
-        if procedure == "holm_flat":
-            flags, _ = _holm(leaf_p[None], np.array([self.config.alpha]))
-            return flags[0]
+        leaf = scores[self.leaf_ids]
         if procedure == "bonferroni_flat":
-            return leaf_p <= self.config.alpha / self.n_leaves
+            return leaf <= self.bonferroni_cut
+        if procedure == "holm_flat":
+            return leaf <= _sorted_cut(sorted_leaves, self.holm_cuts)
         if procedure == "bh_flat":
-            return _bh(leaf_p, self.config.alpha)
+            return leaf <= _sorted_cut(sorted_leaves, self.bh_cuts, step_up=True)
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
 
     def accumulate(self, procedure: str, rejected: np.ndarray, truth: Optional[np.ndarray]) -> dict:
@@ -545,43 +607,118 @@ def _count(flags: np.ndarray, axis: int) -> np.ndarray:
 _SORT_FROM = 12
 
 
-def _holm(p: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Holm within each family ``p[f, :, r]`` at level ``levels[f]``.
+# Each cut is checked to be a clean step of the p-value predicate over this
+# many float64 steps on either side; the search for it spans _CUT_REACH
+# steps on either side of ``ndtri(level / 2)``.
+_CUT_WINDOW = 16
+_CUT_REACH = 32
 
-    Returns the rejection flags, shaped like ``p``, and a per-(family, row)
-    all-rejected indicator.  Holm never splits a tie group at its cut and its
-    thresholds ``level / (m - i)`` are monotone in floating point, so the
-    rejected set is every p-value at or below the cut.  Small families need
-    no sort: a member of min-rank ``r`` (the count of strictly smaller
-    members) passes at ``level / (m - r)``, and a member is rejected iff
-    every member at or below its p-value passes.
+
+def _score_cuts(levels: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Score cut of each level: ``2*ndtr(x) <= level`` iff ``x <= cut``.
+
+    The cut is the largest float64 ``x`` with ``2*ndtr(x) <= level``, found
+    among the floats within ``_CUT_REACH`` steps of ``ndtri(level / 2)``.
+    Float64 ``ndtr`` is not monotone everywhere, so a cut is kept only where
+    the predicate is a clean step on the whole searched grid (true up to
+    the cut, false after it) with at least ``_CUT_WINDOW`` floats on either
+    side of it; every other level, and any level whose ``ndtri(level / 2)``
+    is not finite, gets NaN.
     """
-    m = p.shape[1]
+    levels = np.asarray(levels, dtype=np.float64).ravel()
+    unique, inverse = np.unique(levels, return_inverse=True)
+    cuts = np.empty(unique.size)
+    reach = _CUT_REACH + _CUT_WINDOW
+    for lo in range(0, unique.size, chunk):
+        level = unique[lo : lo + chunk]
+        grid = np.empty((level.size, 2 * reach + 1))
+        grid[:, reach] = special.ndtri(level / 2.0)
+        for k in range(1, reach + 1):
+            grid[:, reach + k] = np.nextafter(grid[:, reach + k - 1], np.inf)
+            grid[:, reach - k] = np.nextafter(grid[:, reach - k + 1], -np.inf)
+        holds = 2.0 * special.ndtr(grid) <= level[:, None]
+        last = holds.sum(axis=1) - 1
+        clean = (
+            (holds == (np.arange(grid.shape[1]) <= last[:, None])).all(axis=1)
+            & (last >= _CUT_WINDOW)
+            & (last < grid.shape[1] - _CUT_WINDOW)
+            & np.isfinite(grid[:, reach])
+        )
+        cut = grid[np.arange(level.size), np.maximum(last, 0)]
+        cuts[lo : lo + chunk] = np.where(clean, cut, np.nan)
+    return cuts[inverse]
+
+
+def _holm(s: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Holm within each family ``s[f, :, r]`` of scores against ``cuts[f]``.
+
+    ``cuts[f, i]`` is the cut for the member of rank ``i`` (the score form
+    of ``level / (m - i)``), increasing in ``i``.  Returns the rejection
+    flags, shaped like ``s``, and a per-(family, row) all-rejected
+    indicator.  Holm never splits a tie group at its cut, so the rejected
+    set is every score at or below one cut.  Small families need no sort: a
+    member of min-rank ``r`` (the count of strictly smaller members) passes
+    iff it is at or below ``cuts[f, r]``, i.e. iff ``r`` plus the number of
+    cuts it clears is at least ``m``; a member is rejected iff every member
+    at or below its score passes.
+    """
+    m = s.shape[1]
     if m < _SORT_FROM:
-        below = p[:, :, None, :] < p[:, None, :, :]  # [f, i, j]: p_i < p_j
+        below = s[:, :, None, :] < s[:, None, :, :]  # [f, i, j]: s_i < s_j
         rank = below.sum(axis=1, dtype=np.int16)
-        passes = p <= levels[:, None, None] / (m - rank)
+        clears = (s[:, :, None, :] <= cuts[:, None, :, None]).sum(axis=2, dtype=np.int16)
+        passes = rank + clears >= m
         flags = (below | passes[:, None]).all(axis=2)
-        return flags, flags.all(axis=1)
-    s = np.sort(p, axis=1)
-    passed = s <= levels[:, None, None] / np.arange(m, 0, -1)[:, None]
-    k = np.where(passed.all(axis=1), m, passed.argmin(axis=1))
-    return _at_or_below_cut(p, s, k), k == m
+    else:
+        ordered = np.ascontiguousarray(s.transpose(0, 2, 1))
+        ordered.sort(axis=2)
+        flags = s <= _sorted_cut(ordered, cuts)[:, None, :]
+    return flags, flags.all(axis=1)
 
 
-def _bh(p: np.ndarray, q: float) -> np.ndarray:
-    """Step-up false-discovery-rate flags for the family ``p[:, r]`` of each row."""
-    m = p.shape[0]
-    s = np.sort(p[None], axis=1)
-    passed = s <= (np.arange(1, m + 1) * q / m)[:, None]
-    k = np.where(passed.any(axis=1), m - passed[:, ::-1].argmax(axis=1), 0)
-    return _at_or_below_cut(p[None], s, k)[0]
+def _sorted_cut(s: np.ndarray, cuts: np.ndarray, step_up: bool = False) -> np.ndarray:
+    """Per-row rejection cut of Holm, or of BH when ``step_up``.
+
+    ``s`` holds each row's scores sorted ascending along its last axis,
+    ``(..., rows, m)``; ``cuts`` is ``(..., m)`` and increases along its
+    last axis.  Holm stops at the first sorted score above its cut, BH takes
+    the last one at or below it; either way the rejected scores are those at
+    or below the cut of the last rejected rank.  Returns that cut,
+    ``(..., rows)``, or ``-inf`` where nothing is rejected.
+    """
+    m = s.shape[-1]
+    passed = s <= cuts[..., None, :]
+    if step_up:
+        k = np.where(passed.any(axis=-1), m - passed[..., ::-1].argmax(axis=-1), 0)
+    else:
+        k = np.where(passed.all(axis=-1), m, passed.argmin(axis=-1))
+    return np.where(k > 0, np.take_along_axis(cuts, np.maximum(k - 1, 0), axis=-1), -np.inf)
 
 
-def _at_or_below_cut(p: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Flags of ``p <= s[k - 1]`` per (family, row); none where ``k == 0``."""
-    cut = np.take_along_axis(s, np.maximum(k - 1, 0)[:, None, :], axis=1)
-    return (p <= cut) & (k > 0)[:, None, :]
+# Bytes per (replication, vertex) cell that every block holds at once: the
+# row-major float64 draw and its vertex-major float64 scores.
+_BLOCK_CELL_BYTES = 16
+
+
+def _check_block_memory(config: SimConfig, workers: int) -> None:
+    """Refuse a run whose concurrent blocks cannot fit in physical memory.
+
+    Works from the branchings alone, before any tree is built or any block
+    allocated.  The estimate counts only the two matrices a block always
+    holds, so a run it refuses could not have run.
+    """
+    n_vertices = sum(1 + sum(itertools.accumulate(b, operator.mul)) for b in config.trees)
+    rows = min(config.block_size, config.replications)
+    need = _BLOCK_CELL_BYTES * rows * n_vertices * workers
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against
+        return
+    if need > physical:
+        raise ValueError(
+            f"{workers} block(s) of {rows} replications over {n_vertices} vertices need at "
+            f"least {need / 2**30:.1f} GiB; this machine has {physical / 2**30:.1f} GiB"
+        )
 
 
 def _blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -607,18 +744,21 @@ def compare_procedures(
             raise ValueError(f"unknown procedure {p!r}; choose from {PROCEDURES}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    workers = min(threads, -(-config.replications // config.block_size))
+    _check_block_memory(config, workers)
     inst = _Instance(config)
     started = time.perf_counter()
+    sort_leaves = "holm_flat" in procedures or "bh_flat" in procedures
 
     def run_block(args: tuple[int, int]) -> list[dict]:
         block, rows = args
-        pvals, truth = inst.draw_block(block, rows)
+        scores, truth, sorted_leaves = inst.draw_block(block, rows, sort_leaves)
         return [
-            inst.accumulate(proc, inst.run_procedure(proc, pvals), truth) for proc in procedures
+            inst.accumulate(proc, inst.run_procedure(proc, scores, sorted_leaves), truth)
+            for proc in procedures
         ]
 
     blocks = _blocks(config.replications, config.block_size)
-    workers = min(threads, len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, blocks))

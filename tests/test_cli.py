@@ -88,6 +88,22 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"forest": [{"x": 1}]}, "forest[0]"),
+        ({"tree": {}}, "tree"),
+    ])
+    def test_missing_branching_exits_2(self, tmp_path, capsys, doc, where):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {cfg}: {where}: missing key 'branching'"
+
+    def test_block_beyond_memory_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**SIM_CONFIG, "tree": {"branching": [2] * 22}})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GiB" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
         cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)

@@ -1,10 +1,12 @@
 """Monte Carlo engine and the exhaustive audits."""
 
 import hashlib
+import importlib
 import json
 
 import numpy as np
 import pytest
+from scipy import special
 
 from treetest import (
     PROCEDURES,
@@ -12,8 +14,13 @@ from treetest import (
     SimConfig,
     audit_alpha_sums,
     audit_subtree_sums,
+    benjamini_hochberg,
+    bonferroni,
     build_complete_tree,
     compare_procedures,
+    descend,
+    descend_local,
+    holm,
     monte_carlo_bound,
     simulate,
     uniform_levels,
@@ -22,13 +29,17 @@ from treetest import (
 from treetest.simulate import (
     _SORT_FROM,
     _attainable_sums_check,
-    _bh,
+    _sorted_cut,
+    _score_cuts,
     _holm,
     _Instance,
     _literal_sums_check,
 )
 
 from helpers import random_general_parents
+
+# the package attribute ``treetest.simulate`` is the function, not the module
+sim_module = importlib.import_module("treetest.simulate")
 
 
 class TestSimConfig:
@@ -90,6 +101,16 @@ class TestSimConfig:
     def test_value_of_wrong_json_type(self, doc):
         with pytest.raises(ValueError, match="malformed"):
             SimConfig.from_doc(doc)
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"forest": [{"x": 1}]}, "forest[0]"),
+        ({"forest": [{"branching": [2]}, {}]}, "forest[1]"),
+        ({"tree": {}}, "tree"),
+    ])
+    def test_missing_branching_names_its_place(self, doc, where):
+        with pytest.raises(ValueError) as info:
+            SimConfig.from_doc(doc)
+        assert str(info.value) == f"{where}: missing key 'branching'"
 
 
 class TestSimulate:
@@ -208,107 +229,212 @@ class TestCompare:
         with pytest.raises(ValueError, match="threads"):
             compare_procedures(SimConfig(replications=10), ["descend"], threads=threads)
 
+    def test_block_memory_bound_refused_before_work(self, monkeypatch):
+        # (2,)*22 has 8.4M vertices: one 8192-row block needs over 1 TB
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the memory bound was checked")
+
+        monkeypatch.setattr(sim_module, "build_complete_tree", refuse)
+        monkeypatch.setattr(sim_module, "_Instance", refuse)
+        cfg = SimConfig(trees=((2,) * 22,), replications=65_536)
+        with pytest.raises(ValueError, match="8388607 vertices need at least"):
+            compare_procedures(cfg, ["descend"], threads=2)
+
+    def test_block_memory_bound_counts_blocks_and_workers(self, monkeypatch):
+        # 16 bytes per cell; the bound scales with rows, vertices and workers
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 16 * 7 * 100 * 2}
+        monkeypatch.setattr(sim_module.os, "sysconf", memory.get)
+        small = SimConfig(trees=((2, 2),), replications=300, block_size=100)
+        assert compare_procedures(small, ["descend"], threads=2)[0].replications == 300
+        with pytest.raises(ValueError, match="3 block"):
+            compare_procedures(small, ["descend"], threads=3)
+        one_block = SimConfig(trees=((2, 2),), replications=100, block_size=1000)
+        assert compare_procedures(one_block, ["descend"], threads=3)[0].replications == 100
+
     def test_global_null_all_bounded(self):
         cfg = SimConfig(trees=((2, 2),), replications=20_000, seed=14)
         for rep in compare_procedures(cfg, list(("descend", "holm_flat", "bh_flat"))):
             assert rep.fwer_hat <= monte_carlo_bound(0.05, cfg.replications)
 
 
+def step_ulps(x, k):
+    """``x`` moved ``k`` float64 steps (elementwise; ``k`` may be negative)."""
+    x, k = np.array(x, dtype=np.float64), np.broadcast_to(k, np.shape(x))
+    for _ in range(int(np.abs(k).max(initial=0))):
+        move = k != 0
+        x[move] = np.nextafter(x[move], np.where(k[move] > 0, np.inf, -np.inf))
+        k = k - np.sign(k)
+    return x
+
+
+def threshold_tables(inst):
+    """(cut table, threshold table) pairs of an instance, in the kernels' layout."""
+    m, alpha = inst.n_leaves, inst.config.alpha
+    pairs = [(inst.vertex_cuts, inst.levels_flat)]
+    pairs += [
+        (cuts, inst.levels_flat[a:b, None] / np.arange(br, 0, -1))
+        for (a, b, _, br), cuts in zip(inst.layers, inst.local_cuts)
+    ]
+    pairs += [
+        (inst.holm_cuts, alpha / np.arange(m, 0, -1)),
+        (np.array([inst.bonferroni_cut]), np.array([alpha / m])),
+        (inst.bh_cuts, np.arange(1, m + 1) * alpha / m),
+    ]
+    return pairs
+
+
+KINDS = ("z", "p")  # scores: -|z| against score cuts, p-values against thresholds
+
+
+@pytest.fixture
+def make_instance(monkeypatch):
+    """``_Instance`` on the requested score: ``"z"`` (-|z|) or ``"p"`` (the p-value fallback)."""
+
+    def make(kind, cfg):
+        with monkeypatch.context() as patch:
+            if kind == "p":
+                patch.setattr(sim_module, "_score_cuts", lambda t: np.full(np.size(t), np.nan))
+            inst = _Instance(cfg)
+        assert inst.pvalue_score == (kind == "p")
+        return inst
+
+    return make
+
+
 class TestVectorizedKernels:
     """The layer kernels must agree exactly with the scalar procedures.
 
-    Kernel inputs are vertex-major: ``_holm`` takes ``(families, members,
-    rows)``, ``_bh`` and ``run_procedure`` take ``(vertices, rows)``.
+    Kernels decide on scores against cut tables and take vertex-major input:
+    ``_holm`` takes ``(families, members, rows)`` scores and ``(families,
+    members)`` cuts, ``run_procedure`` ``(vertices, rows)`` scores, and the
+    flat Holm and BH cut ``_sorted_cut`` takes each row's scores sorted.
+    Every test runs on both scores: ``-|z|`` against the cuts of
+    ``_score_cuts`` (``kind="z"``) and the p-value fallback against the
+    thresholds themselves (``kind="p"``).  The scalar reference always sees
+    the p-values the scores stand for.
     """
 
     SIZES = (1, 2, 5, 9, _SORT_FROM - 1, _SORT_FROM, 20)
 
     @staticmethod
-    def boundary_pvalues(rng, shape, thresholds):
-        """Random p-values, a third of them exactly on a threshold or one ulp off it."""
-        P = rng.random(shape)
-        on = rng.random(shape) < 0.35
-        picked = rng.choice(thresholds, size=int(on.sum()))
-        P[on] = np.nextafter(picked, picked + rng.integers(-1, 2, picked.size))
-        return P
-
-    def test_holm_batch_matches_scalar(self):
-        from treetest import holm
-
-        rng = np.random.default_rng(30)
-        for m in (1, 2, 5, 9):
-            P = rng.random((m, 200))
-            P[rng.random(P.shape) < 0.05] = 0.05 / m  # boundary ties
-            flags, all_rej = _holm(P[None], np.array([0.05]))
-            for i in range(P.shape[1]):
-                want = holm(P[:, i], 0.05)
-                assert np.array_equal(flags[0, :, i], want)
-                assert all_rej[0, i] == want.all()
-
-    def test_holm_at_thresholds_and_ties(self):
-        # p exactly at level/(m - i), one ulp either side, and tie groups
-        # drawn from those few values so that they straddle the cut
-        from treetest import holm
-
-        rng = np.random.default_rng(33)
-        for m in self.SIZES:
-            thresholds = 0.05 / np.arange(m, 0, -1)
-            P = self.boundary_pvalues(rng, (m, 300), thresholds)
-            P[:, :100] = rng.choice(thresholds[: max(2, m // 2)], size=(m, 100))
-            flags, all_rej = _holm(P[None], np.array([0.05]))
-            for i in range(P.shape[1]):
-                want = holm(P[:, i], 0.05)
-                assert np.array_equal(flags[0, :, i], want), (m, P[:, i])
-                assert all_rej[0, i] == want.all()
-
-    def test_holm_per_family_levels(self):
-        from treetest import holm
-
-        rng = np.random.default_rng(34)
-        for m in self.SIZES:
-            levels = rng.uniform(0.001, 0.3, 6)
-            thresholds = (levels[:, None] / np.arange(m, 0, -1)).ravel()
-            P = self.boundary_pvalues(rng, (6, m, 80), thresholds)
-            flags, all_rej = _holm(P, levels)
-            assert flags.shape == P.shape and all_rej.shape == (6, 80)
-            for f in range(6):
-                for i in range(P.shape[2]):
-                    want = holm(P[f, :, i], levels[f])
-                    assert np.array_equal(flags[f, :, i], want)
-                    assert all_rej[f, i] == want.all()
-
-    def test_bh_batch_matches_scalar(self):
-        from treetest import benjamini_hochberg
-
-        rng = np.random.default_rng(31)
-        for m in (1, 3, 8):
-            P = rng.random((m, 200))
-            flags = _bh(P, 0.1)
-            for i in range(P.shape[1]):
-                assert np.array_equal(flags[:, i], benjamini_hochberg(P[:, i], 0.1))
-
-    def test_bh_at_thresholds_and_ties(self):
-        from treetest import benjamini_hochberg
-
-        rng = np.random.default_rng(35)
-        for m in self.SIZES:
-            thresholds = np.arange(1, m + 1) * 0.1 / m
-            P = self.boundary_pvalues(rng, (m, 300), thresholds)
-            P[:, :100] = rng.choice(thresholds, size=(m, 100))
-            flags = _bh(P, 0.1)
-            for i in range(P.shape[1]):
-                assert np.array_equal(flags[:, i], benjamini_hochberg(P[:, i], 0.1)), (m, P[:, i])
+    def scores(kind, p):
+        """Scores whose p-values are ``p`` (up to rounding on the ``z`` side)."""
+        return p.copy() if kind == "p" else special.ndtri(p / 2.0)
 
     @staticmethod
-    def check_local_descent(cfg, P):
-        from treetest import descend_local
+    def pvalues(kind, s):
+        return s if kind == "p" else 2.0 * special.ndtr(s)
 
-        inst = _Instance(cfg)
+    @staticmethod
+    def cut_table(kind, thresholds):
+        if kind == "p":
+            return thresholds
+        cuts = _score_cuts(thresholds).reshape(np.shape(thresholds))
+        assert not np.isnan(cuts).any()
+        return cuts
+
+    @staticmethod
+    def score_path_levels(kind, rng, draw, thresholds):
+        """``draw(rng)``; on the ``z`` side, redrawn until ``thresholds`` of it has clean cuts.
+
+        Where float64 ``ndtr`` is not a clean step at a threshold, its
+        configuration decides on p-values (see ``_score_cuts``), so a
+        ``z``-side test has no cut table to use there.
+        """
+        for _ in range(100):
+            levels = draw(rng)
+            if kind == "p" or not np.isnan(_score_cuts(thresholds(levels))).any():
+                return levels
+        raise AssertionError("no draw gave clean cuts")
+
+    @classmethod
+    def boundary_scores(cls, kind, rng, shape, cuts):
+        """Random scores, a third of them on a cut or up to 3 ulps off it."""
+        S = cls.scores(kind, rng.random(shape))
+        on = rng.random(shape) < 0.35
+        picked = rng.choice(np.ravel(cuts), size=int(on.sum()))
+        S[on] = step_ulps(picked, rng.integers(-3, 4, picked.size))
+        return S
+
+    @staticmethod
+    def flat(S, cuts, step_up):
+        """Flat Holm (step-down) or BH (step-up) flags of each column of ``S``."""
+        return S <= _sorted_cut(np.sort(S.T, axis=1), cuts, step_up=step_up)
+
+    def check_holm(self, kind, S, levels, cuts):
+        """``_holm`` on families ``S[f]`` and, per family, flat Holm, against scalar ``holm``."""
+        flags, all_rej = _holm(S, cuts)
+        assert flags.shape == S.shape and all_rej.shape == (S.shape[0], S.shape[2])
+        P = self.pvalues(kind, S)
+        for f in range(S.shape[0]):
+            flat = self.flat(S[f], cuts[f], step_up=False)
+            for i in range(S.shape[2]):
+                want = holm(P[f, :, i], levels[f])
+                assert np.array_equal(flags[f, :, i], want), (f, P[f, :, i])
+                assert np.array_equal(flat[:, i], want), (f, P[f, :, i])
+                assert all_rej[f, i] == want.all()
+
+    def check_bh(self, kind, S, q, cuts):
+        flags = self.flat(S, cuts, step_up=True)
+        P = self.pvalues(kind, S)
+        for i in range(S.shape[1]):
+            assert np.array_equal(flags[:, i], benjamini_hochberg(P[:, i], q)), P[:, i]
+
+    def test_holm_batch_matches_scalar(self):
+        for kind in KINDS:
+            rng = np.random.default_rng(30)
+            for m in (1, 2, 5, 9):
+                P = rng.random((m, 200))
+                P[rng.random(P.shape) < 0.05] = 0.05 / m  # boundary ties
+                cuts = self.cut_table(kind, 0.05 / np.arange(m, 0, -1))
+                self.check_holm(kind, self.scores(kind, P)[None], np.array([0.05]), cuts[None])
+
+    def test_holm_at_thresholds_and_ties(self):
+        # scores on the cuts of level/(m - i) and up to 3 ulps off them, and
+        # tie groups drawn from those few cuts so that they straddle the cut
+        for kind in KINDS:
+            rng = np.random.default_rng(33)
+            for m in self.SIZES:
+                cuts = self.cut_table(kind, 0.05 / np.arange(m, 0, -1))
+                S = self.boundary_scores(kind, rng, (m, 300), cuts)
+                S[:, :100] = rng.choice(cuts[: max(2, m // 2)], size=(m, 100))
+                self.check_holm(kind, S[None], np.array([0.05]), cuts[None])
+
+    def test_holm_per_family_levels(self):
+        for kind in KINDS:
+            rng = np.random.default_rng(34)
+            for m in self.SIZES:
+                holm_levels = lambda levels: levels[:, None] / np.arange(m, 0, -1)
+                levels = self.score_path_levels(
+                    kind, rng, lambda r: r.uniform(0.001, 0.3, 6), holm_levels
+                )
+                cuts = self.cut_table(kind, holm_levels(levels))
+                S = self.boundary_scores(kind, rng, (6, m, 80), cuts)
+                self.check_holm(kind, S, levels, cuts)
+
+    def test_bh_batch_matches_scalar(self):
+        for kind in KINDS:
+            rng = np.random.default_rng(31)
+            for m in (1, 3, 8):
+                cuts = self.cut_table(kind, np.arange(1, m + 1) * 0.1 / m)
+                self.check_bh(kind, self.scores(kind, rng.random((m, 200))), 0.1, cuts)
+
+    def test_bh_at_thresholds_and_ties(self):
+        for kind in KINDS:
+            rng = np.random.default_rng(35)
+            for m in self.SIZES:
+                cuts = self.cut_table(kind, np.arange(1, m + 1) * 0.1 / m)
+                S = self.boundary_scores(kind, rng, (m, 300), cuts)
+                S[:, :100] = rng.choice(cuts, size=(m, 100))
+                self.check_bh(kind, S, 0.1, cuts)
+
+    def check_local_descent(self, kind, inst, S):
         tree, levels = inst.trees[0], inst.levels[0]
-        rejected = inst.run_procedure("descend_local", P)
+        rejected = inst.run_procedure("descend_local", S)
         ids, universe = inst.scope["descend_local"]
         assert not universe[0]  # the root hosts no single hypothesis
-        for i in range(P.shape[1]):
+        P = self.pvalues(kind, S)
+        for i in range(S.shape[1]):
             families = {
                 v: P[tree.children(v), i]
                 for v in range(tree.n_vertices)
@@ -317,76 +443,197 @@ class TestVectorizedKernels:
             want = descend_local(tree, levels, families)
             assert set(ids[np.nonzero(rejected[:, i])[0]].tolist()) == set(want.rejected)
 
-    def test_batched_local_descent_matches_scalar(self):
-        rng = np.random.default_rng(32)
-        cfg = SimConfig(trees=((3, 2),), alpha=0.1, replications=10, seed=0)
-        P = rng.random((_Instance(cfg).n_vertices, 100))
-        self.check_local_descent(cfg, P)
+    def test_batched_local_descent_matches_scalar(self, make_instance):
+        for kind in KINDS:
+            rng = np.random.default_rng(32)
+            inst = make_instance(kind, SimConfig(trees=((3, 2),), alpha=0.1, replications=10))
+            S = self.scores(kind, rng.random((inst.n_vertices, 100)))
+            self.check_local_descent(kind, inst, S)
 
-    def test_local_descent_boundaries_and_weights(self):
+    def test_local_descent_boundaries_and_weights(self, make_instance):
         # families on both sides of the sort cut-off, weighted (per-family)
-        # levels, and p-values on the local Holm thresholds
-        rng = np.random.default_rng(36)
-        for branching in ((1, 2), (2, _SORT_FROM - 1), (_SORT_FROM, 2), (4, 3)):
-            n = _Instance(SimConfig(trees=(branching,), replications=1)).n_vertices
-            cfg = SimConfig(trees=(branching,), alpha=0.2, replications=1, allocation="weighted",
-                            weights=tuple(rng.uniform(0.5, 2.0, n)))
+        # levels, and scores on the local Holm cuts; at alpha 0.2 one BH cut
+        # of (2, 11) is not clean, which would send the whole configuration
+        # to the p-value side
+        for kind in KINDS:
+            rng = np.random.default_rng(36)
+            for branching in ((1, 2), (2, _SORT_FROM - 1), (_SORT_FROM, 2), (4, 3)):
+                n = _Instance(SimConfig(trees=(branching,), replications=1)).n_vertices
+                config = lambda r: SimConfig(
+                    trees=(branching,), alpha=0.1, replications=1, allocation="weighted",
+                    weights=tuple(r.uniform(0.5, 2.0, n)),
+                )
+                all_levels = lambda cfg: np.concatenate(
+                    [t.ravel() for _, t in threshold_tables(_Instance(cfg))]
+                )
+                inst = make_instance(kind, self.score_path_levels(kind, rng, config, all_levels))
+                cuts = np.concatenate([c.ravel() for c in inst.local_cuts])
+                S = self.boundary_scores(kind, rng, (n, 60), cuts)
+                S[:, :20] = self.scores(kind, rng.random((n, 20)) * 1e-3)  # deep descents
+                self.check_local_descent(kind, inst, S)
+
+    def test_layered_descent_matches_scalar(self, make_instance):
+        for kind in KINDS:
+            rng = np.random.default_rng(37)
+            cfg = SimConfig(trees=((2, 3), (), (2,)), alpha=0.3, replications=1)
+            inst = make_instance(kind, cfg)
+            S = self.boundary_scores(kind, rng, (inst.n_vertices, 200), inst.vertex_cuts)
+            rejected = inst.run_procedure("descend", S)
+            P = self.pvalues(kind, S)
+            for tree, levels, off in zip(inst.trees, inst.levels, inst.offsets):
+                for i in range(S.shape[1]):
+                    want = descend(tree, levels, P[off : off + tree.n_vertices, i])
+                    got = np.nonzero(rejected[off : off + tree.n_vertices, i])[0]
+                    assert set(got.tolist()) == set(want.rejected)
+
+    def test_flat_procedures_match_scalar(self, make_instance):
+        # run_procedure on a forest, flat Holm and BH from one shared sort
+        for kind in KINDS:
+            rng = np.random.default_rng(38)
+            cfg = SimConfig(trees=((2, 3), (4,)), alpha=0.2, replications=1)
+            inst = make_instance(kind, cfg)
+            cuts = np.concatenate([inst.holm_cuts, inst.bh_cuts, [inst.bonferroni_cut]])
+            S = self.boundary_scores(kind, rng, (inst.n_vertices, 200), cuts)
+            P = self.pvalues(kind, S)[inst.leaf_ids]
+            shared = np.sort(S[inst.leaf_ids].T, axis=1)
+            for proc, scalar in (("holm_flat", holm), ("bonferroni_flat", bonferroni),
+                                 ("bh_flat", benjamini_hochberg)):
+                got = inst.run_procedure(proc, S, shared)
+                for i in range(S.shape[1]):
+                    assert np.array_equal(got[:, i], scalar(P[:, i], 0.2)), proc
+
+    def test_nested_statistics_aggregate_leaves(self, make_instance):
+        for kind in KINDS:
+            cfg = SimConfig(
+                trees=((2, 2),), replications=8, seed=5, dependence="nested_means", effect=0.0
+            )
+            inst = make_instance(kind, cfg)
+            scores, _, leaves = inst.draw_block(0, 8, sort_leaves=True)
+            # rebuild the leaf draws from the same stream and aggregate by hand
+            rng = np.random.default_rng([cfg.seed, 0])
+            y = rng.standard_normal((8, 4))
+            z_root = y.sum(axis=1) / 2.0
+            z_internal = y[:, :2].sum(axis=1) / np.sqrt(2.0)
+            score = lambda z: -np.abs(z) if kind == "z" else 2 * special.ndtr(-np.abs(z))
+            assert np.allclose(scores[0], score(z_root), atol=1e-12)
+            assert np.allclose(scores[1], score(z_internal), atol=1e-12)
+            assert np.array_equal(scores[3], score(y[:, 0]))
+            assert np.array_equal(leaves, np.sort(score(y), axis=1))
+
+    def test_nested_truth_derived_from_leaves(self, make_instance):
+        for kind in KINDS:
+            cfg = SimConfig(
+                trees=((2, 2),),
+                truth="random",
+                truth_density=0.5,
+                replications=64,
+                seed=6,
+                dependence="nested_means",
+            )
+            inst = make_instance(kind, cfg)
+            _, truth, _ = inst.draw_block(0, 64)
+            for row in truth.T:
+                assert row[1] == (row[3] and row[4])
+                assert row[2] == (row[5] and row[6])
+                assert row[0] == (row[1] and row[2])
+
+
+class TestScoreCuts:
+    """The cut table: ``2*ndtr(x) <= level`` iff ``x <= cut``, else the fallback."""
+
+    PINNED = 0.021435546875000003  # i*q/m of BH on (2,)*10 at alpha 0.05, i = 439
+
+    @staticmethod
+    def holds(x, level):
+        return 2.0 * special.ndtr(x) <= level
+
+    @staticmethod
+    def acceptance_configs():
+        base = dict(trees=((2, 2, 2, 2),), alpha=0.05, replications=1)
+        return [
+            SimConfig(seed=101, **base),
+            SimConfig(seed=102, dependence="nested_means", **base),
+            SimConfig(trees=((2, 2, 2),), truth="explicit", truth_values=(1,) * 15, effect=3.0),
+            SimConfig(trees=((3, 2),), truth="random", effect=2.0),
+        ]
+
+    def test_every_cut_is_the_last_float_that_passes(self):
+        configs = [cfg for cfg, _ in TestFixedSeedReports.CONFIGS.values()]
+        fallback = 0
+        for cfg in configs + self.acceptance_configs():
             inst = _Instance(cfg)
-            tree, levels = inst.trees[0], inst.levels[0]
-            thresholds = np.concatenate([
-                levels[v] / np.arange(1, tree.children(v).size + 1)
-                for v in range(n) if tree.children(v).size
-            ])
-            P = self.boundary_pvalues(rng, (n, 60), thresholds)
-            P[:, :20] = rng.random((n, 20)) * 1e-3  # deep descents
-            self.check_local_descent(cfg, P)
+            for cuts, thresholds in threshold_tables(inst):
+                assert cuts.shape == thresholds.shape
+                if inst.pvalue_score:
+                    assert np.array_equal(cuts, thresholds)
+                    cuts = _score_cuts(thresholds).reshape(thresholds.shape)
+                    fallback += 1
+                ok = ~np.isnan(cuts)
+                cuts, thresholds = cuts[ok], thresholds[ok]
+                for k in range(-16, 17):
+                    x = step_ulps(cuts, k)
+                    assert np.array_equal(self.holds(x, thresholds), np.full(x.shape, k <= 0)), k
+        assert fallback  # binary_depth_10 takes the p-value path
 
-    def test_layered_descent_matches_scalar(self):
-        from treetest import descend
+    def test_pinned_level_falls_back(self):
+        level = self.PINNED
+        assert np.isnan(_score_cuts(np.array([level])))[0]
+        # the predicate is not a step here: it flips back within a few ulps
+        x = step_ulps(np.full(21, special.ndtri(level / 2.0)), np.arange(-10, 11))
+        flags = self.holds(x, level)
+        assert np.count_nonzero(flags[1:] != flags[:-1]) > 1
+        assert level in np.arange(1, 1025) * 0.05 / 1024
+        inst = _Instance(TestFixedSeedReports.CONFIGS["binary_depth_10"][0])
+        assert inst.pvalue_score and level in inst.bh_cuts
 
-        rng = np.random.default_rng(37)
-        cfg = SimConfig(trees=((2, 3), (), (2,)), alpha=0.3, replications=1)
+    def test_sim_compare_config_takes_score_path(self):
+        # the configuration of the sim-compare benchmark workload
+        assert not _Instance(SimConfig(trees=((2, 2, 2, 2),), alpha=0.05)).pvalue_score
+        assert _Instance(SimConfig(trees=((2,) * 10,), alpha=0.05)).pvalue_score
+
+    @pytest.mark.parametrize("off, clean", [(0, True), (-30, True), (40, False), (60, False)])
+    def test_cut_far_from_its_start_is_refused(self, monkeypatch, off, clean):
+        # start the search ``off`` floats away from ndtri(level/2): the cut
+        # must be found with 16 floats of clean step on either side of it
+        # inside the searched grid, or not at all
+        level = np.array([0.05])
+        want = _score_cuts(level)
+        ndtri = special.ndtri
+        monkeypatch.setattr(special, "ndtri", lambda q: step_ulps(ndtri(q), off))
+        got = _score_cuts(level)
+        assert np.array_equal(got, want) if clean else np.isnan(got).all()
+
+    @pytest.mark.parametrize(
+        "at, clean", [(-60, True), (-40, False), (-20, False), (20, False), (40, False), (60, True)]
+    )
+    def test_flip_inside_the_searched_grid_is_refused(self, monkeypatch, at, clean):
+        # flip the predicate at the one float ``at`` steps from the search
+        # start: the check covers the whole grid of +-48 floats around it
+        level = np.array([0.05])
+        want = _score_cuts(level)
+        flip = step_ulps(special.ndtri(level / 2.0), at)
+        ndtr, flipped = special.ndtr, 0.0 if at > 0 else 1.0
+        monkeypatch.setattr(special, "ndtr", lambda x: np.where(x == flip, flipped, ndtr(x)))
+        got = _score_cuts(level)
+        assert np.array_equal(got, want) if clean else np.isnan(got).all()
+
+    def test_nonpositive_level_has_no_cut(self):
+        assert np.isnan(_score_cuts(np.array([0.0, 5e-324]))).all()
+
+    @pytest.mark.parametrize(
+        "trees, pvalue_score", [(((2, 2, 2, 2),), False), (((2,) * 10,), True)]
+    )
+    def test_draw_calls_ndtr_only_in_fallback(self, monkeypatch, trees, pvalue_score):
+        cfg = SimConfig(trees=trees, truth="random", effect=1.0, replications=64)
         inst = _Instance(cfg)
-        P = rng.random((inst.n_vertices, 200)) * 0.3
-        rejected = inst.run_procedure("descend", P)
-        for tree, levels, off in zip(inst.trees, inst.levels, inst.offsets):
-            for i in range(P.shape[1]):
-                want = descend(tree, levels, P[off : off + tree.n_vertices, i])
-                got = np.nonzero(rejected[off : off + tree.n_vertices, i])[0]
-                assert set(got.tolist()) == set(want.rejected)
-
-    def test_nested_statistics_aggregate_leaves(self):
-        cfg = SimConfig(
-            trees=((2, 2),), replications=8, seed=5, dependence="nested_means", effect=0.0
-        )
-        inst = _Instance(cfg)
-        pvals, _ = inst.draw_block(0, 8)
-        # rebuild the leaf draws from the same stream and aggregate by hand
-        rng = np.random.default_rng([cfg.seed, 0])
-        y = rng.standard_normal((8, 4))
-        z_root = y.sum(axis=1) / 2.0
-        z_internal = y[:, :2].sum(axis=1) / np.sqrt(2.0)
-        from scipy import special
-
-        assert np.allclose(pvals[0], 2 * special.ndtr(-np.abs(z_root)), atol=1e-12)
-        assert np.allclose(pvals[1], 2 * special.ndtr(-np.abs(z_internal)), atol=1e-12)
-        assert np.allclose(pvals[3], 2 * special.ndtr(-np.abs(y[:, 0])), atol=1e-12)
-
-    def test_nested_truth_derived_from_leaves(self):
-        cfg = SimConfig(
-            trees=((2, 2),),
-            truth="random",
-            truth_density=0.5,
-            replications=64,
-            seed=6,
-            dependence="nested_means",
-        )
-        inst = _Instance(cfg)
-        _, truth = inst.draw_block(0, 64)
-        for row in truth.T:
-            assert row[1] == (row[3] and row[4])
-            assert row[2] == (row[5] and row[6])
-            assert row[0] == (row[1] and row[2])
+        assert inst.pvalue_score == pvalue_score
+        calls = []
+        ndtr = special.ndtr
+        monkeypatch.setattr(special, "ndtr", lambda *a, **k: calls.append(1) or ndtr(*a, **k))
+        scores, truth, leaves = inst.draw_block(0, 64, sort_leaves=True)
+        for proc in PROCEDURES:
+            inst.accumulate(proc, inst.run_procedure(proc, scores, leaves), truth)
+        assert bool(calls) == pvalue_score
 
 
 class TestFixedSeedReports:
