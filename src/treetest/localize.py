@@ -13,6 +13,7 @@ any truly-null interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -75,12 +76,26 @@ class IntervalNode:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalTree:
-    """Complete m-adic subdivision of [0, T) with one node per vertex."""
+    """Complete m-adic subdivision of [0, T): vertex ``v`` covers
+    ``[starts[v], ends[v])``.
+
+    ``node(v)`` builds the ``IntervalNode`` of one vertex; ``nodes`` builds
+    (once) the tuple of all of them.
+    """
 
     tree: TestTree
-    nodes: tuple[IntervalNode, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def node(self, v: int) -> IntervalNode:
+        v = int(v)
+        return IntervalNode(v, int(self.starts[v]), int(self.ends[v]), int(self.tree.depth_of[v]))
+
+    @cached_property
+    def nodes(self) -> tuple[IntervalNode, ...]:
+        return tuple(self.node(v) for v in range(self.tree.n_vertices))
 
 
 def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTree:
@@ -89,7 +104,8 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     Every vertex's interval splits into ``arity`` contiguous near-equal
     parts; when the length is not divisible the leftmost children take the
     remainder (sizes differ by at most one).  Requires
-    ``arity**depth <= n_times`` so every leaf interval is nonempty.
+    ``arity**depth <= n_times`` so every leaf interval is nonempty.  The
+    spans are computed one layer at a time.
     """
     if n_times < 1:
         raise ValueError("n_times must be positive")
@@ -101,24 +117,20 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
         raise ValueError(f"{arity}**{depth} leaf intervals do not fit into {n_times} samples")
 
     tree = build_complete_tree([arity] * depth)
-    spans: list[tuple[int, int]] = [(0, n_times)]
-    for v in range(tree.n_vertices):
-        start, end = spans[v]
-        kids = tree.children(v)
-        if kids.size == 0:
-            continue
-        width = end - start
-        base, rem = divmod(width, kids.size)
-        cursor = start
-        for i in range(kids.size):
-            size = base + (1 if i < rem else 0)
-            spans.append((cursor, cursor + size))
-            cursor += size
-    nodes = tuple(
-        IntervalNode(v, spans[v][0], spans[v][1], int(tree.depth_of[v]))
-        for v in range(tree.n_vertices)
-    )
-    return IntervalTree(tree, nodes)
+    # breadth-first ids: layer d+1 lists the children of layer d in order
+    layer_starts, layer_ends = [np.zeros(1, dtype=np.int64)], [np.full(1, n_times, dtype=np.int64)]
+    rank = np.arange(arity)
+    for _ in range(depth):
+        lo = layer_starts[-1]
+        base, rem = np.divmod(layer_ends[-1] - lo, arity)
+        sizes = base[:, None] + (rank < rem[:, None])
+        ends = lo[:, None] + np.cumsum(sizes, axis=1)
+        layer_starts.append((ends - sizes).ravel())
+        layer_ends.append(ends.ravel())
+    starts, ends = np.concatenate(layer_starts), np.concatenate(layer_ends)
+    starts.setflags(write=False)
+    ends.setflags(write=False)
+    return IntervalTree(tree, starts, ends)
 
 
 def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
@@ -139,8 +151,7 @@ def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
 def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
     """p-values of every interval node, via prefix sums over time."""
     prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
-    starts = np.array([nd.start for nd in itree.nodes])
-    ends = np.array([nd.end for nd in itree.nodes])
+    starts, ends = itree.starts, itree.ends
     totals = prefix[ends] - prefix[starts]
     n_eff = trials.n_trials * (ends - starts)
     z = totals / (trials.sigma * np.sqrt(n_eff))
@@ -156,6 +167,7 @@ class LocalizeResult:
     frontier: tuple[IntervalNode, ...]
     pvalues: np.ndarray
     levels: np.ndarray
+    tested: int = 0  # vertices the walk tested: rejected plus frontier
 
     def to_doc(self) -> dict:
         def row(nd: IntervalNode, decision: Optional[str] = None) -> dict:
@@ -181,6 +193,7 @@ class LocalizeResult:
             "rejected": [row(nd) for nd in self.rejected],
             "maximal": [row(nd) for nd in self.maximal],
             "frontier": [row(nd) for nd in self.frontier],
+            "tested": self.tested,
         }
 
 
@@ -205,15 +218,15 @@ def localize(
     pvals = interval_pvalues(trials, itree)
     result: TreeRejections = descend(tree, alloc, pvals, validate=False)
 
-    rejected = sorted(result.rejected)
-    rejected_set = result.rejected
-    maximal = [
-        v for v in rejected if not any(int(c) in rejected_set for c in tree.children(v))
-    ]
+    rejected = np.array(sorted(result.rejected), dtype=np.int64)
+    has_rejected_child = np.zeros(tree.n_vertices, dtype=bool)
+    has_rejected_child[tree.parent[rejected[rejected > 0]]] = True
+    maximal = rejected[~has_rejected_child[rejected]]
     return LocalizeResult(
-        rejected=tuple(itree.nodes[v] for v in rejected),
-        maximal=tuple(itree.nodes[v] for v in maximal),
-        frontier=tuple(itree.nodes[v] for v in sorted(result.frontier)),
+        rejected=tuple(map(itree.node, rejected)),
+        maximal=tuple(map(itree.node, maximal)),
+        frontier=tuple(map(itree.node, sorted(result.frontier))),
         pvalues=pvals,
         levels=alloc.levels,
+        tested=len(result.rejected) + len(result.frontier),
     )

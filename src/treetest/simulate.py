@@ -428,22 +428,17 @@ class _Instance:
         self.holm_cuts, (self.bonferroni_cut,), self.bh_cuts = split[-3:]
 
     def _count_leaves(self) -> np.ndarray:
-        counts = np.zeros(self.n_vertices, dtype=np.int64)
-        for tree, off in zip(self.trees, self.offsets):
-            for v in range(tree.n_vertices - 1, -1, -1):
-                kids = tree.children(v)
-                g = off + v
-                counts[g] = 1 if kids.size == 0 else counts[off + kids].sum()
+        counts = self.is_leaf.astype(np.int64)
+        for a, b, c, br in reversed(self.layers):
+            counts[a:b] = counts[c : c + (b - a) * br].reshape(b - a, br).sum(axis=1)
         return counts
 
     def _derive_internal_truth(self, truth: np.ndarray) -> np.ndarray:
         """Internal vertex true iff every descendant leaf true (rows kept)."""
         out = truth.copy()
-        for tree, off in zip(self.trees, self.offsets):
-            for v in range(tree.n_vertices - 1, -1, -1):
-                kids = tree.children(v)
-                if kids.size:
-                    out[:, off + v] = out[:, off + kids].all(axis=1)
+        rows = out.shape[0]
+        for a, b, c, br in reversed(self.layers):
+            out[:, a:b] = out[:, c : c + (b - a) * br].reshape(rows, b - a, br).all(axis=2)
         return out
 
     # -- per-block work ---------------------------------------------------

@@ -17,6 +17,14 @@ and level sums over that set restricted to subtrees.
 Vertices are dense integers.  Ids are assigned breadth-first by the
 constructors, and every parent id is smaller than its children's ids; trees
 are immutable after construction and safe for concurrent reads.
+
+A tree keeps its children as one read-only array ordered by parent, and
+``children(v)`` returns a read-only view into it.  ``layers`` holds the
+per-depth vertex index sets, computed once: contiguous slices when ids
+grow with depth (every breadth-first tree), read-only gather arrays
+otherwise.  Either kind indexes any per-vertex array, so the allocation
+and budget helpers take one numpy step per layer instead of one Python
+step per vertex.
 """
 
 from __future__ import annotations
@@ -74,6 +82,9 @@ class TestTree:
         with parent -1.  Every parent id must be smaller than the child's id.
         Children of a vertex are ordered by id.
 
+    The per-vertex arrays ``parent``, ``depth_of`` and ``child_counts`` are
+    read-only; ``layers[d]`` indexes the vertices at depth ``d``.
+
     Raises
     ------
     ValueError
@@ -82,12 +93,15 @@ class TestTree:
         every branch to end at the bottom layer).
     """
 
-    __slots__ = ("parent", "depth_of", "_children", "n_vertices", "depth", "_branching")
+    __slots__ = (
+        "parent", "depth_of", "n_vertices", "depth", "layers", "child_counts", "_kids",
+        "_kid_start", "_families", "_branching",
+    )
 
     __test__ = False  # not a test case, despite the name
 
     def __init__(self, parents: Sequence[int]):
-        parent = np.asarray(parents, dtype=np.int64)
+        parent = np.array(parents, dtype=np.int64)
         if parent.ndim != 1 or parent.size == 0:
             raise ValueError("parents must be a non-empty 1-D sequence")
         n = int(parent.size)
@@ -98,34 +112,46 @@ class TestTree:
             if np.any(parent[1:] < 0) or np.any(parent[1:] >= ids):
                 raise ValueError("every non-root parent id must be a smaller vertex id")
 
-        depth_of = np.zeros(n, dtype=np.int64)
-        for v in range(1, n):
-            depth_of[v] = depth_of[parent[v]] + 1
+        # Pointer doubling: depth_of[v] is the distance from v to anc[v];
+        # each pass doubles the jump, so a path of n vertices takes log2(n).
+        depth_of = np.ones(n, dtype=np.int64)
+        depth_of[0] = 0
+        anc = parent.copy()
+        anc[0] = 0
+        while anc.any():
+            depth_of += depth_of[anc]
+            anc = anc[anc]
 
-        children: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        order = np.argsort(parent[1:], kind="stable") + 1 if n > 1 else np.array([], dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.add.at(counts, parent[1:], 1)
-        start = 0
-        for v in range(n):
-            c = int(counts[v])
-            children[v] = order[start : start + c].copy()
-            children[v].setflags(write=False)
-            start += c
+        counts = np.bincount(parent[1:], minlength=n)
+        kid_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=kid_start[1:])
+        kids = np.argsort(parent[1:], kind="stable") + 1
 
         depth = int(depth_of.max())
         leaf_depths = depth_of[counts == 0]
-        if leaf_depths.size and (leaf_depths != depth).any():
+        if (leaf_depths != depth).any():
             raise ValueError("tree is not complete: every leaf must sit at the bottom layer")
 
-        parent.setflags(write=False)
-        depth_of.setflags(write=False)
+        layer_start = np.zeros(depth + 2, dtype=np.int64)
+        np.cumsum(np.bincount(depth_of), out=layer_start[1:])
+        if np.all(depth_of[1:] >= depth_of[:-1]):
+            layers: tuple = tuple(slice(int(a), int(b)) for a, b in zip(layer_start, layer_start[1:]))
+        else:
+            by_depth = np.argsort(depth_of, kind="stable")
+            by_depth.setflags(write=False)
+            layers = tuple(by_depth[a:b] for a, b in zip(layer_start, layer_start[1:]))
+
+        for arr in (parent, depth_of, counts, kid_start, kids):
+            arr.setflags(write=False)
         self.parent = parent
         self.depth_of = depth_of
-        self._children = tuple(children)
         self.n_vertices = n
         self.depth = depth
+        self.layers = layers
+        self.child_counts = counts
+        self._kids = kids
+        self._kid_start = kid_start
+        self._families: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
         self._branching: Optional[tuple[int, ...]] = None
 
     # -- basic structure ------------------------------------------------
@@ -133,24 +159,42 @@ class TestTree:
     root = 0
 
     def children(self, v: int) -> np.ndarray:
-        """Ordered child ids of vertex ``v`` (empty for leaves)."""
-        return self._children[v]
+        """Ordered child ids of vertex ``v`` (empty for leaves); a read-only view."""
+        return self._kids[self._kid_start[v] : self._kid_start[v + 1]]
 
     def is_leaf(self, v: int) -> bool:
-        return self._children[v].size == 0
+        return bool(self.child_counts[v] == 0)
 
     @property
     def leaves(self) -> np.ndarray:
-        counts = np.fromiter((c.size for c in self._children), dtype=np.int64, count=self.n_vertices)
-        out = np.nonzero(counts == 0)[0]
+        out = np.nonzero(self.child_counts == 0)[0]
         out.setflags(write=False)
+        return out
+
+    def child_sums(self, values: np.ndarray) -> np.ndarray:
+        """``values[children(v)].sum()`` for every vertex ``v`` (0 at leaves).
+
+        Families of equal size are summed together as rows of one matrix,
+        which numpy adds in the same order as the 1-D sum of each family,
+        so the result is bit-identical to summing family by family.
+        """
+        if self._families is None:
+            internal = np.nonzero(self.child_counts)[0]
+            sizes = self.child_counts[internal]
+            self._families = [
+                (internal[sizes == k], self._kid_start[internal[sizes == k], None] + np.arange(k))
+                for k in np.unique(sizes)
+            ]
+        out = np.zeros(self.n_vertices, dtype=np.float64)
+        for ids, slots in self._families:
+            out[ids] = values[self._kids[slots]].sum(axis=1)
         return out
 
     def vertex(self, v: int) -> Vertex:
         """Vertex view with id, depth, parent and children."""
         self._check_vertex(v)
         par = None if v == self.root else int(self.parent[v])
-        return Vertex(int(v), int(self.depth_of[v]), par, tuple(int(c) for c in self._children[v]))
+        return Vertex(int(v), int(self.depth_of[v]), par, tuple(int(c) for c in self.children(v)))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= int(v) < self.n_vertices:
@@ -174,12 +218,11 @@ class TestTree:
         if self._branching is not None:
             return self._branching
         branching = []
-        for layer in range(self.depth):
-            at_layer = np.nonzero(self.depth_of == layer)[0]
-            sizes = {self._children[int(v)].size for v in at_layer}
-            if len(sizes) != 1:
+        for layer in self.layers[:-1]:
+            sizes = self.child_counts[layer]
+            if sizes.min() != sizes.max():
                 raise ValueError("tree is not layer-uniform")
-            branching.append(sizes.pop())
+            branching.append(int(sizes[0]))
         self._branching = tuple(branching)
         return self._branching
 
@@ -219,16 +262,13 @@ def build_complete_tree(
         if total > max_vertices:
             raise ValueError(f"tree would exceed {max_vertices} vertices")
 
-    parents = np.empty(total, dtype=np.int64)
-    parents[0] = -1
-    next_id = 1
-    layer_start, layer_width = 0, 1
-    for b in branching:
-        layer = np.arange(layer_start, layer_start + layer_width)
-        parents[next_id : next_id + layer_width * b] = np.repeat(layer, b)
-        layer_start = next_id
-        layer_width *= b
-        next_id += layer_width
+    # vertex i of layer d + 1 is child i // b of layer d
+    b = np.asarray(branching, dtype=np.int64)
+    widths = np.cumprod(np.concatenate(([1], b)))
+    layer_start = np.concatenate(([0], np.cumsum(widths)))
+    layer_of = np.repeat(np.arange(len(branching)), widths[1:])
+    offset = np.arange(1, total) - layer_start[layer_of + 1]
+    parents = np.concatenate(([-1], layer_start[layer_of] + offset // b[layer_of]))
     tree = TestTree(parents)
     tree._branching = branching
     return tree
@@ -317,10 +357,10 @@ def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:
         raise ValueError("alpha must lie in (0, 1]")
     levels = np.empty(tree.n_vertices, dtype=np.float64)
     levels[0] = alpha
-    for v in range(tree.n_vertices):
-        kids = tree.children(v)
-        if kids.size:
-            levels[kids] = levels[v] / kids.size
+    counts = tree.child_counts
+    for ids in tree.layers[1:]:
+        up = tree.parent[ids]
+        levels[ids] = levels[up] / counts[up]
     return AlphaAllocation(levels)
 
 
@@ -349,12 +389,12 @@ def weighted_levels(
             raise ValueError(f"weights cover {w.size} vertices, tree has {n}")
     if np.any(w[1:] <= 0.0):
         raise ValueError("weights must be positive")
+    family_w = tree.child_sums(w)
     levels = np.empty(n, dtype=np.float64)
     levels[0] = alpha
-    for v in range(n):
-        kids = tree.children(v)
-        if kids.size:
-            levels[kids] = levels[v] * w[kids] / w[kids].sum()
+    for ids in tree.layers[1:]:
+        up = tree.parent[ids]
+        levels[ids] = levels[up] * w[ids] / family_w[up]
     return AlphaAllocation(levels)
 
 
@@ -365,13 +405,8 @@ def level_budget_violations(tree: TestTree, alloc: LevelsLike) -> np.ndarray:
     result means the allocation is admissible for the descent procedures.
     """
     levels = as_levels(alloc, tree.n_vertices)
-    bad = [
-        v
-        for v in range(tree.n_vertices)
-        if tree.children(v).size
-        and levels[tree.children(v)].sum() > levels[v] + LEVEL_SUM_TOL
-    ]
-    return np.asarray(bad, dtype=np.int64)
+    over = tree.child_sums(levels) > levels + LEVEL_SUM_TOL
+    return np.nonzero(over & (tree.child_counts > 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +478,9 @@ def first_true_vertices(
     """
     t = as_truth(tree, truth).astype(bool)
     anc_true = np.zeros(tree.n_vertices, dtype=bool)
-    for v in range(1, tree.n_vertices):
-        p = tree.parent[v]
-        anc_true[v] = anc_true[p] | t[p]
+    for ids in tree.layers[1:]:
+        up = tree.parent[ids]
+        anc_true[ids] = anc_true[up] | t[up]
     return np.nonzero(t & ~anc_true)[0]
 
 

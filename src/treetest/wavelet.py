@@ -165,6 +165,11 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
     are tested unconditionally).  The coarse block is always kept.  The mask
     is path-closed within each coefficient tree whenever ``force_levels``
     is 0.
+
+    Only the children of kept coefficients are tested: the candidates at
+    level ``j + 1`` are the coefficients ``2k`` and ``2k + 1`` below each
+    kept level-``j`` coefficient ``k``, so a level costs one gather and one
+    comparison over the candidates instead of over the whole level.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -172,21 +177,21 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
         raise ValueError("sigma must be positive")
     if force_levels < 0:
         raise ValueError("force_levels must be >= 0")
-    c = tree.coeffs
+    c = tree.coeffs.reshape(-1, tree.n)  # one row per batch entry
     mask = np.zeros(c.shape, dtype=bool)
-    mask[..., :2] = True
-    kept_above: Optional[np.ndarray] = None
+    mask[:, :2] = True
     for j in range(1, tree.J + 1):
-        w = c[..., 1 << j : 1 << (j + 1)]
-        p = 2.0 * special.ndtr(-np.abs(w) / sigma)
-        small = p <= alpha / (1 << j)  # closed comparison, ties reject
         if j == 1 or j <= force_levels:
-            kept = small
-        else:
-            kept = np.repeat(kept_above, 2, axis=-1) & small
-        mask[..., 1 << j : 1 << (j + 1)] = kept
-        kept_above = kept
-    return mask
+            rows = np.repeat(np.arange(c.shape[0]), 1 << j)
+            ks = np.tile(np.arange(1 << j), c.shape[0])
+        cols = (1 << j) + ks
+        p = 2.0 * special.ndtr(-np.abs(c[rows, cols]) / sigma)
+        small = p <= alpha / (1 << j)  # closed comparison, ties reject
+        rows, ks = rows[small], ks[small]
+        mask[rows, cols[small]] = True
+        rows = np.repeat(rows, 2)
+        ks = (2 * ks[:, None] + (0, 1)).ravel()
+    return mask.reshape(tree.coeffs.shape)
 
 
 def descend_threshold(
@@ -216,18 +221,27 @@ def estimate_sigma(tree: WaveletTree) -> float:
 
 @dataclass(frozen=True)
 class DenoiseResult:
-    """Denoised signal plus the thresholding metadata."""
+    """Denoised signal plus the thresholding metadata.
+
+    ``tested`` counts the coefficients the descent tested, and
+    ``deepest_level`` is the finest detail level holding a kept coefficient
+    (0 when only the untested coarse block survives).
+    """
 
     denoised: np.ndarray
     kept: int
     thresholds: np.ndarray
     sigma: float
+    tested: int = 0
+    deepest_level: int = 0
 
     def to_doc(self) -> dict:
         return {
             "kept_coefficients": self.kept,
             "sigma": self.sigma,
             "level_thresholds": [float(t) for t in self.thresholds],
+            "tested_coefficients": self.tested,
+            "deepest_level": self.deepest_level,
         }
 
 
@@ -263,11 +277,18 @@ def denoise(
     mask = keep_mask(tree, alpha, scale, force_levels=force_levels)
     kept = int(mask[2:].sum())
     out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
+    # levels 1..forced test every coefficient; each deeper level tests the
+    # two children of every coefficient kept one level up
+    forced = max(1, min(force_levels, tree.J))
+    tested = (1 << (forced + 1)) - 2 + 2 * int(mask[1 << forced : tree.n // 2].sum())
+    last_kept = int(np.flatnonzero(mask)[-1])
     return DenoiseResult(
         denoised=out,
         kept=kept,
         thresholds=level_thresholds(alpha, tree.J, scale),
         sigma=scale,
+        tested=tested,
+        deepest_level=last_kept.bit_length() - 1,
     )
 
 
@@ -285,13 +306,10 @@ def coefficient_forest(J: int, alpha: float) -> tuple[Forest, list[np.ndarray]]:
     positions = []
     for t in (0, 1):
         tree = build_complete_tree([2] * (J - 1))
-        pos = np.empty(tree.n_vertices, dtype=np.int64)
-        for v in range(tree.n_vertices):
-            depth = int(tree.depth_of[v])
-            j = depth + 1
-            # ids at one depth are contiguous and start at 2**depth - 1
-            i = v - ((1 << depth) - 1)
-            pos[v] = (1 << j) + t * (1 << (j - 1)) + i
+        # vertex v at depth d sits at level j = d + 1; ids at one depth are
+        # contiguous and start at 2**d - 1
+        width = np.left_shift(1, tree.depth_of)
+        pos = 2 * width + t * width + np.arange(tree.n_vertices) - (width - 1)
         trees.append(tree)
         positions.append(pos)
     return Forest(tuple(trees), (alpha / 2.0, alpha / 2.0)), positions

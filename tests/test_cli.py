@@ -179,6 +179,7 @@ class TestDenoiseCommand:
         doc = read_json(meta)
         assert doc["output_mse"] < doc["input_mse"]
         assert len(doc["level_thresholds"]) == 7
+        assert doc["tested_coefficients"] >= 2 and 1 <= doc["deepest_level"] <= 7
         assert np.all(np.diff(doc["level_thresholds"]) > 0)
 
     def test_sigma_estimate_close_to_truth(self, tmp_path):
@@ -236,6 +237,7 @@ class TestLocalizeCommand:
         assert code == 0
         doc = read_json(out)
         assert any((row["start"], row["end"]) == (32, 40) for row in doc["rejected"])
+        assert doc["tested"] == len(doc["intervals"])
         assert "[32, 40)" in capsys.readouterr().out
 
     def test_noise_only_usually_empty(self, tmp_path, capsys):

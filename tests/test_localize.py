@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treetest import (
+    IntervalNode,
     TrialMatrix,
     build_interval_tree,
     interval_pvalue,
@@ -11,6 +12,22 @@ from treetest import (
     localize,
     monte_carlo_bound,
 )
+
+from helpers import children_from_parents, reference_interval_spans
+
+
+@pytest.fixture
+def node_counter(monkeypatch):
+    """Counts every ``IntervalNode`` constructed while the fixture is active."""
+    built = []
+    original = IntervalNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntervalNode, "__init__", counting_init)
+    return built
 
 
 class TestBuildIntervalTree:
@@ -45,6 +62,25 @@ class TestBuildIntervalTree:
     def test_degenerate_arity_one(self):
         itree = build_interval_tree(10, 3, 1)
         assert all((nd.start, nd.end) == (0, 10) for nd in itree.nodes)
+
+    @pytest.mark.parametrize(
+        "n_times, depth, arity",
+        [(1000, 4, 3), (1000, 9, 2), (1003, 3, 5), (999, 2, 7), (37, 3, 3), (10, 1, 3), (8, 3, 2), (5, 0, 2)],
+    )
+    def test_spans_match_recursive_reference(self, n_times, depth, arity):
+        itree = build_interval_tree(n_times, depth, arity)
+        want = reference_interval_spans(n_times, depth, arity)
+        assert list(zip(itree.starts.tolist(), itree.ends.tolist())) == want
+        assert [(nd.vertex, nd.start, nd.end, nd.depth) for nd in itree.nodes] == [
+            (v, a, b, int(itree.tree.depth_of[v])) for v, (a, b) in enumerate(want)
+        ]
+        assert itree.node(len(want) - 1) == itree.nodes[-1]
+        assert not itree.starts.flags.writeable and not itree.ends.flags.writeable
+
+    def test_builds_no_nodes(self, node_counter):
+        itree = build_interval_tree(1 << 17, 16)
+        assert itree.tree.n_vertices == (1 << 17) - 1
+        assert node_counter == []
 
 
 class TestTrialMatrix:
@@ -161,15 +197,39 @@ class TestLocalize:
         res = localize(TrialMatrix(data), 0.05, 2, 2)
         assert [(nd.start, nd.end) for nd in res.maximal] == [(96, 128)]
 
+    def test_builds_only_reported_nodes(self, node_counter):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((30, 512))
+        data[:, 100:140] += 1.0
+        itree = build_interval_tree(512, 6)
+        assert node_counter == []
+        res = localize(TrialMatrix(data), 0.05, 6, itree=itree)
+        assert len(res.maximal) >= 1
+        assert len(node_counter) == len(res.rejected) + len(res.frontier) + len(res.maximal)
+
+    def test_maximal_and_tested_match_definition(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            data = rng.standard_normal((20, 243))
+            lo = int(rng.integers(0, 200))
+            data[:, lo : lo + 40] += rng.uniform(0.0, 1.5)
+            res = localize(TrialMatrix(data), 0.1, 4, 3)
+            kids = children_from_parents(build_interval_tree(243, 4, 3).tree.parent.tolist())
+            rejected = {nd.vertex for nd in res.rejected}
+            want = sorted(v for v in rejected if not rejected.intersection(kids[v]))
+            assert [nd.vertex for nd in res.maximal] == want
+            assert res.tested == len(res.rejected) + len(res.frontier)
+
     def test_document_round_trip(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((10, 32))
         data[:, :16] += 3.0
         res = localize(TrialMatrix(data), 0.05, 2, 2)
         doc = res.to_doc()
-        assert set(doc) == {"intervals", "rejected", "maximal", "frontier"}
+        assert set(doc) == {"intervals", "rejected", "maximal", "frontier", "tested"}
         for row in doc["rejected"]:
             assert row["end"] > row["start"] and 0.0 <= row["p_value"] <= 1.0
         # every tested interval carries an explicit decision
         assert all(row["decision"] in ("rejected", "accepted") for row in doc["intervals"])
         assert len(doc["intervals"]) == len(doc["rejected"]) + len(doc["frontier"])
+        assert doc["tested"] == res.tested == len(doc["intervals"])

@@ -36,7 +36,7 @@ from treetest.simulate import (
     _literal_sums_check,
 )
 
-from helpers import random_general_parents
+from helpers import random_general_parents, reference_internal_truth, reference_leaf_counts
 
 # the package attribute ``treetest.simulate`` is the function, not the module
 sim_module = importlib.import_module("treetest.simulate")
@@ -299,6 +299,36 @@ def make_instance(monkeypatch):
         return inst
 
     return make
+
+
+class TestLayeredAggregates:
+    """Leaf counts and nested-means truth, one reduction per layer, against
+    per-vertex references on every tree of a multi-tree config."""
+
+    FORESTS = [((2, 2, 2, 2),), ((3, 1, 2), (2,), ()), ((1, 1), (4, 3), (2, 2, 2))]
+
+    @staticmethod
+    def forest_parents(branchings):
+        """One parent array for all trees, roots at -1, ids offset per tree."""
+        out, off = [], 0
+        for b in branchings:
+            parents = build_complete_tree(b).parent
+            out += [-1] + (parents[1:] + off).tolist()
+            off += parents.size
+        return out
+
+    @pytest.mark.parametrize("trees", FORESTS)
+    def test_leaf_counts(self, trees):
+        inst = _Instance(SimConfig(trees=trees, replications=1))
+        assert inst.leaf_counts.tolist() == reference_leaf_counts(self.forest_parents(trees))
+
+    @pytest.mark.parametrize("trees", FORESTS)
+    def test_internal_truth(self, trees):
+        inst = _Instance(SimConfig(trees=trees, replications=1))
+        rng = np.random.default_rng(len(trees))
+        truth = rng.random((50, inst.n_vertices)) < 0.8
+        want = reference_internal_truth(self.forest_parents(trees), truth)
+        assert np.array_equal(inst._derive_internal_truth(truth), want)
 
 
 class TestVectorizedKernels:

@@ -23,7 +23,27 @@ from treetest import (
     weighted_levels,
 )
 
-from helpers import random_general_parents, random_uniform_shape
+from helpers import (
+    children_from_parents,
+    random_general_parents,
+    random_uniform_shape,
+    reference_budget_violations,
+    reference_depths,
+    reference_uniform_levels,
+    reference_weighted_levels,
+)
+
+
+def sample_parent_arrays() -> list[list[int]]:
+    """Random general and layer-uniform trees, some with families of 8 or
+    more children (where numpy's pairwise sum departs from left-to-right)."""
+    rng = np.random.default_rng(21)
+    out = [[-1], [-1, 0, 1, 0, 3], [-1, 0, 0, 1, 1, 2, 2, 2]]
+    out += [random_general_parents(rng) for _ in range(30)]
+    out += [random_general_parents(rng, 2, 14, 200) for _ in range(10)]
+    shapes = [random_uniform_shape(rng) for _ in range(15)] + [(9, 3), (12,), (2, 17, 1)]
+    out += [build_complete_tree(b).parent.tolist() for b in shapes]
+    return out
 
 
 class TestBuildCompleteTree:
@@ -96,6 +116,73 @@ class TestTreeValidation:
             tree.layer_branching()
 
 
+class TestLayeredStructure:
+    """The vectorized tree structure against per-vertex references."""
+
+    @staticmethod
+    def check_against_reference(tree, parents):
+        depths = reference_depths(parents)
+        kids = children_from_parents(parents)
+        assert tree.depth_of.tolist() == depths
+        assert tree.depth == max(depths)
+        for v in range(len(parents)):
+            assert tree.children(v).tolist() == kids[v]
+            assert tree.is_leaf(v) is (not kids[v])
+        assert tree.leaves.tolist() == [v for v in range(len(parents)) if not kids[v]]
+        by_depth: list[list[int]] = [[] for _ in range(max(depths) + 1)]
+        for v, d in enumerate(depths):
+            by_depth[d].append(v)
+        ids = np.arange(tree.n_vertices)
+        assert [ids[layer].tolist() for layer in tree.layers] == by_depth
+        sizes = [{len(kids[v]) for v in layer} for layer in by_depth[:-1]]
+        if all(len(s) == 1 for s in sizes):
+            assert tree.layer_branching() == tuple(s.pop() for s in sizes)
+        else:
+            with pytest.raises(ValueError, match="layer-uniform"):
+                tree.layer_branching()
+
+    def test_matches_reference_on_sample_trees(self):
+        for parents in sample_parent_arrays():
+            self.check_against_reference(TestTree(parents), parents)
+
+    def test_general_parents_give_gather_layers(self):
+        # same-depth ids need not be contiguous: depths run 0, 1, 2, 1, 2
+        tree = TestTree([-1, 0, 1, 0, 3])
+        assert tree.depth_of.tolist() == [0, 1, 2, 1, 2]
+        assert [np.asarray(ids).tolist() for ids in tree.layers] == [[0], [1, 3], [2, 4]]
+        assert tree.children(0).tolist() == [1, 3]
+        assert tree.leaves.tolist() == [2, 4]
+        assert tree.layer_branching() == (2, 1)
+
+    def test_breadth_first_trees_give_slices(self):
+        tree = build_complete_tree([2, 3])
+        assert tree.layers == (slice(0, 1), slice(1, 3), slice(3, 9))
+
+    def test_long_path(self):
+        # pointer doubling: a 10**5-vertex path costs log2 passes, not one per layer
+        tree = build_complete_tree([1] * 99999)
+        parents = tree.parent.tolist()
+        self.check_against_reference(tree, parents)
+        assert tree.depth_of.tolist() == list(range(100000))
+        assert tree.layer_branching() == (1,) * 99999
+
+    def test_structure_is_read_only(self):
+        for tree in (build_complete_tree([2, 3]), TestTree([-1, 0, 1, 0, 3])):
+            for v in range(tree.n_vertices):
+                kids = tree.children(v)
+                assert not kids.flags.writeable
+                with pytest.raises(ValueError):
+                    kids[:] = 0
+            arrays = [tree.parent, tree.depth_of, tree.child_counts, tree.leaves]
+            arrays += [ids for ids in tree.layers if isinstance(ids, np.ndarray)]
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_caller_parent_array_untouched(self):
+        parents = np.array([-1, 0, 0], dtype=np.int64)
+        TestTree(parents)
+        assert parents.flags.writeable
+
+
 class TestAllocations:
     def test_uniform_binary_halving(self):
         tree = build_complete_tree([2, 2])
@@ -148,6 +235,33 @@ class TestAllocations:
             w = weighted_levels(tree, 0.05, rng.uniform(0.2, 2.0, tree.n_vertices))
             assert level_budget_violations(tree, u).size == 0
             assert level_budget_violations(tree, w).size == 0
+
+
+class TestAllocationsMatchReference:
+    def test_uniform_levels_bit_equal(self):
+        for parents in sample_parent_arrays():
+            got = uniform_levels(TestTree(parents), 0.05).levels
+            assert np.array_equal(got, reference_uniform_levels(parents, 0.05))
+
+    def test_weighted_levels_bit_equal(self):
+        rng = np.random.default_rng(22)
+        for parents in sample_parent_arrays():
+            w = rng.uniform(0.1, 10.0, len(parents)) * 10.0 ** rng.integers(-6, 6, len(parents))
+            got = weighted_levels(TestTree(parents), 0.05, w).levels
+            assert np.array_equal(got, reference_weighted_levels(parents, 0.05, w))
+
+    def test_budget_violations_equal(self):
+        rng = np.random.default_rng(23)
+        hits = 0
+        for parents in sample_parent_arrays():
+            tree = TestTree(parents)
+            base = uniform_levels(tree, 0.05).levels
+            for _ in range(5):
+                levels = base * rng.uniform(0.9, 1.1, base.size)
+                want = reference_budget_violations(parents, levels, LEVEL_SUM_TOL)
+                assert level_budget_violations(tree, levels).tolist() == want
+                hits += len(want)
+        assert hits > 0
 
 
 class TestBudgetValidation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from treetest import (
     WaveletTree,
@@ -19,6 +20,8 @@ from treetest import (
     monte_carlo_bound,
     uniform_levels,
 )
+
+from helpers import blocks_signal, reference_keep_mask
 
 
 class TestHaarTransform:
@@ -185,6 +188,63 @@ class TestKeepMask:
         assert forced[2:].sum() == 1  # only the strong coefficient survives
 
 
+def deep_coefficients(rng, shape, J):
+    """Coefficients with most entries far above every level's threshold, so
+    that the descent reaches the finest level along many paths."""
+    c = rng.standard_normal(shape + (2 ** (J + 1),))
+    c[rng.random(c.shape) < 0.75] *= 20.0
+    return c
+
+
+class TestKeepMaskMatchesDenseReference:
+    @pytest.mark.parametrize("force_levels", [0, 1, 3])
+    def test_random_signals(self, force_levels):
+        rng = np.random.default_rng(30 + force_levels)
+        for J in (1, 2, 5, 9):
+            for _ in range(10):
+                c = deep_coefficients(rng, (), J)
+                alpha, sigma = rng.uniform(0.01, 0.5), rng.uniform(0.5, 2.0)
+                got = keep_mask(WaveletTree(c, J), alpha, sigma, force_levels=force_levels)
+                assert np.array_equal(got, reference_keep_mask(c, alpha, sigma, force_levels))
+
+    def test_noise_and_blocks(self):
+        rng = np.random.default_rng(34)
+        for x in (rng.standard_normal(4096), blocks_signal(1024) + rng.standard_normal(1024)):
+            tree = haar_forward(x)
+            assert np.array_equal(keep_mask(tree, 0.05, 1.0), reference_keep_mask(tree.coeffs, 0.05, 1.0))
+
+    @pytest.mark.parametrize("force_levels", [0, 1, 3])
+    def test_batch_input(self, force_levels):
+        rng = np.random.default_rng(35)
+        J = 6
+        c = deep_coefficients(rng, (3, 4), J)
+        got = keep_mask(WaveletTree(c, J), 0.05, 1.0, force_levels=force_levels)
+        assert got.shape == c.shape
+        assert np.array_equal(got, reference_keep_mask(c, 0.05, 1.0, force_levels))
+        for i in range(3):
+            for k in range(4):
+                row = keep_mask(WaveletTree(c[i, k], J), 0.05, 1.0, force_levels=force_levels)
+                assert np.array_equal(got[i, k], row)
+
+    def test_coefficients_exactly_on_the_threshold(self):
+        # alpha is chosen so that alpha / 2**3 equals the p-value of x0
+        # exactly; the closed comparison keeps such coefficients
+        J, j, sigma, x0 = 5, 3, 1.3, 3.5
+        p0 = 2.0 * special.ndtr(-abs(x0) / sigma)
+        alpha = p0 * (1 << j)
+        assert alpha / (1 << j) == p0 and 0.0 < alpha < 1.0
+        c = np.full(2 ** (J + 1), 1e3)
+        level = np.array([x0, -x0, np.nextafter(x0, np.inf), np.nextafter(x0, 0.0), x0, 1.5 * x0, 0.5 * x0, -x0])
+        c[1 << j : 1 << (j + 1)] = level
+        mask = keep_mask(WaveletTree(c, J), alpha, sigma)
+        assert np.array_equal(mask, reference_keep_mask(c, alpha, sigma))
+        on_cut = (1 << j) + np.flatnonzero(np.abs(level) == x0)
+        assert mask[on_cut].all()
+        # the children of a tie-kept coefficient are tested and kept
+        assert mask[2 * on_cut].all() and mask[2 * on_cut + 1].all()
+        assert not mask[(1 << j) + 6]
+
+
 class TestEstimateSigma:
     def test_gaussian_scale_recovered(self):
         rng = np.random.default_rng(9)
@@ -211,9 +271,6 @@ class TestEstimateSigma:
         from scipy import special
 
         assert -special.ndtri(0.25) == pytest.approx(0.674490, abs=5e-7)
-
-
-from helpers import blocks_signal
 
 
 class TestDenoise:
@@ -256,6 +313,31 @@ class TestDenoise:
         doc = res.to_doc()
         assert doc["kept_coefficients"] == res.kept
         assert len(doc["level_thresholds"]) == 7
+
+    def test_tested_and_deepest_level(self):
+        rng = np.random.default_rng(36)
+        for x in (blocks_signal(1024) + rng.standard_normal(1024), rng.standard_normal(256)):
+            n = x.size
+            res = denoise(x, 0.05, 1.0)
+            mask = keep_mask(haar_forward(x), 0.05, 1.0)
+            assert res.tested == 2 + 2 * mask[2 : n // 2].sum()
+            kept_levels = [j for j in range(1, n.bit_length() - 1) if mask[2**j : 2 ** (j + 1)].any()]
+            assert res.deepest_level == max(kept_levels, default=0)
+            doc = res.to_doc()
+            assert (doc["tested_coefficients"], doc["deepest_level"]) == (res.tested, res.deepest_level)
+
+    def test_tested_with_forced_levels(self):
+        rng = np.random.default_rng(37)
+        x = blocks_signal(1024) + rng.standard_normal(1024)
+        J = 9
+        mask = keep_mask(haar_forward(x), 0.05, 1.0, force_levels=3)
+        want = sum(2**j if j <= 3 else 2 * int(mask[2 ** (j - 1) : 2**j].sum()) for j in range(1, J + 1))
+        assert denoise(x, 0.05, 1.0, force_levels=3).tested == want
+        assert denoise(x, 0.05, 1.0, force_levels=20).tested == x.size - 2
+
+    def test_nothing_kept(self):
+        res = denoise(np.zeros(64), 0.05, 1.0)
+        assert (res.tested, res.deepest_level) == (2, 0)
 
     def test_bad_sigma_mode(self):
         with pytest.raises(ValueError, match="estimate"):
