@@ -61,7 +61,6 @@ from .trees import (
     AlphaAllocation,
     Forest,
     TestTree,
-    Vertex,
     allocation_doc,
     allocation_from_doc,
     ancestors,
@@ -77,7 +76,6 @@ from .trees import (
 from .wavelet import (
     DenoiseResult,
     WaveletTree,
-    coefficient_forest,
     coefficient_pvalues,
     denoise,
     descend_threshold,

@@ -57,6 +57,8 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _read_signal(path: str, column: int = 0) -> np.ndarray:
     """One float per line, or the given column of a CSV file."""
+    if column < 0:
+        raise ValueError(f"column must be >= 0, got {column}")
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:

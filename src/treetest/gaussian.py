@@ -45,6 +45,12 @@ class GaussianTestSpec:
             raise ValueError(f"sided must be one of {_SIDES}")
 
 
+def _check_sigma(sigma: float) -> None:
+    """A known noise scale must be positive and finite."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, elementwise on arrays."""
     x = np.asarray(x, dtype=np.float64)
@@ -80,9 +86,8 @@ def z_pvalue(sample_mean, spec: GaussianTestSpec = GaussianTestSpec()):
     mean = np.asarray(sample_mean, dtype=np.float64)
     z = (mean - spec.mu0) * np.sqrt(spec.n_eff) / spec.sigma
     if spec.sided == "two_sided":
-        out = 2.0 * special.ndtr(-np.abs(z))
-    else:
-        out = special.ndtr(-z)
+        return two_sided_pvalue(z)
+    out = special.ndtr(-z)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,9 +17,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
-from .procedures import TreeRejections, descend
+from .gaussian import _check_sigma, two_sided_pvalue
+from .procedures import _descent, _tested
 from .trees import TestTree, build_complete_tree, uniform_levels
 
 __all__ = [
@@ -47,8 +47,7 @@ class TrialMatrix:
             raise ValueError("trial data must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(data)):
             raise ValueError("trial data must be finite")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(self.sigma)
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -144,8 +143,7 @@ def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
         raise ValueError(f"interval [{node.start}, {node.end}) is empty or out of range")
     total = float(trials.data[:, node.start : node.end].sum())
     n_eff = trials.n_trials * node.width
-    z = total / (trials.sigma * np.sqrt(n_eff))
-    return float(2.0 * special.ndtr(-abs(z)))
+    return two_sided_pvalue(total / (trials.sigma * np.sqrt(n_eff)))
 
 
 def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
@@ -154,8 +152,7 @@ def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
     starts, ends = itree.starts, itree.ends
     totals = prefix[ends] - prefix[starts]
     n_eff = trials.n_trials * (ends - starts)
-    z = totals / (trials.sigma * np.sqrt(n_eff))
-    return 2.0 * special.ndtr(-np.abs(z))
+    return two_sided_pvalue(totals / (trials.sigma * np.sqrt(n_eff)))
 
 
 @dataclass(frozen=True)
@@ -216,17 +213,17 @@ def localize(
     tree = itree.tree
     alloc = uniform_levels(tree, alpha)
     pvals = interval_pvalues(trials, itree)
-    result: TreeRejections = descend(tree, alloc, pvals, validate=False)
-
-    rejected = np.array(sorted(result.rejected), dtype=np.int64)
+    flags = _descent(tree, pvals <= alloc.levels)
+    rejected = np.flatnonzero(flags)
+    frontier = np.flatnonzero(_tested(tree, flags) & ~flags)
     has_rejected_child = np.zeros(tree.n_vertices, dtype=bool)
     has_rejected_child[tree.parent[rejected[rejected > 0]]] = True
     maximal = rejected[~has_rejected_child[rejected]]
     return LocalizeResult(
         rejected=tuple(map(itree.node, rejected)),
         maximal=tuple(map(itree.node, maximal)),
-        frontier=tuple(map(itree.node, sorted(result.frontier))),
+        frontier=tuple(map(itree.node, frontier)),
         pvalues=pvals,
         levels=alloc.levels,
-        tested=len(result.rejected) + len(result.frontier),
+        tested=rejected.size + frontier.size,
     )

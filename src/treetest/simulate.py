@@ -44,10 +44,12 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
+from .procedures import _descent, _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
     AlphaAllocation,
     TestTree,
+    _first_true,
     as_levels,
     as_truth,
     build_complete_tree,
@@ -315,22 +317,20 @@ class _Instance:
     """Precomputed immutable state shared by all replication blocks.
 
     Block layout: the statistics of a block are drawn row-major, one row per
-    replication, and transposed once to vertex-major ``(n_vertices, rows)``;
-    every kernel after the draw works on that layout.  ``build_complete_tree``
-    numbers vertices layer by layer and siblings consecutively, so each tree
-    layer is a contiguous row range and the children of a layer form
-    contiguous sibling blocks.  ``layers`` holds one ``(parent start, parent
-    stop, child start, branching)`` entry per layer step of every tree; the
-    children of parent ``a + j`` are rows ``c + j*br .. c + (j+1)*br - 1``.
-    A descent therefore costs one numpy step per tree layer.
+    replication, and transposed once to vertex-major ``(n_vertices, rows)``.
+    The procedures are the kernels of ``procedures``, the same ones the
+    public functions wrap; each runs on one tree's rows
+    ``scores[off : off + n]`` at a time, one numpy step per tree layer.  The
+    bottom-up sums of the draw (leaf counts, nested-means statistics and
+    truth) take the same per-layer families of ``TestTree.families``.
 
     Scores and cuts: every kernel rejects where ``score <= cut``.  The cut
     table holds one cut per threshold the procedures use:
 
     * ``vertex_cuts``: the per-vertex levels (descend);
     * ``local_cuts``: ``level / (m - r)`` for each family of ``m`` children
-      and rank ``r``, one ``(parents, branching)`` array per layer (local
-      Holm);
+      and rank ``r``, per tree one ``(parents, m)`` array per family group
+      of ``TestTree.families`` (local Holm);
     * ``holm_cuts``, ``bonferroni_cut``, ``bh_cuts``: ``alpha / (m - r)``,
       ``alpha / m`` and ``i * alpha / m`` over the ``m`` leaves (flat Holm,
       Bonferroni, BH).
@@ -362,13 +362,6 @@ class _Instance:
         self.n_vertices = int(self.offsets[-1])
         self.levels_flat = np.concatenate(self.levels)
 
-        self.layers: list[tuple[int, int, int, int]] = []
-        for branching, off in zip(config.trees, self.offsets):
-            start, width = int(off), 1
-            for br in branching:
-                self.layers.append((start, start + width, start + width, br))
-                start, width = start + width, width * br
-
         self.root_ids = self.offsets[:-1]
         self.leaf_ids = np.concatenate(
             [t.leaves + off for t, off in zip(self.trees, self.offsets)]
@@ -376,10 +369,7 @@ class _Instance:
         self.n_leaves = self.leaf_ids.size
         self.is_leaf = np.zeros(self.n_vertices, dtype=bool)
         self.is_leaf[self.leaf_ids] = True
-        # column of each leaf vertex in the leaf-data matrix
-        self.leaf_col = np.full(self.n_vertices, -1, dtype=np.int64)
-        self.leaf_col[self.leaf_ids] = np.arange(self.n_leaves)
-        self.leaf_counts = self._count_leaves()
+        self.leaf_counts = self._bottom_up(self.is_leaf.astype(np.int64)[None], np.sum)[0]
 
         all_ids = np.arange(self.n_vertices)
         not_root = np.ones(self.n_vertices, dtype=bool)
@@ -412,8 +402,8 @@ class _Instance:
             self.fixed_truth = np.ones(self.n_vertices, dtype=bool)
 
         m, alpha = self.n_leaves, config.alpha
-        tables = [self.levels_flat]
-        tables += [self.levels_flat[a:b, None] / np.arange(br, 0, -1) for a, b, _, br in self.layers]
+        local = [_local_thresholds(t, lv) for t, lv in zip(self.trees, self.levels)]
+        tables = [self.levels_flat, *itertools.chain.from_iterable(local)]
         tables += [alpha / np.arange(m, 0, -1), np.array([alpha / m])]
         tables += [np.arange(1, m + 1) * alpha / m]
         thresholds = np.concatenate([t.ravel() for t in tables])
@@ -424,22 +414,30 @@ class _Instance:
         ends = np.cumsum([t.size for t in tables])
         split = [c.reshape(t.shape) for c, t in zip(np.split(cuts, ends[:-1]), tables)]
         self.vertex_cuts = split[0]
-        self.local_cuts = split[1:-3]
+        local_cuts = iter(split[1:-3])
+        self.local_cuts = [[next(local_cuts) for _ in tree_tables] for tree_tables in local]
         self.holm_cuts, (self.bonferroni_cut,), self.bh_cuts = split[-3:]
 
-    def _count_leaves(self) -> np.ndarray:
-        counts = self.is_leaf.astype(np.int64)
-        for a, b, c, br in reversed(self.layers):
-            counts[a:b] = counts[c : c + (b - a) * br].reshape(b - a, br).sum(axis=1)
-        return counts
+    def _bottom_up(self, values: np.ndarray, reduce) -> np.ndarray:
+        """Set each internal vertex of ``values`` (``(rows, n_vertices)``, in
+        place) to ``reduce`` over its children, deepest layer first.
+
+        Children are combined one at a time in child order, as the
+        nested-means sums always were (numpy sums a contiguous run of 8 or
+        more pairwise, which rounds differently).
+        """
+        rows = values.shape[0]
+        for tree, off in zip(self.trees, self.offsets):
+            part = values[:, off : off + tree.n_vertices]
+            for layer in reversed(tree.families):
+                for par, kids, k in layer:
+                    members = part[:, kids].reshape(rows, -1, k)
+                    part[:, par] = reduce(np.moveaxis(members, 2, 0).copy(), axis=0)
+        return values
 
     def _derive_internal_truth(self, truth: np.ndarray) -> np.ndarray:
         """Internal vertex true iff every descendant leaf true (rows kept)."""
-        out = truth.copy()
-        rows = out.shape[0]
-        for a, b, c, br in reversed(self.layers):
-            out[:, a:b] = out[:, c : c + (b - a) * br].reshape(rows, b - a, br).all(axis=2)
-        return out
+        return self._bottom_up(truth.copy(), np.all)
 
     # -- per-block work ---------------------------------------------------
 
@@ -480,14 +478,8 @@ class _Instance:
             if cfg.effect:
                 y += cfg.effect * ~null[..., self.leaf_ids]
             z = np.empty((rows, self.n_vertices))
-            for tree, off in zip(self.trees, self.offsets):
-                for v in range(tree.n_vertices - 1, -1, -1):
-                    kids = tree.children(v)
-                    g = off + v
-                    if kids.size == 0:
-                        z[:, g] = y[:, self.leaf_col[g]]
-                    else:
-                        z[:, g] = z[:, off + kids].sum(axis=1)
+            z[:, self.leaf_ids] = y
+            self._bottom_up(z, np.sum)
             z /= np.sqrt(self.leaf_counts)
 
         np.abs(z, out=z)
@@ -513,21 +505,14 @@ class _Instance:
         """
         if procedure == "descend":
             rejected = scores <= self.vertex_cuts[:, None]
-            for a, b, c, br in self.layers:
-                rejected[c : c + (b - a) * br] &= np.repeat(rejected[a:b], br, axis=0)
+            for tree, off in zip(self.trees, self.offsets):
+                _descent(tree, rejected[off : off + tree.n_vertices])
             return rejected
         if procedure == "descend_local":
-            rows = scores.shape[1]
-            rejected = np.zeros(scores.shape, dtype=bool)
-            active = np.zeros(scores.shape, dtype=bool)
-            active[self.root_ids] = True
-            for (a, b, c, br), cuts in zip(self.layers, self.local_cuts):
-                w = (b - a) * br
-                flags, all_rej = _holm(scores[c : c + w].reshape(b - a, br, rows), cuts)
-                live = active[a:b]
-                rejected[c : c + w] = (flags & live[:, None, :]).reshape(w, rows)
-                active[c : c + w] = np.repeat(all_rej & live, br, axis=0)
-            return rejected
+            return np.concatenate([
+                _local_descent(tree, scores[off : off + tree.n_vertices], cuts)[0]
+                for tree, off, cuts in zip(self.trees, self.offsets, self.local_cuts)
+            ])
         leaf = scores[self.leaf_ids]
         if procedure == "bonferroni_flat":
             return leaf <= self.bonferroni_cut
@@ -596,12 +581,6 @@ def _count(flags: np.ndarray, axis: int) -> np.ndarray:
     return flags.sum(axis=axis, dtype=dtype)
 
 
-# Families of at least this many members are cut by sorting, smaller ones
-# by pairwise comparison.  Measured on blocks of 1, 2 and 8 families of
-# 8192 rows: comparison is faster up to 10 members, sorting from 12 on.
-_SORT_FROM = 12
-
-
 # Each cut is checked to be a clean step of the p-value predicate over this
 # many float64 steps on either side; the search for it spans _CUT_REACH
 # steps on either side of ``ndtri(level / 2)``.
@@ -642,52 +621,6 @@ def _score_cuts(levels: np.ndarray, chunk: int = 4096) -> np.ndarray:
         cut = grid[np.arange(level.size), np.maximum(last, 0)]
         cuts[lo : lo + chunk] = np.where(clean, cut, np.nan)
     return cuts[inverse]
-
-
-def _holm(s: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Holm within each family ``s[f, :, r]`` of scores against ``cuts[f]``.
-
-    ``cuts[f, i]`` is the cut for the member of rank ``i`` (the score form
-    of ``level / (m - i)``), increasing in ``i``.  Returns the rejection
-    flags, shaped like ``s``, and a per-(family, row) all-rejected
-    indicator.  Holm never splits a tie group at its cut, so the rejected
-    set is every score at or below one cut.  Small families need no sort: a
-    member of min-rank ``r`` (the count of strictly smaller members) passes
-    iff it is at or below ``cuts[f, r]``, i.e. iff ``r`` plus the number of
-    cuts it clears is at least ``m``; a member is rejected iff every member
-    at or below its score passes.
-    """
-    m = s.shape[1]
-    if m < _SORT_FROM:
-        below = s[:, :, None, :] < s[:, None, :, :]  # [f, i, j]: s_i < s_j
-        rank = below.sum(axis=1, dtype=np.int16)
-        clears = (s[:, :, None, :] <= cuts[:, None, :, None]).sum(axis=2, dtype=np.int16)
-        passes = rank + clears >= m
-        flags = (below | passes[:, None]).all(axis=2)
-    else:
-        ordered = np.ascontiguousarray(s.transpose(0, 2, 1))
-        ordered.sort(axis=2)
-        flags = s <= _sorted_cut(ordered, cuts)[:, None, :]
-    return flags, flags.all(axis=1)
-
-
-def _sorted_cut(s: np.ndarray, cuts: np.ndarray, step_up: bool = False) -> np.ndarray:
-    """Per-row rejection cut of Holm, or of BH when ``step_up``.
-
-    ``s`` holds each row's scores sorted ascending along its last axis,
-    ``(..., rows, m)``; ``cuts`` is ``(..., m)`` and increases along its
-    last axis.  Holm stops at the first sorted score above its cut, BH takes
-    the last one at or below it; either way the rejected scores are those at
-    or below the cut of the last rejected rank.  Returns that cut,
-    ``(..., rows)``, or ``-inf`` where nothing is rejected.
-    """
-    m = s.shape[-1]
-    passed = s <= cuts[..., None, :]
-    if step_up:
-        k = np.where(passed.any(axis=-1), m - passed[..., ::-1].argmax(axis=-1), 0)
-    else:
-        k = np.where(passed.all(axis=-1), m, passed.argmin(axis=-1))
-    return np.where(k > 0, np.take_along_axis(cuts, np.maximum(k - 1, 0), axis=-1), -np.inf)
 
 
 # Bytes per (replication, vertex) cell that every block holds at once: the
@@ -855,43 +788,30 @@ def _attainable_sums_check(
     by sorted search) therefore covers every truth assignment exactly.
     Returns (max attainable sum, number of attainable profiles in violation).
     """
-    n = tree.n_vertices
+    def combined(sets: list[np.ndarray]) -> np.ndarray:  # distinct sums, one per set
+        acc = sets[0]
+        for nxt in sets[1:]:
+            if acc.size * nxt.size > combine_limit:
+                raise BudgetError("attainable-sum enumeration exceeds its budget")
+            acc = np.unique(np.add.outer(acc, nxt).ravel())
+        return acc
+
     sums: dict[int, np.ndarray] = {}
-    for v in range(n - 1, 0, -1):
-        kids = tree.children(v)
-        if kids.size == 0:
-            sums[v] = np.unique(np.array([0.0, levels[v]]))
-        else:
-            acc = sums[int(kids[0])]
-            for c in kids[1:]:
-                nxt = sums[int(c)]
-                if acc.size * nxt.size > combine_limit:
-                    raise BudgetError("attainable-sum enumeration exceeds its budget")
-                acc = np.unique(np.add.outer(acc, nxt).ravel())
-            sums[v] = np.unique(np.concatenate(([levels[v]], acc)))
-            for c in kids:
-                del sums[int(c)]
+    for v in range(tree.n_vertices - 1, 0, -1):
+        kids = [sums.pop(int(c)) for c in tree.children(v)]
+        sums[v] = np.unique(np.concatenate(([levels[v]], combined(kids) if kids else [0.0])))
 
     bound = alpha + LEVEL_SUM_TOL
-    root_kids = tree.children(0)
-    if root_kids.size == 0:
+    sets = [sums[int(c)] for c in tree.children(0)]
+    if not sets:
         values = np.array([0.0, levels[0]])
         return float(values.max()), int((values > bound).sum())
-
-    acc = sums[int(root_kids[0])]
-    for c in root_kids[1:-1]:
-        nxt = sums[int(c)]
-        if acc.size * nxt.size > combine_limit:
-            raise BudgetError("attainable-sum enumeration exceeds its budget")
-        acc = np.unique(np.add.outer(acc, nxt).ravel())
-    if root_kids.size == 1:
-        max_sum = float(acc.max())
-        violations = int((acc > bound).sum())
+    if len(sets) == 1:
+        max_sum, violations = float(sets[0].max()), int((sets[0] > bound).sum())
     else:
-        last = np.sort(sums[int(root_kids[-1])])
+        acc, last = combined(sets[:-1]), np.sort(sets[-1])
         # pair (i, j) violates iff last[j] > bound - acc[i]
-        below = np.searchsorted(last, bound - acc, side="right")
-        violations = int((last.size - below).sum())
+        violations = int((last.size - np.searchsorted(last, bound - acc, side="right")).sum())
         max_sum = float(acc.max() + last[-1])
     # the remaining profile is the root itself being first-true
     max_sum = max(max_sum, float(levels[0]))
@@ -912,11 +832,7 @@ def _literal_sums_check(
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         t = ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
-        anc_true = np.zeros_like(t)
-        for v in range(1, n):
-            p = tree.parent[v]
-            anc_true[:, v] = anc_true[:, p] | t[:, p]
-        s = (t & ~anc_true) @ levels
+        s = _first_true(tree, t) @ levels
         max_sum = max(max_sum, float(s.max()))
         violations += int((s > bound).sum())
     return max_sum, violations
@@ -950,6 +866,8 @@ def audit_alpha_sums(
         raise ValueError("branching factors must be >= 1")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    if n_weighted < 0:
+        raise ValueError("n_weighted must be >= 0")
     if max_depth > 3 or max(branchings) > 3:
         raise BudgetError("enumeration budget is depth <= 3 with branching factors <= 3")
 

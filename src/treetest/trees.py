@@ -22,21 +22,22 @@ A tree keeps its children as one read-only array ordered by parent, and
 ``children(v)`` returns a read-only view into it.  ``layers`` holds the
 per-depth vertex index sets, computed once: contiguous slices when ids
 grow with depth (every breadth-first tree), read-only gather arrays
-otherwise.  Either kind indexes any per-vertex array, so the allocation
-and budget helpers take one numpy step per layer instead of one Python
-step per vertex.
+otherwise.  ``families`` groups the children of each layer into families
+of equal size, in the same two kinds.  Either kind indexes any per-vertex
+array, or the rows of a vertex-major block, so the allocation and budget
+helpers and the procedures take one numpy step per layer instead of one
+Python step per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "LEVEL_SUM_TOL",
-    "Vertex",
     "TestTree",
     "Forest",
     "AlphaAllocation",
@@ -62,14 +63,8 @@ LEVEL_SUM_TOL = 1e-12
 # Refuse to build trees above this vertex count unless the caller raises it.
 DEFAULT_MAX_VERTICES = 10**7
 
-
-class Vertex(NamedTuple):
-    """Read-only view of one tree vertex."""
-
-    id: int
-    depth: int
-    parent: Optional[int]
-    children: tuple[int, ...]
+# A set of vertex ids: a contiguous slice or an index array.
+Index = Union[slice, np.ndarray]
 
 
 class TestTree:
@@ -83,7 +78,8 @@ class TestTree:
         Children of a vertex are ordered by id.
 
     The per-vertex arrays ``parent``, ``depth_of`` and ``child_counts`` are
-    read-only; ``layers[d]`` indexes the vertices at depth ``d``.
+    read-only; ``layers[d]`` indexes the vertices at depth ``d`` and
+    ``families[d]`` their children.
 
     Raises
     ------
@@ -151,7 +147,7 @@ class TestTree:
         self.child_counts = counts
         self._kids = kids
         self._kid_start = kid_start
-        self._families: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
+        self._families: Optional[tuple] = None
         self._branching: Optional[tuple[int, ...]] = None
 
     # -- basic structure ------------------------------------------------
@@ -171,6 +167,34 @@ class TestTree:
         out.setflags(write=False)
         return out
 
+    @property
+    def families(self) -> tuple[tuple[tuple[Index, Index, int], ...], ...]:
+        """Per layer, one ``(parents, children, k)`` group per family size ``k``.
+
+        ``children`` lists the children of ``parents`` in order, ``k`` each,
+        so ``x[children].reshape(-1, k, ...)`` holds one family per row.  A
+        layer of equal families with contiguous children (every
+        ``build_complete_tree`` tree) is one group of slices, which makes
+        that reshape a view; other groups hold read-only index arrays.
+        """
+        if self._families is None:
+            ids, out = np.arange(self.n_vertices), []
+            for layer in self.layers[:-1]:
+                sizes, groups = self.child_counts[layer], []
+                for k in np.unique(sizes).tolist():
+                    par = ids[layer][sizes == k]
+                    kids = self._kids[self._kid_start[par, None] + np.arange(k)].ravel()
+                    whole = isinstance(layer, slice) and par.size == sizes.size
+                    if whole and (np.diff(kids) == 1).all():
+                        par, kids = layer, slice(int(kids[0]), int(kids[-1]) + 1)
+                    else:
+                        par.setflags(write=False)
+                        kids.setflags(write=False)
+                    groups.append((par, kids, k))
+                out.append(tuple(groups))
+            self._families = tuple(out)
+        return self._families
+
     def child_sums(self, values: np.ndarray) -> np.ndarray:
         """``values[children(v)].sum()`` for every vertex ``v`` (0 at leaves).
 
@@ -178,23 +202,11 @@ class TestTree:
         which numpy adds in the same order as the 1-D sum of each family,
         so the result is bit-identical to summing family by family.
         """
-        if self._families is None:
-            internal = np.nonzero(self.child_counts)[0]
-            sizes = self.child_counts[internal]
-            self._families = [
-                (internal[sizes == k], self._kid_start[internal[sizes == k], None] + np.arange(k))
-                for k in np.unique(sizes)
-            ]
         out = np.zeros(self.n_vertices, dtype=np.float64)
-        for ids, slots in self._families:
-            out[ids] = values[self._kids[slots]].sum(axis=1)
+        for groups in self.families:
+            for par, kids, k in groups:
+                out[par] = values[kids].reshape(-1, k).sum(axis=1)
         return out
-
-    def vertex(self, v: int) -> Vertex:
-        """Vertex view with id, depth, parent and children."""
-        self._check_vertex(v)
-        par = None if v == self.root else int(self.parent[v])
-        return Vertex(int(v), int(self.depth_of[v]), par, tuple(int(c) for c in self.children(v)))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= int(v) < self.n_vertices:
@@ -314,13 +326,7 @@ def as_levels(alloc: LevelsLike, n_vertices: Optional[int] = None) -> np.ndarray
     if isinstance(alloc, AlphaAllocation):
         levels = alloc.levels
     elif isinstance(alloc, Mapping):
-        if n_vertices is None:
-            n_vertices = len(alloc)
-        levels = np.empty(n_vertices, dtype=np.float64)
-        for v in range(n_vertices):
-            if v not in alloc:
-                raise ValueError(f"allocation is missing vertex {v}")
-            levels[v] = alloc[v]
+        levels = _dense(alloc, len(alloc) if n_vertices is None else n_vertices, "allocation")
     else:
         levels = np.asarray(alloc, dtype=np.float64)
     if n_vertices is not None and levels.size != n_vertices:
@@ -328,15 +334,21 @@ def as_levels(alloc: LevelsLike, n_vertices: Optional[int] = None) -> np.ndarray
     return levels
 
 
+def _dense(mapping: Mapping, n: int, what: str, dtype=np.float64, start: int = 0) -> np.ndarray:
+    """``mapping[v]`` for ``v`` in ``start .. n-1`` as an array (1 before ``start``)."""
+    missing = next((v for v in range(start, n) if v not in mapping), None)
+    if missing is not None:
+        raise ValueError(f"{what} is missing vertex {missing}")
+    out = np.ones(n, dtype=dtype)
+    out[start:] = [mapping[v] for v in range(start, n)]
+    return out
+
+
 def as_truth(tree: TestTree, truth: Union[Sequence[int], np.ndarray, Mapping[int, int]]) -> np.ndarray:
     """Coerce a truth assignment (1 = null true) to an int8 array over vertices."""
     n = tree.n_vertices
     if isinstance(truth, Mapping):
-        out = np.empty(n, dtype=np.int8)
-        for v in range(n):
-            if v not in truth:
-                raise ValueError(f"truth assignment is missing vertex {v}")
-            out[v] = truth[v]
+        out = _dense(truth, n, "truth assignment", np.int8)
     else:
         out = np.asarray(truth, dtype=np.int8)
         if out.shape != (n,):
@@ -377,12 +389,7 @@ def weighted_levels(
         raise ValueError("alpha must lie in (0, 1]")
     n = tree.n_vertices
     if isinstance(weights, Mapping):
-        w = np.empty(n, dtype=np.float64)
-        w[0] = 1.0
-        for v in range(1, n):
-            if v not in weights:
-                raise ValueError(f"weight map is missing vertex {v}")
-            w[v] = weights[v]
+        w = _dense(weights, n, "weight map", start=1)
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (n,):
@@ -476,12 +483,16 @@ def first_true_vertices(
     root's null is true; always an antichain (no member is an ancestor of
     another).
     """
-    t = as_truth(tree, truth).astype(bool)
-    anc_true = np.zeros(tree.n_vertices, dtype=bool)
+    return np.nonzero(_first_true(tree, as_truth(tree, truth).astype(bool)))[0]
+
+
+def _first_true(tree: TestTree, t: np.ndarray) -> np.ndarray:
+    """First-true flags along the last axis of truth flags ``t``, one step per layer."""
+    anc_true = np.zeros_like(t)
     for ids in tree.layers[1:]:
         up = tree.parent[ids]
-        anc_true[ids] = anc_true[up] | t[up]
-    return np.nonzero(t & ~anc_true)[0]
+        anc_true[..., ids] = anc_true[..., up] | t[..., up]
+    return t & ~anc_true
 
 
 def subtree_vertices(tree: TestTree, root: int) -> np.ndarray:

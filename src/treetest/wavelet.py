@@ -27,8 +27,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import special
 
-from .gaussian import critical_z
-from .trees import Forest, build_complete_tree
+from .gaussian import _check_sigma, critical_z, two_sided_pvalue
 
 __all__ = [
     "WaveletTree",
@@ -41,7 +40,6 @@ __all__ = [
     "estimate_sigma",
     "DenoiseResult",
     "denoise",
-    "coefficient_forest",
 ]
 
 
@@ -134,9 +132,8 @@ def coefficient_pvalues(tree: WaveletTree, sigma: float) -> np.ndarray:
     ``p = 2(1 - Phi(|w|/sigma))``.  The two coarse entries are exempt from
     testing and reported as NaN.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    p = 2.0 * special.ndtr(-np.abs(tree.coeffs) / sigma)
+    _check_sigma(sigma)
+    p = two_sided_pvalue(tree.coeffs / sigma)
     p[..., :2] = np.nan
     return p
 
@@ -151,8 +148,7 @@ def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     return np.array([sigma * critical_z(alpha / (1 << j)) for j in range(1, J + 1)])
 
 
@@ -173,8 +169,7 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     if force_levels < 0:
         raise ValueError("force_levels must be >= 0")
     c = tree.coeffs.reshape(-1, tree.n)  # one row per batch entry
@@ -185,7 +180,7 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
             rows = np.repeat(np.arange(c.shape[0]), 1 << j)
             ks = np.tile(np.arange(1 << j), c.shape[0])
         cols = (1 << j) + ks
-        p = 2.0 * special.ndtr(-np.abs(c[rows, cols]) / sigma)
+        p = two_sided_pvalue(c[rows, cols] / sigma)
         small = p <= alpha / (1 << j)  # closed comparison, ties reject
         rows, ks = rows[small], ks[small]
         mask[rows, cols[small]] = True
@@ -272,8 +267,7 @@ def denoise(
             raise ValueError("estimated noise scale is zero; cannot threshold")
     else:
         scale = float(sigma)
-        if not scale > 0.0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(scale)
     mask = keep_mask(tree, alpha, scale, force_levels=force_levels)
     kept = int(mask[2:].sum())
     out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
@@ -290,26 +284,3 @@ def denoise(
         tested=tested,
         deepest_level=last_kept.bit_length() - 1,
     )
-
-
-def coefficient_forest(J: int, alpha: float) -> tuple[Forest, list[np.ndarray]]:
-    """The tested coefficients arranged as two complete binary test trees.
-
-    Returns the forest (each root carrying half of ``alpha``) plus, per
-    tree, the flat coefficient index of every tree vertex in breadth-first
-    order.  Used to cross-check the vectorized ``keep_mask`` against the
-    generic tree descent.
-    """
-    if J < 1:
-        raise ValueError("need J >= 1 (signal length >= 4)")
-    trees = []
-    positions = []
-    for t in (0, 1):
-        tree = build_complete_tree([2] * (J - 1))
-        # vertex v at depth d sits at level j = d + 1; ids at one depth are
-        # contiguous and start at 2**d - 1
-        width = np.left_shift(1, tree.depth_of)
-        pos = 2 * width + t * width + np.arange(tree.n_vertices) - (width - 1)
-        trees.append(tree)
-        positions.append(pos)
-    return Forest(tuple(trees), (alpha / 2.0, alpha / 2.0)), positions

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from treetest import Forest, build_complete_tree
+
 
 def children_from_parents(parents) -> list[list[int]]:
     """Plain child lists rebuilt from a parent array."""
@@ -220,3 +222,89 @@ def reference_internal_truth(parents, truth) -> np.ndarray:
         if kids[v]:
             out[:, v] = out[:, kids[v]].all(axis=1)
     return out
+
+
+def coefficient_forest(J: int, alpha: float) -> tuple[Forest, list[np.ndarray]]:
+    """The tested coefficients arranged as two complete binary test trees.
+
+    Returns the forest (each root carrying half of ``alpha``) plus, per
+    tree, the flat coefficient index of every tree vertex in breadth-first
+    order.  The reference that the vectorized ``keep_mask`` is
+    cross-checked against through the generic tree descent.
+    """
+    if J < 1:
+        raise ValueError("need J >= 1 (signal length >= 4)")
+    trees = []
+    positions = []
+    for t in (0, 1):
+        tree = build_complete_tree([2] * (J - 1))
+        # vertex v at depth d sits at level j = d + 1; ids at one depth are
+        # contiguous and start at 2**d - 1
+        width = np.left_shift(1, tree.depth_of)
+        pos = 2 * width + t * width + np.arange(tree.n_vertices) - (width - 1)
+        trees.append(tree)
+        positions.append(pos)
+    return Forest(tuple(trees), (alpha / 2.0, alpha / 2.0)), positions
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the procedure kernels: plain sorts and queue walks.
+# ---------------------------------------------------------------------------
+
+
+def reference_holm(pvals, level: float) -> np.ndarray:
+    """Holm's step-down test: the i-th smallest p-value against
+    ``level / (m - i + 1)``, stopping at the first failure."""
+    p = np.asarray(pvals, dtype=np.float64)
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    thresholds = level / np.arange(m, 0, -1)
+    passed = p[order] <= thresholds
+    k = m if passed.all() else int(np.argmin(passed))
+    flags = np.zeros(m, dtype=bool)
+    flags[order[:k]] = True
+    return flags
+
+
+def reference_bh(pvals, q: float) -> np.ndarray:
+    """Benjamini-Hochberg step-up: the k smallest p-values for the largest k
+    with ``p_(k) <= k q / m``."""
+    p = np.asarray(pvals, dtype=np.float64)
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    passed = np.nonzero(p[order] <= np.arange(1, m + 1) * q / m)[0]
+    k = int(passed[-1]) + 1 if passed.size else 0
+    flags = np.zeros(m, dtype=bool)
+    flags[order[:k]] = True
+    return flags
+
+
+def reference_descend_local(children, levels, local_pvals, method: str = "holm"):
+    """Queue walk over the children's local families ("children" layout).
+
+    At an active vertex the family of its children is tested at the vertex's
+    level by Holm (or Bonferroni); the walk continues at every child only
+    when the whole family is rejected, and stops there otherwise.  Returns
+    (rejected child ids, vertices where the walk stopped).
+    """
+    from collections import deque
+
+    rejected: set[int] = set()
+    frontier: set[int] = set()
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        kids = children[v]
+        if not kids:
+            continue  # leaves host no local family
+        pv = np.asarray(local_pvals[v], dtype=np.float64)
+        if method == "holm":
+            flags = reference_holm(pv, float(levels[v]))
+        else:
+            flags = pv <= float(levels[v]) / pv.size
+        rejected.update(int(kids[i]) for i in np.nonzero(flags)[0])
+        if flags.all():
+            queue.extend(int(c) for c in kids)
+        else:
+            frontier.add(v)
+    return rejected, frontier

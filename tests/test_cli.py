@@ -151,6 +151,12 @@ class TestBruteForceCommand:
         assert main(["brute-force", "--max-depth", "4"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_negative_weighted_count_exits_2(self, capsys):
+        assert main(["brute-force", "--max-depth", "1", "--weighted", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.splitlines() == ["error: n_weighted must be >= 0"]
+
 
 class TestDenoiseCommand:
     def test_zero_signal(self, tmp_path):
@@ -220,6 +226,28 @@ class TestDenoiseCommand:
             "--out", str(out),
         ]) == 2
 
+    def test_negative_column_exits_2(self, tmp_path, capsys):
+        # -1 would otherwise read the last column
+        sig = tmp_path / "sig.csv"
+        sig.write_text("".join(f"{i},0.0\n" for i in range(64)))
+        out = tmp_path / "out.txt"
+        argv = ["denoise", "--signal", str(sig), "--column", "-1", "--sigma", "1.0",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: column must be >= 0, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "0", "-1"])
+    def test_sigma_not_finite_positive_exits_2(self, tmp_path, capsys, sigma):
+        sig = tmp_path / "sig.txt"
+        sig.write_text("".join(f"{float(i % 7)!r}\n" for i in range(64)))
+        out, meta = tmp_path / "out.txt", tmp_path / "meta.json"
+        argv = ["denoise", "--signal", str(sig), "--sigma", sigma, "--out", str(out),
+                "--meta", str(meta)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: sigma must be positive and finite"]
+        assert not out.exists() and not meta.exists()
+
 
 class TestLocalizeCommand:
     def write_trials(self, path: Path, data: np.ndarray) -> str:
@@ -244,6 +272,18 @@ class TestLocalizeCommand:
         rng = np.random.default_rng(14)
         trials = self.write_trials(tmp_path / "t.csv", rng.standard_normal((20, 64)))
         assert main(["localize", "--trials", trials, "--depth", "3"]) == 0
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "0"])
+    def test_sigma_not_finite_positive_exits_2(self, tmp_path, capsys, sigma):
+        # an infinite sigma used to flag nothing, silently
+        data = np.zeros((4, 16))
+        data[:, :8] = 50.0
+        trials = self.write_trials(tmp_path / "t.csv", data)
+        out = tmp_path / "loc.json"
+        argv = ["localize", "--trials", trials, "--depth", "2", "--sigma", sigma, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: sigma must be positive and finite"]
+        assert not out.exists()
 
     def test_ragged_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "ragged.csv"

@@ -98,6 +98,11 @@ class TestTrialMatrix:
         with pytest.raises(ValueError, match="sigma"):
             TrialMatrix(np.zeros((2, 4)), sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            TrialMatrix(np.zeros((2, 4)), sigma=sigma)
+
 
 class TestIntervalPvalue:
     def test_all_zero_samples(self):

@@ -21,7 +21,10 @@ from helpers import (
     children_from_parents,
     random_general_parents,
     random_uniform_shape,
+    reference_bh,
     reference_descend,
+    reference_descend_local,
+    reference_holm,
 )
 
 
@@ -261,6 +264,153 @@ class TestDescendLocal:
             descend_local(
                 tree, uniform_levels(tree, 0.05), {0: [0.1, 0.2]}, hypotheses="self"
             )
+
+
+def preorder_parents(parents) -> list[int]:
+    """The same tree with ids assigned depth-first (preorder): parents still
+    precede children, but same-depth ids are no longer contiguous."""
+    kids = children_from_parents(parents)
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    new_id = {v: i for i, v in enumerate(order)}
+    return [-1] + [new_id[parents[v]] for v in order[1:]]
+
+
+def gather_layer_trees() -> list[TestTree]:
+    """Trees whose layers are gather arrays, from ``[-1, 0, 1, 0, 3]`` up."""
+    rng = np.random.default_rng(40)
+    parents = [[-1, 0, 1, 0, 3], [-1, 0, 1, 1, 0, 4, 4, 4]]
+    parents += [preorder_parents(random_general_parents(rng, 3, 4, 80)) for _ in range(30)]
+    trees = [TestTree(p) for p in parents]
+    trees = [t for t in trees if any(isinstance(ids, np.ndarray) for ids in t.layers)]
+    assert len(trees) >= 10
+    return trees
+
+
+class TestKernelWrappers:
+    """The public procedures wrap the block kernels; these pin the wrapper
+    contract: lazy lookups, errors named by vertex, general trees, rows."""
+
+    # depths 0, 1, 2, 1, 2: children 0 -> [1, 3], 1 -> [2], 3 -> [4]
+    GATHER = [-1, 0, 1, 0, 3]
+
+    def setup_method(self):
+        self.tree = TestTree(self.GATHER)
+        self.alloc = uniform_levels(self.tree, 0.05)  # 0.05, then 0.025 each
+
+    def test_mapping_may_omit_untested_vertices(self):
+        # vertex 1 is accepted, so vertex 2 below it is never tested
+        res = descend(self.tree, self.alloc, {0: 0.01, 1: 0.9, 3: 0.01, 4: 0.02})
+        assert (res.rejected, res.frontier) == ({0, 3, 4}, {1})
+        arr = np.array([0.01, 0.9, np.nan, 0.01, 0.02])
+        assert descend(self.tree, self.alloc, arr) == res
+        # an out-of-range value where the walk never goes is never looked at
+        assert descend(self.tree, self.alloc, {0: 0.01, 1: 0.9, 2: 7.0, 3: 0.01, 4: 0.02}) == res
+        # child 3 accepted in the root's family: no family needed at 1 or 3
+        local = descend_local(self.tree, self.alloc, {0: [0.001, 0.5]})
+        assert (local.rejected, local.frontier) == ({1}, {0})
+        self_layout = descend_local(
+            self.tree, self.alloc, {0: [0.01], 1: [0.9], 3: [0.5]}, hypotheses="self"
+        )
+        assert (self_layout.rejected, self_layout.frontier) == ({0}, {1, 3})
+
+    @pytest.mark.parametrize(
+        "pvals, message",
+        [
+            ({0: 0.01, 1: 0.01, 3: 0.9}, "p-value required at tested vertex 2$"),
+            (np.array([0.01, 0.01, np.nan, 0.9, 0.5]), "p-value required at tested vertex 2$"),
+            ({0: 0.01, 1: 0.01, 2: 1.5, 3: 0.9}, r"p-value at vertex 2 lies outside \[0, 1\]"),
+            ({0: 0.01, 1: 0.01, 2: np.nan, 3: 0.9}, r"p-value at vertex 2 lies outside \[0, 1\]"),
+            # 2 and 3 are both tested and bad: the smaller id is named
+            ({0: 0.01, 1: 0.01, 3: -0.5}, "p-value required at tested vertex 2$"),
+            ({0: 0.01, 1: 0.9, 3: 0.01}, "p-value required at tested vertex 4$"),
+        ],
+    )
+    def test_bad_value_at_tested_vertex_is_named(self, pvals, message):
+        with pytest.raises(ValueError, match=message):
+            descend(self.tree, self.alloc, pvals)
+
+    @pytest.mark.parametrize(
+        "families, message",
+        [
+            ({0: [0.001, 0.001], 3: [0.9]}, "local p-values required at active vertex 1$"),
+            ({0: [0.001, 0.001], 1: [0.9], 3: [0.1, 0.2]}, "vertex 3 has 1 children but 2 local"),
+            ({0: [0.001, 0.001], 1: [1.5], 3: [0.9]}, r"p-values must lie in \[0, 1\]"),
+            ({0: [0.001, 0.001], 1: [0.9]}, "local p-values required at active vertex 3$"),
+        ],
+    )
+    def test_bad_family_at_active_vertex_is_named(self, families, message):
+        with pytest.raises(ValueError, match=message):
+            descend_local(self.tree, self.alloc, families)
+
+    def test_bad_self_layout_value_is_named(self):
+        # root and vertex 1 rejected: 2 and 3 are tested, and 2 is the smaller
+        with pytest.raises(ValueError, match="local p-value required at active vertex 2$"):
+            descend_local(self.tree, self.alloc, {0: [0.01], 1: [0.01]}, hypotheses="self")
+        with pytest.raises(ValueError, match="expects one p-value per vertex, got 2"):
+            descend_local(
+                self.tree, self.alloc, {0: [0.01], 1: [0.01], 2: [0.1, 0.2], 3: [0.9]},
+                hypotheses="self",
+            )
+
+    def test_batch_matches_reference_on_gather_layer_trees(self):
+        rng = np.random.default_rng(41)
+        for tree in gather_layer_trees():
+            kids = children_from_parents(tree.parent.tolist())
+            alloc = weighted_levels(tree, 0.4, rng.uniform(0.2, 2.0, tree.n_vertices))
+            P = rng.random((60, tree.n_vertices)) * rng.choice([1.0, 0.1, 0.01], size=(60, 1))
+            ties = rng.random(P.shape) < 0.2
+            P[ties] = np.broadcast_to(alloc.levels, P.shape)[ties]
+            rej, front = descend_batch(tree, alloc, P)
+            for i in range(P.shape[0]):
+                want_rej, want_front = reference_descend(kids, alloc.levels, P[i])
+                assert set(np.flatnonzero(rej[i]).tolist()) == want_rej
+                assert set(np.flatnonzero(front[i]).tolist()) == want_front
+                single = descend(tree, alloc, P[i])
+                assert (single.rejected, single.frontier) == (want_rej, want_front)
+
+    @pytest.mark.parametrize("method", ["holm", "bonferroni"])
+    def test_local_matches_reference_on_gather_layer_trees(self, method):
+        rng = np.random.default_rng(42)
+        for tree in gather_layer_trees():
+            kids = children_from_parents(tree.parent.tolist())
+            alloc = weighted_levels(tree, 0.4, rng.uniform(0.2, 2.0, tree.n_vertices))
+            for _ in range(20):
+                scale = rng.choice([1.0, 0.1, 0.01])
+                families = {}
+                for v, ks in enumerate(kids):
+                    if ks:
+                        p = rng.random(len(ks)) * scale
+                        ties = rng.random(len(ks)) < 0.3  # on a Holm threshold
+                        p[ties] = alloc.levels[v] / rng.integers(1, len(ks) + 1, ties.sum())
+                        families[v] = p.tolist()
+                got = descend_local(tree, alloc, families, method=method)
+                want = reference_descend_local(kids, alloc.levels, families, method)
+                assert (got.rejected, got.frontier) == want
+
+    def test_flat_rows_match_references(self):
+        rng = np.random.default_rng(43)
+        for m in (1, 2, 5, 11, 12, 13, 30):
+            level = 0.05
+            P = rng.random((80, m)) * rng.choice([1.0, 0.1, 0.01], size=(80, 1))
+            on = rng.random(P.shape) < 0.3  # boundary ties
+            holm_ties = level / rng.integers(1, m + 1, on.sum())
+            bh_ties = rng.integers(1, m + 1, on.sum()) * level / m
+            for proc, ref, ties in (
+                (holm, reference_holm, holm_ties),
+                (benjamini_hochberg, reference_bh, bh_ties),
+            ):
+                Q = P.copy()
+                Q[on] = ties
+                got = proc(Q, level)
+                assert got.shape == Q.shape
+                for i in range(Q.shape[0]):
+                    assert np.array_equal(got[i], ref(Q[i], level)), (proc.__name__, Q[i])
+                    assert np.array_equal(proc(Q[i], level), got[i])
+            assert np.array_equal(bonferroni(P, level), P <= level / m)
 
 
 class TestErrorReport:

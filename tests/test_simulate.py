@@ -14,29 +14,32 @@ from treetest import (
     SimConfig,
     audit_alpha_sums,
     audit_subtree_sums,
-    benjamini_hochberg,
     bonferroni,
     build_complete_tree,
     compare_procedures,
-    descend,
-    descend_local,
-    holm,
     monte_carlo_bound,
     simulate,
     uniform_levels,
     format_comparison,
 )
+from treetest.procedures import _SORT_FROM, _holm, _sorted_cut
 from treetest.simulate import (
-    _SORT_FROM,
     _attainable_sums_check,
-    _sorted_cut,
     _score_cuts,
-    _holm,
     _Instance,
     _literal_sums_check,
 )
 
-from helpers import random_general_parents, reference_internal_truth, reference_leaf_counts
+from helpers import (
+    children_from_parents,
+    random_general_parents,
+    reference_bh,
+    reference_descend,
+    reference_descend_local,
+    reference_holm,
+    reference_internal_truth,
+    reference_leaf_counts,
+)
 
 # the package attribute ``treetest.simulate`` is the function, not the module
 sim_module = importlib.import_module("treetest.simulate")
@@ -251,6 +254,15 @@ class TestCompare:
         one_block = SimConfig(trees=((2, 2),), replications=100, block_size=1000)
         assert compare_procedures(one_block, ["descend"], threads=3)[0].replications == 100
 
+    def test_procedures_do_not_see_each_others_work(self):
+        # local Holm sorts families of _SORT_FROM or more members; on
+        # one-row blocks that sort once ran in place on the shared scores
+        cfg = SimConfig(trees=((_SORT_FROM,),), alpha=0.5, replications=6, block_size=1, seed=3)
+        together = compare_procedures(cfg, ["descend_local", "bonferroni_flat", "holm_flat"])
+        for report in together[1:]:
+            alone = simulate(cfg, report.procedure)
+            assert np.array_equal(report.rejection_counts, alone.rejection_counts)
+
     def test_global_null_all_bounded(self):
         cfg = SimConfig(trees=((2, 2),), replications=20_000, seed=14)
         for rep in compare_procedures(cfg, list(("descend", "holm_flat", "bh_flat"))):
@@ -271,10 +283,12 @@ def threshold_tables(inst):
     """(cut table, threshold table) pairs of an instance, in the kernels' layout."""
     m, alpha = inst.n_leaves, inst.config.alpha
     pairs = [(inst.vertex_cuts, inst.levels_flat)]
-    pairs += [
-        (cuts, inst.levels_flat[a:b, None] / np.arange(br, 0, -1))
-        for (a, b, _, br), cuts in zip(inst.layers, inst.local_cuts)
-    ]
+    for tree, levels, tree_cuts in zip(inst.trees, inst.levels, inst.local_cuts):
+        families = [group for layer in tree.families for group in layer]
+        pairs += [
+            (cuts, levels[par, None] / np.arange(k, 0, -1))
+            for (par, _, k), cuts in zip(families, tree_cuts, strict=True)
+        ]
     pairs += [
         (inst.holm_cuts, alpha / np.arange(m, 0, -1)),
         (np.array([inst.bonferroni_cut]), np.array([alpha / m])),
@@ -332,7 +346,8 @@ class TestLayeredAggregates:
 
 
 class TestVectorizedKernels:
-    """The layer kernels must agree exactly with the scalar procedures.
+    """The layer kernels must agree exactly with the scalar references of
+    ``helpers`` (sorts and queue walks).
 
     Kernels decide on scores against cut tables and take vertex-major input:
     ``_holm`` takes ``(families, members, rows)`` scores and ``(families,
@@ -340,8 +355,8 @@ class TestVectorizedKernels:
     flat Holm and BH cut ``_sorted_cut`` takes each row's scores sorted.
     Every test runs on both scores: ``-|z|`` against the cuts of
     ``_score_cuts`` (``kind="z"``) and the p-value fallback against the
-    thresholds themselves (``kind="p"``).  The scalar reference always sees
-    the p-values the scores stand for.
+    thresholds themselves (``kind="p"``).  The reference always sees the
+    p-values the scores stand for.
     """
 
     SIZES = (1, 2, 5, 9, _SORT_FROM - 1, _SORT_FROM, 20)
@@ -392,14 +407,14 @@ class TestVectorizedKernels:
         return S <= _sorted_cut(np.sort(S.T, axis=1), cuts, step_up=step_up)
 
     def check_holm(self, kind, S, levels, cuts):
-        """``_holm`` on families ``S[f]`` and, per family, flat Holm, against scalar ``holm``."""
+        """``_holm`` on families ``S[f]`` and, per family, flat Holm, against ``reference_holm``."""
         flags, all_rej = _holm(S, cuts)
         assert flags.shape == S.shape and all_rej.shape == (S.shape[0], S.shape[2])
         P = self.pvalues(kind, S)
         for f in range(S.shape[0]):
             flat = self.flat(S[f], cuts[f], step_up=False)
             for i in range(S.shape[2]):
-                want = holm(P[f, :, i], levels[f])
+                want = reference_holm(P[f, :, i], levels[f])
                 assert np.array_equal(flags[f, :, i], want), (f, P[f, :, i])
                 assert np.array_equal(flat[:, i], want), (f, P[f, :, i])
                 assert all_rej[f, i] == want.all()
@@ -408,7 +423,7 @@ class TestVectorizedKernels:
         flags = self.flat(S, cuts, step_up=True)
         P = self.pvalues(kind, S)
         for i in range(S.shape[1]):
-            assert np.array_equal(flags[:, i], benjamini_hochberg(P[:, i], q)), P[:, i]
+            assert np.array_equal(flags[:, i], reference_bh(P[:, i], q)), P[:, i]
 
     def test_holm_batch_matches_scalar(self):
         for kind in KINDS:
@@ -464,14 +479,11 @@ class TestVectorizedKernels:
         ids, universe = inst.scope["descend_local"]
         assert not universe[0]  # the root hosts no single hypothesis
         P = self.pvalues(kind, S)
+        kids = children_from_parents(tree.parent.tolist())
         for i in range(S.shape[1]):
-            families = {
-                v: P[tree.children(v), i]
-                for v in range(tree.n_vertices)
-                if tree.children(v).size
-            }
-            want = descend_local(tree, levels, families)
-            assert set(ids[np.nonzero(rejected[:, i])[0]].tolist()) == set(want.rejected)
+            families = {v: P[ks, i] for v, ks in enumerate(kids) if ks}
+            want, _ = reference_descend_local(kids, levels, families)
+            assert set(ids[np.nonzero(rejected[:, i])[0]].tolist()) == want
 
     def test_batched_local_descent_matches_scalar(self, make_instance):
         for kind in KINDS:
@@ -497,7 +509,7 @@ class TestVectorizedKernels:
                     [t.ravel() for _, t in threshold_tables(_Instance(cfg))]
                 )
                 inst = make_instance(kind, self.score_path_levels(kind, rng, config, all_levels))
-                cuts = np.concatenate([c.ravel() for c in inst.local_cuts])
+                cuts = np.concatenate([c.ravel() for cs in inst.local_cuts for c in cs])
                 S = self.boundary_scores(kind, rng, (n, 60), cuts)
                 S[:, :20] = self.scores(kind, rng.random((n, 20)) * 1e-3)  # deep descents
                 self.check_local_descent(kind, inst, S)
@@ -511,10 +523,11 @@ class TestVectorizedKernels:
             rejected = inst.run_procedure("descend", S)
             P = self.pvalues(kind, S)
             for tree, levels, off in zip(inst.trees, inst.levels, inst.offsets):
+                kids = children_from_parents(tree.parent.tolist())
                 for i in range(S.shape[1]):
-                    want = descend(tree, levels, P[off : off + tree.n_vertices, i])
+                    want, _ = reference_descend(kids, levels, P[off : off + tree.n_vertices, i])
                     got = np.nonzero(rejected[off : off + tree.n_vertices, i])[0]
-                    assert set(got.tolist()) == set(want.rejected)
+                    assert set(got.tolist()) == want
 
     def test_flat_procedures_match_scalar(self, make_instance):
         # run_procedure on a forest, flat Holm and BH from one shared sort
@@ -526,8 +539,8 @@ class TestVectorizedKernels:
             S = self.boundary_scores(kind, rng, (inst.n_vertices, 200), cuts)
             P = self.pvalues(kind, S)[inst.leaf_ids]
             shared = np.sort(S[inst.leaf_ids].T, axis=1)
-            for proc, scalar in (("holm_flat", holm), ("bonferroni_flat", bonferroni),
-                                 ("bh_flat", benjamini_hochberg)):
+            for proc, scalar in (("holm_flat", reference_holm), ("bonferroni_flat", bonferroni),
+                                 ("bh_flat", reference_bh)):
                 got = inst.run_procedure(proc, S, shared)
                 for i in range(S.shape[1]):
                     assert np.array_equal(got[:, i], scalar(P[:, i], 0.2)), proc
@@ -549,6 +562,19 @@ class TestVectorizedKernels:
             assert np.allclose(scores[1], score(z_internal), atol=1e-12)
             assert np.array_equal(scores[3], score(y[:, 0]))
             assert np.array_equal(leaves, np.sort(score(y), axis=1))
+
+    def test_nested_statistics_add_children_in_order(self):
+        # numpy sums a contiguous run of 8 or more pairwise; the nested
+        # statistics add the 12 children one at a time, left to right
+        cfg = SimConfig(trees=((12,),), replications=256, seed=8, dependence="nested_means")
+        inst = _Instance(cfg)
+        scores, _, _ = inst.draw_block(0, 256)
+        y = np.random.default_rng([cfg.seed, 0]).standard_normal((256, 12))
+        total = y[:, 0].copy()
+        for j in range(1, 12):
+            total += y[:, j]
+        score = -np.abs(total / np.sqrt(12.0))
+        assert np.array_equal(scores[0], 2.0 * special.ndtr(score) if inst.pvalue_score else score)
 
     def test_nested_truth_derived_from_leaves(self, make_instance):
         for kind in KINDS:
@@ -745,6 +771,11 @@ class TestAuditAlphaSums:
         audit = audit_alpha_sums(3, (2, 3), n_weighted=2)
         assert audit.passed
         assert audit.max_level_sum <= 0.05 + 1e-12
+
+    def test_negative_weighted_count_rejected(self):
+        # -5 used to report "-4 allocations" and a negative case count
+        with pytest.raises(ValueError, match="n_weighted must be >= 0"):
+            audit_alpha_sums(1, (2,), n_weighted=-5)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):

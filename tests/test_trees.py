@@ -83,12 +83,6 @@ class TestBuildCompleteTree:
         with pytest.raises(ValueError, match="depth"):
             build_complete_tree([2, 2], 3)
 
-    def test_vertex_view(self):
-        tree = build_complete_tree([2, 2])
-        v = tree.vertex(1)
-        assert (v.id, v.depth, v.parent, v.children) == (1, 1, 0, (3, 4))
-        assert tree.vertex(0).parent is None
-
 
 class TestTreeValidation:
     def test_incomplete_tree_rejected(self):

@@ -6,7 +6,6 @@ from scipy import special
 
 from treetest import (
     WaveletTree,
-    coefficient_forest,
     coefficient_pvalues,
     critical_z,
     denoise,
@@ -21,7 +20,7 @@ from treetest import (
     uniform_levels,
 )
 
-from helpers import blocks_signal, reference_keep_mask
+from helpers import blocks_signal, coefficient_forest, reference_keep_mask
 
 
 class TestHaarTransform:
@@ -108,6 +107,19 @@ class TestCoefficientPvalues:
     def test_sigma_validated(self):
         with pytest.raises(ValueError, match="sigma"):
             coefficient_pvalues(haar_forward(np.zeros(8)), 0.0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        # an infinite scale keeps nothing and writes Infinity thresholds
+        wt = haar_forward(blocks_signal(64))
+        for call in (
+            lambda: coefficient_pvalues(wt, sigma),
+            lambda: level_thresholds(0.05, wt.J, sigma),
+            lambda: keep_mask(wt, 0.05, sigma),
+            lambda: denoise(blocks_signal(64), 0.05, sigma),
+        ):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                call()
 
 
 class TestKeepMask:
