@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -96,16 +97,11 @@ def _read_trials(path: str) -> np.ndarray:
 
 def _config_from_file(path: str, seed: Optional[int]) -> SimConfig:
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: configuration must be a JSON object")
-    if seed is not None:
-        doc["seed"] = seed
-    elif "seed" not in doc:
-        doc["seed"] = DEFAULT_SEED
     try:
-        return SimConfig.from_doc(doc)
+        config = SimConfig.from_doc(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 def _write_frequency_csv(path: str, report: SimReport) -> None:
@@ -173,6 +169,8 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
     meta["alpha"] = args.alpha
     if args.reference:
         truth = _read_signal(args.reference)
+        if not np.isfinite(truth).all():
+            raise ValueError("reference samples must be finite")
         if truth.size != signal.size:
             raise ValueError("reference length does not match the signal")
         meta["input_mse"] = float(np.mean((signal - truth) ** 2))

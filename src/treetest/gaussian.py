@@ -27,6 +27,12 @@ __all__ = [
 _SIDES = ("two_sided", "one_sided_greater")
 
 
+def _check_sigma(sigma: float) -> None:
+    """A known noise scale must be positive and finite."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+
+
 @dataclass(frozen=True)
 class GaussianTestSpec:
     """Mean test against ``mu0`` with known scale and effective sample size."""
@@ -37,18 +43,13 @@ class GaussianTestSpec:
     sided: str = "two_sided"
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.n_eff >= 1.0:
-            raise ValueError("n_eff must be at least 1")
+        if not np.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
+        _check_sigma(self.sigma)
+        if not 1.0 <= self.n_eff < np.inf:
+            raise ValueError("n_eff must be finite and at least 1")
         if self.sided not in _SIDES:
             raise ValueError(f"sided must be one of {_SIDES}")
-
-
-def _check_sigma(sigma: float) -> None:
-    """A known noise scale must be positive and finite."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
 
 
 def std_normal_cdf(x):

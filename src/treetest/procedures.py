@@ -440,13 +440,11 @@ def descend_local(
         outside[tree.parent[1:][_outside_unit(p[1:])]] = True
         opened[tree.parent[1:][active[1:]]] = True  # families rejected whole
         stopped = tested & ~opened
-    bad = (given < 0, ~fits, outside, ~((levels > 0.0) & (levels <= 1.0)))
-    _raise_first_bad(tested, bad, lambda v: (
+    _raise_first_bad(tested, (given < 0, ~fits, outside), lambda v: (
         f"local p-value{'' if own else 's'} required at active vertex {v}",
         f"'self' layout expects one p-value per vertex, got {given[v]}" if own
         else f"vertex {v} has {tree.child_counts[v]} children but {given[v]} local p-values",
         "p-values must lie in [0, 1]",
-        "level must lie in (0, 1]",
     ))
     return TreeRejections(_ids(rejected), _ids(stopped))
 

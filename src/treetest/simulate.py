@@ -50,10 +50,10 @@ from .trees import (
     AlphaAllocation,
     TestTree,
     _first_true,
+    _subtree_sums,
     as_levels,
     as_truth,
     build_complete_tree,
-    subtree_alpha_sum,
     uniform_levels,
     weighted_levels,
 )
@@ -77,6 +77,9 @@ PROCEDURES = ("descend", "descend_local", "holm_flat", "bonferroni_flat", "bh_fl
 
 _TRUTH_KINDS = ("global_null", "explicit", "random")
 _DEPENDENCE = ("independent", "nested_means")
+
+# Largest Minkowski product the attainable-sum audit materializes.
+_COMBINE_LIMIT = 4_000_000
 
 
 class BudgetError(RuntimeError):
@@ -144,8 +147,8 @@ class SimConfig:
             raise ValueError("explicit truth requires truth_values")
         if not 0.0 <= self.truth_density <= 1.0:
             raise ValueError("truth_density must lie in [0, 1]")
-        if self.effect < 0.0:
-            raise ValueError("effect must be nonnegative")
+        if not 0.0 <= self.effect < np.inf:
+            raise ValueError("effect must be nonnegative and finite")
         if self.dependence not in _DEPENDENCE:
             raise ValueError(f"dependence must be one of {_DEPENDENCE}")
         if self.replications < 1:
@@ -156,11 +159,11 @@ class SimConfig:
             raise ValueError("block_size must be at least 1")
         if self.allocation not in ("uniform", "weighted"):
             raise ValueError("allocation must be 'uniform' or 'weighted'")
-        if self.allocation == "weighted":
-            if self.weights is None:
-                raise ValueError("weighted allocation requires weights")
-            if len(self.trees) != 1:
-                raise ValueError("weighted allocation supports a single tree only")
+        if (self.allocation == "weighted") != (self.weights is not None):
+            raise ValueError("weighted allocation requires weights" if self.weights is None
+                             else "weights require allocation 'weighted'")
+        if self.allocation == "weighted" and len(self.trees) != 1:
+            raise ValueError("weighted allocation supports a single tree only")
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
                 raise ValueError("one root level per tree is required")
@@ -190,26 +193,14 @@ class SimConfig:
                 kwargs["trees"] = (_branching(doc["tree"], "tree"),)
             if "root_levels" in doc:
                 kwargs["root_levels"] = tuple(float(x) for x in doc["root_levels"])
-            alloc = doc.get("allocation", "uniform")
-            if isinstance(alloc, str):
-                kwargs["allocation"] = alloc
-            elif not isinstance(alloc, Mapping):
-                raise ValueError("allocation must be a string or an object")
-            else:
-                kwargs["allocation"] = str(alloc.get("kind", "uniform"))
-                if "weights" in alloc:
-                    kwargs["weights"] = tuple(float(w) for w in alloc["weights"])
-            truth = doc.get("truth", "global_null")
-            if isinstance(truth, str):
-                kwargs["truth"] = truth
-            elif not isinstance(truth, Mapping):
-                raise ValueError("truth must be a string or an object")
-            else:
-                kwargs["truth"] = str(truth.get("kind", "global_null"))
-                if "density" in truth:
-                    kwargs["truth_density"] = float(truth["density"])
-                if "values" in truth:
-                    kwargs["truth_values"] = tuple(int(v) for v in truth["values"])
+            kwargs["allocation"], alloc = _section(doc, "allocation", "uniform")
+            if "weights" in alloc:
+                kwargs["weights"] = tuple(float(w) for w in alloc["weights"])
+            kwargs["truth"], truth = _section(doc, "truth", "global_null")
+            if "density" in truth:
+                kwargs["truth_density"] = float(truth["density"])
+            if "values" in truth:
+                kwargs["truth_values"] = tuple(int(v) for v in truth["values"])
             for key, cast in (
                 ("alpha", float),
                 ("effect", float),
@@ -248,6 +239,17 @@ class SimConfig:
         elif self.truth == "explicit":
             doc["truth"] = {"kind": "explicit", "values": list(self.truth_values or ())}
         return doc
+
+
+def _section(doc: Mapping, key: str, default: str) -> tuple[str, Mapping]:
+    """``(kind, fields)`` of a config section given as a kind string or as
+    an object ``{"kind": ..., field: ...}``."""
+    section = doc.get(key, default)
+    if isinstance(section, str):
+        return section, {}
+    if not isinstance(section, Mapping):
+        raise ValueError(f"{key} must be a string or an object")
+    return str(section.get("kind", default)), section
 
 
 def _branching(entry, where: str) -> tuple[int, ...]:
@@ -776,9 +778,7 @@ class AlphaSumAudit:
         )
 
 
-def _attainable_sums_check(
-    tree: TestTree, levels: np.ndarray, alpha: float, combine_limit: int
-) -> tuple[float, int]:
+def _attainable_sums_check(tree: TestTree, levels: np.ndarray, alpha: float) -> tuple[float, int]:
     """Exhaustively check the level sum over every first-true set.
 
     The sum attached to a truth assignment depends only on its first-true
@@ -789,9 +789,9 @@ def _attainable_sums_check(
     Returns (max attainable sum, number of attainable profiles in violation).
     """
     def combined(sets: list[np.ndarray]) -> np.ndarray:  # distinct sums, one per set
-        acc = sets[0]
-        for nxt in sets[1:]:
-            if acc.size * nxt.size > combine_limit:
+        acc = np.zeros(1)  # 0 + x == x, so a leading {0} changes no sum
+        for nxt in sets:
+            if acc.size * nxt.size > _COMBINE_LIMIT:
                 raise BudgetError("attainable-sum enumeration exceeds its budget")
             acc = np.unique(np.add.outer(acc, nxt).ravel())
         return acc
@@ -799,24 +799,16 @@ def _attainable_sums_check(
     sums: dict[int, np.ndarray] = {}
     for v in range(tree.n_vertices - 1, 0, -1):
         kids = [sums.pop(int(c)) for c in tree.children(v)]
-        sums[v] = np.unique(np.concatenate(([levels[v]], combined(kids) if kids else [0.0])))
+        sums[v] = np.unique(np.append(levels[v], combined(kids)))
 
     bound = alpha + LEVEL_SUM_TOL
-    sets = [sums[int(c)] for c in tree.children(0)]
-    if not sets:
-        values = np.array([0.0, levels[0]])
-        return float(values.max()), int((values > bound).sum())
-    if len(sets) == 1:
-        max_sum, violations = float(sets[0].max()), int((sets[0] > bound).sum())
-    else:
-        acc, last = combined(sets[:-1]), np.sort(sets[-1])
-        # pair (i, j) violates iff last[j] > bound - acc[i]
-        violations = int((last.size - np.searchsorted(last, bound - acc, side="right")).sum())
-        max_sum = float(acc.max() + last[-1])
+    sets = [np.zeros(1)] + [sums[int(c)] for c in tree.children(0)]
+    acc, last = combined(sets[:-1]), np.sort(sets[-1])
+    # pair (i, j) violates iff last[j] > bound - acc[i]
+    violations = int((last.size - np.searchsorted(last, bound - acc, side="right")).sum())
     # the remaining profile is the root itself being first-true
-    max_sum = max(max_sum, float(levels[0]))
-    violations += int(levels[0] > bound)
-    return max_sum, violations
+    max_sum = max(float(acc.max() + last[-1]), float(levels[0]))
+    return max_sum, violations + int(levels[0] > bound)
 
 
 def _literal_sums_check(
@@ -846,7 +838,6 @@ def audit_alpha_sums(
     n_weighted: int = 10,
     seed: int = 0,
     literal_limit: int = 1 << 20,
-    combine_limit: int = 4_000_000,
 ) -> AlphaSumAudit:
     """Exhaustive audit of the first-true level-sum bound.
 
@@ -892,7 +883,7 @@ def audit_alpha_sums(
             allocs.append(weighted_levels(tree, alpha, weights))
         do_literal = (1 << n) <= literal_limit
         for alloc in allocs:
-            vmax, vbad = _attainable_sums_check(tree, alloc.levels, alpha, combine_limit)
+            vmax, vbad = _attainable_sums_check(tree, alloc.levels, alpha)
             max_sum = max(max_sum, vmax)
             violations += vbad
             if do_literal:
@@ -941,12 +932,7 @@ def audit_subtree_sums(
 ) -> SubtreeAudit:
     """Check the first-true level sum against the root level of every subtree."""
     levels = as_levels(alloc, tree.n_vertices)
-    t = as_truth(tree, truth)
-    bad = []
-    max_sum = 0.0
-    for v in range(tree.n_vertices):
-        s = subtree_alpha_sum(tree, levels, t, v)
-        max_sum = max(max_sum, s)
-        if s > levels[v] + LEVEL_SUM_TOL:
-            bad.append((v, s, float(levels[v])))
-    return SubtreeAudit(checked=tree.n_vertices, max_sum=max_sum, violations=tuple(bad))
+    sums = _subtree_sums(tree, levels, as_truth(tree, truth))
+    bad = np.flatnonzero(sums > levels + LEVEL_SUM_TOL).tolist()
+    violations = tuple((v, float(sums[v]), float(levels[v])) for v in bad)
+    return SubtreeAudit(checked=tree.n_vertices, max_sum=float(sums.max()), violations=violations)

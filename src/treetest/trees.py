@@ -91,7 +91,7 @@ class TestTree:
 
     __slots__ = (
         "parent", "depth_of", "n_vertices", "depth", "layers", "child_counts", "_kids",
-        "_kid_start", "_families", "_branching",
+        "_kid_start", "_families",
     )
 
     __test__ = False  # not a test case, despite the name
@@ -148,7 +148,6 @@ class TestTree:
         self._kids = kids
         self._kid_start = kid_start
         self._families: Optional[tuple] = None
-        self._branching: Optional[tuple[int, ...]] = None
 
     # -- basic structure ------------------------------------------------
 
@@ -227,16 +226,13 @@ class TestTree:
         different child counts (such trees cannot be described by a
         branching list).
         """
-        if self._branching is not None:
-            return self._branching
-        branching = []
-        for layer in self.layers[:-1]:
-            sizes = self.child_counts[layer]
-            if sizes.min() != sizes.max():
-                raise ValueError("tree is not layer-uniform")
-            branching.append(int(sizes[0]))
-        self._branching = tuple(branching)
-        return self._branching
+        inner = self.child_counts > 0  # every vertex above the bottom layer
+        depths, sizes = self.depth_of[inner], self.child_counts[inner]
+        branching = np.zeros(self.depth, dtype=np.int64)
+        branching[depths] = sizes
+        if (branching[depths] != sizes).any():
+            raise ValueError("tree is not layer-uniform")
+        return tuple(branching.tolist())
 
 
 def build_complete_tree(
@@ -281,9 +277,7 @@ def build_complete_tree(
     layer_of = np.repeat(np.arange(len(branching)), widths[1:])
     offset = np.arange(1, total) - layer_start[layer_of + 1]
     parents = np.concatenate(([-1], layer_start[layer_of] + offset // b[layer_of]))
-    tree = TestTree(parents)
-    tree._branching = branching
-    return tree
+    return TestTree(parents)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +316,8 @@ LevelsLike = Union[AlphaAllocation, Sequence[float], np.ndarray, Mapping[int, fl
 
 
 def as_levels(alloc: LevelsLike, n_vertices: Optional[int] = None) -> np.ndarray:
-    """Coerce an allocation (object, array, or id->level mapping) to an array."""
+    """Coerce an allocation (object, array, or id->level mapping) to a
+    read-only array of levels, each checked to lie in (0, 1]."""
     if isinstance(alloc, AlphaAllocation):
         levels = alloc.levels
     elif isinstance(alloc, Mapping):
@@ -331,7 +326,7 @@ def as_levels(alloc: LevelsLike, n_vertices: Optional[int] = None) -> np.ndarray
         levels = np.asarray(alloc, dtype=np.float64)
     if n_vertices is not None and levels.size != n_vertices:
         raise ValueError(f"allocation covers {levels.size} vertices, tree has {n_vertices}")
-    return levels
+    return levels if isinstance(alloc, AlphaAllocation) else AlphaAllocation(levels).levels
 
 
 def _dense(mapping: Mapping, n: int, what: str, dtype=np.float64, start: int = 0) -> np.ndarray:
@@ -495,6 +490,20 @@ def _first_true(tree: TestTree, t: np.ndarray) -> np.ndarray:
     return t & ~anc_true
 
 
+def _subtree_sums(tree: TestTree, levels: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per vertex, the level sum over the first-true vertices of its subtree.
+
+    First-true is meant tree-wide, as in ``first_true_vertices``, so every
+    sum below a true vertex is 0.  One bottom-up step per family group of
+    ``tree.families`` adds each family's sums into its parent.
+    """
+    sums = np.where(_first_true(tree, truth.astype(bool)), levels, 0.0)
+    for groups in reversed(tree.families):
+        for par, kids, k in groups:
+            sums[par] += sums[kids].reshape(-1, k).sum(axis=1)
+    return sums
+
+
 def subtree_vertices(tree: TestTree, root: int) -> np.ndarray:
     """All vertices of the complete subtree hanging from ``root`` (inclusive)."""
     tree._check_vertex(root)
@@ -518,11 +527,9 @@ def subtree_alpha_sum(
     subtree root's own level; the verification engine checks that bound
     exhaustively on small trees.
     """
-    levels = as_levels(alloc, tree.n_vertices)
-    ft = first_true_vertices(tree, truth)
-    sub = subtree_vertices(tree, subtree_root)
-    members = np.intersect1d(ft, sub, assume_unique=True)
-    return float(levels[members].sum())
+    levels, t = as_levels(alloc, tree.n_vertices), as_truth(tree, truth)
+    tree._check_vertex(subtree_root)
+    return float(_subtree_sums(tree, levels, t)[int(subtree_root)])
 
 
 # ---------------------------------------------------------------------------

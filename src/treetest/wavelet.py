@@ -71,8 +71,6 @@ class WaveletTree:
         """Detail level ``j`` (``2**j`` coefficients; j = 0..J)."""
         if not 0 <= j <= self.J:
             raise ValueError(f"detail level must lie in 0..{self.J}")
-        if j == 0:
-            return self.coeffs[..., 1:2]
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
 
     @property
@@ -101,10 +99,7 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
         a, b = s[..., 0::2], s[..., 1::2]
         d = (a - b) / np.sqrt(2.0)
         s = (a + b) / np.sqrt(2.0)
-        if j == 0:
-            coeffs[..., 1:2] = d
-        else:
-            coeffs[..., 1 << j : 1 << (j + 1)] = d
+        coeffs[..., 1 << j : 1 << (j + 1)] = d
     coeffs[..., 0] = s[..., 0]
     return WaveletTree(coeffs, J)
 
@@ -116,7 +111,7 @@ def haar_inverse(tree: Union[WaveletTree, np.ndarray]) -> np.ndarray:
     c = tree.coeffs
     s = c[..., 0:1]
     for j in range(0, tree.J + 1):
-        d = c[..., 1:2] if j == 0 else c[..., 1 << j : 1 << (j + 1)]
+        d = c[..., 1 << j : 1 << (j + 1)]
         out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.float64)
         out[..., 0::2] = (s + d) / np.sqrt(2.0)
         out[..., 1::2] = (s - d) / np.sqrt(2.0)

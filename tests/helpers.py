@@ -166,6 +166,39 @@ def reference_budget_violations(parents, levels, tol: float) -> list[int]:
     ]
 
 
+def reference_subtree_sums(parents, levels, truth, tol: float):
+    """Per-vertex subtree level sums over the first-true vertices, one
+    subtree walk per vertex.
+
+    A vertex is first-true when its null is true and no strict ancestor's
+    is, so every sum below a true vertex is 0.  Returns the sums and the
+    ``(vertex, sum, level)`` triples where a sum exceeds its level plus
+    ``tol``.
+    """
+    kids = children_from_parents(parents)
+    levels = np.asarray(levels, dtype=np.float64)
+
+    def first_true(v: int) -> bool:
+        u = parents[v]
+        while u >= 0 and not truth[u]:
+            u = parents[u]
+        return bool(truth[v]) and u < 0
+
+    first = [v for v in range(len(parents)) if first_true(v)]
+    sums, bad = [], []
+    for v in range(len(parents)):
+        below, stack = set(), [v]
+        while stack:
+            u = stack.pop()
+            below.add(u)
+            stack.extend(kids[u])
+        s = float(levels[[u for u in first if u in below]].sum())
+        sums.append(s)
+        if s > levels[v] + tol:
+            bad.append((v, s, float(levels[v])))
+    return sums, bad
+
+
 def reference_interval_spans(n_times: int, depth: int, arity: int) -> list[tuple[int, int]]:
     """Breadth-first (start, end) spans of the recursive near-equal split,
     the leftmost parts taking the remainder."""

@@ -111,6 +111,18 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "threads" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("extra", [
+        {"effect": float("nan")},
+        {"effect": float("inf")},
+        {"allocation": {"kind": "uniform", "weights": [1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0]}},
+    ])
+    def test_misused_field_exits_2(self, tmp_path, capsys, extra):
+        # a NaN effect read FWER 0; weights without "weighted" ran uniform
+        cfg = write_json(tmp_path / "cfg.json", {**SIM_CONFIG, **extra})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:") and len(err.strip().splitlines()) == 1
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -210,6 +222,20 @@ class TestDenoiseCommand:
         assert main(["denoise", "--signal", str(sig), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_reference_exits_2(self, tmp_path, capsys):
+        sig, ref = tmp_path / "sig.txt", tmp_path / "ref.txt"
+        sig.write_text("".join("1.0\n" for _ in range(64)))
+        ref.write_text("".join("0.0\n" for _ in range(63)) + "nan\n")
+        out, meta = tmp_path / "o.txt", tmp_path / "meta.json"
+        code = main([
+            "denoise", "--signal", str(sig), "--sigma", "1", "--out", str(out),
+            "--meta", str(meta), "--reference", str(ref),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "reference" in err and len(err.strip().splitlines()) == 1
+        assert not meta.exists()
 
     def test_csv_column_input(self, tmp_path):
         sig = tmp_path / "sig.csv"

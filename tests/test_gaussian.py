@@ -90,6 +90,15 @@ class TestZPvalue:
         with pytest.raises(ValueError, match="sided"):
             GaussianTestSpec(sided="both")
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", np.inf), ("sigma", np.nan), ("n_eff", np.inf), ("n_eff", np.nan),
+        ("mu0", np.nan), ("mu0", np.inf),
+    ])
+    def test_spec_rejects_non_finite(self, field, value):
+        # sigma=inf gave p = 1.0, n_eff=inf or mu0=nan gave NaN p-values
+        with pytest.raises(ValueError, match=field):
+            GaussianTestSpec(**{field: value})
+
     def test_null_pvalues_uniform(self):
         # empirical CDF of a million null p-values within KS distance 0.002
         rng = np.random.default_rng(99)

@@ -100,6 +100,18 @@ class TestDescend:
         assert res.rejected == {0, 1}
         assert res.frontier == {2}
 
+    def test_levels_outside_unit_interval_rejected(self):
+        # the children's sum meets the root's budget, but vertex 2 would be
+        # tested at 0.15, above the root's 0.05
+        levels = [0.05, -0.1, 0.15]
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="must lie in"):
+                descend(self.tree, levels, [0.01, 0.5, 0.1], validate=validate)
+            with pytest.raises(ValueError, match="must lie in"):
+                descend_batch(self.tree, levels, np.full((2, 3), 0.01), validate=validate)
+            with pytest.raises(ValueError, match="must lie in"):
+                descend_local(self.tree, levels, {0: [0.01, 0.1]}, validate=validate)
+
     def test_stop_at_root(self):
         res = descend(self.tree, self.alloc, {0: 0.10})
         assert res.rejected == frozenset()

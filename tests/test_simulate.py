@@ -39,6 +39,7 @@ from helpers import (
     reference_holm,
     reference_internal_truth,
     reference_leaf_counts,
+    reference_subtree_sums,
 )
 
 # the package attribute ``treetest.simulate`` is the function, not the module
@@ -82,6 +83,26 @@ class TestSimConfig:
             SimConfig(allocation="weighted")
         with pytest.raises(ValueError):
             SimConfig(trees=((2,), (2,)), root_levels=(0.04, 0.04), alpha=0.05)
+
+    @pytest.mark.parametrize("effect", [float("nan"), float("inf")])
+    def test_effect_must_be_finite(self, effect):
+        # a NaN shift makes every score NaN, so nothing is ever rejected
+        with pytest.raises(ValueError, match="effect"):
+            SimConfig(effect=effect)
+        with pytest.raises(ValueError, match="effect"):
+            SimConfig.from_doc({"effect": effect})
+        assert SimConfig(effect=0.0).effect == 0.0
+
+    @pytest.mark.parametrize("doc", [
+        {"tree": {"branching": [2]}, "allocation": {"kind": "uniform", "weights": [1, 2, 3]}},
+        {"tree": {"branching": [2]}, "allocation": {"weights": [1, 2, 3]}},
+    ])
+    def test_weights_need_weighted_allocation(self, doc):
+        # the run would be uniform while to_doc reported it weighted
+        with pytest.raises(ValueError, match="weights"):
+            SimConfig.from_doc(doc)
+        with pytest.raises(ValueError, match="weights"):
+            SimConfig(trees=((2,),), weights=(1.0, 2.0, 3.0))
 
     def test_malformed_doc(self):
         with pytest.raises(ValueError):
@@ -787,7 +808,7 @@ class TestAuditAlphaSums:
         # an oversubscribed allocation must be flagged by both routes
         tree = build_complete_tree([2, 2])
         levels = np.array([0.05, 0.04, 0.04, 0.02, 0.02, 0.02, 0.02])
-        vmax, vbad = _attainable_sums_check(tree, levels, 0.05, 4_000_000)
+        vmax, vbad = _attainable_sums_check(tree, levels, 0.05)
         lmax, lbad = _literal_sums_check(tree, levels, 0.05)
         assert vbad > 0 and lbad > 0
         assert vmax == pytest.approx(lmax, abs=1e-12) == pytest.approx(0.08, abs=1e-12)
@@ -832,3 +853,32 @@ class TestAuditSubtreeSums:
             alloc = weighted_levels(tree, 0.1, rng.uniform(0.1, 1.0, tree.n_vertices))
             truth = rng.integers(0, 2, tree.n_vertices)
             assert audit_subtree_sums(tree, alloc, truth).passed
+
+    def test_matches_per_vertex_reference(self):
+        # half the allocations raise one level above the budget, so some
+        # subtrees violate; the sums may differ from the reference's only
+        # in summation order
+        from treetest import LEVEL_SUM_TOL, TestTree, subtree_alpha_sum, weighted_levels
+
+        rng = np.random.default_rng(23)
+        flagged = 0
+        for i in range(200):
+            parents = random_general_parents(rng)
+            tree = TestTree(parents)
+            n = tree.n_vertices
+            levels = weighted_levels(tree, 0.1, rng.uniform(0.1, 1.0, n)).levels.copy()
+            if i % 2:
+                v = int(rng.integers(n))
+                levels[v] = min(1.0, levels[v] * rng.uniform(1.5, 4.0))
+            truth = rng.integers(0, 2, n)
+            sums, bad = reference_subtree_sums(parents, levels, truth, LEVEL_SUM_TOL)
+            audit = audit_subtree_sums(tree, levels, truth)
+            assert audit.checked == n
+            assert [v for v, _, _ in audit.violations] == [v for v, _, _ in bad]
+            for (_, got, level), (_, want, ref_level) in zip(audit.violations, bad):
+                assert abs(got - want) <= 1e-15 and level == ref_level
+            assert abs(audit.max_sum - max(sums)) <= 1e-15
+            per_vertex = [subtree_alpha_sum(tree, levels, truth, v) for v in range(n)]
+            assert np.abs(np.subtract(per_vertex, sums)).max() <= 1e-15
+            flagged += bool(bad)
+        assert flagged >= 10

@@ -22,6 +22,7 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
+from treetest.trees import as_levels
 
 from helpers import (
     children_from_parents,
@@ -280,6 +281,17 @@ class TestBudgetValidation:
         tree = build_complete_tree([3])
         third = 0.05 / 3
         assert level_budget_violations(tree, [0.05, third, third, third]).size == 0
+
+    @pytest.mark.parametrize("levels", [
+        [0.05, -0.1, 0.15], [0.05, 0.0, 0.05], [0.05, 0.02, float("nan")], [1.5, 0.5, 0.5],
+    ])
+    def test_levels_outside_unit_interval_rejected(self, levels):
+        # [0.05, -0.1, 0.15] meets the budget, yet tests vertex 2 above the root
+        for given in (levels, np.array(levels), dict(enumerate(levels))):
+            with pytest.raises(ValueError, match=r"^test levels must lie in \(0, 1\]$"):
+                as_levels(given, 3)
+        with pytest.raises(ValueError, match="must lie in"):
+            level_budget_violations(build_complete_tree([2]), levels)
 
 
 class TestAncestors:
