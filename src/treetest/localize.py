@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import _check_sigma, two_sided_pvalue
-from .procedures import _descent, _tested
-from .trees import TestTree, build_complete_tree, uniform_levels
+from .trees import TestTree, _descent, _tested, build_complete_tree, uniform_levels
 
 __all__ = [
     "TrialMatrix",

@@ -16,8 +16,9 @@ Flat baselines (``holm``, ``bonferroni``, ``benjamini_hochberg``) and the
 per-run error accounting (``error_report``) round out the module.
 
 Each procedure is one kernel on a block of replications, deciding
-``score <= cut``: ``_descent`` and ``_local_descent`` take one numpy step
-per tree layer on vertex-major ``(n_vertices, rows)`` blocks, ``_holm`` and
+``score <= cut``: the descent is ``trees._descent``, one numpy step per tree
+layer on vertex-major ``(n_vertices, rows)`` blocks; ``_local_descent``
+runs local Holm one family group at a time, and ``_holm`` and
 ``_sorted_cut`` cut Holm and BH.  The public functions are thin wrappers
 (p-values as scores, thresholds as cuts), and the simulator runs the same
 kernels.  Wrappers check values only where the walk tested, after it ran;
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .trees import LevelsLike, TestTree, as_levels, level_budget_violations
+from .trees import LevelsLike, TestTree, _descent, _tested, as_levels, level_budget_violations
 
 __all__ = [
     "TreeRejections",
@@ -151,25 +152,6 @@ def _sorted_cut(s: np.ndarray, cuts: np.ndarray, step_up: bool = False) -> np.nd
     else:
         k = np.where(passed.all(axis=-1), m, passed.argmin(axis=-1))
     return np.where(k > 0, np.take_along_axis(cuts, np.maximum(k - 1, 0), axis=-1), -np.inf)
-
-
-def _descent(tree: TestTree, rejected: np.ndarray) -> np.ndarray:
-    """The tree descent on vertex-major flags ``(n_vertices, ...)``, in place.
-
-    ``rejected`` enters as ``score <= cut`` per vertex and leaves as the
-    descent's rejections: a vertex stays flagged only where its parent is,
-    one step per layer of ``tree.layers``.
-    """
-    for ids in tree.layers[1:]:
-        rejected[ids] &= rejected[tree.parent[ids]]
-    return rejected
-
-
-def _tested(tree: TestTree, rejected: np.ndarray) -> np.ndarray:
-    """Where the descent tests: the root and the children of rejected vertices."""
-    tested = np.ones(rejected.shape, dtype=bool)
-    tested[1:] = rejected[tree.parent[1:]]
-    return tested
 
 
 def _local_descent(
@@ -348,7 +330,8 @@ def descend_batch(
 
     ``pmatrix`` has shape (replications, n_vertices) and must be fully
     populated.  Returns boolean (rejected, frontier) matrices of the same
-    shape; row i agrees exactly with ``descend`` run on row i.
+    shape; row i agrees exactly with ``descend`` run on row i.  Both are
+    transposed views of vertex-major arrays, so they are not C-contiguous.
     """
     levels = as_levels(alloc, tree.n_vertices)
     if validate:
@@ -360,7 +343,7 @@ def descend_batch(
         raise ValueError("p-values must lie in [0, 1]")
     rejected = _descent(tree, np.ascontiguousarray((P <= levels).T))
     frontier = _tested(tree, rejected) & ~rejected
-    return np.ascontiguousarray(rejected.T), np.ascontiguousarray(frontier.T)
+    return rejected.T, frontier.T
 
 
 # ---------------------------------------------------------------------------

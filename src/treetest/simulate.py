@@ -44,12 +44,14 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from .procedures import _descent, _local_descent, _local_thresholds, _sorted_cut
+from .procedures import _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
     AlphaAllocation,
     TestTree,
+    _descent,
     _first_true,
+    _fold_up,
     _subtree_sums,
     as_levels,
     as_truth,
@@ -167,6 +169,9 @@ class SimConfig:
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
                 raise ValueError("one root level per tree is required")
+            bad = [(i, a) for i, a in enumerate(self.root_levels) if not 0.0 < a <= 1.0]
+            if bad:
+                raise ValueError("root_levels[%d] = %r must lie in (0, 1]" % bad[0])
             if sum(self.root_levels) > self.alpha + LEVEL_SUM_TOL:
                 raise ValueError("root levels exceed the global level")
 
@@ -320,14 +325,16 @@ class _Instance:
 
     Block layout: the statistics of a block are drawn row-major, one row per
     replication, and transposed once to vertex-major ``(n_vertices, rows)``.
-    The procedures are the kernels of ``procedures``, the same ones the
-    public functions wrap; each runs on one tree's rows
-    ``scores[off : off + n]`` at a time, one numpy step per tree layer.  The
-    bottom-up sums of the draw (leaf counts, nested-means statistics and
-    truth) take the same per-layer families of ``TestTree.families``.
+    The procedures are the kernels the public functions wrap, run on one
+    tree's rows ``scores[off : off + n]`` at a time; ``scope[procedure]``
+    holds the vertex ids of the rows a procedure returns, its hypotheses.
+    Leaf counts, nested-means statistics (from zeros, by ``np.add``) and
+    nested truth (internal vertices from True, by ``np.logical_and``) are
+    ``trees._fold_up`` on each tree's columns.
 
-    Scores and cuts: every kernel rejects where ``score <= cut``.  The cut
-    table holds one cut per threshold the procedures use:
+    Scores and cuts: every kernel rejects where ``score <= cut``.  One
+    ``_score_cuts`` call cuts every distinct threshold, and each table looks
+    its cuts up:
 
     * ``vertex_cuts``: the per-vertex levels (descend);
     * ``local_cuts``: ``level / (m - r)`` for each family of ``m`` children
@@ -346,44 +353,28 @@ class _Instance:
     def __init__(self, config: SimConfig):
         self.config = config
         self.trees = [build_complete_tree(b) for b in config.trees]
-        k = len(self.trees)
-        if config.root_levels is not None:
-            root_levels = list(config.root_levels)
-        else:
-            root_levels = [config.alpha / k] * k
-
-        self.levels: list[np.ndarray] = []
-        for t, rl in zip(self.trees, root_levels):
-            if config.allocation == "weighted":
-                alloc = weighted_levels(t, rl, np.asarray(config.weights, dtype=np.float64))
-            else:
-                alloc = uniform_levels(t, rl)
-            self.levels.append(alloc.levels)
+        root_levels = config.root_levels or [config.alpha / len(self.trees)] * len(self.trees)
+        w = config.weights
+        self.levels = [
+            (uniform_levels(t, a) if w is None else weighted_levels(t, a, w)).levels
+            for t, a in zip(self.trees, root_levels)
+        ]
 
         self.offsets = np.cumsum([0] + [t.n_vertices for t in self.trees])
         self.n_vertices = int(self.offsets[-1])
         self.levels_flat = np.concatenate(self.levels)
 
-        self.root_ids = self.offsets[:-1]
-        self.leaf_ids = np.concatenate(
-            [t.leaves + off for t, off in zip(self.trees, self.offsets)]
-        )
+        self.leaf_ids = np.concatenate([t.leaves + off for t, off in zip(self.trees, self.offsets)])
         self.n_leaves = self.leaf_ids.size
-        self.is_leaf = np.zeros(self.n_vertices, dtype=bool)
-        self.is_leaf[self.leaf_ids] = True
-        self.leaf_counts = self._bottom_up(self.is_leaf.astype(np.int64)[None], np.sum)[0]
+        leaf_counts = np.zeros((1, self.n_vertices), dtype=np.int64)
+        leaf_counts[:, self.leaf_ids] = 1
+        self.leaf_counts = self._bottom_up(leaf_counts, np.add)[0]
 
         all_ids = np.arange(self.n_vertices)
-        not_root = np.ones(self.n_vertices, dtype=bool)
-        not_root[self.root_ids] = False
-        # (vertex ids of the rows run_procedure returns, accounting universe);
-        # vertices outside the ids are never rejected by the procedure
         self.scope = {
-            "descend": (all_ids, np.ones(self.n_vertices, dtype=bool)),
-            "descend_local": (all_ids, not_root),
-            "holm_flat": (self.leaf_ids, self.is_leaf),
-            "bonferroni_flat": (self.leaf_ids, self.is_leaf),
-            "bh_flat": (self.leaf_ids, self.is_leaf),
+            "descend": all_ids,
+            "descend_local": np.delete(all_ids, self.offsets[:-1]),  # roots host none
+            **dict.fromkeys(("holm_flat", "bonferroni_flat", "bh_flat"), self.leaf_ids),
         }
 
         # per-vertex truth when it does not change between replications
@@ -399,47 +390,39 @@ class _Instance:
                 raise ValueError("truth values must be 0 or 1")
             self.fixed_truth = values.astype(bool)
             if config.dependence == "nested_means":
-                self.fixed_truth = self._derive_internal_truth(self.fixed_truth[None, :])[0]
+                self.fixed_truth = self._nested_truth(self.fixed_truth[None, self.leaf_ids])[0]
         elif config.truth == "global_null":
             self.fixed_truth = np.ones(self.n_vertices, dtype=bool)
 
+        # one cut per distinct threshold, looked up by each table
         m, alpha = self.n_leaves, config.alpha
         local = [_local_thresholds(t, lv) for t, lv in zip(self.trees, self.levels)]
-        tables = [self.levels_flat, *itertools.chain.from_iterable(local)]
-        tables += [alpha / np.arange(m, 0, -1), np.array([alpha / m])]
-        tables += [np.arange(1, m + 1) * alpha / m]
-        thresholds = np.concatenate([t.ravel() for t in tables])
+        flat = [alpha / np.arange(m, 0, -1), np.arange(1, m + 1) * alpha / m]
+        tables = [self.levels_flat, *itertools.chain.from_iterable(local), *flat]
+        thresholds = np.unique(np.concatenate([t.ravel() for t in tables] + [[alpha / m]]))
         cuts = _score_cuts(thresholds)
         self.pvalue_score = bool(np.isnan(cuts).any())
         if self.pvalue_score:
             cuts = thresholds
-        ends = np.cumsum([t.size for t in tables])
-        split = [c.reshape(t.shape) for c, t in zip(np.split(cuts, ends[:-1]), tables)]
-        self.vertex_cuts = split[0]
-        local_cuts = iter(split[1:-3])
-        self.local_cuts = [[next(local_cuts) for _ in tree_tables] for tree_tables in local]
-        self.holm_cuts, (self.bonferroni_cut,), self.bh_cuts = split[-3:]
+        lookup = lambda table: cuts[np.searchsorted(thresholds, table)]
+        self.vertex_cuts = lookup(self.levels_flat)
+        self.local_cuts = [[lookup(t) for t in tree_tables] for tree_tables in local]
+        self.holm_cuts, self.bh_cuts = map(lookup, flat)
+        self.bonferroni_cut = lookup(alpha / m)
 
-    def _bottom_up(self, values: np.ndarray, reduce) -> np.ndarray:
-        """Set each internal vertex of ``values`` (``(rows, n_vertices)``, in
-        place) to ``reduce`` over its children, deepest layer first.
-
-        Children are combined one at a time in child order, as the
-        nested-means sums always were (numpy sums a contiguous run of 8 or
-        more pairwise, which rounds differently).
-        """
-        rows = values.shape[0]
+    def _bottom_up(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """``trees._fold_up`` on each tree's columns of ``values``
+        (``(rows, n_vertices)``, in place)."""
         for tree, off in zip(self.trees, self.offsets):
-            part = values[:, off : off + tree.n_vertices]
-            for layer in reversed(tree.families):
-                for par, kids, k in layer:
-                    members = part[:, kids].reshape(rows, -1, k)
-                    part[:, par] = reduce(np.moveaxis(members, 2, 0).copy(), axis=0)
+            _fold_up(tree, values[:, off : off + tree.n_vertices].T, ufunc)
         return values
 
-    def _derive_internal_truth(self, truth: np.ndarray) -> np.ndarray:
-        """Internal vertex true iff every descendant leaf true (rows kept)."""
-        return self._bottom_up(truth.copy(), np.all)
+    def _nested_truth(self, leaf_truth: np.ndarray) -> np.ndarray:
+        """Truth rows ``(rows, n_vertices)`` from leaf truth ``(rows, n_leaves)``:
+        an internal vertex is a true null iff every descendant leaf is."""
+        truth = np.ones((leaf_truth.shape[0], self.n_vertices), dtype=bool)
+        truth[:, self.leaf_ids] = leaf_truth
+        return self._bottom_up(truth, np.logical_and)
 
     # -- per-block work ---------------------------------------------------
 
@@ -465,10 +448,7 @@ class _Instance:
         elif cfg.dependence == "independent":
             truth = rng.random((rows, self.n_vertices)) < cfg.truth_density
         else:
-            leaf_truth = rng.random((rows, self.n_leaves)) < cfg.truth_density
-            truth = np.ones((rows, self.n_vertices), dtype=bool)
-            truth[:, self.leaf_ids] = leaf_truth
-            truth = self._derive_internal_truth(truth)
+            truth = self._nested_truth(rng.random((rows, self.n_leaves)) < cfg.truth_density)
         null = self.fixed_truth if truth is None else truth
 
         if cfg.dependence == "independent":
@@ -479,9 +459,9 @@ class _Instance:
             y = rng.standard_normal((rows, self.n_leaves))
             if cfg.effect:
                 y += cfg.effect * ~null[..., self.leaf_ids]
-            z = np.empty((rows, self.n_vertices))
+            z = np.zeros((rows, self.n_vertices))
             z[:, self.leaf_ids] = y
-            self._bottom_up(z, np.sum)
+            self._bottom_up(z, np.add)
             z /= np.sqrt(self.leaf_counts)
 
         np.abs(z, out=z)
@@ -502,7 +482,7 @@ class _Instance:
         """Rejection flags of one procedure on vertex-major scores.
 
         Row ``i`` of the result holds the flags of vertex
-        ``scope[procedure][0][i]``; every other vertex is never rejected.
+        ``scope[procedure][i]``; every other vertex is never rejected.
         Flat Holm and BH cut from ``sorted_leaves`` (see ``draw_block``).
         """
         if procedure == "descend":
@@ -512,7 +492,7 @@ class _Instance:
             return rejected
         if procedure == "descend_local":
             return np.concatenate([
-                _local_descent(tree, scores[off : off + tree.n_vertices], cuts)[0]
+                _local_descent(tree, scores[off : off + tree.n_vertices], cuts)[0][1:]
                 for tree, off, cuts in zip(self.trees, self.offsets, self.local_cuts)
             ])
         leaf = scores[self.leaf_ids]
@@ -526,23 +506,18 @@ class _Instance:
 
     def accumulate(self, procedure: str, rejected: np.ndarray, truth: Optional[np.ndarray]) -> dict:
         """Per-block error counts of one procedure (see ``run_procedure``)."""
-        ids, universe = self.scope[procedure]
-        m = max(int(universe.sum()), 1)
-        inside = universe[ids]
+        ids = self.scope[procedure]
+        m = max(ids.size, 1)
         n_rej = _count(rejected, axis=0)
         if truth is None:
             null = self.fixed_truth[ids]
-            true_rows = np.nonzero(null & inside)[0]
-            false_rows = np.nonzero(~null & inside)[0]
-            false_rej = _count(rejected if true_rows.size == ids.size else rejected[true_rows], axis=0)
-            hits = _count(rejected[false_rows], axis=0)
-            n_false = false_rows.size
+            false_rej = _count(rejected if null.all() else rejected[null], axis=0)
+            n_false = ids.size - np.count_nonzero(null)
         else:
             null = truth if ids.size == self.n_vertices else truth[ids]
-            false_rej = _count(rejected & null & inside[:, None], axis=0)
-            alternative = ~null & inside[:, None]
-            hits = _count(rejected & alternative, axis=0)
-            n_false = _count(alternative, axis=0)
+            false_rej = _count(rejected & null, axis=0)
+            n_false = ids.size - _count(null, axis=0)
+        hits = n_rej - false_rej
         any_false = false_rej >= 1
         fdp = false_rej / np.maximum(n_rej, 1)
         power = hits / np.maximum(n_false, 1)
@@ -817,14 +792,14 @@ def _literal_sums_check(
     """Literal enumeration of all 2^|V| truth assignments (small trees)."""
     n = tree.n_vertices
     total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
     bound = alpha + LEVEL_SUM_TOL
     max_sum = 0.0
     violations = 0
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        t = ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
-        s = _first_true(tree, t) @ levels
+        t = ((idx >> shifts) & 1).astype(bool)  # vertex-major: (n, assignments)
+        s = levels @ _first_true(tree, t)
         max_sum = max(max_sum, float(s.max()))
         violations += int((s > bound).sum())
     return max_sum, violations

@@ -24,9 +24,14 @@ per-depth vertex index sets, computed once: contiguous slices when ids
 grow with depth (every breadth-first tree), read-only gather arrays
 otherwise.  ``families`` groups the children of each layer into families
 of equal size, in the same two kinds.  Either kind indexes any per-vertex
-array, or the rows of a vertex-major block, so the allocation and budget
-helpers and the procedures take one numpy step per layer instead of one
-Python step per vertex.
+array, or the rows of a vertex-major block, so every tree computation takes
+one numpy step per layer instead of one Python step per vertex.
+
+Two private passes serve them all: ``_descent`` (top-down over ``layers``;
+``_tested`` marks where it tests) and ``_fold_up`` (bottom-up over
+``families``).  The first-true vertices are the true nulls where the oracle
+descent, rejecting exactly the false nulls, stops (Goeman and Solari, 2010);
+subtree sums and the simulator's nested aggregates are folds.
 """
 
 from __future__ import annotations
@@ -281,6 +286,48 @@ def build_complete_tree(
 
 
 # ---------------------------------------------------------------------------
+# The two passes every tree computation is built from
+# ---------------------------------------------------------------------------
+
+
+def _descent(tree: TestTree, rejected: np.ndarray) -> np.ndarray:
+    """The tree descent on vertex-major flags ``(n_vertices, ...)``, in place.
+
+    ``rejected`` enters as ``score <= cut`` per vertex and leaves as the
+    descent's rejections: a vertex stays flagged only where its parent is,
+    one step per layer of ``tree.layers``.
+    """
+    for ids in tree.layers[1:]:
+        rejected[ids] &= rejected[tree.parent[ids]]
+    return rejected
+
+
+def _tested(tree: TestTree, rejected: np.ndarray) -> np.ndarray:
+    """Where the descent tests: the root and the children of rejected vertices."""
+    tested = np.ones(rejected.shape, dtype=bool)
+    tested[1:] = rejected[tree.parent[1:]]
+    return tested
+
+
+def _fold_up(tree: TestTree, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold each vertex's children into it, deepest layer first, in place.
+
+    ``values`` is vertex-major, ``(n_vertices, ...)``; every internal vertex
+    becomes ``ufunc`` of its own entry and its children's folded entries,
+    combined one child at a time in child order (numpy sums a contiguous run
+    of 8 or more pairwise, which rounds differently).
+    """
+    for layer in reversed(tree.families):
+        for par, kids, k in layer:
+            members = values[kids].reshape(-1, k, *values.shape[1:])
+            acc = ufunc(values[par], members[:, 0])
+            for i in range(1, k):
+                ufunc(acc, members[:, i], out=acc)
+            values[par] = acc
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Level allocations
 # ---------------------------------------------------------------------------
 
@@ -482,37 +529,21 @@ def first_true_vertices(
 
 
 def _first_true(tree: TestTree, t: np.ndarray) -> np.ndarray:
-    """First-true flags along the last axis of truth flags ``t``, one step per layer."""
-    anc_true = np.zeros_like(t)
-    for ids in tree.layers[1:]:
-        up = tree.parent[ids]
-        anc_true[..., ids] = anc_true[..., up] | t[..., up]
-    return t & ~anc_true
+    """First-true flags of vertex-major truth flags ``t``: where the oracle
+    descent that rejects exactly the false nulls tests a true null."""
+    return t & _tested(tree, _descent(tree, ~t))
 
 
 def _subtree_sums(tree: TestTree, levels: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per vertex, the level sum over the first-true vertices of its subtree.
-
-    First-true is meant tree-wide, as in ``first_true_vertices``, so every
-    sum below a true vertex is 0.  One bottom-up step per family group of
-    ``tree.families`` adds each family's sums into its parent.
-    """
-    sums = np.where(_first_true(tree, truth.astype(bool)), levels, 0.0)
-    for groups in reversed(tree.families):
-        for par, kids, k in groups:
-            sums[par] += sums[kids].reshape(-1, k).sum(axis=1)
-    return sums
+    """Per vertex, the level sum over the first-true vertices of its subtree;
+    first-true is tree-wide, as in ``first_true_vertices``, so 0 below a true vertex."""
+    return _fold_up(tree, np.where(_first_true(tree, truth.astype(bool)), levels, 0.0), np.add)
 
 
 def subtree_vertices(tree: TestTree, root: int) -> np.ndarray:
     """All vertices of the complete subtree hanging from ``root`` (inclusive)."""
     tree._check_vertex(root)
-    out = [int(root)]
-    i = 0
-    while i < len(out):
-        out.extend(int(c) for c in tree.children(out[i]))
-        i += 1
-    return np.asarray(sorted(out), dtype=np.int64)
+    return np.flatnonzero(~_descent(tree, np.arange(tree.n_vertices) != root))
 
 
 def subtree_alpha_sum(

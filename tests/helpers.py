@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from treetest import Forest, build_complete_tree
+from treetest import Forest, TestTree, build_complete_tree
 
 
 def children_from_parents(parents) -> list[list[int]]:
@@ -119,6 +119,30 @@ def random_general_parents(
     return parents
 
 
+def preorder_parents(parents) -> list[int]:
+    """The same tree with ids assigned depth-first (preorder): parents still
+    precede children, but same-depth ids are no longer contiguous."""
+    kids = children_from_parents(parents)
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    new_id = {v: i for i, v in enumerate(order)}
+    return [-1] + [new_id[parents[v]] for v in order[1:]]
+
+
+def gather_layer_trees() -> list[TestTree]:
+    """Trees whose layers are gather arrays, from ``[-1, 0, 1, 0, 3]`` up."""
+    rng = np.random.default_rng(40)
+    parents = [[-1, 0, 1, 0, 3], [-1, 0, 1, 1, 0, 4, 4, 4]]
+    parents += [preorder_parents(random_general_parents(rng, 3, 4, 80)) for _ in range(30)]
+    trees = [TestTree(p) for p in parents]
+    trees = [t for t in trees if any(isinstance(ids, np.ndarray) for ids in t.layers)]
+    assert len(trees) >= 10
+    return trees
+
+
 # ---------------------------------------------------------------------------
 # Per-vertex references for the layered tree, allocation, interval and
 # wavelet code: one plain Python step per vertex, in id order.
@@ -166,6 +190,29 @@ def reference_budget_violations(parents, levels, tol: float) -> list[int]:
     ]
 
 
+def reference_first_true(parents, truth) -> list[int]:
+    """Vertices whose null is true while no strict ancestor's is, by walking
+    each vertex's root path."""
+
+    def first_true(v: int) -> bool:
+        u = parents[v]
+        while u >= 0 and not truth[u]:
+            u = parents[u]
+        return bool(truth[v]) and u < 0
+
+    return [v for v in range(len(parents)) if first_true(v)]
+
+
+def reference_subtree_vertices(parents, root: int) -> list[int]:
+    """Sorted vertices of the subtree hanging from ``root``, breadth-first."""
+    kids = children_from_parents(parents)
+    out, i = [root], 0
+    while i < len(out):
+        out.extend(kids[out[i]])
+        i += 1
+    return sorted(out)
+
+
 def reference_subtree_sums(parents, levels, truth, tol: float):
     """Per-vertex subtree level sums over the first-true vertices, one
     subtree walk per vertex.
@@ -175,23 +222,11 @@ def reference_subtree_sums(parents, levels, truth, tol: float):
     ``(vertex, sum, level)`` triples where a sum exceeds its level plus
     ``tol``.
     """
-    kids = children_from_parents(parents)
     levels = np.asarray(levels, dtype=np.float64)
-
-    def first_true(v: int) -> bool:
-        u = parents[v]
-        while u >= 0 and not truth[u]:
-            u = parents[u]
-        return bool(truth[v]) and u < 0
-
-    first = [v for v in range(len(parents)) if first_true(v)]
+    first = reference_first_true(parents, truth)
     sums, bad = [], []
     for v in range(len(parents)):
-        below, stack = set(), [v]
-        while stack:
-            u = stack.pop()
-            below.add(u)
-            stack.extend(kids[u])
+        below = set(reference_subtree_vertices(parents, v))
         s = float(levels[[u for u in first if u in below]].sum())
         sums.append(s)
         if s > levels[v] + tol:

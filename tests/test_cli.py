@@ -123,6 +123,18 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("root_levels, index", [
+        ([float("nan"), 0.01], 0), ([0.03, -0.01], 1), ([0.0, 0.05], 0),
+    ])
+    def test_bad_root_level_exits_2(self, tmp_path, capsys, root_levels, index):
+        doc = {**SIM_CONFIG, "forest": [{"branching": [2]}] * 2, "root_levels": root_levels}
+        del doc["tree"]
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: root_levels[{index}] = ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

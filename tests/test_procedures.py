@@ -19,6 +19,7 @@ from treetest import (
 
 from helpers import (
     children_from_parents,
+    gather_layer_trees,
     random_general_parents,
     random_uniform_shape,
     reference_bh,
@@ -276,30 +277,6 @@ class TestDescendLocal:
             descend_local(
                 tree, uniform_levels(tree, 0.05), {0: [0.1, 0.2]}, hypotheses="self"
             )
-
-
-def preorder_parents(parents) -> list[int]:
-    """The same tree with ids assigned depth-first (preorder): parents still
-    precede children, but same-depth ids are no longer contiguous."""
-    kids = children_from_parents(parents)
-    order, stack = [], [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
-    new_id = {v: i for i, v in enumerate(order)}
-    return [-1] + [new_id[parents[v]] for v in order[1:]]
-
-
-def gather_layer_trees() -> list[TestTree]:
-    """Trees whose layers are gather arrays, from ``[-1, 0, 1, 0, 3]`` up."""
-    rng = np.random.default_rng(40)
-    parents = [[-1, 0, 1, 0, 3], [-1, 0, 1, 1, 0, 4, 4, 4]]
-    parents += [preorder_parents(random_general_parents(rng, 3, 4, 80)) for _ in range(30)]
-    trees = [TestTree(p) for p in parents]
-    trees = [t for t in trees if any(isinstance(ids, np.ndarray) for ids in t.layers)]
-    assert len(trees) >= 10
-    return trees
 
 
 class TestKernelWrappers:

@@ -9,9 +9,11 @@ import pytest
 from scipy import special
 
 from treetest import (
+    LEVEL_SUM_TOL,
     PROCEDURES,
     BudgetError,
     SimConfig,
+    TestTree,
     audit_alpha_sums,
     audit_subtree_sums,
     bonferroni,
@@ -32,10 +34,12 @@ from treetest.simulate import (
 
 from helpers import (
     children_from_parents,
+    gather_layer_trees,
     random_general_parents,
     reference_bh,
     reference_descend,
     reference_descend_local,
+    reference_first_true,
     reference_holm,
     reference_internal_truth,
     reference_leaf_counts,
@@ -83,6 +87,20 @@ class TestSimConfig:
             SimConfig(allocation="weighted")
         with pytest.raises(ValueError):
             SimConfig(trees=((2,), (2,)), root_levels=(0.04, 0.04), alpha=0.05)
+
+    @pytest.mark.parametrize("root_levels, index", [
+        ((float("nan"), 0.01), 0), ((0.03, -0.01), 1), ((0.0, 0.05), 0),
+    ])
+    def test_root_levels_must_be_probabilities(self, root_levels, index):
+        # each passes the sum check alone; simulate then failed with a
+        # message naming neither the field nor the entry
+        match = rf"root_levels\[{index}\] = .* must lie in \(0, 1\]"
+        with pytest.raises(ValueError, match=match):
+            SimConfig(trees=((2,), (2,)), root_levels=root_levels)
+        doc = {"forest": [{"branching": [2]}] * 2, "root_levels": list(root_levels)}
+        with pytest.raises(ValueError, match=match):
+            SimConfig.from_doc(doc)
+        assert SimConfig(trees=((2,), (2,)), root_levels=(0.01, 0.04)).root_levels == (0.01, 0.04)
 
     @pytest.mark.parametrize("effect", [float("nan"), float("inf")])
     def test_effect_must_be_finite(self, effect):
@@ -363,7 +381,7 @@ class TestLayeredAggregates:
         rng = np.random.default_rng(len(trees))
         truth = rng.random((50, inst.n_vertices)) < 0.8
         want = reference_internal_truth(self.forest_parents(trees), truth)
-        assert np.array_equal(inst._derive_internal_truth(truth), want)
+        assert np.array_equal(inst._nested_truth(truth[:, inst.leaf_ids]), want)
 
 
 class TestVectorizedKernels:
@@ -497,8 +515,8 @@ class TestVectorizedKernels:
     def check_local_descent(self, kind, inst, S):
         tree, levels = inst.trees[0], inst.levels[0]
         rejected = inst.run_procedure("descend_local", S)
-        ids, universe = inst.scope["descend_local"]
-        assert not universe[0]  # the root hosts no single hypothesis
+        ids = inst.scope["descend_local"]
+        assert ids.tolist() == list(range(1, tree.n_vertices))  # the root hosts none
         P = self.pvalues(kind, S)
         kids = children_from_parents(tree.parent.tolist())
         for i in range(S.shape[1]):
@@ -813,6 +831,26 @@ class TestAuditAlphaSums:
         assert vbad > 0 and lbad > 0
         assert vmax == pytest.approx(lmax, abs=1e-12) == pytest.approx(0.08, abs=1e-12)
 
+    @pytest.mark.parametrize("parents", [
+        build_complete_tree((2, 2)).parent.tolist(),
+        build_complete_tree((3, 2)).parent.tolist(),
+        [-1, 0, 1, 1, 0, 4, 4, 4],  # gather layers
+    ])
+    def test_literal_route_counts_every_assignment(self, parents):
+        # dyadic levels, so every sum is exact in any order; children are
+        # oversubscribed, so some assignments exceed alpha and some tie it
+        tree = TestTree(parents)
+        n = tree.n_vertices
+        levels = np.random.default_rng(n).integers(1, 9, n) / 64.0
+        alpha = 8 / 64.0
+        sums = [
+            levels[reference_first_true(parents, [(i >> v) & 1 for v in range(n)])].sum()
+            for i in range(1 << n)
+        ]
+        bad = sum(x > alpha + LEVEL_SUM_TOL for x in sums)
+        assert 0 < bad < len(sums) and alpha in sums
+        assert _literal_sums_check(tree, levels, alpha, chunk=64) == (max(sums), bad)
+
     def test_summary_mentions_counts(self):
         audit = audit_alpha_sums(1, (3,), n_weighted=1)
         assert "cases" in audit.summary() and "violations 0" in audit.summary()
@@ -855,15 +893,17 @@ class TestAuditSubtreeSums:
             assert audit_subtree_sums(tree, alloc, truth).passed
 
     def test_matches_per_vertex_reference(self):
+        # random general trees, then trees whose layers are gather arrays;
         # half the allocations raise one level above the budget, so some
         # subtrees violate; the sums may differ from the reference's only
         # in summation order
-        from treetest import LEVEL_SUM_TOL, TestTree, subtree_alpha_sum, weighted_levels
+        from treetest import subtree_alpha_sum, weighted_levels
 
         rng = np.random.default_rng(23)
+        gather = [t.parent.tolist() for t in gather_layer_trees()]
         flagged = 0
-        for i in range(200):
-            parents = random_general_parents(rng)
+        for i in range(200 + len(gather)):
+            parents = random_general_parents(rng) if i < 200 else gather[i - 200]
             tree = TestTree(parents)
             n = tree.n_vertices
             levels = weighted_levels(tree, 0.1, rng.uniform(0.1, 1.0, n)).levels.copy()

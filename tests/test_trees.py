@@ -26,10 +26,13 @@ from treetest.trees import as_levels
 
 from helpers import (
     children_from_parents,
+    gather_layer_trees,
     random_general_parents,
     random_uniform_shape,
     reference_budget_violations,
     reference_depths,
+    reference_first_true,
+    reference_subtree_vertices,
     reference_uniform_levels,
     reference_weighted_levels,
 )
@@ -378,6 +381,8 @@ class TestSubtreeAlphaSum:
         tree = build_complete_tree([2, 2])
         assert subtree_vertices(tree, 2).tolist() == [2, 5, 6]
         assert subtree_vertices(tree, 0).size == 7
+        with pytest.raises(ValueError, match="unknown vertex"):
+            subtree_vertices(tree, 7)
 
     def test_exhaustive_bound_small_trees(self):
         # every truth assignment of several small shapes stays within the
@@ -393,6 +398,31 @@ class TestSubtreeAlphaSum:
                 members = first_true_vertices(tree, np.array(truth))
                 for alloc in allocs:
                     assert alloc.levels[members].sum() <= 0.05 + LEVEL_SUM_TOL
+
+
+class TestDescentPassesMatchReference:
+    """First-true flags and subtree membership come from the descent pass;
+    compare them with per-vertex walks on random general trees and on trees
+    whose layers are gather arrays (ids assigned depth-first)."""
+
+    @staticmethod
+    def trees():
+        return [TestTree(p) for p in sample_parent_arrays()] + gather_layer_trees()
+
+    def test_first_true_matches_ancestor_walk(self):
+        rng = np.random.default_rng(41)
+        for tree in self.trees():
+            parents = tree.parent.tolist()
+            for density in (0.1, 0.5, 0.9):
+                truth = (rng.random(tree.n_vertices) < density).astype(int)
+                want = reference_first_true(parents, truth)
+                assert first_true_vertices(tree, truth).tolist() == want
+
+    def test_subtree_vertices_match_breadth_first_walk(self):
+        for tree in self.trees():
+            parents = tree.parent.tolist()
+            for v in range(0, tree.n_vertices, max(1, tree.n_vertices // 12)):
+                assert subtree_vertices(tree, v).tolist() == reference_subtree_vertices(parents, v)
 
 
 class TestForest:
