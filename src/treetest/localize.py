@@ -13,7 +13,7 @@ any truly-null interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,8 @@ __all__ = [
     "LocalizeResult",
     "localize",
 ]
+
+_CACHED_SUBDIVISIONS = 8  # (n_times, depth, arity, alpha) shapes localize reuses
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,15 @@ class IntervalTree:
     ends: np.ndarray
 
     def node(self, v: int) -> IntervalNode:
-        v = int(v)
-        return IntervalNode(v, int(self.starts[v]), int(self.ends[v]), int(self.tree.depth_of[v]))
+        return self._nodes(np.array([int(v)]))[0]
+
+    def _nodes(self, ids: np.ndarray) -> tuple[IntervalNode, ...]:
+        fields = (ids, self.starts[ids], self.ends[ids], self.tree.depth_of[ids])
+        return tuple(map(IntervalNode, *(f.tolist() for f in fields)))
 
     @cached_property
     def nodes(self) -> tuple[IntervalNode, ...]:
-        return tuple(self.node(v) for v in range(self.tree.n_vertices))
+        return self._nodes(np.arange(self.tree.n_vertices))
 
 
 def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTree:
@@ -101,14 +106,16 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
 
     Every vertex's interval splits into ``arity`` contiguous near-equal
     parts; when the length is not divisible the leftmost children take the
-    remainder (sizes differ by at most one).  Requires
-    ``arity**depth <= n_times`` so every leaf interval is nonempty.  The
-    spans are computed one layer at a time.
+    remainder (sizes differ by at most one).  Requires ``depth <= n_times``
+    and ``arity**depth <= n_times`` so every leaf interval is nonempty.
+    The spans are computed one layer at a time.
     """
     if n_times < 1:
         raise ValueError("n_times must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth > n_times:
+        raise ValueError(f"depth {depth} exceeds the {n_times} samples")
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if arity**depth > n_times:
@@ -129,6 +136,13 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     starts.setflags(write=False)
     ends.setflags(write=False)
     return IntervalTree(tree, starts, ends)
+
+
+@lru_cache(maxsize=_CACHED_SUBDIVISIONS, typed=True)
+def _subdivision(n_times: int, depth: int, arity: int, alpha: float) -> tuple[IntervalTree, np.ndarray]:
+    """Subdivision and uniform levels (read-only arrays) kept per shape."""
+    itree = build_interval_tree(n_times, depth, arity)
+    return itree, uniform_levels(itree.tree, alpha).levels
 
 
 def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
@@ -167,14 +181,8 @@ class LocalizeResult:
 
     def to_doc(self) -> dict:
         def row(nd: IntervalNode, decision: Optional[str] = None) -> dict:
-            out = {
-                "vertex": nd.vertex,
-                "start": nd.start,
-                "end": nd.end,
-                "depth": nd.depth,
-                "p_value": float(self.pvalues[nd.vertex]),
-                "level": float(self.levels[nd.vertex]),
-            }
+            p, level = float(self.pvalues[nd.vertex]), float(self.levels[nd.vertex])
+            out = {**vars(nd), "p_value": p, "level": level}
             if decision is not None:
                 out["decision"] = decision
             return out
@@ -205,24 +213,26 @@ def localize(
 
     Uses the uniform budget split over the subdivision tree.  ``maximal``
     holds the deepest rejected node of each search path (the localization
-    answer); ``frontier`` the intervals where the walk stopped.
+    answer); ``frontier`` the intervals where the walk stopped.  Without
+    ``itree``, a recently used shape reuses its subdivision and levels.
     """
     if itree is None:
-        itree = build_interval_tree(trials.n_times, depth, arity)
+        itree, levels = _subdivision(trials.n_times, depth, arity, alpha)
+    else:
+        levels = uniform_levels(itree.tree, alpha).levels
     tree = itree.tree
-    alloc = uniform_levels(tree, alpha)
     pvals = interval_pvalues(trials, itree)
-    flags = _descent(tree, pvals <= alloc.levels)
+    flags = _descent(tree, pvals <= levels)
     rejected = np.flatnonzero(flags)
     frontier = np.flatnonzero(_tested(tree, flags) & ~flags)
     has_rejected_child = np.zeros(tree.n_vertices, dtype=bool)
     has_rejected_child[tree.parent[rejected[rejected > 0]]] = True
     maximal = rejected[~has_rejected_child[rejected]]
     return LocalizeResult(
-        rejected=tuple(map(itree.node, rejected)),
-        maximal=tuple(map(itree.node, maximal)),
-        frontier=tuple(map(itree.node, frontier)),
+        rejected=itree._nodes(rejected),
+        maximal=itree._nodes(maximal),
+        frontier=itree._nodes(frontier),
         pvalues=pvals,
-        levels=alloc.levels,
+        levels=levels,
         tested=rejected.size + frontier.size,
     )

@@ -203,10 +203,18 @@ def estimate_sigma(tree: WaveletTree) -> float:
     finest = tree.detail(tree.J)
     if finest.shape[-1] < 16:
         raise ValueError("need at least 16 finest-level coefficients")
-    med = np.median(finest, axis=-1, keepdims=True)
-    mad = np.median(np.abs(finest - med), axis=-1)
+    med = _even_median(finest)
+    mad = _even_median(np.abs(finest - med[..., None]))
     out = mad / float(-special.ndtri(0.25))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _even_median(x: np.ndarray) -> np.ndarray:
+    """``np.median`` over an even-length last axis from one partition.  NaNs
+    sort last, so a row holding one has a NaN upper-half minimum and median."""
+    h = x.shape[-1] // 2
+    p = np.partition(x, h, axis=-1)
+    return (p[..., :h].max(axis=-1) + p[..., h:].min(axis=-1)) / 2.0
 
 
 @dataclass(frozen=True)

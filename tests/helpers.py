@@ -272,6 +272,18 @@ def reference_keep_mask(coeffs, alpha: float, sigma: float, force_levels: int = 
     return mask
 
 
+def reference_estimate_sigma(tree):
+    """Median absolute deviation of the finest detail level about its
+    median, by two ``np.median`` calls, rescaled to a Gaussian scale."""
+    from scipy import special
+
+    finest = tree.detail(tree.J)
+    med = np.median(finest, axis=-1, keepdims=True)
+    mad = np.median(np.abs(finest - med), axis=-1)
+    out = mad / float(-special.ndtri(0.25))
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def reference_leaf_counts(parents) -> list[int]:
     """Number of leaves below every vertex (1 for a leaf)."""
     kids = children_from_parents(parents)

@@ -323,6 +323,13 @@ class TestLocalizeCommand:
         assert capsys.readouterr().err.splitlines() == ["error: sigma must be positive and finite"]
         assert not out.exists()
 
+    def test_depth_beyond_samples_exits_2(self, tmp_path, capsys):
+        trials = self.write_trials(tmp_path / "t.csv", np.zeros((2, 16)))
+        assert main(["localize", "--trials", trials, "--depth", "1000000000000", "--arity", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: depth 1000000000000 exceeds the 16 samples"
+        ]
+
     def test_ragged_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1.0,2.0,3.0\n1.0,2.0\n")

@@ -1,5 +1,8 @@
 """Interval subdivision trees and mean-shift localization."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from treetest import (
 )
 
 from helpers import children_from_parents, reference_interval_spans
+
+# the package exports the function ``localize`` under the module's name
+localize_module = importlib.import_module("treetest.localize")
 
 
 @pytest.fixture
@@ -62,6 +68,27 @@ class TestBuildIntervalTree:
     def test_degenerate_arity_one(self):
         itree = build_interval_tree(10, 3, 1)
         assert all((nd.start, nd.end) == (0, 10) for nd in itree.nodes)
+
+    def test_arity_one_depth_up_to_n_times(self):
+        assert build_interval_tree(10, 10, 1).tree.n_vertices == 11
+        with pytest.raises(ValueError, match="depth 11 exceeds the 10 samples"):
+            build_interval_tree(10, 11, 1)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_huge_depth_refused_before_allocating(self, arity):
+        trials = TrialMatrix(np.zeros((2, 10)))
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: build_interval_tree(10, 10**12, arity),
+                lambda: localize(trials, 0.05, 10**12, arity),
+            ):
+                with pytest.raises(ValueError, match="exceeds the 10 samples"):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "n_times, depth, arity",
@@ -238,3 +265,57 @@ class TestLocalize:
         assert all(row["decision"] in ("rejected", "accepted") for row in doc["intervals"])
         assert len(doc["intervals"]) == len(doc["rejected"]) + len(doc["frontier"])
         assert doc["tested"] == res.tested == len(doc["intervals"])
+
+
+class TestLocalizeCache:
+    """Without ``itree``, localize reuses a bounded cache of subdivisions."""
+
+    KEYS = [(64, 3, 2, 0.05), (81, 4, 3, 0.1), (64, 3, 2, 0.2), (12, 3, 1, 0.05), (64, 2, 4, 0.05)]
+
+    def test_equal_to_prebuilt_across_interleaved_keys(self):
+        rng = np.random.default_rng(31)
+        for n_times, depth, arity, alpha in self.KEYS * 3 + self.KEYS[::-1]:
+            data = rng.standard_normal((8, n_times))
+            data[:, : n_times // 3] += rng.uniform(0.0, 2.0)
+            trials = TrialMatrix(data)
+            got = localize(trials, alpha, depth, arity)
+            itree = build_interval_tree(n_times, depth, arity)
+            want = localize(trials, alpha, depth, arity, itree=itree)
+            assert got.to_doc() == want.to_doc()
+            assert got.rejected == want.rejected and got.frontier == want.frontier
+            assert np.array_equal(got.pvalues, want.pvalues)
+            assert np.array_equal(got.levels, want.levels)
+
+    def test_repeated_shape_is_reused(self):
+        localize_module._subdivision.cache_clear()
+        trials = TrialMatrix(np.random.default_rng(32).standard_normal((4, 64)))
+        first = localize(trials, 0.05, 3, 2)
+        second = localize(trials, 0.05, 3, 2)
+        info = localize_module._subdivision.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert second.levels is first.levels
+
+    @pytest.mark.parametrize(
+        "alpha, depth, match",
+        [(0.0, 3, "alpha"), (1.5, 3, "alpha"), (np.nan, 3, "alpha"), (0.05, 7, "fit"), (0.05, 65, "exceeds")],
+    )
+    def test_invalid_call_after_valid_call_still_raises(self, alpha, depth, match):
+        trials = TrialMatrix(np.zeros((3, 64)))
+        localize(trials, 0.05, 3, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                localize(trials, alpha, depth, 2)
+
+    def test_levels_stay_read_only(self):
+        res = localize(TrialMatrix(np.ones((3, 64))), 0.05, 3, 2)
+        assert not res.levels.flags.writeable
+        with pytest.raises(ValueError):
+            res.levels[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        bound = localize_module._CACHED_SUBDIVISIONS
+        assert localize_module._subdivision.cache_info().maxsize == bound
+        trials = TrialMatrix(np.zeros((2, 32)))
+        for k in range(4 * bound):
+            localize(trials, 0.01 + 0.001 * k, 1 + k % 5, 2)
+            assert localize_module._subdivision.cache_info().currsize <= bound

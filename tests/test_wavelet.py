@@ -20,7 +20,7 @@ from treetest import (
     uniform_levels,
 )
 
-from helpers import blocks_signal, coefficient_forest, reference_keep_mask
+from helpers import blocks_signal, coefficient_forest, reference_estimate_sigma, reference_keep_mask
 
 
 class TestHaarTransform:
@@ -277,6 +277,53 @@ class TestEstimateSigma:
     def test_needs_enough_coefficients(self):
         with pytest.raises(ValueError, match="at least 16"):
             estimate_sigma(haar_forward(np.zeros(16)))
+
+    @staticmethod
+    def same(got, want) -> bool:
+        return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True) and type(got) is type(want)
+
+    @staticmethod
+    def finest_draws(rng, shape):
+        """Gaussian, heavy-tailed, tied and signed-zero coefficient draws."""
+        yield rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+        yield rng.standard_cauchy(shape)
+        yield np.round(rng.standard_normal(shape) * 2.0)
+        yield rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape)
+
+    def test_matches_two_median_reference_1d(self):
+        rng = np.random.default_rng(21)
+        for J in range(4, 17):  # 16 to 2**16 finest coefficients
+            for c in self.finest_draws(rng, 2 << J):
+                tree = WaveletTree(c, J)
+                assert self.same(estimate_sigma(tree), reference_estimate_sigma(tree))
+
+    @pytest.mark.parametrize("shape", [(5, 32), (3, 1024), (2, 3, 128), (1, 64), (300, 8192)])
+    def test_matches_two_median_reference_batched(self, shape):
+        rng = np.random.default_rng(22)
+        J = shape[-1].bit_length() - 2
+        for c in self.finest_draws(rng, shape):
+            tree = WaveletTree(c, J)
+            got = estimate_sigma(tree)
+            assert got.shape == shape[:-1]
+            assert self.same(got, reference_estimate_sigma(tree))
+
+    @pytest.mark.parametrize("where", [0, 5, 31])
+    def test_nan_row_gives_nan(self, where):
+        rng = np.random.default_rng(23)
+        c = rng.standard_normal((4, 64))
+        c[2, 32 + where] = np.nan
+        tree = WaveletTree(c, 5)
+        got = estimate_sigma(tree)
+        assert np.isnan(got[2]) and not np.isnan(got[[0, 1, 3]]).any()
+        assert self.same(got, reference_estimate_sigma(tree))
+        assert np.isnan(estimate_sigma(WaveletTree(c[2], 5)))
+
+    def test_all_equal_row_gives_zero(self):
+        c = np.random.default_rng(24).standard_normal((3, 64))
+        c[1, 32:] = 2.5
+        got = estimate_sigma(WaveletTree(c, 5))
+        assert got[1] == 0.0 and (got[[0, 2]] > 0.0).all()
+        assert estimate_sigma(WaveletTree(c[1], 5)) == 0.0
 
     def test_quartile_constant(self):
         # the rescaling constant is the upper quartile of the standard normal
