@@ -13,7 +13,7 @@ any truly-null interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "LocalizeResult",
     "localize",
 ]
-
-_CACHED_SUBDIVISIONS = 8  # (n_times, depth, arity, alpha) shapes localize reuses
 
 
 @dataclass(frozen=True)
@@ -138,13 +136,6 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     return IntervalTree(tree, starts, ends)
 
 
-@lru_cache(maxsize=_CACHED_SUBDIVISIONS, typed=True)
-def _subdivision(n_times: int, depth: int, arity: int, alpha: float) -> tuple[IntervalTree, np.ndarray]:
-    """Subdivision and uniform levels (read-only arrays) kept per shape."""
-    itree = build_interval_tree(n_times, depth, arity)
-    return itree, uniform_levels(itree.tree, alpha).levels
-
-
 def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
     """Two-sided z-test of zero grand mean over one interval.
 
@@ -181,8 +172,14 @@ class LocalizeResult:
 
     def to_doc(self) -> dict:
         def row(nd: IntervalNode, decision: Optional[str] = None) -> dict:
-            p, level = float(self.pvalues[nd.vertex]), float(self.levels[nd.vertex])
-            out = {**vars(nd), "p_value": p, "level": level}
+            out = {
+                "vertex": nd.vertex,
+                "start": nd.start,
+                "end": nd.end,
+                "depth": nd.depth,
+                "p_value": float(self.pvalues[nd.vertex]),
+                "level": float(self.levels[nd.vertex]),
+            }
             if decision is not None:
                 out["decision"] = decision
             return out
@@ -213,16 +210,14 @@ def localize(
 
     Uses the uniform budget split over the subdivision tree.  ``maximal``
     holds the deepest rejected node of each search path (the localization
-    answer); ``frontier`` the intervals where the walk stopped.  Without
-    ``itree``, a recently used shape reuses its subdivision and levels.
+    answer); ``frontier`` the intervals where the walk stopped.
     """
     if itree is None:
-        itree, levels = _subdivision(trials.n_times, depth, arity, alpha)
-    else:
-        levels = uniform_levels(itree.tree, alpha).levels
+        itree = build_interval_tree(trials.n_times, depth, arity)
     tree = itree.tree
+    alloc = uniform_levels(tree, alpha)
     pvals = interval_pvalues(trials, itree)
-    flags = _descent(tree, pvals <= levels)
+    flags = _descent(tree, pvals <= alloc.levels)
     rejected = np.flatnonzero(flags)
     frontier = np.flatnonzero(_tested(tree, flags) & ~flags)
     has_rejected_child = np.zeros(tree.n_vertices, dtype=bool)
@@ -233,6 +228,6 @@ def localize(
         maximal=itree._nodes(maximal),
         frontier=itree._nodes(frontier),
         pvalues=pvals,
-        levels=levels,
+        levels=alloc.levels,
         tested=rejected.size + frontier.size,
     )

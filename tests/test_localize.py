@@ -1,6 +1,5 @@
 """Interval subdivision trees and mean-shift localization."""
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -17,9 +16,6 @@ from treetest import (
 )
 
 from helpers import children_from_parents, reference_interval_spans
-
-# the package exports the function ``localize`` under the module's name
-localize_module = importlib.import_module("treetest.localize")
 
 
 @pytest.fixture
@@ -267,8 +263,8 @@ class TestLocalize:
         assert doc["tested"] == res.tested == len(doc["intervals"])
 
 
-class TestLocalizeCache:
-    """Without ``itree``, localize reuses a bounded cache of subdivisions."""
+class TestLocalizePrebuilt:
+    """``localize`` with and without a prebuilt ``itree`` agree."""
 
     KEYS = [(64, 3, 2, 0.05), (81, 4, 3, 0.1), (64, 3, 2, 0.2), (12, 3, 1, 0.05), (64, 2, 4, 0.05)]
 
@@ -285,37 +281,3 @@ class TestLocalizeCache:
             assert got.rejected == want.rejected and got.frontier == want.frontier
             assert np.array_equal(got.pvalues, want.pvalues)
             assert np.array_equal(got.levels, want.levels)
-
-    def test_repeated_shape_is_reused(self):
-        localize_module._subdivision.cache_clear()
-        trials = TrialMatrix(np.random.default_rng(32).standard_normal((4, 64)))
-        first = localize(trials, 0.05, 3, 2)
-        second = localize(trials, 0.05, 3, 2)
-        info = localize_module._subdivision.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        assert second.levels is first.levels
-
-    @pytest.mark.parametrize(
-        "alpha, depth, match",
-        [(0.0, 3, "alpha"), (1.5, 3, "alpha"), (np.nan, 3, "alpha"), (0.05, 7, "fit"), (0.05, 65, "exceeds")],
-    )
-    def test_invalid_call_after_valid_call_still_raises(self, alpha, depth, match):
-        trials = TrialMatrix(np.zeros((3, 64)))
-        localize(trials, 0.05, 3, 2)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=match):
-                localize(trials, alpha, depth, 2)
-
-    def test_levels_stay_read_only(self):
-        res = localize(TrialMatrix(np.ones((3, 64))), 0.05, 3, 2)
-        assert not res.levels.flags.writeable
-        with pytest.raises(ValueError):
-            res.levels[0] = 1.0
-
-    def test_cache_is_bounded(self):
-        bound = localize_module._CACHED_SUBDIVISIONS
-        assert localize_module._subdivision.cache_info().maxsize == bound
-        trials = TrialMatrix(np.zeros((2, 32)))
-        for k in range(4 * bound):
-            localize(trials, 0.01 + 0.001 * k, 1 + k % 5, 2)
-            assert localize_module._subdivision.cache_info().currsize <= bound
