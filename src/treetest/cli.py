@@ -22,14 +22,13 @@ import csv
 import dataclasses
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .localize import TrialMatrix, localize
 from .simulate import (
     PROCEDURES,
-    BudgetError,
     SimConfig,
     SimReport,
     audit_alpha_sums,
@@ -45,9 +44,13 @@ DEFAULT_SEED = 1729
 __all__ = ["main", "DEFAULT_SEED"]
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path: str, parse: Callable):
+    """``parse`` of the JSON document at ``path``; every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:  # decode errors are ValueErrors too
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -56,52 +59,39 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_signal(path: str, column: int = 0) -> np.ndarray:
-    """One float per line, or the given column of a CSV file."""
-    if column < 0:
+def _read_csv(path: str, column: Optional[int] = None) -> np.ndarray:
+    """Numbers of a CSV file, blank lines skipped: ``column`` as a 1-D array, or
+    every row (all of one width) as a 2-D array.  Errors name the file."""
+    if column is not None and column < 0:
         raise ValueError(f"column must be >= 0, got {column}")
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if column >= len(fields):
-                raise ValueError(f"{path} has no column {column}")
-            values.append(float(fields[column]))
+    values, width = [], 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or len(row) == 1 and row[0].isspace():
+                    continue
+                if column is None:
+                    width = width or len(row)
+                    if len(row) != width:
+                        raise ValueError(f"ragged rows: {len(row)} values, not {width}")
+                    values.extend(map(float, row))
+                elif column < len(row):
+                    values.append(float(row[column]))
+                else:
+                    raise ValueError(f"no column {column}")
+        except UnicodeDecodeError as exc:  # decoded ahead of the parsed lines
+            raise ValueError(f"{path}: {exc}") from exc
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not values:
-        raise ValueError(f"no samples found in {path}")
-    return np.asarray(values)
+        raise ValueError(f"{path}: no numbers found")
+    return np.array(values) if column is not None else np.array(values).reshape(-1, width)
 
 
 def _write_signal(path: str, values: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for x in values:
-            fh.write(f"{float(x)!r}\n")
-
-
-def _read_trials(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            rows.append([float(x) for x in row])
-    if not rows:
-        raise ValueError(f"no trials found in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in {path}: all trials need {width} time points")
-    return np.asarray(rows)
-
-
-def _config_from_file(path: str, seed: Optional[int]) -> SimConfig:
-    doc = _read_json(path)
-    try:
-        config = SimConfig.from_doc(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return config if seed is None else dataclasses.replace(config, seed=seed)
+        fh.writelines(f"{x!r}\n" for x in values.tolist())
 
 
 def _write_frequency_csv(path: str, report: SimReport) -> None:
@@ -117,8 +107,13 @@ def _write_frequency_csv(path: str, report: SimReport) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _config(args: argparse.Namespace) -> SimConfig:
+    config = _load(args.config, SimConfig.from_doc)
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from_file(args.config, args.seed)
+    config = _config(args)
     report = run_simulation(config, args.procedure, threads=args.threads)
     if args.out:
         _write_json(args.out, report.to_doc())
@@ -133,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_file(args.config, args.seed)
+    config = _config(args)
     procedures = [p.strip() for p in args.procedures.split(",") if p.strip()]
     reports = compare_procedures(config, procedures, threads=args.threads)
     print(format_comparison(reports))
@@ -160,21 +155,19 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
 
 
 def _cmd_denoise(args: argparse.Namespace) -> int:
-    signal = _read_signal(args.signal, args.column)
+    signal = _read_csv(args.signal, args.column)
     sigma = args.sigma if args.sigma == "estimate" else float(args.sigma)
     result = denoise(signal, args.alpha, sigma, force_levels=args.force_levels)
-    _write_signal(args.out, result.denoised)
-    meta = result.to_doc()
-    meta["n"] = int(signal.size)
-    meta["alpha"] = args.alpha
+    meta = {**result.to_doc(), "n": int(signal.size), "alpha": args.alpha}
     if args.reference:
-        truth = _read_signal(args.reference)
+        truth = _read_csv(args.reference, 0)
         if not np.isfinite(truth).all():
-            raise ValueError("reference samples must be finite")
+            raise ValueError(f"{args.reference}: reference samples must be finite")
         if truth.size != signal.size:
-            raise ValueError("reference length does not match the signal")
+            raise ValueError(f"{args.reference}: reference length does not match the signal")
         meta["input_mse"] = float(np.mean((signal - truth) ** 2))
         meta["output_mse"] = float(np.mean((result.denoised - truth) ** 2))
+    _write_signal(args.out, result.denoised)
     if args.meta:
         _write_json(args.meta, meta)
     print(f"kept {result.kept} coefficients, sigma={result.sigma:.6g}")
@@ -182,14 +175,11 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    trials = TrialMatrix(_read_trials(args.trials), sigma=args.sigma)
+    trials = TrialMatrix(_read_csv(args.trials), sigma=args.sigma)
     result = localize(trials, args.alpha, args.depth, args.arity)
     doc = result.to_doc()
-    doc["alpha"] = args.alpha
-    doc["depth"] = args.depth
-    doc["arity"] = args.arity
-    doc["n_trials"] = trials.n_trials
-    doc["n_times"] = trials.n_times
+    doc.update(alpha=args.alpha, depth=args.depth, arity=args.arity,
+               n_trials=trials.n_trials, n_times=trials.n_times)
     if args.out:
         _write_json(args.out, doc)
     for node in result.maximal:
@@ -200,7 +190,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_lb(args: argparse.Namespace) -> int:
-    tree, alloc = allocation_from_doc(_read_json(args.tree))
+    tree, alloc = _load(args.tree, allocation_from_doc)
     bad = level_budget_violations(tree, alloc)
     if bad.size:
         print(f"level budget violated at vertices {bad.tolist()}", file=sys.stderr)
@@ -275,13 +265,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # BudgetError among them
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -34,6 +34,7 @@ given tree, allocation and truth assignment.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import time
@@ -52,6 +53,7 @@ from .trees import (
     _descent,
     _first_true,
     _fold_up,
+    _number,
     _subtree_sums,
     as_levels,
     as_truth,
@@ -79,6 +81,11 @@ PROCEDURES = ("descend", "descend_local", "holm_flat", "bonferroni_flat", "bh_fl
 
 _TRUTH_KINDS = ("global_null", "explicit", "random")
 _DEPENDENCE = ("independent", "nested_means")
+
+# The scalar keys of a config document, each read into the SimConfig field
+# of its name: a number (False), an integer (True), or as given (None).
+_SCALARS = {"alpha": False, "effect": False, "dependence": None,
+            "replications": True, "seed": True, "block_size": True}
 
 # Largest Minkowski product the attainable-sum audit materializes.
 _COMBINE_LIMIT = 4_000_000
@@ -147,6 +154,12 @@ class SimConfig:
             raise ValueError(f"truth must be one of {_TRUTH_KINDS}")
         if self.truth == "explicit" and self.truth_values is None:
             raise ValueError("explicit truth requires truth_values")
+        if self.truth_values is not None:
+            n = sum(sum(math.prod(b[:d]) for d in range(len(b) + 1)) for b in self.trees)
+            if len(self.truth_values) != n:
+                raise ValueError(f"truth_values needs {n} entries, one per vertex")
+            if not set(self.truth_values) <= {0, 1}:
+                raise ValueError("truth values must be 0 or 1")
         if not 0.0 <= self.truth_density <= 1.0:
             raise ValueError("truth_density must lie in [0, 1]")
         if not 0.0 <= self.effect < np.inf:
@@ -157,6 +170,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if self.replications > 10**9:
             raise ValueError("replication counter above 10^9 is not supported")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
         if self.allocation not in ("uniform", "weighted"):
@@ -180,11 +195,7 @@ class SimConfig:
         """Build a configuration from a JSON-compatible document."""
         if not isinstance(doc, Mapping):
             raise ValueError("configuration must be a JSON object")
-        known = {
-            "tree", "forest", "root_levels", "allocation", "alpha", "truth",
-            "effect", "dependence", "replications", "seed", "block_size",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {"tree", "forest", "root_levels", "allocation", "truth", *_SCALARS}
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         # a section of the wrong JSON type surfaces as a TypeError
@@ -197,40 +208,25 @@ class SimConfig:
             elif "tree" in doc:
                 kwargs["trees"] = (_branching(doc["tree"], "tree"),)
             if "root_levels" in doc:
-                kwargs["root_levels"] = tuple(float(x) for x in doc["root_levels"])
+                kwargs["root_levels"] = tuple(_number(x, "root_levels") for x in doc["root_levels"])
             kwargs["allocation"], alloc = _section(doc, "allocation", "uniform")
             if "weights" in alloc:
-                kwargs["weights"] = tuple(float(w) for w in alloc["weights"])
+                kwargs["weights"] = tuple(_number(w, "weights") for w in alloc["weights"])
             kwargs["truth"], truth = _section(doc, "truth", "global_null")
             if "density" in truth:
-                kwargs["truth_density"] = float(truth["density"])
+                kwargs["truth_density"] = _number(truth["density"], "density")
             if "values" in truth:
-                kwargs["truth_values"] = tuple(int(v) for v in truth["values"])
-            for key, cast in (
-                ("alpha", float),
-                ("effect", float),
-                ("dependence", str),
-                ("replications", int),
-                ("seed", int),
-                ("block_size", int),
-            ):
+                kwargs["truth_values"] = tuple(_number(v, "values", True) for v in truth["values"])
+            for key, integral in _SCALARS.items():
                 if key in doc:
-                    kwargs[key] = cast(doc[key])
+                    kwargs[key] = doc[key] if integral is None else _number(doc[key], key, integral)
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"malformed configuration: {exc}") from exc
 
     def to_doc(self) -> dict:
-        doc: dict = {
-            "alpha": self.alpha,
-            "allocation": self.allocation,
-            "truth": self.truth,
-            "effect": self.effect,
-            "dependence": self.dependence,
-            "replications": self.replications,
-            "seed": self.seed,
-            "block_size": self.block_size,
-        }
+        doc = {"allocation": self.allocation, "truth": self.truth}
+        doc.update((key, getattr(self, key)) for key in _SCALARS)
         if len(self.trees) == 1:
             doc["tree"] = {"branching": list(self.trees[0])}
         else:
@@ -261,7 +257,7 @@ def _branching(entry, where: str) -> tuple[int, ...]:
     """Branching factors of one ``tree`` or ``forest`` entry of a config document."""
     if isinstance(entry, Mapping) and "branching" not in entry:
         raise ValueError(f"{where}: missing key 'branching'")
-    return tuple(int(b) for b in entry["branching"])
+    return tuple(_number(b, f"{where} branching", True) for b in entry["branching"])
 
 
 @dataclass
@@ -380,15 +376,7 @@ class _Instance:
         # per-vertex truth when it does not change between replications
         self.fixed_truth: Optional[np.ndarray] = None
         if config.truth == "explicit":
-            values = np.asarray(config.truth_values, dtype=np.int8)
-            if values.shape != (self.n_vertices,):
-                raise ValueError(
-                    f"truth_values lists {values.size} vertices, "
-                    f"trees have {self.n_vertices}"
-                )
-            if not np.all((values == 0) | (values == 1)):
-                raise ValueError("truth values must be 0 or 1")
-            self.fixed_truth = values.astype(bool)
+            self.fixed_truth = np.asarray(config.truth_values, dtype=bool)
             if config.dependence == "nested_means":
                 self.fixed_truth = self._nested_truth(self.fixed_truth[None, self.leaf_ids])[0]
         elif config.truth == "global_null":

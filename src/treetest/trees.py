@@ -36,6 +36,7 @@ subtree sums and the simulator's nested aggregates are folds.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -583,13 +584,26 @@ def allocation_doc(tree: TestTree, alloc: LevelsLike) -> dict:
     }
 
 
+def _number(value, where: str, integral: bool = False) -> Union[int, float]:
+    """A JSON number as a float, or as an int when ``integral``; ``TypeError``
+    naming ``where`` for booleans, strings, other types and non-integral integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{where}: expected a number, got {value!r}")
+    if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise TypeError(f"{where}: expected an integer, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
     """Inverse of ``allocation_doc``; validates lengths, not the budget."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("allocation document must be a JSON object")
     try:
-        branching = [int(b) for b in doc["branching"]]
-        depth = int(doc["depth"])
-        allocation = [float(x) for x in doc["allocation"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        branching = [_number(b, "branching", True) for b in doc["branching"]]
+        depth = _number(doc["depth"], "depth", True)
+        allocation = [_number(x, "allocation") for x in doc["allocation"]]
+        root = _number(doc["alpha_root"], "alpha_root") if "alpha_root" in doc else None
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed allocation document: {exc}") from exc
     tree = build_complete_tree(branching, depth)
     if len(allocation) != tree.n_vertices:
@@ -597,6 +611,6 @@ def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
             f"allocation lists {len(allocation)} levels, tree has {tree.n_vertices} vertices"
         )
     alloc = AlphaAllocation(np.asarray(allocation))
-    if "alpha_root" in doc and abs(float(doc["alpha_root"]) - alloc.root_level) > LEVEL_SUM_TOL:
+    if root is not None and abs(root - alloc.root_level) > LEVEL_SUM_TOL:
         raise ValueError("alpha_root disagrees with the allocation's root entry")
     return tree, alloc

@@ -247,7 +247,7 @@ class TestDenoiseCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "reference" in err and len(err.strip().splitlines()) == 1
-        assert not meta.exists()
+        assert not meta.exists() and not out.exists()
 
     def test_csv_column_input(self, tmp_path):
         sig = tmp_path / "sig.csv"
@@ -330,6 +330,13 @@ class TestLocalizeCommand:
             "error: depth 1000000000000 exceeds the 16 samples"
         ]
 
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path, capsys):
+        trials = tmp_path / "t.csv"
+        trials.write_text("1.0,2.0\n   \n\n3.0,4.0\n\t\n")
+        out = tmp_path / "loc.json"
+        assert main(["localize", "--trials", str(trials), "--depth", "1", "--out", str(out)]) == 0
+        assert (read_json(out)["n_trials"], read_json(out)["n_times"]) == (2, 2)
+
     def test_ragged_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1.0,2.0,3.0\n1.0,2.0\n")
@@ -360,6 +367,55 @@ class TestValidateLbCommand:
 
     def test_malformed_doc_exits_2(self, tmp_path):
         assert main(["validate-lb", "--tree", write_json(tmp_path / "a.json", {"depth": 1})]) == 2
+
+
+class TestMalformedInputs:
+    """Inputs once run as something else, or refused without naming their
+    file: each exits 2 with one line ``error: <path>: ...``."""
+
+    ALLOCATION = {"depth": 1, "branching": [2], "allocation": [0.05, 0.025, 0.025]}
+    EXPLICIT = {"kind": "explicit", "values": [0, 0.5, 0, 0, 0, 0, 0]}
+
+    CASES = {
+        "branching-2.7": ("simulate", {**SIM_CONFIG, "tree": {"branching": [2.7]}}),  # ran (2,)
+        "branching-true": ("simulate", {**SIM_CONFIG, "tree": {"branching": [True]}}),
+        "replications-1000.9": ("simulate", {**SIM_CONFIG, "replications": 1000.9}),
+        "seed-1.5": ("simulate", {**SIM_CONFIG, "seed": 1.5}),  # ran seed 1
+        "seed-negative": ("simulate", {**SIM_CONFIG, "seed": -1}),
+        "truth-0.5": ("simulate", {**SIM_CONFIG, "truth": EXPLICIT}),  # read as a false null
+        "truth-length": ("simulate", {**SIM_CONFIG, "truth": {**EXPLICIT, "values": [0, 1]}}),
+        "alpha-string": ("simulate", {**SIM_CONFIG, "alpha": "0.05"}),
+        "compare-alpha-string": ("compare", {**SIM_CONFIG, "alpha": "0.05"}),
+        "allocation-branching-2.9": ("validate-lb", {**ALLOCATION, "branching": [2.9]}),
+        "allocation-list": ("validate-lb", []),
+        "allocation-length": ("validate-lb", {**ALLOCATION, "allocation": [0.05, 0.025]}),
+        "allocation-not-json": ("validate-lb", "{not json"),
+        "config-not-utf8": ("simulate", b"\xff{}"),
+        "trials-cell": ("localize", "1.0,2.0\n3.0,x\n"),
+        "signal-cell": ("denoise", "".join("1.0\n" for _ in range(63)) + "one\n"),
+        "signal-not-utf8": ("denoise", b"1.0\n\xff\n"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        command, doc = self.CASES[case]
+        path = tmp_path / "input"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        flag = {"simulate": "--config", "compare": "--config", "validate-lb": "--tree",
+                "localize": "--trials", "denoise": "--signal"}[command]
+        extra = {"localize": ["--depth", "1"], "denoise": ["--out", str(tmp_path / "out")]}
+        assert main([command, flag, str(path), *extra.get(command, [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and len(err.splitlines()) == 1, err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        # numpy refused it inside the first block, naming neither the seed nor the flag
+        cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)
+        assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
 def test_module_entry_point(tmp_path):

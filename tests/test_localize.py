@@ -57,6 +57,15 @@ class TestBuildIntervalTree:
             widths = [b - a for a, b in spans]
             assert max(widths) - min(widths) <= 1
 
+    @pytest.mark.parametrize("n_times, depth, arity, message", [
+        (0, 1, 2, "n_times must be positive"),
+        (8, -1, 2, "depth must be >= 0"),
+        (8, 1, 0, "arity must be >= 1"),
+    ])
+    def test_bad_shape_refused(self, n_times, depth, arity, message):
+        with pytest.raises(ValueError, match=message):
+            build_interval_tree(n_times, depth, arity)
+
     def test_too_deep(self):
         with pytest.raises(ValueError, match="fit"):
             build_interval_tree(8, 4, 2)

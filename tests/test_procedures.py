@@ -63,6 +63,13 @@ class TestHolm:
             holm([0.5, 1.2], 0.05)
 
 
+@pytest.mark.parametrize("procedure", [holm, bonferroni, benjamini_hochberg])
+@pytest.mark.parametrize("level", [0.0, 1.5])
+def test_flat_level_outside_unit_interval(procedure, level):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        procedure([0.01, 0.5], level)
+
+
 class TestBonferroni:
     def test_two_hypotheses(self):
         assert bonferroni([0.01, 0.02], 0.05).all()
@@ -316,6 +323,7 @@ class TestKernelWrappers:
             # 2 and 3 are both tested and bad: the smaller id is named
             ({0: 0.01, 1: 0.01, 3: -0.5}, "p-value required at tested vertex 2$"),
             ({0: 0.01, 1: 0.9, 3: 0.01}, "p-value required at tested vertex 4$"),
+            (np.array([0.01, 0.01]), "p-value array covers 2 vertices, tree has 5$"),
         ],
     )
     def test_bad_value_at_tested_vertex_is_named(self, pvals, message):
@@ -334,6 +342,19 @@ class TestKernelWrappers:
     def test_bad_family_at_active_vertex_is_named(self, families, message):
         with pytest.raises(ValueError, match=message):
             descend_local(self.tree, self.alloc, families)
+
+    @pytest.mark.parametrize("pmatrix, message", [
+        (np.full((2, 4), 0.01), "shape"),
+        (np.full(5, 0.01), "shape"),
+        (np.array([[0.01, 0.01, 1.5, 0.01, 0.01]]), r"p-values must lie in \[0, 1\]"),
+    ])
+    def test_batch_input_refused(self, pmatrix, message):
+        with pytest.raises(ValueError, match=message):
+            descend_batch(self.tree, self.alloc, pmatrix)
+
+    def test_unknown_hypotheses_layout(self):
+        with pytest.raises(ValueError, match="hypotheses must be 'children' or 'self'"):
+            descend_local(self.tree, self.alloc, {0: [0.5, 0.5]}, hypotheses="x")
 
     def test_bad_self_layout_value_is_named(self):
         # root and vertex 1 rejected: 2 and 3 are tested, and 2 is the smaller
@@ -418,6 +439,13 @@ class TestErrorReport:
         assert (rep.false_rejections, rep.rejections) == (1, 2)
         assert rep.fdp == 0.5 and rep.any_false
         assert rep.power == 0.5  # one of two false nulls caught
+
+    @pytest.mark.parametrize("truth, message", [
+        ([[1, 0], [0, 1]], "1-D"), ([], "1-D"), ([1, 2, 0], "0 or 1"),
+    ])
+    def test_bad_truth(self, truth, message):
+        with pytest.raises(ValueError, match=message):
+            error_report(np.zeros(3, dtype=bool), truth)
 
     def test_index_mismatch(self):
         with pytest.raises(ValueError, match="length"):

@@ -19,6 +19,7 @@ from treetest import (
     bonferroni,
     build_complete_tree,
     compare_procedures,
+    error_report,
     monte_carlo_bound,
     simulate,
     uniform_levels,
@@ -73,6 +74,33 @@ class TestSimConfig:
             truth_values=(1, 0, 1),
         )
         assert SimConfig.from_doc(cfg.to_doc()) == cfg
+
+    def test_doc_round_trip_root_levels(self):
+        cfg = SimConfig(trees=((2,), (3, 2)), root_levels=(0.01, 0.04), alpha=0.05)
+        assert cfg.to_doc()["root_levels"] == [0.01, 0.04]
+        assert SimConfig.from_doc(cfg.to_doc()) == cfg
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trees": ()}, "at least one tree"),
+        ({"truth": "mixed"}, "truth must be one of"),
+        ({"truth": "random", "truth_density": 1.5}, "truth_density"),
+        ({"block_size": 0}, "block_size"),
+        ({"trees": ((2,), (2,)), "allocation": "weighted", "weights": (1.0, 1.0, 1.0)},
+         "single tree"),
+        ({"trees": ((2,), (2,)), "root_levels": (0.01,)}, "one root level per tree"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 2, 0)}, "0 or 1"),
+        ({"trees": ((2,), (1,)), "truth": "explicit", "truth_values": (0, 1, 0)},
+         "truth_values needs 5 entries"),
+    ])
+    def test_field_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kwargs)
+
+    def test_integral_float_reads_as_int(self):
+        cfg = SimConfig.from_doc({"tree": {"branching": [2.0]}, "replications": 1e3, "seed": 5.0})
+        assert (cfg.trees, cfg.replications, cfg.seed) == (((2,),), 1000, 5)
+        assert type(cfg.replications) is int and type(cfg.trees[0][0]) is int
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +167,11 @@ class TestSimConfig:
         {"tree": 5}, {"tree": []}, {"tree": {"branching": 5}}, {"forest": [5]},
         {"root_levels": 5}, {"allocation": {"kind": "weighted", "weights": 5}},
         {"alpha": [0.1]}, {"seed": None},
+        # each was read as another number, or a string as a number
+        {"tree": {"branching": [2.7]}}, {"tree": {"branching": [True]}},
+        {"replications": 1000.9}, {"seed": 1.5}, {"alpha": "0.05"},
+        {"tree": {"branching": [2]}, "truth": {"kind": "explicit", "values": [0, 0.5, 0]}},
+        {"truth": {"kind": "random", "density": "0.5"}}, {"root_levels": [True]},
     ])
     def test_value_of_wrong_json_type(self, doc):
         with pytest.raises(ValueError, match="malformed"):
@@ -374,6 +407,38 @@ class TestLayeredAggregates:
     def test_leaf_counts(self, trees):
         inst = _Instance(SimConfig(trees=trees, replications=1))
         assert inst.leaf_counts.tolist() == reference_leaf_counts(self.forest_parents(trees))
+
+    @pytest.mark.parametrize("branching, leaf_truth", [
+        ((2, 2), [1, 1, 0, 1]), ((3, 2), [1, 1, 0, 1, 1, 0]),
+    ])
+    def test_explicit_truth_under_nested_means(self, branching, leaf_truth):
+        # every internal value contradicts its leaves: internal truth must be
+        # derived from the leaves, and errors counted against the derived truth
+        tree = build_complete_tree(branching)
+        values = np.ones(tree.n_vertices, dtype=bool)
+        values[tree.leaves] = leaf_truth
+        want = reference_internal_truth(tree.parent.tolist(), values[None])[0]
+        inner = tree.child_counts > 0
+        values[inner] = ~want[inner]
+        cfg = SimConfig(
+            trees=(branching,), alpha=0.2, dependence="nested_means", effect=3.0,
+            truth="explicit", truth_values=tuple(values.astype(int).tolist()),
+            replications=200, seed=9,
+        )
+        inst = _Instance(cfg)
+        assert np.array_equal(inst.fixed_truth, want)
+        scores, truth, shared = inst.draw_block(0, 200, sort_leaves=True)
+        assert truth is None
+        for proc in PROCEDURES:
+            ids = inst.scope[proc]
+            rejected = inst.run_procedure(proc, scores, shared)
+            reports = [error_report(rejected[:, i], want[ids]) for i in range(200)]
+            got = inst.accumulate(proc, rejected, None)
+            false_rejections = sum(r.false_rejections for r in reports)
+            assert got["any_false"] == sum(r.any_false for r in reports), proc
+            assert got["pcer_sum"] * ids.size == pytest.approx(false_rejections), proc
+            assert got["fdp_sum"] == pytest.approx(sum(r.fdp for r in reports)), proc
+            assert got["power_sum"] == pytest.approx(sum(r.power for r in reports)), proc
 
     @pytest.mark.parametrize("trees", FORESTS)
     def test_internal_truth(self, trees):

@@ -457,6 +457,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed"):
             allocation_from_doc({"depth": 1})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object"),
+        ({"depth": 1, "branching": [2.9], "allocation": [0.05, 0.025, 0.025]}, "integer, got 2.9"),
+        ({"depth": True, "branching": [2], "allocation": [0.05, 0.025, 0.025]}, "number, got True"),
+        ({"depth": 1, "branching": [2], "allocation": [0.05, "0.025", 0.025]}, "got '0.025'"),
+    ])
+    def test_numbers_read_as_written(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            allocation_from_doc(doc)
+
+    def test_alpha_root_must_match(self):
+        doc = allocation_doc(build_complete_tree([2]), [0.05, 0.025, 0.025])
+        assert allocation_from_doc({**doc, "alpha_root": 0.05})[1].root_level == 0.05
+        with pytest.raises(ValueError, match="alpha_root disagrees"):
+            allocation_from_doc({**doc, "alpha_root": 0.1})
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="levels"):
             allocation_from_doc({"depth": 1, "branching": [2], "allocation": [0.05]})

@@ -42,6 +42,13 @@ class TestHaarTransform:
             x = rng.standard_normal(n)
             assert np.abs(haar_inverse(haar_forward(x)) - x).max() <= 1e-10
 
+    def test_inverse_of_plain_array(self):
+        rng = np.random.default_rng(3)
+        for x in (rng.standard_normal(64), rng.standard_normal((3, 16))):
+            tree = haar_forward(x)
+            assert np.array_equal(haar_inverse(tree.coeffs), haar_inverse(tree))
+            assert np.abs(haar_inverse(tree.coeffs) - x).max() <= 1e-10
+
     def test_energy_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(1024) * 7.0
