@@ -8,18 +8,19 @@ own level, the probability of any false rejection is bounded by the root
 level, regardless of how the test statistics depend on each other.
 
 Submodules: ``trees`` (structures and level budgets), ``procedures`` (the
-descent and flat baselines), ``gaussian`` (test kernels), ``simulate``
-(Monte Carlo and exhaustive verification), ``wavelet`` (coefficient
-thresholding), ``localize`` (time-interval localization), ``cli``.
+descent and flat baselines), ``gaussian`` (the two-sided z-test kernels),
+``simulate`` (Monte Carlo and exhaustive verification), ``wavelet``
+(coefficient thresholding), ``localize`` (time-interval localization),
+``cli``.  Every name exported here is used by the command line, the demos,
+the benchmark or the acceptance tests, except the scalar flat baselines and
+``allocation_doc``.
 """
 
 from .gaussian import (
-    GaussianTestSpec,
     critical_z,
     std_normal_cdf,
     std_normal_quantile,
     two_sided_pvalue,
-    z_pvalue,
 )
 from .localize import (
     IntervalNode,
@@ -27,7 +28,6 @@ from .localize import (
     LocalizeResult,
     TrialMatrix,
     build_interval_tree,
-    interval_pvalue,
     interval_pvalues,
     localize,
 )
@@ -59,7 +59,6 @@ from .simulate import (
 from .trees import (
     LEVEL_SUM_TOL,
     AlphaAllocation,
-    Forest,
     TestTree,
     allocation_doc,
     allocation_from_doc,
@@ -67,18 +66,13 @@ from .trees import (
     build_complete_tree,
     first_true_vertices,
     level_budget_violations,
-    subtree_alpha_sum,
-    subtree_vertices,
-    uniform_forest,
     uniform_levels,
     weighted_levels,
 )
 from .wavelet import (
     DenoiseResult,
     WaveletTree,
-    coefficient_pvalues,
     denoise,
-    descend_threshold,
     estimate_sigma,
     haar_forward,
     haar_inverse,

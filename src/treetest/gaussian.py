@@ -1,55 +1,30 @@
-"""Scalar Gaussian test kernels: normal CDF, quantile, z-test p-values.
+"""Gaussian test kernels: normal CDF, quantile, two-sided z-test p-values.
 
-Every p-value in this package comes from a Gaussian mean test with known
-noise scale, so under a true null the p-values are exactly uniform and the
-familywise-error simulations are sharp.  The CDF and quantile are contract-
-accurate wrappers (absolute CDF error below 1e-12, quantile round-trip below
-1e-8 on |x| <= 6); the test suite checks them against an independent
-high-precision series.
+Every p-value in this package is the two-sided p-value of a z-score from a
+Gaussian mean test with known noise scale, so under a true null the
+p-values are exactly uniform and the familywise-error simulations are
+sharp.  The CDF and quantile are contract-accurate wrappers (absolute CDF
+error below 1e-12, quantile round-trip below 1e-8 on |x| <= 6); the test
+suite checks them against an independent high-precision series.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "GaussianTestSpec",
     "std_normal_cdf",
     "std_normal_quantile",
-    "z_pvalue",
     "critical_z",
     "two_sided_pvalue",
 ]
-
-_SIDES = ("two_sided", "one_sided_greater")
 
 
 def _check_sigma(sigma: float) -> None:
     """A known noise scale must be positive and finite."""
     if not 0.0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
-
-
-@dataclass(frozen=True)
-class GaussianTestSpec:
-    """Mean test against ``mu0`` with known scale and effective sample size."""
-
-    mu0: float = 0.0
-    sigma: float = 1.0
-    n_eff: float = 1.0
-    sided: str = "two_sided"
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
-        _check_sigma(self.sigma)
-        if not 1.0 <= self.n_eff < np.inf:
-            raise ValueError("n_eff must be finite and at least 1")
-        if self.sided not in _SIDES:
-            raise ValueError(f"sided must be one of {_SIDES}")
 
 
 def std_normal_cdf(x):
@@ -77,31 +52,9 @@ def two_sided_pvalue(z):
     return float(out) if out.ndim == 0 else out
 
 
-def z_pvalue(sample_mean, spec: GaussianTestSpec = GaussianTestSpec()):
-    """p-value of the Gaussian mean test for an observed sample mean.
-
-    The z-score is ``(sample_mean - mu0) * sqrt(n_eff) / sigma``; two-sided
-    tests return ``2 (1 - Phi(|z|))``, one-sided ``1 - Phi(z)``.  Exactly
-    uniform under the null for exact Gaussian inputs.
-    """
-    mean = np.asarray(sample_mean, dtype=np.float64)
-    z = (mean - spec.mu0) * np.sqrt(spec.n_eff) / spec.sigma
-    if spec.sided == "two_sided":
-        return two_sided_pvalue(z)
-    out = special.ndtr(-z)
-    return float(out) if out.ndim == 0 else out
-
-
-def critical_z(level: float, sided: str = "two_sided") -> float:
-    """z-score threshold equivalent to rejecting at ``p <= level``.
-
-    Two-sided: ``|z| >= critical_z(level)`` matches ``p <= level``;
-    one-sided uses the upper tail.  Strictly decreasing in ``level``.
-    """
+def critical_z(level: float) -> float:
+    """Two-sided z-score threshold: ``|z| >= critical_z(level)`` matches
+    ``two_sided_pvalue(z) <= level``.  Strictly decreasing in ``level``."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
-    if sided not in _SIDES:
-        raise ValueError(f"sided must be one of {_SIDES}")
-    if sided == "two_sided":
-        return float(-special.ndtri(level / 2.0))
-    return float(-special.ndtri(level))
+    return float(-special.ndtri(level / 2.0))

@@ -26,7 +26,6 @@ __all__ = [
     "IntervalNode",
     "IntervalTree",
     "build_interval_tree",
-    "interval_pvalue",
     "interval_pvalues",
     "LocalizeResult",
     "localize",
@@ -136,22 +135,9 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     return IntervalTree(tree, starts, ends)
 
 
-def interval_pvalue(trials: TrialMatrix, node: IntervalNode) -> float:
-    """Two-sided z-test of zero grand mean over one interval.
-
-    Pools all trials and samples in the interval: with R trials and width
-    w the effective sample size is R*w and the z-score is
-    ``sum / (sigma * sqrt(R*w))``.
-    """
-    if not 0 <= node.start < node.end <= trials.n_times:
-        raise ValueError(f"interval [{node.start}, {node.end}) is empty or out of range")
-    total = float(trials.data[:, node.start : node.end].sum())
-    n_eff = trials.n_trials * node.width
-    return two_sided_pvalue(total / (trials.sigma * np.sqrt(n_eff)))
-
-
 def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
-    """p-values of every interval node, via prefix sums over time."""
+    """Two-sided z-test of zero grand mean per interval node, pooling all
+    trials: ``z = sum / (sigma * sqrt(R*w))`` over R trials and width w."""
     prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
     starts, ends = itree.starts, itree.ends
     totals = prefix[ends] - prefix[starts]

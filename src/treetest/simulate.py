@@ -87,6 +87,9 @@ _DEPENDENCE = ("independent", "nested_means")
 _SCALARS = {"alpha": False, "effect": False, "dependence": None,
             "replications": True, "seed": True, "block_size": True}
 
+# The field each config-section kind writes besides "kind"; others are refused.
+_SECTION_FIELDS = {"weighted": ("weights",), "random": ("density",), "explicit": ("values",)}
+
 # Largest Minkowski product the attainable-sum audit materializes.
 _COMBINE_LIMIT = 4_000_000
 
@@ -148,14 +151,17 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("at least one tree is required")
+        trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
+        object.__setattr__(self, "trees", trees)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.truth not in _TRUTH_KINDS:
             raise ValueError(f"truth must be one of {_TRUTH_KINDS}")
-        if self.truth == "explicit" and self.truth_values is None:
-            raise ValueError("explicit truth requires truth_values")
+        if (self.truth == "explicit") != (self.truth_values is not None):
+            raise ValueError("explicit truth requires truth_values" if self.truth_values is None
+                             else "truth_values require truth 'explicit'")
         if self.truth_values is not None:
-            n = sum(sum(math.prod(b[:d]) for d in range(len(b) + 1)) for b in self.trees)
+            n = sum(sum(math.prod(b[:d]) for d in range(len(b) + 1)) for b in trees)
             if len(self.truth_values) != n:
                 raise ValueError(f"truth_values needs {n} entries, one per vertex")
             if not set(self.truth_values) <= {0, 1}:
@@ -244,13 +250,18 @@ class SimConfig:
 
 def _section(doc: Mapping, key: str, default: str) -> tuple[str, Mapping]:
     """``(kind, fields)`` of a config section given as a kind string or as
-    an object ``{"kind": ..., field: ...}``."""
+    an object ``{"kind": ..., field: ...}`` holding only the fields that
+    kind's ``to_doc`` writes."""
     section = doc.get(key, default)
     if isinstance(section, str):
         return section, {}
     if not isinstance(section, Mapping):
         raise ValueError(f"{key} must be a string or an object")
-    return str(section.get("kind", default)), section
+    kind = str(section.get("kind", default))
+    extra = set(section) - {"kind", *_SECTION_FIELDS.get(kind, ())}
+    if extra:
+        raise ValueError(f"{key} {kind!r} takes no {sorted(extra)}")
+    return kind, section
 
 
 def _branching(entry, where: str) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Rooted complete trees, forests, and per-vertex test-level budgets.
+"""Rooted complete trees and per-vertex test-level budgets.
 
 The procedures in this package walk a rooted tree top-down, testing one null
 hypothesis per vertex.  Validity of the walk rests on a single structural
@@ -8,11 +8,12 @@ Bonferroni budget).  Under that budget the root level bounds the familywise
 error of the whole walk, whatever the joint distribution of the test
 statistics.
 
-This module provides the tree and forest containers, level allocations that
-satisfy the budget by construction, and the combinatorial helpers the
-verification engine is built on: ancestor paths, the set of vertices whose
-null is true while every ancestor's null is false (``first_true_vertices``),
-and level sums over that set restricted to subtrees.
+This module provides the tree container, level allocations that satisfy the
+budget by construction, and the combinatorial helpers the verification
+engine is built on: ancestor paths, the set of vertices whose null is true
+while every ancestor's null is false (``first_true_vertices``), and level
+sums over that set restricted to subtrees (read through
+``simulate.audit_subtree_sums``).
 
 Vertices are dense integers.  Ids are assigned breadth-first by the
 constructors, and every parent id is smaller than its children's ids; trees
@@ -45,17 +46,13 @@ import numpy as np
 __all__ = [
     "LEVEL_SUM_TOL",
     "TestTree",
-    "Forest",
     "AlphaAllocation",
     "build_complete_tree",
     "uniform_levels",
     "weighted_levels",
-    "uniform_forest",
     "level_budget_violations",
     "ancestors",
     "first_true_vertices",
-    "subtree_vertices",
-    "subtree_alpha_sum",
     "allocation_doc",
     "allocation_from_doc",
     "as_levels",
@@ -66,8 +63,8 @@ __all__ = [
 # level; absorbs binary-float division residue of the constructors.
 LEVEL_SUM_TOL = 1e-12
 
-# Refuse to build trees above this vertex count unless the caller raises it.
-DEFAULT_MAX_VERTICES = 10**7
+# ``build_complete_tree`` refuses trees above this vertex count.
+MAX_VERTICES = 10**7
 
 # A set of vertex ids: a contiguous slice or an index array.
 Index = Union[slice, np.ndarray]
@@ -163,9 +160,6 @@ class TestTree:
         """Ordered child ids of vertex ``v`` (empty for leaves); a read-only view."""
         return self._kids[self._kid_start[v] : self._kid_start[v + 1]]
 
-    def is_leaf(self, v: int) -> bool:
-        return bool(self.child_counts[v] == 0)
-
     @property
     def leaves(self) -> np.ndarray:
         out = np.nonzero(self.child_counts == 0)[0]
@@ -241,12 +235,7 @@ class TestTree:
         return tuple(branching.tolist())
 
 
-def build_complete_tree(
-    branching: Sequence[int],
-    depth: Optional[int] = None,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> TestTree:
+def build_complete_tree(branching: Sequence[int], depth: Optional[int] = None) -> TestTree:
     """Build the complete tree in which every depth-``l`` vertex has
     ``branching[l]`` children.
 
@@ -257,10 +246,11 @@ def build_complete_tree(
         empty sequence gives the single-vertex tree.
     depth : int, optional
         Expected depth; must equal ``len(branching)`` when given.
-    max_vertices : int
-        Construction is refused above this vertex count.
+
+    Construction is refused above ``MAX_VERTICES`` vertices, before any
+    array is allocated.
     """
-    branching = tuple(int(b) for b in branching)
+    branching = tuple(_number(b, "branching", True) for b in branching)
     if depth is None:
         depth = len(branching)
     if depth != len(branching):
@@ -273,8 +263,8 @@ def build_complete_tree(
     for b in branching:
         width *= b
         total += width
-        if total > max_vertices:
-            raise ValueError(f"tree would exceed {max_vertices} vertices")
+        if total > MAX_VERTICES:
+            raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
 
     # vertex i of layer d + 1 is child i // b of layer d
     b = np.asarray(branching, dtype=np.int64)
@@ -460,46 +450,6 @@ def level_budget_violations(tree: TestTree, alloc: LevelsLike) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forests
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Forest:
-    """A collection of rooted trees tested side by side.
-
-    The trees may have different depths.  Each tree is entered at its own
-    root level, and the root levels must sum to at most the global level so
-    that the familywise guarantee carries over by a union bound across
-    roots.
-    """
-
-    trees: tuple[TestTree, ...]
-    root_levels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.trees) == 0:
-            raise ValueError("forest needs at least one tree")
-        if len(self.trees) != len(self.root_levels):
-            raise ValueError("one root level per tree is required")
-        if any(not 0.0 < a <= 1.0 for a in self.root_levels):
-            raise ValueError("root levels must lie in (0, 1]")
-
-    def check_budget(self, alpha: float) -> None:
-        if sum(self.root_levels) > alpha + LEVEL_SUM_TOL:
-            raise ValueError("forest root levels exceed the global level")
-
-
-def uniform_forest(trees: Sequence[TestTree], alpha: float) -> Forest:
-    """Forest splitting the global level equally across the given trees."""
-    trees = tuple(trees)
-    if not trees:
-        raise ValueError("forest needs at least one tree")
-    share = alpha / len(trees)
-    return Forest(trees, tuple(share for _ in trees))
-
-
-# ---------------------------------------------------------------------------
 # Combinatorial helpers used by the verification engine
 # ---------------------------------------------------------------------------
 
@@ -539,29 +489,6 @@ def _subtree_sums(tree: TestTree, levels: np.ndarray, truth: np.ndarray) -> np.n
     """Per vertex, the level sum over the first-true vertices of its subtree;
     first-true is tree-wide, as in ``first_true_vertices``, so 0 below a true vertex."""
     return _fold_up(tree, np.where(_first_true(tree, truth.astype(bool)), levels, 0.0), np.add)
-
-
-def subtree_vertices(tree: TestTree, root: int) -> np.ndarray:
-    """All vertices of the complete subtree hanging from ``root`` (inclusive)."""
-    tree._check_vertex(root)
-    return np.flatnonzero(~_descent(tree, np.arange(tree.n_vertices) != root))
-
-
-def subtree_alpha_sum(
-    tree: TestTree,
-    alloc: LevelsLike,
-    truth: Union[Sequence[int], np.ndarray, Mapping[int, int]],
-    subtree_root: int,
-) -> float:
-    """Total level attached to first-true vertices inside one subtree.
-
-    The descent procedures' validity rests on this sum never exceeding the
-    subtree root's own level; the verification engine checks that bound
-    exhaustively on small trees.
-    """
-    levels, t = as_levels(alloc, tree.n_vertices), as_truth(tree, truth)
-    tree._check_vertex(subtree_root)
-    return float(_subtree_sums(tree, levels, t)[int(subtree_root)])
 
 
 # ---------------------------------------------------------------------------

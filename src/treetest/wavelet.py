@@ -33,10 +33,8 @@ __all__ = [
     "WaveletTree",
     "haar_forward",
     "haar_inverse",
-    "coefficient_pvalues",
     "level_thresholds",
     "keep_mask",
-    "descend_threshold",
     "estimate_sigma",
     "DenoiseResult",
     "denoise",
@@ -119,20 +117,6 @@ def haar_inverse(tree: Union[WaveletTree, np.ndarray]) -> np.ndarray:
     return s
 
 
-def coefficient_pvalues(tree: WaveletTree, sigma: float) -> np.ndarray:
-    """Two-sided p-values for "this coefficient is zero", per coefficient.
-
-    With i.i.d. Gaussian signal noise of scale ``sigma`` each empirical
-    coefficient is Gaussian around its true value with the same scale, so
-    ``p = 2(1 - Phi(|w|/sigma))``.  The two coarse entries are exempt from
-    testing and reported as NaN.
-    """
-    _check_sigma(sigma)
-    p = two_sided_pvalue(tree.coeffs / sigma)
-    p[..., :2] = np.nan
-    return p
-
-
 def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     """Implied absolute thresholds per detail level ``j = 1..J``.
 
@@ -182,14 +166,6 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
         rows = np.repeat(rows, 2)
         ks = (2 * ks[:, None] + (0, 1)).ravel()
     return mask.reshape(tree.coeffs.shape)
-
-
-def descend_threshold(
-    tree: WaveletTree, alpha: float, sigma: float, *, force_levels: int = 0
-) -> WaveletTree:
-    """Zero every tested coefficient whose null survives the descent."""
-    mask = keep_mask(tree, alpha, sigma, force_levels=force_levels)
-    return WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, sigma)
 
 
 def estimate_sigma(tree: WaveletTree) -> float:

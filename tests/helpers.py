@@ -5,9 +5,11 @@ paths; that independence is the point.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from treetest import Forest, TestTree, build_complete_tree
+from treetest import TestTree, build_complete_tree
 
 
 def children_from_parents(parents) -> list[list[int]]:
@@ -234,6 +236,14 @@ def reference_subtree_sums(parents, levels, truth, tol: float):
     return sums, bad
 
 
+def reference_interval_pvalue(data, sigma: float, start: int, end: int) -> float:
+    """Two-sided z-test of zero grand mean over samples ``[start, end)`` of
+    every trial, summed directly: ``z = sum / (sigma * sqrt(trials * width))``."""
+    block = np.asarray(data)[:, start:end]
+    z = float(block.sum()) / (sigma * math.sqrt(block.size))
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
 def reference_interval_spans(n_times: int, depth: int, arity: int) -> list[tuple[int, int]]:
     """Breadth-first (start, end) spans of the recursive near-equal split,
     the leftmost parts taking the remainder."""
@@ -304,13 +314,14 @@ def reference_internal_truth(parents, truth) -> np.ndarray:
     return out
 
 
-def coefficient_forest(J: int, alpha: float) -> tuple[Forest, list[np.ndarray]]:
+def coefficient_forest(J: int, alpha: float):
     """The tested coefficients arranged as two complete binary test trees.
 
-    Returns the forest (each root carrying half of ``alpha``) plus, per
-    tree, the flat coefficient index of every tree vertex in breadth-first
-    order.  The reference that the vectorized ``keep_mask`` is
-    cross-checked against through the generic tree descent.
+    Returns the forest as a ``(trees, root_levels)`` pair, each root
+    carrying half of ``alpha``, plus, per tree, the flat coefficient index
+    of every tree vertex in breadth-first order.  The reference that the
+    vectorized ``keep_mask`` is cross-checked against through the generic
+    tree descent.
     """
     if J < 1:
         raise ValueError("need J >= 1 (signal length >= 4)")
@@ -324,7 +335,7 @@ def coefficient_forest(J: int, alpha: float) -> tuple[Forest, list[np.ndarray]]:
         pos = 2 * width + t * width + np.arange(tree.n_vertices) - (width - 1)
         trees.append(tree)
         positions.append(pos)
-    return Forest(tuple(trees), (alpha / 2.0, alpha / 2.0)), positions
+    return (tuple(trees), (alpha / 2.0, alpha / 2.0)), positions
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,12 @@ class TestMalformedInputs:
         "seed-negative": ("simulate", {**SIM_CONFIG, "seed": -1}),
         "truth-0.5": ("simulate", {**SIM_CONFIG, "truth": EXPLICIT}),  # read as a false null
         "truth-length": ("simulate", {**SIM_CONFIG, "truth": {**EXPLICIT, "values": [0, 1]}}),
+        # read, then dropped from the report's config
+        "truth-random-values": ("simulate", {**SIM_CONFIG, "truth": {"kind": "random", "values": [1]}}),
+        "truth-explicit-density": (
+            "simulate", {**SIM_CONFIG, "truth": {"kind": "explicit", "values": [0] * 7, "density": 0.5}}
+        ),
+        "truth-global-density": ("simulate", {**SIM_CONFIG, "truth": {"density": 0.3}}),
         "alpha-string": ("simulate", {**SIM_CONFIG, "alpha": "0.05"}),
         "compare-alpha-string": ("compare", {**SIM_CONFIG, "alpha": "0.05"}),
         "allocation-branching-2.9": ("validate-lb", {**ALLOCATION, "branching": [2.9]}),

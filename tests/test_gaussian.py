@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from treetest import (
-    GaussianTestSpec,
-    critical_z,
-    std_normal_cdf,
-    std_normal_quantile,
-    two_sided_pvalue,
-    z_pvalue,
-)
+from treetest import critical_z, std_normal_cdf, std_normal_quantile, two_sided_pvalue
 
 from helpers import normal_cdf_oracle
 
@@ -62,47 +55,23 @@ class TestQuantile:
 
 
 class TestZPvalue:
+    """``two_sided_pvalue``, the p-value of every z-test in the package."""
+
     def test_mean_at_null_gives_one(self):
-        assert z_pvalue(0.0, GaussianTestSpec()) == 1.0
+        assert two_sided_pvalue(0.0) == 1.0
 
     def test_reference_z(self):
-        spec = GaussianTestSpec()
-        assert z_pvalue(1.959964, spec) == pytest.approx(0.05, abs=1e-6)
+        assert two_sided_pvalue(1.959964) == pytest.approx(0.05, abs=1e-6)
+        assert two_sided_pvalue(-1.959964) == two_sided_pvalue(1.959964)
 
     def test_large_sigma_limit(self):
-        spec = GaussianTestSpec(sigma=1e6)
-        assert z_pvalue(1.0, spec) > 0.999
-
-    def test_one_sided(self):
-        spec = GaussianTestSpec(sided="one_sided_greater")
-        assert z_pvalue(1.644854, spec) == pytest.approx(0.05, abs=1e-6)
-        assert z_pvalue(-3.0, spec) > 0.99
-
-    def test_effective_sample_size(self):
-        spec = GaussianTestSpec(n_eff=4.0)
-        assert z_pvalue(0.5, spec) == pytest.approx(two_sided_pvalue(1.0), abs=1e-15)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            GaussianTestSpec(sigma=0.0)
-        with pytest.raises(ValueError, match="n_eff"):
-            GaussianTestSpec(n_eff=0.5)
-        with pytest.raises(ValueError, match="sided"):
-            GaussianTestSpec(sided="both")
-
-    @pytest.mark.parametrize("field, value", [
-        ("sigma", np.inf), ("sigma", np.nan), ("n_eff", np.inf), ("n_eff", np.nan),
-        ("mu0", np.nan), ("mu0", np.inf),
-    ])
-    def test_spec_rejects_non_finite(self, field, value):
-        # sigma=inf gave p = 1.0, n_eff=inf or mu0=nan gave NaN p-values
-        with pytest.raises(ValueError, match=field):
-            GaussianTestSpec(**{field: value})
+        # a mean of 1 under a scale of 1e6 is a z-score of 1e-6
+        assert two_sided_pvalue(1.0 / 1e6) > 0.999
 
     def test_null_pvalues_uniform(self):
         # empirical CDF of a million null p-values within KS distance 0.002
         rng = np.random.default_rng(99)
-        p = np.sort(z_pvalue(rng.standard_normal(1_000_000), GaussianTestSpec()))
+        p = np.sort(two_sided_pvalue(rng.standard_normal(1_000_000)))
         grid = np.arange(1, p.size + 1) / p.size
         ks = max(np.max(np.abs(grid - p)), np.max(np.abs(p - (grid - 1.0 / p.size))))
         assert ks <= 0.002
@@ -111,9 +80,6 @@ class TestZPvalue:
 class TestCriticalZ:
     def test_two_sided_reference(self):
         assert critical_z(0.05) == pytest.approx(1.959964, abs=1e-5)
-
-    def test_one_sided_reference(self):
-        assert critical_z(0.05, "one_sided_greater") == pytest.approx(1.644854, abs=1e-5)
 
     def test_halving_raises_threshold(self):
         assert critical_z(0.025) > critical_z(0.05)
@@ -132,5 +98,3 @@ class TestCriticalZ:
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 critical_z(bad)
-        with pytest.raises(ValueError, match="sided"):
-            critical_z(0.05, "lower")

@@ -9,13 +9,12 @@ from treetest import (
     IntervalNode,
     TrialMatrix,
     build_interval_tree,
-    interval_pvalue,
     interval_pvalues,
     localize,
     monte_carlo_bound,
 )
 
-from helpers import children_from_parents, reference_interval_spans
+from helpers import children_from_parents, reference_interval_pvalue, reference_interval_spans
 
 
 @pytest.fixture
@@ -140,7 +139,7 @@ class TestIntervalPvalue:
     def test_all_zero_samples(self):
         trials = TrialMatrix(np.zeros((3, 8)))
         itree = build_interval_tree(8, 1, 2)
-        assert interval_pvalue(trials, itree.nodes[1]) == 1.0
+        assert interval_pvalues(trials, itree).tolist() == [1.0, 1.0, 1.0]
 
     def test_reference_shift(self):
         R, width = 4, 8
@@ -148,16 +147,15 @@ class TestIntervalPvalue:
         data = np.full((R, 16), 0.0)
         data[:, :width] = mean
         trials = TrialMatrix(data, sigma=1.0)
-        node = build_interval_tree(16, 1, 2).nodes[1]
-        assert interval_pvalue(trials, node) == pytest.approx(0.05, abs=1e-6)
+        p = interval_pvalues(trials, build_interval_tree(16, 1, 2))
+        assert p[1] == pytest.approx(0.05, abs=1e-6)
 
     def test_uniform_under_noise(self):
         rng = np.random.default_rng(0)
         itree = build_interval_tree(32, 2, 2)
-        node = itree.nodes[3]
         p = np.array(
             [
-                interval_pvalue(TrialMatrix(rng.standard_normal((5, 32))), node)
+                interval_pvalues(TrialMatrix(rng.standard_normal((5, 32))), itree)[3]
                 for _ in range(3000)
             ]
         )
@@ -166,22 +164,14 @@ class TestIntervalPvalue:
         ks = max(np.max(np.abs(grid - p)), np.max(np.abs(p - (grid - 1.0 / p.size))))
         assert ks <= 0.04
 
-    def test_out_of_range_interval(self):
-        from treetest import IntervalNode
-
-        trials = TrialMatrix(np.zeros((2, 8)))
-        with pytest.raises(ValueError, match="out of range"):
-            interval_pvalue(trials, IntervalNode(0, 4, 12, 0))
-        with pytest.raises(ValueError, match="empty"):
-            interval_pvalue(trials, IntervalNode(0, 4, 4, 0))
-
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         trials = TrialMatrix(rng.standard_normal((6, 27)))
         itree = build_interval_tree(27, 2, 3)
         vec = interval_pvalues(trials, itree)
         for nd in itree.nodes:
-            assert vec[nd.vertex] == pytest.approx(interval_pvalue(trials, nd), abs=1e-12)
+            want = reference_interval_pvalue(trials.data, trials.sigma, nd.start, nd.end)
+            assert vec[nd.vertex] == pytest.approx(want, abs=1e-12)
 
 
 class TestLocalize:

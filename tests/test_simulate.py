@@ -32,6 +32,7 @@ from treetest.simulate import (
     _Instance,
     _literal_sums_check,
 )
+from treetest.trees import _subtree_sums
 
 from helpers import (
     children_from_parents,
@@ -80,6 +81,36 @@ class TestSimConfig:
         assert cfg.to_doc()["root_levels"] == [0.01, 0.04]
         assert SimConfig.from_doc(cfg.to_doc()) == cfg
 
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(),
+        SimConfig(trees=((2, 2),), truth="random", truth_density=0.3, effect=1.5),
+        SimConfig(trees=((2,),), truth="explicit", truth_values=(0, 1, 0), dependence="nested_means"),
+        SimConfig(trees=((3,),), allocation="weighted", weights=(1.0, 1.0, 2.0, 0.5),
+                  truth="random", dependence="nested_means"),
+        SimConfig(trees=((2, 2), (3,), ()), truth="explicit", truth_values=(0,) * 12,
+                  dependence="nested_means"),
+        SimConfig(trees=((2.0, 3),), alpha=0.1, replications=7, seed=0, block_size=3),
+    ])
+    def test_every_accepted_config_round_trips(self, cfg):
+        # a report's config must re-run from its own document
+        assert SimConfig.from_doc(json.loads(json.dumps(cfg.to_doc()))) == cfg
+
+    def test_branching_read_by_the_number_rule(self):
+        with pytest.raises(TypeError, match="integer, got 2.7"):
+            SimConfig(trees=((2.7,),))
+        assert SimConfig(trees=((2.0,),)).to_doc()["tree"] == {"branching": [2]}
+
+    @pytest.mark.parametrize("truth", [
+        {"kind": "random", "density": 0.5, "values": [0, 1, 0]},
+        {"kind": "explicit", "values": [0, 1, 0], "density": 0.5},
+        {"kind": "global_null", "density": 0.3},
+        {"density": 0.3},
+    ])
+    def test_truth_fields_of_another_kind_refused(self, truth):
+        # read, then dropped from to_doc and so from every report's config
+        with pytest.raises(ValueError, match="takes no"):
+            SimConfig.from_doc({"tree": {"branching": [2]}, "truth": truth})
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"trees": ()}, "at least one tree"),
         ({"truth": "mixed"}, "truth must be one of"),
@@ -92,6 +123,8 @@ class TestSimConfig:
         ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 2, 0)}, "0 or 1"),
         ({"trees": ((2,), (1,)), "truth": "explicit", "truth_values": (0, 1, 0)},
          "truth_values needs 5 entries"),
+        ({"trees": ((2,),), "truth": "random", "truth_values": (0, 1, 0)},
+         "truth_values require truth 'explicit'"),
     ])
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -256,6 +289,8 @@ class TestSimulate:
         rep = simulate(cfg)
         assert rep.fwer_hat <= monte_carlo_bound(0.05, cfg.replications)
         assert rep.rejection_counts.size == 7 + 4
+        # without root_levels each root gets an equal share of alpha
+        assert [levels[0] for levels in _Instance(cfg).levels] == [0.025, 0.025]
 
     def test_effect_increases_power(self):
         base = dict(trees=((2, 2),), truth="explicit",
@@ -936,10 +971,8 @@ class TestAuditSubtreeSums:
     def test_leaf_subtree_two_cases(self):
         tree = build_complete_tree([2])
         alloc = uniform_levels(tree, 0.05)
-        from treetest import subtree_alpha_sum
-
-        assert subtree_alpha_sum(tree, alloc, [0, 0, 0], 1) == 0.0
-        assert subtree_alpha_sum(tree, alloc, [0, 1, 0], 1) == pytest.approx(0.025)
+        assert _subtree_sums(tree, alloc.levels, np.array([0, 0, 0]))[1] == 0.0
+        assert _subtree_sums(tree, alloc.levels, np.array([0, 1, 0]))[1] == pytest.approx(0.025)
 
     def test_hand_worked_case(self):
         tree = build_complete_tree([2, 2])
@@ -962,7 +995,7 @@ class TestAuditSubtreeSums:
         # half the allocations raise one level above the budget, so some
         # subtrees violate; the sums may differ from the reference's only
         # in summation order
-        from treetest import subtree_alpha_sum, weighted_levels
+        from treetest import weighted_levels
 
         rng = np.random.default_rng(23)
         gather = [t.parent.tolist() for t in gather_layer_trees()]
@@ -983,7 +1016,6 @@ class TestAuditSubtreeSums:
             for (_, got, level), (_, want, ref_level) in zip(audit.violations, bad):
                 assert abs(got - want) <= 1e-15 and level == ref_level
             assert abs(audit.max_sum - max(sums)) <= 1e-15
-            per_vertex = [subtree_alpha_sum(tree, levels, truth, v) for v in range(n)]
-            assert np.abs(np.subtract(per_vertex, sums)).max() <= 1e-15
+            assert np.abs(_subtree_sums(tree, levels, truth) - sums).max() <= 1e-15
             flagged += bool(bad)
         assert flagged >= 10

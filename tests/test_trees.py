@@ -8,7 +8,6 @@ import pytest
 from treetest import (
     LEVEL_SUM_TOL,
     AlphaAllocation,
-    Forest,
     TestTree,
     allocation_doc,
     allocation_from_doc,
@@ -16,13 +15,10 @@ from treetest import (
     build_complete_tree,
     first_true_vertices,
     level_budget_violations,
-    subtree_alpha_sum,
-    subtree_vertices,
-    uniform_forest,
     uniform_levels,
     weighted_levels,
 )
-from treetest.trees import as_levels
+from treetest.trees import _descent, _subtree_sums, as_levels
 
 from helpers import (
     children_from_parents,
@@ -62,7 +58,7 @@ class TestBuildCompleteTree:
         tree = build_complete_tree([], 0)
         assert tree.n_vertices == 1
         assert tree.depth == 0
-        assert tree.is_leaf(0)
+        assert tree.leaves.tolist() == [0]
 
     def test_mixed_branching(self):
         tree = build_complete_tree([3, 2])
@@ -75,13 +71,23 @@ class TestBuildCompleteTree:
         assert list(tree.children(2)) == [6, 7, 8]
         assert np.all(tree.depth_of == [0, 1, 1, 2, 2, 2, 2, 2, 2])
 
+    @pytest.mark.parametrize("branching", [[2.7], [True], ["2"]])
+    def test_branching_read_by_the_number_rule(self, branching):
+        # [2.7] built the binary tree
+        with pytest.raises(TypeError, match="branching"):
+            build_complete_tree(branching)
+
+    def test_integral_branching_types(self):
+        assert build_complete_tree(np.array([2, 3])).n_vertices == 9
+        assert build_complete_tree([2.0]).n_vertices == 3
+
     def test_zero_branching_rejected(self):
         with pytest.raises(ValueError, match="branching factors"):
             build_complete_tree([2, 0])
 
     def test_vertex_cap(self):
         with pytest.raises(ValueError, match="exceed"):
-            build_complete_tree([10] * 8, max_vertices=10**6)
+            build_complete_tree([10] * 8)
 
     def test_depth_mismatch(self):
         with pytest.raises(ValueError, match="depth"):
@@ -125,7 +131,6 @@ class TestLayeredStructure:
         assert tree.depth == max(depths)
         for v in range(len(parents)):
             assert tree.children(v).tolist() == kids[v]
-            assert tree.is_leaf(v) is (not kids[v])
         assert tree.leaves.tolist() == [v for v in range(len(parents)) if not kids[v]]
         by_depth: list[list[int]] = [[] for _ in range(max(depths) + 1)]
         for v, d in enumerate(depths):
@@ -358,31 +363,40 @@ class TestFirstTrueVertices:
                 assert not members.intersection(ancestors(tree, v).tolist())
 
 
+def subtree_sums(tree, alloc, truth) -> np.ndarray:
+    """Per vertex, the level sum over the first-true vertices of its subtree."""
+    return _subtree_sums(tree, alloc.levels, np.asarray(truth))
+
+
+def subtree_vertices(tree, root: int) -> list[int]:
+    """The descent pass from every vertex but ``root`` flagged: it clears
+    exactly the subtree hanging from ``root``."""
+    return np.flatnonzero(~_descent(tree, np.arange(tree.n_vertices) != root)).tolist()
+
+
 class TestSubtreeAlphaSum:
     def test_empty_intersection(self):
         tree = build_complete_tree([2, 2])
         alloc = uniform_levels(tree, 0.05)
-        assert subtree_alpha_sum(tree, alloc, np.zeros(7), 0) == 0.0
+        assert subtree_sums(tree, alloc, np.zeros(7)).tolist() == [0.0] * 7
 
     def test_true_subtree_root(self):
         tree = build_complete_tree([2, 2])
         alloc = uniform_levels(tree, 0.05)
         truth = [0, 1, 0, 0, 0, 0, 0]
-        assert subtree_alpha_sum(tree, alloc, truth, 1) == pytest.approx(0.025, abs=1e-15)
+        assert subtree_sums(tree, alloc, truth)[1] == pytest.approx(0.025, abs=1e-15)
 
     def test_hand_worked_case(self):
         tree = build_complete_tree([2, 2])
         alloc = uniform_levels(tree, 0.05)
         truth = [0, 1, 0, 0, 0, 1, 1]
-        total = subtree_alpha_sum(tree, alloc, truth, 0)
+        total = subtree_sums(tree, alloc, truth)[0]
         assert total == pytest.approx(0.025 + 0.0125 + 0.0125, abs=1e-15)
 
     def test_subtree_vertices(self):
         tree = build_complete_tree([2, 2])
-        assert subtree_vertices(tree, 2).tolist() == [2, 5, 6]
-        assert subtree_vertices(tree, 0).size == 7
-        with pytest.raises(ValueError, match="unknown vertex"):
-            subtree_vertices(tree, 7)
+        assert subtree_vertices(tree, 2) == [2, 5, 6]
+        assert len(subtree_vertices(tree, 0)) == 7
 
     def test_exhaustive_bound_small_trees(self):
         # every truth assignment of several small shapes stays within the
@@ -422,24 +436,7 @@ class TestDescentPassesMatchReference:
         for tree in self.trees():
             parents = tree.parent.tolist()
             for v in range(0, tree.n_vertices, max(1, tree.n_vertices // 12)):
-                assert subtree_vertices(tree, v).tolist() == reference_subtree_vertices(parents, v)
-
-
-class TestForest:
-    def test_uniform_split(self):
-        trees = [build_complete_tree([2]), build_complete_tree([3, 2])]
-        forest = uniform_forest(trees, 0.05)
-        assert forest.root_levels == (0.025, 0.025)
-        forest.check_budget(0.05)
-
-    def test_budget_enforced(self):
-        forest = Forest((build_complete_tree([2]),), (0.06,))
-        with pytest.raises(ValueError, match="exceed"):
-            forest.check_budget(0.05)
-
-    def test_needs_a_tree(self):
-        with pytest.raises(ValueError):
-            uniform_forest([], 0.05)
+                assert subtree_vertices(tree, v) == reference_subtree_vertices(parents, v)
 
 
 class TestSerialization:

@@ -6,17 +6,16 @@ from scipy import special
 
 from treetest import (
     WaveletTree,
-    coefficient_pvalues,
     critical_z,
     denoise,
     descend,
-    descend_threshold,
     estimate_sigma,
     haar_forward,
     haar_inverse,
     keep_mask,
     level_thresholds,
     monte_carlo_bound,
+    two_sided_pvalue,
     uniform_levels,
 )
 
@@ -91,36 +90,39 @@ class TestHaarTransform:
 
 
 class TestCoefficientPvalues:
+    """The coefficient tests of ``keep_mask``: a coefficient ``w`` is kept
+    at level ``a`` when ``two_sided_pvalue(w / sigma) <= a``."""
+
     def test_zero_coefficient(self):
-        tree = haar_forward(np.zeros(16))
-        p = coefficient_pvalues(tree, 1.0)
-        assert np.all(p[2:] == 1.0)
-        assert np.isnan(p[:2]).all()
+        # p = 1 everywhere, so nothing below the untested coarse block is kept
+        mask = keep_mask(haar_forward(np.zeros(16)), 0.999, 1.0)
+        assert mask.tolist() == [True, True] + [False] * 14
 
     def test_reference_magnitude(self):
+        # level 2 is tested at alpha / 4, so |w| / sigma = 1.959964 keeps a
+        # coefficient exactly when alpha / 4 clears p = 0.05
         coeffs = np.zeros(16)
-        coeffs[4] = 1.959964 * 2.0
-        p = coefficient_pvalues(WaveletTree(coeffs, 3), 2.0)
-        assert p[4] == pytest.approx(0.05, abs=1e-6)
+        coeffs[[2, 4]] = [100.0, 1.959964 * 2.0]
+        assert keep_mask(WaveletTree(coeffs, 3), 0.2 + 1e-5, 2.0)[4]
+        assert not keep_mask(WaveletTree(coeffs, 3), 0.2 - 1e-5, 2.0)[4]
 
     def test_uniform_under_noise(self):
         rng = np.random.default_rng(3)
         tree = haar_forward(rng.standard_normal(2**14) * 0.7)
-        p = np.sort(coefficient_pvalues(tree, 0.7)[2:])
+        p = np.sort(two_sided_pvalue(tree.coeffs[2:] / 0.7))
         grid = np.arange(1, p.size + 1) / p.size
         ks = max(np.max(np.abs(grid - p)), np.max(np.abs(p - (grid - 1.0 / p.size))))
         assert ks <= 0.02
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError, match="sigma"):
-            coefficient_pvalues(haar_forward(np.zeros(8)), 0.0)
+            keep_mask(haar_forward(np.zeros(8)), 0.05, 0.0)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan])
     def test_sigma_must_be_finite(self, sigma):
         # an infinite scale keeps nothing and writes Infinity thresholds
         wt = haar_forward(blocks_signal(64))
         for call in (
-            lambda: coefficient_pvalues(wt, sigma),
             lambda: level_thresholds(0.05, wt.J, sigma),
             lambda: keep_mask(wt, 0.05, sigma),
             lambda: denoise(blocks_signal(64), 0.05, sigma),
@@ -161,12 +163,12 @@ class TestKeepMask:
     def test_matches_generic_forest_descent(self):
         rng = np.random.default_rng(5)
         J, alpha, sigma = 4, 0.3, 1.0
-        forest, positions = coefficient_forest(J, alpha)
+        (trees, root_levels), positions = coefficient_forest(J, alpha)
         for _ in range(25):
             wt = WaveletTree(rng.standard_normal(2 ** (J + 1)) * 2.0, J)
             mask = keep_mask(wt, alpha, sigma)
-            pvals = coefficient_pvalues(wt, sigma)
-            for tree, pos, root_level in zip(forest.trees, positions, forest.root_levels):
+            pvals = two_sided_pvalue(wt.coeffs / sigma)
+            for tree, pos, root_level in zip(trees, positions, root_levels):
                 res = descend(tree, uniform_levels(tree, root_level), pvals[pos])
                 from_forest = np.zeros(tree.n_vertices, dtype=bool)
                 from_forest[sorted(res.rejected)] = True
@@ -175,8 +177,9 @@ class TestKeepMask:
     def test_output_energy_never_grows(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(128) * 2.0
-        out = descend_threshold(haar_forward(x), 0.1, 1.0)
-        assert (out.coeffs**2).sum() <= (x**2).sum() + 1e-9
+        tree = haar_forward(x)
+        kept = np.where(keep_mask(tree, 0.1, 1.0), tree.coeffs, 0.0)
+        assert (kept**2).sum() <= (x**2).sum() + 1e-9
 
     def test_mse_identity(self):
         # reconstruction error equals the energy of the dropped coefficients
@@ -184,7 +187,7 @@ class TestKeepMask:
         x = rng.standard_normal(256)
         tree = haar_forward(x)
         mask = keep_mask(tree, 0.1, 1.0)
-        out = haar_inverse(descend_threshold(tree, 0.1, 1.0))
+        out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J))
         dropped = (tree.coeffs[~mask] ** 2).sum()
         assert ((out - x) ** 2).sum() == pytest.approx(dropped, rel=1e-9, abs=1e-12)
 
@@ -420,10 +423,10 @@ class TestDenoise:
 
 class TestCoefficientForest:
     def test_structure(self):
-        forest, positions = coefficient_forest(4, 0.05)
-        assert len(forest.trees) == 2
-        assert forest.root_levels == (0.025, 0.025)
-        for tree, pos in zip(forest.trees, positions):
+        (trees, root_levels), positions = coefficient_forest(4, 0.05)
+        assert len(trees) == 2
+        assert root_levels == (0.025, 0.025)
+        for tree, pos in zip(trees, positions):
             assert tree.depth == 3
             assert pos.size == tree.n_vertices == 2**4 - 1
         # roots are the two level-1 coefficients
