@@ -137,7 +137,14 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
 
 def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
     """Two-sided z-test of zero grand mean per interval node, pooling all
-    trials: ``z = sum / (sigma * sqrt(R*w))`` over R trials and width w."""
+    trials: ``z = sum / (sigma * sqrt(R*w))`` over R trials and width w.
+
+    Raises ``ValueError`` unless ``itree`` spans exactly the trials' samples.
+    """
+    if itree.ends[0] != trials.n_times:
+        raise ValueError(
+            f"interval tree spans {int(itree.ends[0])} samples, trials have {trials.n_times}"
+        )
     prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
     starts, ends = itree.starts, itree.ends
     totals = prefix[ends] - prefix[starts]
@@ -196,7 +203,8 @@ def localize(
 
     Uses the uniform budget split over the subdivision tree.  ``maximal``
     holds the deepest rejected node of each search path (the localization
-    answer); ``frontier`` the intervals where the walk stopped.
+    answer); ``frontier`` the intervals where the walk stopped.  A prebuilt
+    ``itree`` must span exactly ``trials.n_times`` samples.
     """
     if itree is None:
         itree = build_interval_tree(trials.n_times, depth, arity)

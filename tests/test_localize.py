@@ -280,3 +280,19 @@ class TestLocalizePrebuilt:
             assert got.rejected == want.rejected and got.frontier == want.frontier
             assert np.array_equal(got.pvalues, want.pvalues)
             assert np.array_equal(got.levels, want.levels)
+
+    @pytest.mark.parametrize("span", [12, 4, 8])
+    def test_prebuilt_span_must_match_the_trials(self, span):
+        # a longer tree would index past the samples and a shorter one test
+        # only the first ones: both are refused, naming the two lengths
+        trials = TrialMatrix(np.ones((2, 8)))
+        itree = build_interval_tree(span, 2)
+        if span == trials.n_times:
+            want = localize(trials, 0.05, 2).to_doc()
+            assert localize(trials, 0.05, 2, itree=itree).to_doc() == want
+            return
+        message = f"interval tree spans {span} samples, trials have 8"
+        with pytest.raises(ValueError, match=message):
+            localize(trials, 0.05, 2, itree=itree)
+        with pytest.raises(ValueError, match=message):
+            interval_pvalues(trials, itree)

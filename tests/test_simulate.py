@@ -1,5 +1,6 @@
 """Monte Carlo engine and the exhaustive audits."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -95,6 +96,20 @@ class TestSimConfig:
         # a report's config must re-run from its own document
         assert SimConfig.from_doc(json.loads(json.dumps(cfg.to_doc()))) == cfg
 
+    @pytest.mark.parametrize("dependence", ["independent", "nested_means"])
+    @pytest.mark.parametrize("truth", [
+        {"truth": "global_null"},
+        {"truth": "explicit", "truth_values": (0, 1, 1)},
+        {"truth": "random"},
+        {"truth": "random", "truth_density": 0.3},
+    ])
+    def test_round_trip_per_truth_kind_and_dependence(self, truth, dependence):
+        # the density exists only under random truth, where it defaults to 0.5
+        cfg = SimConfig(trees=((2,),), dependence=dependence, **truth)
+        density = truth.get("truth_density", 0.5) if cfg.truth == "random" else None
+        assert cfg.truth_density == density
+        assert SimConfig.from_doc(json.loads(json.dumps(cfg.to_doc()))) == cfg
+
     def test_branching_read_by_the_number_rule(self):
         with pytest.raises(TypeError, match="integer, got 2.7"):
             SimConfig(trees=((2.7,),))
@@ -125,6 +140,9 @@ class TestSimConfig:
          "truth_values needs 5 entries"),
         ({"trees": ((2,),), "truth": "random", "truth_values": (0, 1, 0)},
          "truth_values require truth 'explicit'"),
+        ({"truth_density": 0.3}, "truth_density requires truth 'random'"),
+        ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 1, 0), "truth_density": 0.5},
+         "truth_density requires truth 'random'"),
     ])
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -831,6 +849,59 @@ class TestScoreCuts:
         assert bool(calls) == pvalue_score
 
 
+class TestScratch:
+    """Every block a worker draws goes into the same memory, and nothing a
+    report holds points into it."""
+
+    CONFIGS = [
+        SimConfig(trees=((2, 2, 2),), replications=300, block_size=128),
+        SimConfig(trees=((3, 2),), truth="random", effect=2.0, replications=300, block_size=128),
+        SimConfig(trees=((2,), (3, 2)), truth="random", effect=1.0, dependence="nested_means",
+                  replications=300, block_size=128),
+        SimConfig(trees=((2, 2),), truth="explicit", truth_values=(0, 1, 0, 1, 1, 0, 1),
+                  effect=1.5, dependence="nested_means", replications=300, block_size=128),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_blocks_of_one_worker_share_memory(self, cfg):
+        inst = _Instance(cfg)
+        scratch = inst.scratch(cfg.block_size)
+        first = inst.draw_block(0, 128, True, scratch)
+        kept = [None if a is None else a.copy() for a in first]
+        # the short last block takes views of the same buffers
+        last = inst.draw_block(2, 44, True, scratch)
+        for a, b, fresh in zip(first, last, inst.draw_block(2, 44, True)):
+            assert (a is None) == (b is None) == (fresh is None)
+            if a is not None:
+                assert np.shares_memory(a, b) and b.flags.c_contiguous
+                assert np.array_equal(b, fresh)
+        # redrawing block 0 into the scratch gives block 0 again
+        for a, want in zip(inst.draw_block(0, 128, True, scratch), kept):
+            assert want is None or np.array_equal(a, want)
+
+    @staticmethod
+    def docs(reports):
+        return [{k: v for k, v in r.to_doc().items() if k != "elapsed_seconds"} for r in reports]
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_reports_do_not_alias_the_scratch(self, threads):
+        # 16 blocks over 5 workers: 4, 3, 3, 3 and 3 blocks each, put back in block order
+        cfg = dataclasses.replace(self.CONFIGS[2], replications=1000, block_size=64)
+        reports = compare_procedures(cfg, PROCEDURES, threads=threads)
+        kept = [r.rejection_counts.copy() for r in reports]
+        other = compare_procedures(dataclasses.replace(cfg, seed=7), PROCEDURES, threads=threads)
+        assert self.docs(other) != self.docs(reports)
+        assert all(np.array_equal(r.rejection_counts, k) for r, k in zip(reports, kept))
+        assert self.docs(reports) == self.docs(compare_procedures(cfg, PROCEDURES))
+
+    def test_leaves_are_a_slice_when_contiguous(self):
+        assert _Instance(self.CONFIGS[0]).leaves == slice(7, 15)
+        assert _Instance(SimConfig(trees=((2, 2), ()))).leaves == slice(3, 8)
+        gathered = _Instance(self.CONFIGS[2])
+        assert gathered.leaves is gathered.leaf_ids
+        assert gathered.leaf_ids.tolist() == [1, 2, 7, 8, 9, 10, 11, 12]
+
+
 class TestFixedSeedReports:
     """Reports of a fixed seed, byte for byte (``elapsed_seconds`` aside).
 
@@ -875,6 +946,12 @@ class TestFixedSeedReports:
             SimConfig(trees=((2,) * 10,), truth="random", truth_density=0.9, effect=3.0,
                       replications=1_500, seed=107, block_size=1024),
             "8d626daf94272afa8a189d0e1144093086c4f49b029962e861cab6eb525acda0",
+        ),
+        # leaf ids 1, 2, 7, ..., 12: the gather path for the leaf scores
+        "forest_gathered_leaves": (
+            SimConfig(trees=((2,), (3, 2)), truth="random", truth_density=0.5, effect=2.0,
+                      replications=6_000, seed=108, block_size=2048),
+            "bc981f701d3a4081694eba8b8538ff02ead01ae776609a947370245dfffab167",
         ),
     }
 

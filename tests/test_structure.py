@@ -1,11 +1,12 @@
 """Source-structure checks: one layer traversal, one number rule, one reader,
-no unused public names, no test module lost.
+no fresh block arrays, no unused public names, no test module lost.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
-module goes through them.  JSON documents read their numbers through
-``trees._number``, and only ``cli`` opens files.  Every name the package
-exports has a user outside the tests, and every test module imports.
+module goes through them.  The simulator draws each block into its worker's
+scratch.  JSON documents read their numbers through ``trees._number``, and
+only ``cli`` opens files.  Every name the package exports has a user outside
+the tests, and every test module imports.
 """
 
 import ast
@@ -53,6 +54,25 @@ def definition(module: str, *names: str) -> ast.AST:
             if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name
         )
     return node
+
+
+def test_block_draw_fills_the_scratch():
+    # a block drawn with a shape argument or into a fresh array allocates
+    # its memory anew; only the scratch helper allocates
+    draw = definition("simulate.py", "_Instance", "draw_block")
+    rng_calls = [
+        call for call in ast.walk(draw)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) in ("random", "standard_normal")
+    ]
+    assert rng_calls  # the scan sees the draw
+    shaped = [c for c in rng_calls if c.args or [k.arg for k in c.keywords] != ["out"]]
+    assert [ast.unparse(c) for c in shaped] == []
+    allocators = {"empty", "zeros", "ones", "full"}
+    allocators |= {f"{name}_like" for name in allocators}
+    assert called(draw) & allocators == set()
+    assert called(definition("simulate.py", "_transposed")) & allocators == set()
+    assert "empty" in called(definition("simulate.py", "_Instance", "scratch"))
 
 
 def test_documents_read_numbers_through_one_rule():
