@@ -37,6 +37,7 @@ import itertools
 import math
 import operator
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -464,8 +465,8 @@ class _Instance:
         self,
         block: int,
         rows: int,
-        sort_leaves: bool = False,
-        scratch: Optional[dict[str, np.ndarray]] = None,
+        sort_leaves: bool,
+        scratch: dict[str, np.ndarray],
     ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Draw one replication block: vertex-major scores and truth, sorted leaf scores.
 
@@ -478,12 +479,10 @@ class _Instance:
         fixed (truth first when random, then the Gaussian data, both drawn
         row-major), so results do not depend on scheduling.
 
-        All three are views of ``scratch`` (a fresh ``self.scratch(rows)``
-        when not given), valid until the next block drawn into it.
+        All three are views of ``scratch`` (from ``self.scratch``), valid
+        until the next block drawn into it.
         """
         cfg = self.config
-        if scratch is None:
-            scratch = self.scratch(rows)
 
         def buf(name: str, *shape: int) -> np.ndarray:
             return scratch[name][: math.prod(shape)].reshape(shape)
@@ -525,10 +524,7 @@ class _Instance:
         sorted_leaves = None
         if sort_leaves:
             sorted_leaves = buf("sorted", rows, self.n_leaves)
-            if isinstance(self.leaves, slice):
-                np.copyto(sorted_leaves, z[:, self.leaves])
-            else:  # ``clip`` writes into ``out`` unbuffered; every id is in range
-                np.take(z, self.leaves, axis=1, out=sorted_leaves, mode="clip")
+            np.copyto(sorted_leaves, z[:, self.leaves])
             sorted_leaves.sort(axis=1)
         scores = _transposed(z, buf("scores", self.n_vertices, rows))
         if truth is not None:
@@ -714,26 +710,23 @@ def compare_procedures(
     started = time.perf_counter()
     sort_leaves = "holm_flat" in procedures or "bh_flat" in procedures
     blocks = _blocks(config.replications, config.block_size)
+    local = threading.local()  # each thread's scratch, made on its first block
 
-    def run_blocks(worker: int) -> list[list[dict]]:
-        """Per-procedure counts of blocks ``worker``, ``worker + workers``, ...,
-        all drawn into one scratch."""
-        scratch = inst.scratch(blocks[0][1])
-        out = []
-        for block, rows in blocks[worker::workers]:
-            scores, truth, sorted_leaves = inst.draw_block(block, rows, sort_leaves, scratch)
-            out.append([
-                inst.accumulate(proc, inst.run_procedure(proc, scores, sorted_leaves), truth)
-                for proc in procedures
-            ])
-        return out
+    def run_block(args: tuple[int, int]) -> list[dict]:
+        block, rows = args
+        if not hasattr(local, "scratch"):
+            local.scratch = inst.scratch(blocks[0][1])
+        scores, truth, sorted_leaves = inst.draw_block(block, rows, sort_leaves, local.scratch)
+        return [
+            inst.accumulate(proc, inst.run_procedure(proc, scores, sorted_leaves), truth)
+            for proc in procedures
+        ]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            strided = list(pool.map(run_blocks, range(workers)))
-        partials = [strided[b % workers][b // workers] for b in range(len(blocks))]
+            partials = list(pool.map(run_block, blocks))
     else:
-        partials = run_blocks(0)
+        partials = [run_block(b) for b in blocks]
 
     elapsed = time.perf_counter() - started
     reports = []

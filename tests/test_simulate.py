@@ -480,7 +480,7 @@ class TestLayeredAggregates:
         )
         inst = _Instance(cfg)
         assert np.array_equal(inst.fixed_truth, want)
-        scores, truth, shared = inst.draw_block(0, 200, sort_leaves=True)
+        scores, truth, shared = inst.draw_block(0, 200, True, inst.scratch(200))
         assert truth is None
         for proc in PROCEDURES:
             ids = inst.scope[proc]
@@ -708,7 +708,7 @@ class TestVectorizedKernels:
                 trees=((2, 2),), replications=8, seed=5, dependence="nested_means", effect=0.0
             )
             inst = make_instance(kind, cfg)
-            scores, _, leaves = inst.draw_block(0, 8, sort_leaves=True)
+            scores, _, leaves = inst.draw_block(0, 8, True, inst.scratch(8))
             # rebuild the leaf draws from the same stream and aggregate by hand
             rng = np.random.default_rng([cfg.seed, 0])
             y = rng.standard_normal((8, 4))
@@ -725,7 +725,7 @@ class TestVectorizedKernels:
         # statistics add the 12 children one at a time, left to right
         cfg = SimConfig(trees=((12,),), replications=256, seed=8, dependence="nested_means")
         inst = _Instance(cfg)
-        scores, _, _ = inst.draw_block(0, 256)
+        scores, _, _ = inst.draw_block(0, 256, False, inst.scratch(256))
         y = np.random.default_rng([cfg.seed, 0]).standard_normal((256, 12))
         total = y[:, 0].copy()
         for j in range(1, 12):
@@ -744,7 +744,7 @@ class TestVectorizedKernels:
                 dependence="nested_means",
             )
             inst = make_instance(kind, cfg)
-            _, truth, _ = inst.draw_block(0, 64)
+            _, truth, _ = inst.draw_block(0, 64, False, inst.scratch(64))
             for row in truth.T:
                 assert row[1] == (row[3] and row[4])
                 assert row[2] == (row[5] and row[6])
@@ -843,7 +843,7 @@ class TestScoreCuts:
         calls = []
         ndtr = special.ndtr
         monkeypatch.setattr(special, "ndtr", lambda *a, **k: calls.append(1) or ndtr(*a, **k))
-        scores, truth, leaves = inst.draw_block(0, 64, sort_leaves=True)
+        scores, truth, leaves = inst.draw_block(0, 64, True, inst.scratch(64))
         for proc in PROCEDURES:
             inst.accumulate(proc, inst.run_procedure(proc, scores, leaves), truth)
         assert bool(calls) == pvalue_score
@@ -870,7 +870,7 @@ class TestScratch:
         kept = [None if a is None else a.copy() for a in first]
         # the short last block takes views of the same buffers
         last = inst.draw_block(2, 44, True, scratch)
-        for a, b, fresh in zip(first, last, inst.draw_block(2, 44, True)):
+        for a, b, fresh in zip(first, last, inst.draw_block(2, 44, True, inst.scratch(44))):
             assert (a is None) == (b is None) == (fresh is None)
             if a is not None:
                 assert np.shares_memory(a, b) and b.flags.c_contiguous
@@ -885,7 +885,7 @@ class TestScratch:
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_reports_do_not_alias_the_scratch(self, threads):
-        # 16 blocks over 5 workers: 4, 3, 3, 3 and 3 blocks each, put back in block order
+        # 16 blocks over up to 5 threads, each drawing into its own scratch
         cfg = dataclasses.replace(self.CONFIGS[2], replications=1000, block_size=64)
         reports = compare_procedures(cfg, PROCEDURES, threads=threads)
         kept = [r.rejection_counts.copy() for r in reports]
