@@ -157,7 +157,7 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
 def _cmd_denoise(args: argparse.Namespace) -> int:
     signal = _read_csv(args.signal, args.column)
     sigma = args.sigma if args.sigma == "estimate" else float(args.sigma)
-    result = denoise(signal, args.alpha, sigma, force_levels=args.force_levels)
+    result = denoise(signal, args.alpha, sigma)
     meta = {**result.to_doc(), "n": int(signal.size), "alpha": args.alpha}
     if args.reference:
         truth = _read_csv(args.reference, 0)
@@ -241,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="denoised output path")
     p.add_argument("--meta", help="write threshold metadata JSON here")
     p.add_argument("--reference", help="noise-free reference for MSE reporting")
-    p.add_argument("--force-levels", type=int, default=0)
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("localize", help="flag nonzero-mean time regions")

@@ -13,7 +13,6 @@ any truly-null interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,26 +75,15 @@ class IntervalNode:
 @dataclass(frozen=True, eq=False)
 class IntervalTree:
     """Complete m-adic subdivision of [0, T): vertex ``v`` covers
-    ``[starts[v], ends[v])``.
-
-    ``node(v)`` builds the ``IntervalNode`` of one vertex; ``nodes`` builds
-    (once) the tuple of all of them.
-    """
+    ``[starts[v], ends[v])``."""
 
     tree: TestTree
     starts: np.ndarray
     ends: np.ndarray
 
-    def node(self, v: int) -> IntervalNode:
-        return self._nodes(np.array([int(v)]))[0]
-
     def _nodes(self, ids: np.ndarray) -> tuple[IntervalNode, ...]:
         fields = (ids, self.starts[ids], self.ends[ids], self.tree.depth_of[ids])
         return tuple(map(IntervalNode, *(f.tolist() for f in fields)))
-
-    @cached_property
-    def nodes(self) -> tuple[IntervalNode, ...]:
-        return self._nodes(np.arange(self.tree.n_vertices))
 
 
 def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTree:
@@ -204,11 +192,16 @@ def localize(
     Uses the uniform budget split over the subdivision tree.  ``maximal``
     holds the deepest rejected node of each search path (the localization
     answer); ``frontier`` the intervals where the walk stopped.  A prebuilt
-    ``itree`` must span exactly ``trials.n_times`` samples.
+    ``itree`` must have the given ``depth`` and ``arity`` and span exactly
+    ``trials.n_times`` samples.
     """
     if itree is None:
         itree = build_interval_tree(trials.n_times, depth, arity)
     tree = itree.tree
+    shape = (tree.depth, int(tree.child_counts[0]) if tree.depth else arity)  # depth 0: any arity
+    if shape != (depth, arity):
+        raise ValueError(f"interval tree has depth {shape[0]} and arity {shape[1]}, "
+                         f"asked for depth {depth} and arity {arity}")
     alloc = uniform_levels(tree, alpha)
     pvals = interval_pvalues(trials, itree)
     flags = _descent(tree, pvals <= alloc.levels)

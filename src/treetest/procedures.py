@@ -8,9 +8,9 @@ by the root level, with no assumption on the joint distribution of the
 p-values.
 
 ``descend_local`` generalizes the walk: each vertex hosts a small local
-family of hypotheses tested by a familywise-valid procedure (Holm by
-default) at the vertex's level; the walk continues below a vertex only when
-its entire local family is rejected.
+family of hypotheses tested by Holm's procedure at the vertex's level; the
+walk continues below a vertex only when its entire local family is
+rejected.
 
 Flat baselines (``holm``, ``bonferroni``, ``benjamini_hochberg``) and the
 per-run error accounting (``error_report``) round out the module.
@@ -31,7 +31,7 @@ All functions are pure and reentrant.  Rejection uses the closed comparison
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -62,15 +62,6 @@ class TreeRejections:
 
     rejected: frozenset[int]
     frontier: frozenset[int]
-
-    def to_doc(self, metrics: Optional["ErrorReport"] = None) -> dict:
-        doc = {
-            "rejected": sorted(self.rejected),
-            "frontier": sorted(self.frontier),
-        }
-        if metrics is not None:
-            doc["metrics"] = metrics.to_doc()
-        return doc
 
 
 @dataclass(frozen=True)
@@ -177,11 +168,11 @@ def _local_descent(
     return rejected, active
 
 
-def _local_thresholds(tree: TestTree, levels: np.ndarray, method: str = "holm") -> list[np.ndarray]:
-    """Per family group of ``tree.families``, rank ``i`` of a family of ``k``
-    at level ``a``: ``a / (k - i)`` for Holm, ``a / k`` for Bonferroni."""
-    ranks = (lambda k: np.arange(k, 0, -1)) if method == "holm" else (lambda k: np.full(k, k))
-    return [levels[par, None] / ranks(k) for layer in tree.families for par, _, k in layer]
+def _local_thresholds(tree: TestTree, levels: np.ndarray) -> list[np.ndarray]:
+    """Per family group of ``tree.families``, the Holm thresholds: rank ``i``
+    of a family of ``k`` at level ``a`` is tested at ``a / (k - i)``."""
+    return [levels[par, None] / np.arange(k, 0, -1)
+            for layer in tree.families for par, _, k in layer]
 
 
 def _raise_first_bad(tested: np.ndarray, bad: Sequence[np.ndarray], messages) -> None:
@@ -356,17 +347,15 @@ def descend_local(
     alloc: LevelsLike,
     local_pvals: Mapping[int, Sequence[float]],
     *,
-    method: str = "holm",
     hypotheses: str = "children",
     validate: bool = True,
 ) -> TreeRejections:
     """Tree descent where each vertex hosts a local family of hypotheses.
 
-    At an active vertex ``v`` the local family is tested by a
-    familywise-valid procedure at level ``alloc[v]``.  When every member of
-    the family is rejected the walk continues at all children; when at least
-    one is accepted the walk stops below ``v`` (hypotheses already rejected
-    at ``v`` stay rejected).
+    At an active vertex ``v`` the local family is tested by Holm's procedure
+    at level ``alloc[v]``.  When every member of the family is rejected the
+    walk continues at all children; when at least one is accepted the walk
+    stops below ``v`` (hypotheses already rejected at ``v`` stay rejected).
 
     Parameters
     ----------
@@ -381,13 +370,9 @@ def descend_local(
             Each vertex's family is its own single hypothesis (one p-value),
             reported under the vertex's id.  With this layout the procedure
             coincides exactly with ``descend``.
-    method : "holm" or "bonferroni"
-        Local procedure.
     """
     if hypotheses not in ("children", "self"):
         raise ValueError("hypotheses must be 'children' or 'self'")
-    if method not in ("holm", "bonferroni"):
-        raise ValueError(f"unknown local method {method!r}")
     n = tree.n_vertices
     levels = as_levels(alloc, n)
     if validate:
@@ -416,7 +401,7 @@ def descend_local(
         tested = _tested(tree, rejected)
         outside, stopped = _outside_unit(p), tested & ~rejected
     else:
-        cuts = _local_thresholds(tree, levels, method)
+        cuts = _local_thresholds(tree, levels)
         rejected, active = (flags[:, 0] for flags in _local_descent(tree, p[:, None], cuts))
         tested = active & (tree.child_counts > 0)
         outside, opened = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)

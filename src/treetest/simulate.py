@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import threading
 import time
@@ -57,6 +56,7 @@ from .trees import (
     _fold_up,
     _number,
     _subtree_sums,
+    _vertex_count,
     as_levels,
     as_truth,
     build_complete_tree,
@@ -164,7 +164,7 @@ class SimConfig:
             raise ValueError("explicit truth requires truth_values" if self.truth_values is None
                              else "truth_values require truth 'explicit'")
         if self.truth_values is not None:
-            n = sum(sum(math.prod(b[:d]) for d in range(len(b) + 1)) for b in trees)
+            n = sum(_vertex_count(b) for b in trees)
             if len(self.truth_values) != n:
                 raise ValueError(f"truth_values needs {n} entries, one per vertex")
             if not set(self.truth_values) <= {0, 1}:
@@ -667,7 +667,7 @@ def _check_block_memory(config: SimConfig, workers: int) -> None:
     allocated.  The estimate counts only the two matrices every scratch
     fills, so a run it refuses could not have run.
     """
-    n_vertices = sum(1 + sum(itertools.accumulate(b, operator.mul)) for b in config.trees)
+    n_vertices = sum(_vertex_count(b) for b in config.trees)
     rows = min(config.block_size, config.replications)
     need = _BLOCK_CELL_BYTES * rows * n_vertices * workers
     try:
@@ -949,7 +949,6 @@ def audit_alpha_sums(
 class SubtreeAudit:
     """Per-subtree level-sum check for one tree, allocation and truth."""
 
-    checked: int
     max_sum: float
     violations: tuple[tuple[int, float, float], ...]  # (vertex, sum, level)
 
@@ -968,4 +967,4 @@ def audit_subtree_sums(
     sums = _subtree_sums(tree, levels, as_truth(tree, truth))
     bad = np.flatnonzero(sums > levels + LEVEL_SUM_TOL).tolist()
     violations = tuple((v, float(sums[v]), float(levels[v])) for v in bad)
-    return SubtreeAudit(checked=tree.n_vertices, max_sum=float(sums.max()), violations=violations)
+    return SubtreeAudit(max_sum=float(sums.max()), violations=violations)

@@ -37,7 +37,9 @@ subtree sums and the simulator's nested aggregates are folds.
 
 from __future__ import annotations
 
+import itertools
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -211,9 +213,6 @@ class TestTree:
         if not 0 <= int(v) < self.n_vertices:
             raise ValueError(f"unknown vertex id {v!r}")
 
-    def __len__(self) -> int:
-        return self.n_vertices
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TestTree(n_vertices={self.n_vertices}, depth={self.depth})"
 
@@ -235,36 +234,25 @@ class TestTree:
         return tuple(branching.tolist())
 
 
-def build_complete_tree(branching: Sequence[int], depth: Optional[int] = None) -> TestTree:
+def _vertex_count(branching: Sequence[int]) -> int:
+    """Vertices of the complete tree with these per-layer branching factors."""
+    return 1 + sum(itertools.accumulate(branching, operator.mul))
+
+
+def build_complete_tree(branching: Sequence[int]) -> TestTree:
     """Build the complete tree in which every depth-``l`` vertex has
     ``branching[l]`` children.
 
-    Parameters
-    ----------
-    branching : sequence of int
-        One branching factor (>= 1) per layer above the bottom one.  An
-        empty sequence gives the single-vertex tree.
-    depth : int, optional
-        Expected depth; must equal ``len(branching)`` when given.
-
-    Construction is refused above ``MAX_VERTICES`` vertices, before any
-    array is allocated.
+    ``branching`` holds one factor (>= 1) per layer above the bottom one; an
+    empty sequence gives the single-vertex tree.  Construction is refused
+    above ``MAX_VERTICES`` vertices, before any array is allocated.
     """
     branching = tuple(_number(b, "branching", True) for b in branching)
-    if depth is None:
-        depth = len(branching)
-    if depth != len(branching):
-        raise ValueError(f"depth {depth} does not match {len(branching)} branching factors")
     if any(b < 1 for b in branching):
         raise ValueError("branching factors must be >= 1")
-
-    total = 1
-    width = 1
-    for b in branching:
-        width *= b
-        total += width
-        if total > MAX_VERTICES:
-            raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
+    total = _vertex_count(branching)
+    if total > MAX_VERTICES:
+        raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
 
     # vertex i of layer d + 1 is child i // b of layer d
     b = np.asarray(branching, dtype=np.int64)
@@ -345,9 +333,6 @@ class AlphaAllocation:
     @property
     def root_level(self) -> float:
         return float(self.levels[0])
-
-    def __len__(self) -> int:
-        return int(self.levels.size)
 
 
 LevelsLike = Union[AlphaAllocation, Sequence[float], np.ndarray, Mapping[int, float]]
@@ -532,7 +517,9 @@ def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
         root = _number(doc["alpha_root"], "alpha_root") if "alpha_root" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed allocation document: {exc}") from exc
-    tree = build_complete_tree(branching, depth)
+    if depth != len(branching):
+        raise ValueError(f"depth {depth} does not match {len(branching)} branching factors")
+    tree = build_complete_tree(branching)
     if len(allocation) != tree.n_vertices:
         raise ValueError(
             f"allocation lists {len(allocation)} levels, tree has {tree.n_vertices} vertices"

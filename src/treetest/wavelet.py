@@ -14,9 +14,7 @@ the transform invertible.
 
 Known limitation: coefficients at low resolution levels average the signal
 over long stretches and can sit near zero even when fine-scale structure is
-present, stopping the descent early.  The ``force_levels`` hook tests the
-first levels unconditionally to explore that regime; it is off by default
-and enabling it voids the familywise bound below the forced levels.
+present, stopping the descent early.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ class WaveletTree:
             raise ValueError(f"detail level must lie in 0..{self.J}")
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
 
-    @property
-    def scaling(self) -> np.ndarray:
-        return self.coeffs[..., 0]
-
 
 def _check_length(n: int) -> int:
     if n < 4 or n & (n - 1):
@@ -102,10 +96,8 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
     return WaveletTree(coeffs, J)
 
 
-def haar_inverse(tree: Union[WaveletTree, np.ndarray]) -> np.ndarray:
+def haar_inverse(tree: WaveletTree) -> np.ndarray:
     """Synthesis inverse of ``haar_forward``."""
-    if isinstance(tree, np.ndarray):
-        tree = WaveletTree(np.asarray(tree), _check_length(tree.shape[-1]))
     c = tree.coeffs
     s = c[..., 0:1]
     for j in range(0, tree.J + 1):
@@ -131,15 +123,13 @@ def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     return np.array([sigma * critical_z(alpha / (1 << j)) for j in range(1, J + 1)])
 
 
-def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: int = 0) -> np.ndarray:
+def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     """Boolean keep mask from the tree descent over the coefficient forest.
 
     The two level-1 coefficients are the forest roots, each tested at
     ``alpha/2``; below them the budget halves per level, and a coefficient
-    is tested only while its parent was kept (levels up to ``force_levels``
-    are tested unconditionally).  The coarse block is always kept.  The mask
-    is path-closed within each coefficient tree whenever ``force_levels``
-    is 0.
+    is tested only while its parent was kept.  The coarse block is always
+    kept.  The mask is path-closed within each coefficient tree.
 
     Only the children of kept coefficients are tested: the candidates at
     level ``j + 1`` are the coefficients ``2k`` and ``2k + 1`` below each
@@ -149,15 +139,12 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float, *, force_levels: in
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     _check_sigma(sigma)
-    if force_levels < 0:
-        raise ValueError("force_levels must be >= 0")
     c = tree.coeffs.reshape(-1, tree.n)  # one row per batch entry
     mask = np.zeros(c.shape, dtype=bool)
     mask[:, :2] = True
+    rows = np.repeat(np.arange(c.shape[0]), 2)  # the level-1 candidates
+    ks = np.tile(np.arange(2), c.shape[0])
     for j in range(1, tree.J + 1):
-        if j == 1 or j <= force_levels:
-            rows = np.repeat(np.arange(c.shape[0]), 1 << j)
-            ks = np.tile(np.arange(1 << j), c.shape[0])
         cols = (1 << j) + ks
         p = two_sided_pvalue(c[rows, cols] / sigma)
         small = p <= alpha / (1 << j)  # closed comparison, ties reject
@@ -223,8 +210,6 @@ def denoise(
     signal: np.ndarray,
     alpha: float,
     sigma: Union[str, float] = "estimate",
-    *,
-    force_levels: int = 0,
 ) -> DenoiseResult:
     """Denoise a signal by descent-driven Haar coefficient thresholding.
 
@@ -247,13 +232,12 @@ def denoise(
     else:
         scale = float(sigma)
         _check_sigma(scale)
-    mask = keep_mask(tree, alpha, scale, force_levels=force_levels)
+    mask = keep_mask(tree, alpha, scale)
     kept = int(mask[2:].sum())
     out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
-    # levels 1..forced test every coefficient; each deeper level tests the
-    # two children of every coefficient kept one level up
-    forced = max(1, min(force_levels, tree.J))
-    tested = (1 << (forced + 1)) - 2 + 2 * int(mask[1 << forced : tree.n // 2].sum())
+    # level 1 tests both its coefficients; each deeper level tests the two
+    # children of every coefficient kept one level up
+    tested = 2 + 2 * int(mask[2 : tree.n // 2].sum())
     last_kept = int(np.flatnonzero(mask)[-1])
     return DenoiseResult(
         denoised=out,

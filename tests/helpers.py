@@ -263,7 +263,7 @@ def reference_interval_spans(n_times: int, depth: int, arity: int) -> list[tuple
     return [span for layer in by_depth for span in layer]
 
 
-def reference_keep_mask(coeffs, alpha: float, sigma: float, force_levels: int = 0) -> np.ndarray:
+def reference_keep_mask(coeffs, alpha: float, sigma: float) -> np.ndarray:
     """Dense descent over the Haar coefficient forest: every coefficient of
     every level is compared, then masked by its parent's decision."""
     from scipy import special
@@ -276,7 +276,7 @@ def reference_keep_mask(coeffs, alpha: float, sigma: float, force_levels: int = 
     for j in range(1, J + 1):
         w = c[..., 1 << j : 1 << (j + 1)]
         small = 2.0 * special.ndtr(-np.abs(w) / sigma) <= alpha / (1 << j)
-        kept = small if j == 1 or j <= force_levels else np.repeat(kept_above, 2, axis=-1) & small
+        kept = small if j == 1 else np.repeat(kept_above, 2, axis=-1) & small
         mask[..., 1 << j : 1 << (j + 1)] = kept
         kept_above = kept
     return mask
@@ -370,11 +370,11 @@ def reference_bh(pvals, q: float) -> np.ndarray:
     return flags
 
 
-def reference_descend_local(children, levels, local_pvals, method: str = "holm"):
+def reference_descend_local(children, levels, local_pvals):
     """Queue walk over the children's local families ("children" layout).
 
     At an active vertex the family of its children is tested at the vertex's
-    level by Holm (or Bonferroni); the walk continues at every child only
+    level by Holm; the walk continues at every child only
     when the whole family is rejected, and stops there otherwise.  Returns
     (rejected child ids, vertices where the walk stopped).
     """
@@ -389,10 +389,7 @@ def reference_descend_local(children, levels, local_pvals, method: str = "holm")
         if not kids:
             continue  # leaves host no local family
         pv = np.asarray(local_pvals[v], dtype=np.float64)
-        if method == "holm":
-            flags = reference_holm(pv, float(levels[v]))
-        else:
-            flags = pv <= float(levels[v]) / pv.size
+        flags = reference_holm(pv, float(levels[v]))
         rejected.update(int(kids[i]) for i in np.nonzero(flags)[0])
         if flags.all():
             queue.extend(int(c) for c in kids)

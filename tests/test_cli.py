@@ -226,6 +226,17 @@ class TestDenoiseCommand:
         sig.write_text("".join("1.0\n" for _ in range(100)))
         assert main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(tmp_path / "o")]) == 2
 
+    def test_force_levels_flag_refused(self, tmp_path, capsys):
+        # no flag may void the familywise bound by testing levels unconditionally
+        sig = tmp_path / "sig.txt"
+        sig.write_text("".join("1.0\n" for _ in range(64)))
+        out = tmp_path / "o.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["denoise", "--signal", str(sig), "--force-levels", "1", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--force-levels" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_sample_exits_2(self, tmp_path, capsys, bad):
         sig = tmp_path / "sig.txt"

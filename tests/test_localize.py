@@ -31,29 +31,29 @@ def node_counter(monkeypatch):
     return built
 
 
+def spans(itree, depth=None):
+    """``(start, end)`` per vertex in id order, or of the vertices at ``depth``."""
+    pairs = zip(itree.starts.tolist(), itree.ends.tolist(), itree.tree.depth_of.tolist())
+    return [(a, b) for a, b, d in pairs if depth is None or d == depth]
+
+
 class TestBuildIntervalTree:
     def test_exact_dyadic(self):
-        itree = build_interval_tree(8, 3, 2)
-        leaves = [nd for nd in itree.nodes if nd.depth == 3]
-        assert [(nd.start, nd.end) for nd in leaves] == [(i, i + 1) for i in range(8)]
+        assert spans(build_interval_tree(8, 3, 2), 3) == [(i, i + 1) for i in range(8)]
 
     def test_even_split(self):
-        itree = build_interval_tree(10, 1, 2)
-        assert [(nd.start, nd.end) for nd in itree.nodes[1:]] == [(0, 5), (5, 10)]
+        assert spans(build_interval_tree(10, 1, 2))[1:] == [(0, 5), (5, 10)]
 
     def test_remainder_goes_left(self):
-        itree = build_interval_tree(10, 1, 3)
-        assert [(nd.start, nd.end) for nd in itree.nodes[1:]] == [(0, 4), (4, 7), (7, 10)]
+        assert spans(build_interval_tree(10, 1, 3))[1:] == [(0, 4), (4, 7), (7, 10)]
 
     def test_partition_at_every_depth(self):
         itree = build_interval_tree(37, 3, 3)
         for depth in range(4):
-            spans = sorted(
-                (nd.start, nd.end) for nd in itree.nodes if nd.depth == depth
-            )
-            assert spans[0][0] == 0 and spans[-1][1] == 37
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            widths = [b - a for a, b in spans]
+            layer = sorted(spans(itree, depth))
+            assert layer[0][0] == 0 and layer[-1][1] == 37
+            assert all(a[1] == b[0] for a, b in zip(layer, layer[1:]))
+            widths = [b - a for a, b in layer]
             assert max(widths) - min(widths) <= 1
 
     @pytest.mark.parametrize("n_times, depth, arity, message", [
@@ -70,8 +70,7 @@ class TestBuildIntervalTree:
             build_interval_tree(8, 4, 2)
 
     def test_degenerate_arity_one(self):
-        itree = build_interval_tree(10, 3, 1)
-        assert all((nd.start, nd.end) == (0, 10) for nd in itree.nodes)
+        assert spans(build_interval_tree(10, 3, 1)) == [(0, 10)] * 4
 
     def test_arity_one_depth_up_to_n_times(self):
         assert build_interval_tree(10, 10, 1).tree.n_vertices == 11
@@ -101,11 +100,7 @@ class TestBuildIntervalTree:
     def test_spans_match_recursive_reference(self, n_times, depth, arity):
         itree = build_interval_tree(n_times, depth, arity)
         want = reference_interval_spans(n_times, depth, arity)
-        assert list(zip(itree.starts.tolist(), itree.ends.tolist())) == want
-        assert [(nd.vertex, nd.start, nd.end, nd.depth) for nd in itree.nodes] == [
-            (v, a, b, int(itree.tree.depth_of[v])) for v, (a, b) in enumerate(want)
-        ]
-        assert itree.node(len(want) - 1) == itree.nodes[-1]
+        assert spans(itree) == want
         assert not itree.starts.flags.writeable and not itree.ends.flags.writeable
 
     def test_builds_no_nodes(self, node_counter):
@@ -169,9 +164,9 @@ class TestIntervalPvalue:
         trials = TrialMatrix(rng.standard_normal((6, 27)))
         itree = build_interval_tree(27, 2, 3)
         vec = interval_pvalues(trials, itree)
-        for nd in itree.nodes:
-            want = reference_interval_pvalue(trials.data, trials.sigma, nd.start, nd.end)
-            assert vec[nd.vertex] == pytest.approx(want, abs=1e-12)
+        for v, (start, end) in enumerate(spans(itree)):
+            want = reference_interval_pvalue(trials.data, trials.sigma, start, end)
+            assert vec[v] == pytest.approx(want, abs=1e-12)
 
 
 class TestLocalize:
@@ -296,3 +291,20 @@ class TestLocalizePrebuilt:
             localize(trials, 0.05, 2, itree=itree)
         with pytest.raises(ValueError, match=message):
             interval_pvalues(trials, itree)
+
+    @pytest.mark.parametrize(
+        "depth, arity, built", [(2, 4, (5, 2)), (3, 2, (2, 2)), (2, 2, (2, 4)), (0, 2, (0, 5))]
+    )
+    def test_prebuilt_shape_must_match_the_request(self, depth, arity, built):
+        # a mismatched tree would run in place of the requested one; a
+        # depth-0 tree is the one interval [0, T) whatever its arity
+        trials = TrialMatrix(np.ones((2, 64)))
+        itree = build_interval_tree(64, *built)
+        if built[0] == depth == 0:
+            want = localize(trials, 0.05, depth, arity).to_doc()
+            assert localize(trials, 0.05, depth, arity, itree=itree).to_doc() == want
+            return
+        message = (f"interval tree has depth {built[0]} and arity {built[1]}, "
+                   f"asked for depth {depth} and arity {arity}")
+        with pytest.raises(ValueError, match=message):
+            localize(trials, 0.05, depth, arity, itree=itree)

@@ -203,13 +203,6 @@ class TestDescend:
             assert set(np.nonzero(rej[i])[0]) == set(single.rejected)
             assert set(np.nonzero(front[i])[0]) == set(single.frontier)
 
-    def test_serialization_doc(self):
-        res = descend(self.tree, self.alloc, {0: 0.01, 1: 0.02, 2: 0.03})
-        doc = res.to_doc(error_report(res, [1, 0, 0]))
-        assert doc["rejected"] == [0, 1]
-        assert doc["frontier"] == [2]
-        assert doc["metrics"]["V"] == 1
-
 
 class TestDescendLocal:
     def test_both_children_rejected_continues(self):
@@ -249,18 +242,12 @@ class TestDescendLocal:
         res = descend_local(tree, uniform_levels(tree, 0.05), {})
         assert res.rejected == frozenset() and res.frontier == frozenset()
 
-    def test_bonferroni_locals(self):
+    def test_holm_locals_step_down(self):
         tree = build_complete_tree([2])
         alloc = uniform_levels(tree, 0.05)
-        # Holm rejects both (0.02 <= 0.025, 0.03 <= 0.05); Bonferroni only one
+        # 0.02 <= 0.05 / 2 is rejected first, then 0.03 <= 0.05 / 1
         assert descend_local(tree, alloc, {0: [0.02, 0.03]}).rejected == {1, 2}
-        got = descend_local(tree, alloc, {0: [0.02, 0.03]}, method="bonferroni")
-        assert got.rejected == {1}
-
-    def test_unknown_method(self):
-        tree = build_complete_tree([2])
-        with pytest.raises(ValueError, match="method"):
-            descend_local(tree, uniform_levels(tree, 0.05), {0: [0.5, 0.5]}, method="simes")
+        assert descend_local(tree, alloc, {0: [0.03, 0.026]}).rejected == frozenset()
 
     def test_self_layout_reduces_to_descend(self):
         rng = np.random.default_rng(6)
@@ -382,8 +369,7 @@ class TestKernelWrappers:
                 single = descend(tree, alloc, P[i])
                 assert (single.rejected, single.frontier) == (want_rej, want_front)
 
-    @pytest.mark.parametrize("method", ["holm", "bonferroni"])
-    def test_local_matches_reference_on_gather_layer_trees(self, method):
+    def test_local_matches_reference_on_gather_layer_trees(self):
         rng = np.random.default_rng(42)
         for tree in gather_layer_trees():
             kids = children_from_parents(tree.parent.tolist())
@@ -397,8 +383,8 @@ class TestKernelWrappers:
                         ties = rng.random(len(ks)) < 0.3  # on a Holm threshold
                         p[ties] = alloc.levels[v] / rng.integers(1, len(ks) + 1, ties.sum())
                         families[v] = p.tolist()
-                got = descend_local(tree, alloc, families, method=method)
-                want = reference_descend_local(kids, alloc.levels, families, method)
+                got = descend_local(tree, alloc, families)
+                want = reference_descend_local(kids, alloc.levels, families)
                 assert (got.rejected, got.frontier) == want
 
     def test_flat_rows_match_references(self):

@@ -1088,7 +1088,6 @@ class TestAuditSubtreeSums:
             truth = rng.integers(0, 2, n)
             sums, bad = reference_subtree_sums(parents, levels, truth, LEVEL_SUM_TOL)
             audit = audit_subtree_sums(tree, levels, truth)
-            assert audit.checked == n
             assert [v for v, _, _ in audit.violations] == [v for v, _, _ in bad]
             for (_, got, level), (_, want, ref_level) in zip(audit.violations, bad):
                 assert abs(got - want) <= 1e-15 and level == ref_level

@@ -1,12 +1,13 @@
 """Source-structure checks: one layer traversal, one number rule, one reader,
-no fresh block arrays, no unused public names, no test module lost.
+no fresh block arrays, no unused public names or members, no test module lost.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
 scratch.  JSON documents read their numbers through ``trees._number``, and
-only ``cli`` opens files.  Every name the package exports has a user outside
-the tests, and every test module imports.
+only ``cli`` opens files.  Every name the package exports, and every public
+member of an exported class, has a user outside the tests, and every test
+module imports.
 """
 
 import ast
@@ -120,17 +121,60 @@ def referenced(path: Path, exports: dict[str, str]) -> set[str]:
     return set(names.values())
 
 
-def test_every_export_has_a_user():
-    # users: the package's modules, the demos, the benchmark and the
-    # acceptance suite; a name only the unit tests call is dead weight
+def exported() -> dict[str, str]:
+    """The package's exported names, each mapped to its defining module."""
     init = ast.parse((SRC / "__init__.py").read_text())
-    exports = {a.asname or a.name: node.module for node in init.body
-               if isinstance(node, ast.ImportFrom) for a in node.names}
-    users = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    users += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*(referenced(path, exports) for path in users))
+    return {a.asname or a.name: node.module for node in init.body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+# Users: the package's modules, the demos, the benchmark and the acceptance
+# suite; a name only the unit tests call is dead weight.
+USERS = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+USERS += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "tests" / "test_acceptance.py"]
+
+
+def test_every_export_has_a_user():
+    exports = exported()
+    used = set().union(*(referenced(path, exports) for path in USERS))
     assert len(exports) > 50 and "simulate" in used  # the scan sees the package
     assert sorted(set(exports) - used) == sorted(UNUSED_EXPORTS)
+
+
+# Public members of exported classes that no user path reads, each kept on
+# purpose as ``"Class.member": reason``.
+UNUSED_MEMBERS: dict[str, str] = {}
+
+
+def members(cls: ast.ClassDef) -> list[str]:
+    """Public methods and properties of a class, and its fields if it is a
+    dataclass."""
+    dataclass = any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+    names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+    if dataclass:
+        names += [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_member_has_a_user():
+    """A member is used when a user path reads its name as an attribute, of
+    any object.  A name shared with another member or attribute can thus only
+    hide an unused member, never flag a used one.  A member that only the
+    unit tests read fails it."""
+    read = {
+        node.attr for path in USERS for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    declared = {}
+    for name, module in exported().items():
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                declared.update((f"{name}.{m}", m) for m in members(node))
+    assert len(declared) > 50 and "TestTree.children" in declared  # the scan sees the classes
+    assert sorted(k for k, m in declared.items() if m not in read) == sorted(UNUSED_MEMBERS)
 
 
 def test_every_test_module_imports():

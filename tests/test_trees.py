@@ -48,14 +48,14 @@ def sample_parent_arrays() -> list[list[int]]:
 
 class TestBuildCompleteTree:
     def test_binary_depth_two(self):
-        tree = build_complete_tree([2, 2], 2)
+        tree = build_complete_tree([2, 2])
         assert tree.n_vertices == 7
         assert tree.depth == 2
         assert list(tree.leaves) == [3, 4, 5, 6]
         assert all(tree.depth_of[v] == 2 for v in tree.leaves)
 
     def test_single_vertex(self):
-        tree = build_complete_tree([], 0)
+        tree = build_complete_tree([])
         assert tree.n_vertices == 1
         assert tree.depth == 0
         assert tree.leaves.tolist() == [0]
@@ -88,10 +88,6 @@ class TestBuildCompleteTree:
     def test_vertex_cap(self):
         with pytest.raises(ValueError, match="exceed"):
             build_complete_tree([10] * 8)
-
-    def test_depth_mismatch(self):
-        with pytest.raises(ValueError, match="depth"):
-            build_complete_tree([2, 2], 3)
 
 
 class TestTreeValidation:
@@ -469,6 +465,11 @@ class TestSerialization:
         assert allocation_from_doc({**doc, "alpha_root": 0.05})[1].root_level == 0.05
         with pytest.raises(ValueError, match="alpha_root disagrees"):
             allocation_from_doc({**doc, "alpha_root": 0.1})
+
+    def test_depth_mismatch(self):
+        doc = {"depth": 3, "branching": [2, 2], "allocation": [0.05] * 7}
+        with pytest.raises(ValueError, match="depth 3 does not match 2 branching factors"):
+            allocation_from_doc(doc)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="levels"):

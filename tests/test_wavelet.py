@@ -27,7 +27,7 @@ class TestHaarTransform:
         x = np.full(16, 3.0)
         tree = haar_forward(x)
         assert np.allclose(tree.coeffs[1:], 0.0, atol=1e-12)
-        assert tree.scaling == pytest.approx(3.0 * np.sqrt(16))
+        assert tree.coeffs[0] == pytest.approx(3.0 * np.sqrt(16))
 
     def test_finest_pair_difference(self):
         tree = haar_forward(np.array([1.0, -1.0, 0.0, 0.0]))
@@ -40,13 +40,6 @@ class TestHaarTransform:
         for n in (4, 16, 256, 2**14):
             x = rng.standard_normal(n)
             assert np.abs(haar_inverse(haar_forward(x)) - x).max() <= 1e-10
-
-    def test_inverse_of_plain_array(self):
-        rng = np.random.default_rng(3)
-        for x in (rng.standard_normal(64), rng.standard_normal((3, 16))):
-            tree = haar_forward(x)
-            assert np.array_equal(haar_inverse(tree.coeffs), haar_inverse(tree))
-            assert np.abs(haar_inverse(tree.coeffs) - x).max() <= 1e-10
 
     def test_energy_preserved(self):
         rng = np.random.default_rng(1)
@@ -199,16 +192,6 @@ class TestKeepMask:
         frac = mask[:, 2:].any(axis=1).mean()
         assert frac <= monte_carlo_bound(alpha, reps)
 
-    def test_force_levels_tests_unconditionally(self):
-        J = 3
-        coeffs = np.zeros(2 ** (J + 1))
-        coeffs[2 ** (J + 1) - 1] = 50.0  # strong finest coefficient, dead ancestors
-        wt = WaveletTree(coeffs, J)
-        assert not keep_mask(wt, 0.05, 1.0)[2:].any()
-        forced = keep_mask(wt, 0.05, 1.0, force_levels=J)
-        assert forced[2 ** (J + 1) - 1]
-        assert forced[2:].sum() == 1  # only the strong coefficient survives
-
 
 def deep_coefficients(rng, shape, J):
     """Coefficients with most entries far above every level's threshold, so
@@ -219,15 +202,15 @@ def deep_coefficients(rng, shape, J):
 
 
 class TestKeepMaskMatchesDenseReference:
-    @pytest.mark.parametrize("force_levels", [0, 1, 3])
-    def test_random_signals(self, force_levels):
-        rng = np.random.default_rng(30 + force_levels)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_random_signals(self, seed):
+        rng = np.random.default_rng(30 + seed)
         for J in (1, 2, 5, 9):
             for _ in range(10):
                 c = deep_coefficients(rng, (), J)
                 alpha, sigma = rng.uniform(0.01, 0.5), rng.uniform(0.5, 2.0)
-                got = keep_mask(WaveletTree(c, J), alpha, sigma, force_levels=force_levels)
-                assert np.array_equal(got, reference_keep_mask(c, alpha, sigma, force_levels))
+                got = keep_mask(WaveletTree(c, J), alpha, sigma)
+                assert np.array_equal(got, reference_keep_mask(c, alpha, sigma))
 
     def test_noise_and_blocks(self):
         rng = np.random.default_rng(34)
@@ -235,17 +218,17 @@ class TestKeepMaskMatchesDenseReference:
             tree = haar_forward(x)
             assert np.array_equal(keep_mask(tree, 0.05, 1.0), reference_keep_mask(tree.coeffs, 0.05, 1.0))
 
-    @pytest.mark.parametrize("force_levels", [0, 1, 3])
-    def test_batch_input(self, force_levels):
-        rng = np.random.default_rng(35)
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_batch_input(self, seed):
+        rng = np.random.default_rng(35 + seed)
         J = 6
         c = deep_coefficients(rng, (3, 4), J)
-        got = keep_mask(WaveletTree(c, J), 0.05, 1.0, force_levels=force_levels)
+        got = keep_mask(WaveletTree(c, J), 0.05, 1.0)
         assert got.shape == c.shape
-        assert np.array_equal(got, reference_keep_mask(c, 0.05, 1.0, force_levels))
+        assert np.array_equal(got, reference_keep_mask(c, 0.05, 1.0))
         for i in range(3):
             for k in range(4):
-                row = keep_mask(WaveletTree(c[i, k], J), 0.05, 1.0, force_levels=force_levels)
+                row = keep_mask(WaveletTree(c[i, k], J), 0.05, 1.0)
                 assert np.array_equal(got[i, k], row)
 
     def test_coefficients_exactly_on_the_threshold(self):
@@ -395,14 +378,20 @@ class TestDenoise:
             doc = res.to_doc()
             assert (doc["tested_coefficients"], doc["deepest_level"]) == (res.tested, res.deepest_level)
 
-    def test_tested_with_forced_levels(self):
+    def test_tested_matches_dense_reference(self):
+        # level 1 tests both coefficients; level j > 1 tests the two children
+        # of every level-(j-1) coefficient the dense reference keeps
         rng = np.random.default_rng(37)
-        x = blocks_signal(1024) + rng.standard_normal(1024)
-        J = 9
-        mask = keep_mask(haar_forward(x), 0.05, 1.0, force_levels=3)
-        want = sum(2**j if j <= 3 else 2 * int(mask[2 ** (j - 1) : 2**j].sum()) for j in range(1, J + 1))
-        assert denoise(x, 0.05, 1.0, force_levels=3).tested == want
-        assert denoise(x, 0.05, 1.0, force_levels=20).tested == x.size - 2
+        for x in (
+            blocks_signal(1024) + rng.standard_normal(1024),
+            blocks_signal(256) * 20.0 + rng.standard_normal(256),
+            rng.standard_normal(64),
+            np.zeros(16),
+        ):
+            tree = haar_forward(x)
+            mask = reference_keep_mask(tree.coeffs, 0.05, 1.0)
+            want = 2 + sum(2 * int(mask[2 ** (j - 1) : 2**j].sum()) for j in range(2, tree.J + 1))
+            assert denoise(x, 0.05, 1.0).tested == want
 
     def test_nothing_kept(self):
         res = denoise(np.zeros(64), 0.05, 1.0)
