@@ -35,7 +35,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .trees import LevelsLike, TestTree, _descent, _tested, as_levels, level_budget_violations
+from .trees import (LevelsLike, TestTree, _descent, _per_vertex, _tested, _truth_flags, as_levels,
+                    level_budget_violations)
 
 __all__ = [
     "TreeRejections",
@@ -255,10 +256,12 @@ def benjamini_hochberg(pvals: Sequence[float], q: float) -> np.ndarray:
 PValuesLike = Union[Mapping[int, float], Sequence[float], np.ndarray]
 
 
-def _require_valid_budget(tree: TestTree, levels: np.ndarray) -> None:
-    bad = level_budget_violations(tree, levels)
-    if bad.size:
+def _budget_levels(tree: TestTree, alloc: LevelsLike, validate: bool = True) -> np.ndarray:
+    """The allocation's levels, checked against the level budget when ``validate``."""
+    levels = as_levels(alloc, tree.n_vertices)
+    if validate and (bad := level_budget_violations(tree, levels)).size:
         raise ValueError(f"level budget violated at vertices {bad.tolist()}")
+    return levels
 
 
 def descend(
@@ -278,19 +281,18 @@ def descend(
     Parameters
     ----------
     tree : TestTree
-    alloc : AlphaAllocation or array or mapping
-        Per-vertex levels; must satisfy the level budget.
-    pvals : mapping or array
-        Per-vertex p-values.  Vertices the walk never reaches may be
-        omitted (mapping) or NaN (array).
+    alloc : AlphaAllocation or array
+        Test levels, one per vertex; must satisfy the level budget.
+    pvals : array or mapping
+        P-values: an array of one entry per vertex, or a mapping from
+        vertex id to p-value.  Vertices the walk never reaches may be NaN
+        (array) or omitted (mapping).
     validate : bool
         Set False to skip the budget re-check when the allocation is known
         to be valid.
     """
     n = tree.n_vertices
-    levels = as_levels(alloc, n)
-    if validate:
-        _require_valid_budget(tree, levels)
+    levels = _budget_levels(tree, alloc, validate)
     if isinstance(pvals, Mapping):
         ids = np.fromiter(pvals.keys(), dtype=np.int64, count=len(pvals))
         values = np.fromiter(pvals.values(), dtype=np.float64, count=len(pvals))
@@ -298,9 +300,7 @@ def descend(
         p, missing = np.full(n, np.nan), np.ones(n, dtype=bool)
         p[ids[inside]], missing[ids[inside]] = values[inside], False
     else:
-        p = np.asarray(pvals, dtype=np.float64)
-        if p.shape != (n,):
-            raise ValueError(f"p-value array covers {p.size} vertices, tree has {n}")
+        p = _per_vertex(pvals, n, "p-value array").astype(np.float64, copy=False)
         missing = np.isnan(p)
     rejected = _descent(tree, p <= levels)
     tested = _tested(tree, rejected)
@@ -324,9 +324,7 @@ def descend_batch(
     shape; row i agrees exactly with ``descend`` run on row i.  Both are
     transposed views of vertex-major arrays, so they are not C-contiguous.
     """
-    levels = as_levels(alloc, tree.n_vertices)
-    if validate:
-        _require_valid_budget(tree, levels)
+    levels = _budget_levels(tree, alloc, validate)
     P = np.asarray(pmatrix, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != tree.n_vertices:
         raise ValueError("pmatrix must have shape (replications, n_vertices)")
@@ -348,7 +346,6 @@ def descend_local(
     local_pvals: Mapping[int, Sequence[float]],
     *,
     hypotheses: str = "children",
-    validate: bool = True,
 ) -> TreeRejections:
     """Tree descent where each vertex hosts a local family of hypotheses.
 
@@ -374,9 +371,7 @@ def descend_local(
     if hypotheses not in ("children", "self"):
         raise ValueError("hypotheses must be 'children' or 'self'")
     n = tree.n_vertices
-    levels = as_levels(alloc, n)
-    if validate:
-        _require_valid_budget(tree, levels)
+    levels = _budget_levels(tree, alloc)
 
     # one vector of p-values indexed by the hypothesis' vertex (the child's
     # id, or the vertex's own), NaN where no family of the right shape is given
@@ -436,9 +431,7 @@ def error_report(
     t = np.asarray(truth)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("truth must be a non-empty 1-D array")
-    if not np.all((t == 0) | (t == 1)):
-        raise ValueError("truth values must be 0 or 1")
-    t = t.astype(bool)
+    t = _truth_flags(t)
 
     if isinstance(rejected, TreeRejections):
         rejected = rejected.rejected

@@ -48,8 +48,9 @@ from scipy import special
 from .procedures import _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
-    AlphaAllocation,
+    MAX_VERTICES,
     Index,
+    LevelsLike,
     TestTree,
     _descent,
     _first_true,
@@ -156,6 +157,8 @@ class SimConfig:
             raise ValueError("at least one tree is required")
         trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
         object.__setattr__(self, "trees", trees)
+        if any(_vertex_count(b) > MAX_VERTICES for b in trees):
+            raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.truth not in _TRUTH_KINDS:
@@ -587,7 +590,6 @@ class _Instance:
             "power_sum": float(power.sum()),
             "reject_counts": reject_counts,
             "domination_violations": int((~dominated).sum()),
-            "m": m,
         }
 
 
@@ -619,7 +621,7 @@ _CUT_WINDOW = 16
 _CUT_REACH = 32
 
 
-def _score_cuts(levels: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def _score_cuts(levels: np.ndarray) -> np.ndarray:
     """Score cut of each level: ``2*ndtr(x) <= level`` iff ``x <= cut``.
 
     The cut is the largest float64 ``x`` with ``2*ndtr(x) <= level``, found
@@ -634,6 +636,7 @@ def _score_cuts(levels: np.ndarray, chunk: int = 4096) -> np.ndarray:
     unique, inverse = np.unique(levels, return_inverse=True)
     cuts = np.empty(unique.size)
     reach = _CUT_REACH + _CUT_WINDOW
+    chunk = 4096  # levels per search grid
     for lo in range(0, unique.size, chunk):
         level = unique[lo : lo + chunk]
         grid = np.empty((level.size, 2 * reach + 1))
@@ -681,6 +684,11 @@ def _check_block_memory(config: SimConfig, workers: int) -> None:
         )
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where there is no affinity mask)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _blocks(n: int, size: int) -> list[tuple[int, int]]:
     return [(b, min(size, n - b * size)) for b in range((n + size - 1) // size)]
 
@@ -694,7 +702,8 @@ def compare_procedures(
     """Run several procedures on identical simulated data.
 
     Every procedure sees the same per-replication draws, so differences are
-    paired; reports come back in the order requested.
+    paired; reports come back in the order requested.  At most one worker
+    per available CPU runs, and block counts are summed in block order as they arrive.
     """
     procedures = list(procedures)
     if not procedures:
@@ -704,7 +713,7 @@ def compare_procedures(
             raise ValueError(f"unknown procedure {p!r}; choose from {PROCEDURES}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    workers = min(threads, -(-config.replications // config.block_size))
+    workers = min(threads, -(-config.replications // config.block_size), _available_cpus())
     _check_block_memory(config, workers)
     inst = _Instance(config)
     started = time.perf_counter()
@@ -722,33 +731,30 @@ def compare_procedures(
             for proc in procedures
         ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, blocks))
-    else:
-        partials = [run_block(b) for b in blocks]
+    # from 0, added in block order: the bits of the builtin ``sum`` over blocks
+    totals: list[dict] = [{} for _ in procedures]
+    with ThreadPoolExecutor(workers) as pool:  # starts no thread until ``pool.map``
+        for partial in (pool.map if workers > 1 else map)(run_block, blocks):
+            totals = [{k: t.get(k, 0) + v for k, v in p.items()} for t, p in zip(totals, partial)]
 
     elapsed = time.perf_counter() - started
     reports = []
-    for j, proc in enumerate(procedures):
-        per_proc = [p[j] for p in partials]  # reduced in block order: deterministic
-        n = sum(p["n"] for p in per_proc)
-        any_false = sum(p["any_false"] for p in per_proc)
-        counts = np.sum([p["reject_counts"] for p in per_proc], axis=0)
+    for proc, total in zip(procedures, totals):
+        n, any_false = total["n"], total["any_false"]
         fwer = any_false / n
         report = SimReport(
             procedure=proc,
             replications=n,
             alpha=config.alpha,
-            n_hypotheses=per_proc[0]["m"],
+            n_hypotheses=max(inst.scope[proc].size, 1),
             fwer_hat=fwer,
             fwer_se=float(np.sqrt(max(fwer * (1.0 - fwer), 0.0) / n)),
-            fdr_hat=sum(p["fdp_sum"] for p in per_proc) / n,
-            pcer_hat=sum(p["pcer_sum"] for p in per_proc) / n,
-            power_hat=sum(p["power_sum"] for p in per_proc) / n,
+            fdr_hat=total["fdp_sum"] / n,
+            pcer_hat=total["pcer_sum"] / n,
+            power_hat=total["power_sum"] / n,
             any_false=any_false,
-            rejection_counts=counts,
-            domination_violations=sum(p["domination_violations"] for p in per_proc),
+            rejection_counts=total["reject_counts"],
+            domination_violations=total["domination_violations"],
             elapsed=elapsed,
             config=config.to_doc(),
         )
@@ -844,9 +850,10 @@ def _attainable_sums_check(tree: TestTree, levels: np.ndarray, alpha: float) -> 
     return max_sum, violations + int(levels[0] > bound)
 
 
-def _literal_sums_check(
-    tree: TestTree, levels: np.ndarray, alpha: float, chunk: int = 1 << 16
-) -> tuple[float, int]:
+_LITERAL_CHUNK = 1 << 16  # truth assignments per step of the literal enumeration
+
+
+def _literal_sums_check(tree: TestTree, levels: np.ndarray, alpha: float) -> tuple[float, int]:
     """Literal enumeration of all 2^|V| truth assignments (small trees)."""
     n = tree.n_vertices
     total = 1 << n
@@ -854,8 +861,8 @@ def _literal_sums_check(
     bound = alpha + LEVEL_SUM_TOL
     max_sum = 0.0
     violations = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _LITERAL_CHUNK):
+        idx = np.arange(start, min(start + _LITERAL_CHUNK, total), dtype=np.uint64)
         t = ((idx >> shifts) & 1).astype(bool)  # vertex-major: (n, assignments)
         s = levels @ _first_true(tree, t)
         max_sum = max(max_sum, float(s.max()))
@@ -959,10 +966,11 @@ class SubtreeAudit:
 
 def audit_subtree_sums(
     tree: TestTree,
-    alloc: Union[AlphaAllocation, Sequence[float], np.ndarray],
-    truth: Union[Sequence[int], np.ndarray, Mapping[int, int]],
+    alloc: LevelsLike,
+    truth: Union[Sequence[int], np.ndarray],
 ) -> SubtreeAudit:
-    """Check the first-true level sum against the root level of every subtree."""
+    """Check the first-true level sum against the root level of every subtree;
+    ``alloc`` and ``truth`` (0/1, 1 = null true) hold one entry per vertex."""
     levels = as_levels(alloc, tree.n_vertices)
     sums = _subtree_sums(tree, levels, as_truth(tree, truth))
     bad = np.flatnonzero(sums > levels + LEVEL_SUM_TOL).tolist()

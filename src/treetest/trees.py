@@ -209,10 +209,6 @@ class TestTree:
                 out[par] = values[kids].reshape(-1, k).sum(axis=1)
         return out
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= int(v) < self.n_vertices:
-            raise ValueError(f"unknown vertex id {v!r}")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TestTree(n_vertices={self.n_vertices}, depth={self.depth})"
 
@@ -335,46 +331,40 @@ class AlphaAllocation:
         return float(self.levels[0])
 
 
-LevelsLike = Union[AlphaAllocation, Sequence[float], np.ndarray, Mapping[int, float]]
+LevelsLike = Union[AlphaAllocation, Sequence[float], np.ndarray]
 
 
-def as_levels(alloc: LevelsLike, n_vertices: Optional[int] = None) -> np.ndarray:
-    """Coerce an allocation (object, array, or id->level mapping) to a
-    read-only array of levels, each checked to lie in (0, 1]."""
-    if isinstance(alloc, AlphaAllocation):
-        levels = alloc.levels
-    elif isinstance(alloc, Mapping):
-        levels = _dense(alloc, len(alloc) if n_vertices is None else n_vertices, "allocation")
-    else:
-        levels = np.asarray(alloc, dtype=np.float64)
-    if n_vertices is not None and levels.size != n_vertices:
-        raise ValueError(f"allocation covers {levels.size} vertices, tree has {n_vertices}")
-    return levels if isinstance(alloc, AlphaAllocation) else AlphaAllocation(levels).levels
-
-
-def _dense(mapping: Mapping, n: int, what: str, dtype=np.float64, start: int = 0) -> np.ndarray:
-    """``mapping[v]`` for ``v`` in ``start .. n-1`` as an array (1 before ``start``)."""
-    missing = next((v for v in range(start, n) if v not in mapping), None)
-    if missing is not None:
-        raise ValueError(f"{what} is missing vertex {missing}")
-    out = np.ones(n, dtype=dtype)
-    out[start:] = [mapping[v] for v in range(start, n)]
+def _per_vertex(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an array of one entry per vertex of an ``n``-vertex tree,
+    not cast; ``ValueError`` for any other shape, an id->value mapping included."""
+    out = np.asarray(values)
+    if out.ndim != 1:
+        raise ValueError(f"{what} must list one entry per vertex, not a {out.ndim}-D "
+                         f"{type(values).__name__}")
+    if out.size != n:
+        raise ValueError(f"{what} covers {out.size} vertices, tree has {n}")
     return out
 
 
-def as_truth(tree: TestTree, truth: Union[Sequence[int], np.ndarray, Mapping[int, int]]) -> np.ndarray:
-    """Coerce a truth assignment (1 = null true) to an int8 array over vertices."""
-    n = tree.n_vertices
-    if isinstance(truth, Mapping):
-        out = _dense(truth, n, "truth assignment", np.int8)
-    else:
-        out = np.asarray(truth, dtype=np.int8)
-        if out.shape != (n,):
-            raise ValueError(f"truth assignment covers {out.size} vertices, tree has {n}")
-        out = out.copy()
-    if not np.all((out == 0) | (out == 1)):
+def _truth_flags(values: np.ndarray) -> np.ndarray:
+    """0/1 truth values (1 = null true) as bool flags.  The values are checked
+    before the cast, so 0.9 is refused rather than read as a false null."""
+    if not np.all((values == 0) | (values == 1)):
         raise ValueError("truth values must be 0 or 1")
-    return out
+    return values.astype(bool)
+
+
+def as_levels(alloc: LevelsLike, n_vertices: int) -> np.ndarray:
+    """An allocation (object, or array of one level per vertex) as a read-only
+    array of levels, each checked to lie in (0, 1]."""
+    if isinstance(alloc, AlphaAllocation):
+        return _per_vertex(alloc.levels, n_vertices, "allocation")
+    return AlphaAllocation(_per_vertex(alloc, n_vertices, "allocation")).levels
+
+
+def as_truth(tree: TestTree, truth: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """A truth assignment, one 0/1 entry per vertex (1 = null true), as bool flags."""
+    return _truth_flags(_per_vertex(truth, tree.n_vertices, "truth assignment"))
 
 
 def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:
@@ -397,23 +387,18 @@ def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:
 def weighted_levels(
     tree: TestTree,
     alpha: float,
-    weights: Union[Sequence[float], np.ndarray, Mapping[int, float]],
+    weights: Union[Sequence[float], np.ndarray],
 ) -> AlphaAllocation:
     """Split each vertex's level among its children proportionally to
-    positive per-child weights.  With equal weights this reduces to
-    ``uniform_levels``.
+    positive weights, one per vertex (the root's is not read).  With equal
+    weights this reduces to ``uniform_levels``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     n = tree.n_vertices
-    if isinstance(weights, Mapping):
-        w = _dense(weights, n, "weight map", start=1)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError(f"weights cover {w.size} vertices, tree has {n}")
-    if np.any(w[1:] <= 0.0):
-        raise ValueError("weights must be positive")
+    w = _per_vertex(weights, n, "weight array").astype(np.float64, copy=False)
+    if not (np.isfinite(w[1:]) & (w[1:] > 0.0)).all():
+        raise ValueError("weights must be positive and finite")
     family_w = tree.child_sums(w)
     levels = np.empty(n, dtype=np.float64)
     levels[0] = alpha
@@ -441,7 +426,8 @@ def level_budget_violations(tree: TestTree, alloc: LevelsLike) -> np.ndarray:
 
 def ancestors(tree: TestTree, v: int) -> np.ndarray:
     """Vertices strictly above ``v`` on its root path, parent first."""
-    tree._check_vertex(v)
+    if not 0 <= int(v) < tree.n_vertices:
+        raise ValueError(f"unknown vertex id {v!r}")
     out = []
     v = int(v)
     while v != tree.root:
@@ -450,18 +436,16 @@ def ancestors(tree: TestTree, v: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def first_true_vertices(
-    tree: TestTree, truth: Union[Sequence[int], np.ndarray, Mapping[int, int]]
-) -> np.ndarray:
+def first_true_vertices(tree: TestTree, truth: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     """Vertices whose null is true while every strict ancestor's null is false.
 
-    This is the support set of the union bound behind the familywise
-    guarantee: any false rejection of the descent procedure forces a false
-    rejection at one of these vertices.  Equals ``{root}`` whenever the
-    root's null is true; always an antichain (no member is an ancestor of
-    another).
+    ``truth`` holds one 0/1 entry per vertex (1 = null true).  This is the
+    support set of the union bound behind the familywise guarantee: any
+    false rejection of the descent procedure forces a false rejection at one
+    of these vertices.  Equals ``{root}`` whenever the root's null is true;
+    always an antichain (no member is an ancestor of another).
     """
-    return np.nonzero(_first_true(tree, as_truth(tree, truth).astype(bool)))[0]
+    return np.nonzero(_first_true(tree, as_truth(tree, truth)))[0]
 
 
 def _first_true(tree: TestTree, t: np.ndarray) -> np.ndarray:
@@ -471,9 +455,9 @@ def _first_true(tree: TestTree, t: np.ndarray) -> np.ndarray:
 
 
 def _subtree_sums(tree: TestTree, levels: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per vertex, the level sum over the first-true vertices of its subtree;
-    first-true is tree-wide, as in ``first_true_vertices``, so 0 below a true vertex."""
-    return _fold_up(tree, np.where(_first_true(tree, truth.astype(bool)), levels, 0.0), np.add)
+    """Per vertex, the level sum over the first-true vertices of its subtree
+    (bool ``truth``); first-true is tree-wide, so 0 below a true vertex."""
+    return _fold_up(tree, np.where(_first_true(tree, truth), levels, 0.0), np.add)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "GiB" in err and len(err.strip().splitlines()) == 1
 
+    def test_tree_above_vertex_limit_exits_2(self, tmp_path, capsys):
+        # its memory estimate once overflowed a float: exit 1 with a traceback
+        cfg = write_json(tmp_path / "cfg.json", {**SIM_CONFIG, "tree": {"branching": [2] * 1100}})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {cfg}: tree would exceed 10000000 vertices"
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
         cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)

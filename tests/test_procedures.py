@@ -117,8 +117,8 @@ class TestDescend:
                 descend(self.tree, levels, [0.01, 0.5, 0.1], validate=validate)
             with pytest.raises(ValueError, match="must lie in"):
                 descend_batch(self.tree, levels, np.full((2, 3), 0.01), validate=validate)
-            with pytest.raises(ValueError, match="must lie in"):
-                descend_local(self.tree, levels, {0: [0.01, 0.1]}, validate=validate)
+        with pytest.raises(ValueError, match="must lie in"):
+            descend_local(self.tree, levels, {0: [0.01, 0.1]})
 
     def test_stop_at_root(self):
         res = descend(self.tree, self.alloc, {0: 0.10})

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,14 @@ class TestSimConfig:
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("trees", [((2,) * 1100,), ((2,), (10,) * 8), ((2,) * 24,)])
+    def test_tree_above_vertex_limit_refused(self, trees):
+        # (2,)*1100 once overflowed the float in the memory check's message;
+        # every tree of a forest counts on its own, as build_complete_tree does
+        with pytest.raises(ValueError, match=r"^tree would exceed 10000000 vertices$"):
+            SimConfig(trees=trees)
+        assert SimConfig(trees=((2,) * 22,)).trees == ((2,) * 22,)  # 8,388,607 vertices
 
     def test_integral_float_reads_as_int(self):
         cfg = SimConfig.from_doc({"tree": {"branching": [2.0]}, "replications": 1e3, "seed": 5.0})
@@ -372,12 +381,57 @@ class TestCompare:
         # 16 bytes per cell; the bound scales with rows, vertices and workers
         memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 16 * 7 * 100 * 2}
         monkeypatch.setattr(sim_module.os, "sysconf", memory.get)
+        monkeypatch.setattr(sim_module, "_available_cpus", lambda: 4)  # 3 workers may start
         small = SimConfig(trees=((2, 2),), replications=300, block_size=100)
         assert compare_procedures(small, ["descend"], threads=2)[0].replications == 300
         with pytest.raises(ValueError, match="3 block"):
             compare_procedures(small, ["descend"], threads=3)
         one_block = SimConfig(trees=((2, 2),), replications=100, block_size=1000)
         assert compare_procedures(one_block, ["descend"], threads=3)[0].replications == 100
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_block_count(self, threads):
+        # each block's counts hold an n_vertices array per procedure; kept
+        # until the end, 512 blocks of (2,)*9 peaked at 7x the peak of 16
+        peaks = []
+        for blocks in (16, 512):
+            cfg = SimConfig(trees=((2,) * 9,), truth="random", effect=1.0,
+                            replications=4 * blocks, block_size=4)
+            tracemalloc.start()
+            try:
+                compare_procedures(cfg, ["descend", "bonferroni_flat"], threads=threads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("threads, cpus, workers", [
+        (100_000, 2, 2), (100_000, 64, 16), (3, 64, 3), (2, 1, 1),
+    ])
+    def test_threads_capped_at_available_cpus(self, monkeypatch, threads, cpus, workers):
+        # a fake pool that maps serially: no thread count is ever started for real
+        started, mapped = [], []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                mapped.append(fn)
+                return map(fn, items)
+
+        monkeypatch.setattr(sim_module, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sim_module, "_available_cpus", lambda: cpus)
+        cfg = SimConfig(trees=((2, 2),), truth="random", replications=160, block_size=10, seed=4)
+        reports = compare_procedures(cfg, PROCEDURES, threads=threads)
+        assert started == [workers] and len(mapped) == (workers > 1)
+        assert TestScratch.docs(reports) == TestScratch.docs(compare_procedures(cfg, PROCEDURES))
 
     def test_procedures_do_not_see_each_others_work(self):
         # local Holm sorts families of _SORT_FROM or more members; on
@@ -1013,7 +1067,7 @@ class TestAuditAlphaSums:
         build_complete_tree((3, 2)).parent.tolist(),
         [-1, 0, 1, 1, 0, 4, 4, 4],  # gather layers
     ])
-    def test_literal_route_counts_every_assignment(self, parents):
+    def test_literal_route_counts_every_assignment(self, monkeypatch, parents):
         # dyadic levels, so every sum is exact in any order; children are
         # oversubscribed, so some assignments exceed alpha and some tie it
         tree = TestTree(parents)
@@ -1026,7 +1080,8 @@ class TestAuditAlphaSums:
         ]
         bad = sum(x > alpha + LEVEL_SUM_TOL for x in sums)
         assert 0 < bad < len(sums) and alpha in sums
-        assert _literal_sums_check(tree, levels, alpha, chunk=64) == (max(sums), bad)
+        monkeypatch.setattr(sim_module, "_LITERAL_CHUNK", 64)  # several chunks per tree
+        assert _literal_sums_check(tree, levels, alpha) == (max(sums), bad)
 
     def test_summary_mentions_counts(self):
         audit = audit_alpha_sums(1, (3,), n_weighted=1)
@@ -1048,8 +1103,9 @@ class TestAuditSubtreeSums:
     def test_leaf_subtree_two_cases(self):
         tree = build_complete_tree([2])
         alloc = uniform_levels(tree, 0.05)
-        assert _subtree_sums(tree, alloc.levels, np.array([0, 0, 0]))[1] == 0.0
-        assert _subtree_sums(tree, alloc.levels, np.array([0, 1, 0]))[1] == pytest.approx(0.025)
+        assert _subtree_sums(tree, alloc.levels, np.array([0, 0, 0], dtype=bool))[1] == 0.0
+        truth = np.array([0, 1, 0], dtype=bool)
+        assert _subtree_sums(tree, alloc.levels, truth)[1] == pytest.approx(0.025)
 
     def test_hand_worked_case(self):
         tree = build_complete_tree([2, 2])
@@ -1092,6 +1148,6 @@ class TestAuditSubtreeSums:
             for (_, got, level), (_, want, ref_level) in zip(audit.violations, bad):
                 assert abs(got - want) <= 1e-15 and level == ref_level
             assert abs(audit.max_sum - max(sums)) <= 1e-15
-            assert np.abs(_subtree_sums(tree, levels, truth) - sums).max() <= 1e-15
+            assert np.abs(_subtree_sums(tree, levels, truth.astype(bool)) - sums).max() <= 1e-15
             flagged += bool(bad)
         assert flagged >= 10

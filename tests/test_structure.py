@@ -1,13 +1,15 @@
-"""Source-structure checks: one layer traversal, one number rule, one reader,
-no fresh block arrays, no unused public names or members, no test module lost.
+"""Source-structure checks: one layer traversal, one number rule, one
+per-vertex rule, one reader, no fresh block arrays, no unused public names
+or members, no test module lost.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
-scratch.  JSON documents read their numbers through ``trees._number``, and
-only ``cli`` opens files.  Every name the package exports, and every public
-member of an exported class, has a user outside the tests, and every test
-module imports.
+scratch.  JSON documents read their numbers through ``trees._number``,
+per-vertex inputs their shape through ``trees._per_vertex`` and truth
+through ``trees._truth_flags``, and only ``cli`` opens files.  Every name
+the package exports, and every public member of an exported class, has a
+user outside the tests, and every test module imports.
 """
 
 import ast
@@ -88,6 +90,27 @@ def test_documents_read_numbers_through_one_rule():
         reader: set() for reader in readers
     }
     assert all("_number" in names for names in readers.values())  # the scan sees the rule
+
+
+def test_per_vertex_inputs_read_through_one_rule():
+    # readers with their own checks drift apart: an int8 cast before the
+    # 0/1 check once read truth 0.9 as a false null
+    shape_readers = {
+        "trees.as_levels": called(definition("trees.py", "as_levels")),
+        "trees.as_truth": called(definition("trees.py", "as_truth")),
+        "trees.weighted_levels": called(definition("trees.py", "weighted_levels")),
+        "procedures.descend": called(definition("procedures.py", "descend")),
+    }
+    truth_readers = {
+        "trees.as_truth": shape_readers["trees.as_truth"],
+        "procedures.error_report": called(definition("procedures.py", "error_report")),
+    }
+    assert {r: "_per_vertex" in names for r, names in shape_readers.items()} == dict.fromkeys(
+        shape_readers, True
+    )
+    assert {r: "_truth_flags" in names for r, names in truth_readers.items()} == dict.fromkeys(
+        truth_readers, True
+    )
 
 
 def test_only_cli_opens_files():

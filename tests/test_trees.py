@@ -18,7 +18,8 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
-from treetest.trees import _descent, _subtree_sums, as_levels
+from treetest import audit_subtree_sums, descend
+from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
 
 from helpers import (
     children_from_parents,
@@ -212,13 +213,15 @@ class TestAllocations:
 
     def test_missing_weight_rejected(self):
         tree = build_complete_tree([2])
-        with pytest.raises(ValueError, match="missing"):
-            weighted_levels(tree, 0.05, {1: 1.0})
+        with pytest.raises(ValueError, match="^weight array covers 2 vertices, tree has 3$"):
+            weighted_levels(tree, 0.05, [1.0, 1.0])
 
     def test_nonpositive_weight_rejected(self):
         tree = build_complete_tree([2])
-        with pytest.raises(ValueError, match="positive"):
-            weighted_levels(tree, 0.05, [1.0, 1.0, 0.0])
+        # NaN and inf once passed this check and surfaced as NaN test levels
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^weights must be positive and finite$"):
+                weighted_levels(tree, 0.05, [1.0, 1.0, bad])
 
     def test_alpha_range(self):
         tree = build_complete_tree([2])
@@ -278,8 +281,8 @@ class TestBudgetValidation:
 
     def test_missing_entry_rejected(self):
         tree = build_complete_tree([2])
-        with pytest.raises(ValueError, match="missing"):
-            level_budget_violations(tree, {0: 0.05, 2: 0.025})
+        with pytest.raises(ValueError, match="^allocation covers 2 vertices, tree has 3$"):
+            level_budget_violations(tree, [0.05, 0.025])
 
     def test_tolerance_absorbs_float_residue(self):
         tree = build_complete_tree([3])
@@ -291,7 +294,7 @@ class TestBudgetValidation:
     ])
     def test_levels_outside_unit_interval_rejected(self, levels):
         # [0.05, -0.1, 0.15] meets the budget, yet tests vertex 2 above the root
-        for given in (levels, np.array(levels), dict(enumerate(levels))):
+        for given in (levels, np.array(levels)):
             with pytest.raises(ValueError, match=r"^test levels must lie in \(0, 1\]$"):
                 as_levels(given, 3)
         with pytest.raises(ValueError, match="must lie in"):
@@ -346,8 +349,8 @@ class TestFirstTrueVertices:
 
     def test_missing_truth_rejected(self):
         tree = build_complete_tree([2])
-        with pytest.raises(ValueError, match="missing"):
-            first_true_vertices(tree, {0: 1, 1: 0})
+        with pytest.raises(ValueError, match="^truth assignment covers 2 vertices, tree has 3$"):
+            first_true_vertices(tree, [1, 0])
 
     def test_antichain_property(self):
         rng = np.random.default_rng(11)
@@ -361,7 +364,7 @@ class TestFirstTrueVertices:
 
 def subtree_sums(tree, alloc, truth) -> np.ndarray:
     """Per vertex, the level sum over the first-true vertices of its subtree."""
-    return _subtree_sums(tree, alloc.levels, np.asarray(truth))
+    return _subtree_sums(tree, alloc.levels, np.asarray(truth, dtype=bool))
 
 
 def subtree_vertices(tree, root: int) -> list[int]:
@@ -408,6 +411,68 @@ class TestSubtreeAlphaSum:
                 members = first_true_vertices(tree, np.array(truth))
                 for alloc in allocs:
                     assert alloc.levels[members].sum() <= 0.05 + LEVEL_SUM_TOL
+
+
+class TestPerVertexInputs:
+    """Allocations, truth, weights and p-value arrays are read as arrays of
+    one entry per vertex through one shape rule, and truth through one 0/1
+    rule that checks the values before it casts them."""
+
+    tree = build_complete_tree([2])
+    READERS = {
+        "allocation": lambda tree, x: level_budget_violations(tree, x),
+        "truth assignment": lambda tree, x: first_true_vertices(tree, x),
+        "weight array": lambda tree, x: weighted_levels(tree, 0.05, x),
+        "p-value array": lambda tree, x: descend(tree, [0.05, 0.025, 0.025], x),
+    }
+
+    @pytest.mark.parametrize("what", READERS)
+    def test_shape_errors_share_one_wording(self, what):
+        for given, n in (([1, 0], 2), (np.ones(4), 4), ([], 0)):
+            with pytest.raises(ValueError, match=f"^{what} covers {n} vertices, tree has 3$"):
+                self.READERS[what](self.tree, given)
+        with pytest.raises(ValueError, match=f"^{what} must list one entry per vertex, not a 2-D"):
+            self.READERS[what](self.tree, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("read", [
+        lambda tree, m: as_levels(m, tree.n_vertices),
+        lambda tree, m: as_truth(tree, m),
+        lambda tree, m: weighted_levels(tree, 0.05, m),
+        lambda tree, m: first_true_vertices(tree, m),
+        lambda tree, m: audit_subtree_sums(tree, uniform_levels(tree, 0.05), m),
+        lambda tree, m: audit_subtree_sums(tree, m, [0, 1, 1]),
+    ])
+    def test_mappings_refused(self, read):
+        with pytest.raises(ValueError, match="^.* must list one entry per vertex, not a 0-D dict$"):
+            read(self.tree, {0: 1, 1: 1, 2: 1})
+
+    def test_truth_checked_before_cast(self):
+        # an int8 cast once read 0.9 as a false null and 1.9 as a true one
+        alloc = uniform_levels(self.tree, 0.05)
+        for bad in ([0.9, 1, 1], [1, 0.5, 0], [0, np.nan, 1], [2, 0, 0]):
+            with pytest.raises(ValueError, match="^truth values must be 0 or 1$"):
+                first_true_vertices(self.tree, bad)
+            with pytest.raises(ValueError, match="^truth values must be 0 or 1$"):
+                audit_subtree_sums(self.tree, alloc, bad)
+        with pytest.raises(ValueError, match="^truth values must be 0 or 1$"):
+            as_truth(self.tree, [True, 1.9, -0.4])
+
+    def test_truth_read_as_flags(self):
+        for given in ([0, 1, 1], [False, True, True], np.array([0.0, 1.0, 1.0])):
+            flags = as_truth(self.tree, given)
+            assert flags.dtype == bool and flags.tolist() == [False, True, True]
+            assert first_true_vertices(self.tree, given).tolist() == [1, 2]
+
+    def test_descend_reads_a_pvalue_mapping(self):
+        # ids outside the tree are ignored; omitted ids are untested or refused
+        tree = build_complete_tree([2, 2])
+        alloc = uniform_levels(tree, 0.05)
+        got = descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 0.02, 5: 0.9, 6: 0.001, 9: 0.0})
+        assert (got.rejected, got.frontier) == ({0, 2, 6}, {1, 5})
+        with pytest.raises(ValueError, match="^p-value required at tested vertex 6$"):
+            descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 0.02, 5: 0.9})
+        with pytest.raises(ValueError, match=r"^p-value at vertex 2 lies outside \[0, 1\]$"):
+            descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 1.5})
 
 
 class TestDescentPassesMatchReference:
