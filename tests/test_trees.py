@@ -463,17 +463,6 @@ class TestPerVertexInputs:
             assert flags.dtype == bool and flags.tolist() == [False, True, True]
             assert first_true_vertices(self.tree, given).tolist() == [1, 2]
 
-    def test_descend_reads_a_pvalue_mapping(self):
-        # ids outside the tree are ignored; omitted ids are untested or refused
-        tree = build_complete_tree([2, 2])
-        alloc = uniform_levels(tree, 0.05)
-        got = descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 0.02, 5: 0.9, 6: 0.001, 9: 0.0})
-        assert (got.rejected, got.frontier) == ({0, 2, 6}, {1, 5})
-        with pytest.raises(ValueError, match="^p-value required at tested vertex 6$"):
-            descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 0.02, 5: 0.9})
-        with pytest.raises(ValueError, match=r"^p-value at vertex 2 lies outside \[0, 1\]$"):
-            descend(tree, alloc, {0: 0.01, 1: 0.5, 2: 1.5})
-
 
 class TestDescentPassesMatchReference:
     """First-true flags and subtree membership come from the descent pass;
