@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .trees import (LevelsLike, TestTree, _descent, _per_vertex, _tested, _truth_flags, as_levels,
-                    level_budget_violations)
+from .trees import (LevelsLike, TestTree, _descent, _per_vertex, _tested, _truth_flags, _vertex,
+                    as_levels, level_budget_violations)
 
 __all__ = [
     "TreeRejections",
@@ -285,8 +285,8 @@ def descend(
         Test levels, one per vertex; must satisfy the level budget.
     pvals : array or mapping
         P-values: an array of one entry per vertex, or a mapping from
-        vertex id to p-value.  Vertices the walk never reaches may be NaN
-        (array) or omitted (mapping).
+        integer vertex id to p-value (any other key raises ``ValueError``).
+        Vertices the walk never reaches may be NaN or, in a mapping, omitted.
     validate : bool
         Set False to skip the budget re-check when the allocation is known
         to be valid.
@@ -294,11 +294,9 @@ def descend(
     n = tree.n_vertices
     levels = _budget_levels(tree, alloc, validate)
     if isinstance(pvals, Mapping):
-        ids = np.fromiter(pvals.keys(), dtype=np.int64, count=len(pvals))
-        values = np.fromiter(pvals.values(), dtype=np.float64, count=len(pvals))
-        inside = (ids >= 0) & (ids < n)
+        ids = [_vertex(v, n) for v in pvals]
         p, missing = np.full(n, np.nan), np.ones(n, dtype=bool)
-        p[ids[inside]], missing[ids[inside]] = values[inside], False
+        p[ids], missing[ids] = list(pvals.values()), False
     else:
         p = _per_vertex(pvals, n, "p-value array").astype(np.float64, copy=False)
         missing = np.isnan(p)
@@ -356,60 +354,50 @@ def descend_local(
 
     Parameters
     ----------
-    local_pvals : mapping vertex id -> sequence of p-values
-        The local families.  Layout depends on ``hypotheses``:
+    local_pvals : mapping integer vertex id -> sequence of p-values
+        The local families; any other key raises ``ValueError``.  Layout
+        depends on ``hypotheses``:
 
         ``"children"``
-            The family at ``v`` holds one hypothesis per child, in child
-            order, and rejected hypotheses are reported under the child ids.
-            Leaves host no family.  List lengths must match child counts.
+            The family at ``v`` is a 1-D list of one hypothesis per child,
+            in child order, and rejected hypotheses are reported under the
+            child ids.  Leaves host no family.
         ``"self"``
             Each vertex's family is its own single hypothesis (one p-value),
-            reported under the vertex's id.  With this layout the procedure
-            coincides exactly with ``descend``.
+            reported under the vertex's id: every family must hold exactly
+            one p-value, and the walk is ``descend`` on them.
     """
     if hypotheses not in ("children", "self"):
         raise ValueError("hypotheses must be 'children' or 'self'")
+    if hypotheses == "self":
+        if sizes := [np.size(f) for f in local_pvals.values() if np.size(f) != 1]:
+            raise ValueError(f"'self' layout expects one p-value per vertex, got {sizes[0]}")
+        return descend(tree, alloc, {v: np.ravel(f)[0] for v, f in local_pvals.items()})
     n = tree.n_vertices
     levels = _budget_levels(tree, alloc)
 
-    # one vector of p-values indexed by the hypothesis' vertex (the child's
-    # id, or the vertex's own), NaN where no family of the right shape is given
-    own = hypotheses == "self"
-    keys = np.array(sorted(v for v in local_pvals if 0 <= v < n), dtype=np.int64)
-    families = [np.asarray(local_pvals[v], dtype=np.float64) for v in keys.tolist()]
-    given = np.full(n, -1)
-    given[keys] = [f.size for f in families]
-    fits = given == (1 if own else tree.child_counts)
-    fits[keys] &= np.array([own or f.ndim == 1 for f in families], dtype=bool)
-    if own:
-        slots = np.flatnonzero(fits)
-    else:  # children of fitting parents, by parent, in child order
-        slots = np.flatnonzero(fits[tree.parent[1:]]) + 1
-        slots = slots[np.argsort(tree.parent[slots], kind="stable")]
-    p = np.full(n, np.nan)
-    if slots.size:
-        p[slots] = np.concatenate([f.ravel() for f, ok in zip(families, fits[keys]) if ok])
+    # p-values under the child ids, NaN where no family of the right shape is given
+    p, given, dims = np.full(n, np.nan), np.full(n, -1), np.ones(n, dtype=np.int64)
+    for key, family in local_pvals.items():
+        v, f = _vertex(key, n), np.asarray(family, dtype=np.float64)
+        given[v], dims[v] = f.size, f.ndim
+        if f.shape == (tree.child_counts[v],):
+            p[tree.children(v)] = f
 
-    if own:
-        rejected = _descent(tree, p <= levels)
-        tested = _tested(tree, rejected)
-        outside, stopped = _outside_unit(p), tested & ~rejected
-    else:
-        cuts = _local_thresholds(tree, levels)
-        rejected, active = (flags[:, 0] for flags in _local_descent(tree, p[:, None], cuts))
-        tested = active & (tree.child_counts > 0)
-        outside, opened = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        outside[tree.parent[1:][_outside_unit(p[1:])]] = True
-        opened[tree.parent[1:][active[1:]]] = True  # families rejected whole
-        stopped = tested & ~opened
-    _raise_first_bad(tested, (given < 0, ~fits, outside), lambda v: (
-        f"local p-value{'' if own else 's'} required at active vertex {v}",
-        f"'self' layout expects one p-value per vertex, got {given[v]}" if own
-        else f"vertex {v} has {tree.child_counts[v]} children but {given[v]} local p-values",
+    cuts = _local_thresholds(tree, levels)
+    rejected, active = (flags[:, 0] for flags in _local_descent(tree, p[:, None], cuts))
+    tested = active & (tree.child_counts > 0)
+    outside, opened = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    outside[tree.parent[1:][_outside_unit(p[1:])]] = True
+    opened[tree.parent[1:][active[1:]]] = True  # families rejected whole
+    bad = (given < 0, dims != 1, given != tree.child_counts, outside)
+    _raise_first_bad(tested, bad, lambda v: (
+        f"local p-values required at active vertex {v}",
+        f"local p-values at vertex {v} form a {dims[v]}-D array, not a list",
+        f"vertex {v} has {tree.child_counts[v]} children but {given[v]} local p-values",
         "p-values must lie in [0, 1]",
     ))
-    return TreeRejections(_ids(rejected), _ids(stopped))
+    return TreeRejections(_ids(rejected), _ids(tested & ~opened))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +411,9 @@ def error_report(
 ) -> ErrorReport:
     """Count false rejections against a truth assignment.
 
-    ``rejected`` may be a ``TreeRejections``, a set of indices, or a boolean
-    array aligned with ``truth``; ``truth`` holds 1 where the null is true.
+    ``rejected`` may be a ``TreeRejections``, a set of integer vertex ids
+    (any other id raises ``ValueError``), or a boolean array aligned with
+    ``truth``; ``truth`` holds 1 where the null is true.
     Power is the fraction of false nulls rejected (1 denominator when there
     are none).
     """
@@ -440,17 +429,11 @@ def error_report(
         if flags.shape != t.shape:
             raise ValueError("rejection flags and truth must have equal length")
     else:
-        ids = np.asarray(list(rejected), dtype=np.int64).ravel()
-        outside = ids[(ids < 0) | (ids >= t.size)]
-        if outside.size:
-            raise ValueError(f"rejected id {outside[0]} outside the truth index range")
         flags = np.zeros(t.size, dtype=bool)
-        flags[ids] = True
+        flags[[_vertex(v, t.size) for v in rejected]] = True
 
-    false_rej = int(np.count_nonzero(flags & t))
-    rej = int(np.count_nonzero(flags))
-    hits = int(np.count_nonzero(flags & ~t))
-    n_false_nulls = int(np.count_nonzero(~t))
+    false_rej, rej, hits, n_false_nulls = np.count_nonzero(
+        [flags & t, flags, flags & ~t, ~t], axis=1).tolist()
     return ErrorReport(
         false_rejections=false_rej,
         rejections=rej,

@@ -892,12 +892,12 @@ def audit_alpha_sums(
     The enumeration budget is ``max_depth <= 3`` with branching factors at
     most 3; larger requests raise ``BudgetError``.
     """
-    branchings = tuple(sorted(set(int(b) for b in branchings)))
+    branchings = tuple(sorted({_number(b, "branchings", True) for b in branchings}))
     if any(b < 1 for b in branchings) or not branchings:
         raise ValueError("branching factors must be >= 1")
-    if max_depth < 0:
+    if (max_depth := _number(max_depth, "max_depth", True)) < 0:
         raise ValueError("max_depth must be >= 0")
-    if n_weighted < 0:
+    if (n_weighted := _number(n_weighted, "n_weighted", True)) < 0:
         raise ValueError("n_weighted must be >= 0")
     if max_depth > 3 or max(branchings) > 3:
         raise BudgetError("enumeration budget is depth <= 3 with branching factors <= 3")
@@ -934,7 +934,7 @@ def audit_alpha_sums(
                         f"literal max {lmax} vs profile max {vmax}"
                     )
         trees_checked += 1
-        literal_trees += int(do_literal)
+        literal_trees += do_literal
         assignments_covered += 1 << n
 
     return AlphaSumAudit(

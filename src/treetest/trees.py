@@ -15,9 +15,10 @@ while every ancestor's null is false (``first_true_vertices``), and level
 sums over that set restricted to subtrees (read through
 ``simulate.audit_subtree_sums``).
 
-Vertices are dense integers.  Ids are assigned breadth-first by the
-constructors, and every parent id is smaller than its children's ids; trees
-are immutable after construction and safe for concurrent reads.
+Vertices are dense integers, and every id a caller names is read through
+``_vertex``.  Ids are assigned breadth-first by the constructors, and every
+parent id is smaller than its children's ids; trees are immutable after
+construction and safe for concurrent reads.
 
 A tree keeps its children as one read-only array ordered by parent, and
 ``children(v)`` returns a read-only view into it.  ``layers`` holds the
@@ -159,7 +160,9 @@ class TestTree:
     root = 0
 
     def children(self, v: int) -> np.ndarray:
-        """Ordered child ids of vertex ``v`` (empty for leaves); a read-only view."""
+        """Ordered child ids of vertex ``v`` (empty for leaves), a read-only
+        view; ``ValueError`` unless ``v`` is an integer id of this tree."""
+        v = _vertex(v, self.n_vertices)
         return self._kids[self._kid_start[v] : self._kid_start[v + 1]]
 
     @property
@@ -334,6 +337,14 @@ class AlphaAllocation:
 LevelsLike = Union[AlphaAllocation, Sequence[float], np.ndarray]
 
 
+def _vertex(v, n: int) -> int:
+    """A caller's vertex id of an ``n``-vertex tree: an integer (Python or
+    numpy, not bool) in ``[0, n)``; ``ValueError`` for anything else."""
+    if not isinstance(v, (int, np.integer)) or type(v) is bool or not 0 <= v < n:
+        raise ValueError(f"unknown vertex id {v!r}, outside the integers 0 to {n - 1}")
+    return int(v)
+
+
 def _per_vertex(values, n: int, what: str) -> np.ndarray:
     """``values`` as an array of one entry per vertex of an ``n``-vertex tree,
     not cast; ``ValueError`` for any other shape, an id->value mapping included."""
@@ -425,13 +436,11 @@ def level_budget_violations(tree: TestTree, alloc: LevelsLike) -> np.ndarray:
 
 
 def ancestors(tree: TestTree, v: int) -> np.ndarray:
-    """Vertices strictly above ``v`` on its root path, parent first."""
-    if not 0 <= int(v) < tree.n_vertices:
-        raise ValueError(f"unknown vertex id {v!r}")
-    out = []
-    v = int(v)
+    """Vertices strictly above ``v`` on its root path, parent first.  ``v``
+    is an integer id of the tree; anything else raises ``ValueError``."""
+    v, out = _vertex(v, tree.n_vertices), []
     while v != tree.root:
-        v = int(tree.parent[v])
+        v = tree.parent[v]
         out.append(v)
     return np.asarray(out, dtype=np.int64)
 

@@ -191,6 +191,18 @@ class TestLocalize:
             flagged += bool(res.rejected)
         assert flagged / reps <= monte_carlo_bound(0.05, reps)
 
+    def test_pure_noise_family_error_is_exact(self):
+        # two-sided: any rejection needs the root, whose p-value is uniform
+        # under the null, so the familywise error is alpha itself
+        rng = np.random.default_rng(5)
+        alpha, reps = 0.05, 10_000
+        itree = build_interval_tree(256, 6, 2)
+        flagged = 0
+        for _ in range(reps):
+            trials = TrialMatrix(rng.standard_normal((10, 256)))
+            flagged += bool(localize(trials, alpha, 6, itree=itree).rejected)
+        assert abs(flagged / reps - alpha) <= 4 * np.sqrt(alpha * (1 - alpha) / reps)
+
     def test_rejections_are_nested(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((20, 64))

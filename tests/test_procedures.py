@@ -324,6 +324,8 @@ class TestKernelWrappers:
             ({0: [0.001, 0.001], 1: [0.9], 3: [0.1, 0.2]}, "vertex 3 has 1 children but 2 local"),
             ({0: [0.001, 0.001], 1: [1.5], 3: [0.9]}, r"p-values must lie in \[0, 1\]"),
             ({0: [0.001, 0.001], 1: [0.9]}, "local p-values required at active vertex 3$"),
+            ({0: [[0.001], [0.001]]}, "^local p-values at vertex 0 form a 2-D array, not a list$"),
+            ({0: [0.001, 0.001], 1: 0.9, 3: [0.9]}, "at vertex 1 form a 0-D array, not a list$"),
         ],
     )
     def test_bad_family_at_active_vertex_is_named(self, families, message):
@@ -344,14 +346,19 @@ class TestKernelWrappers:
             descend_local(self.tree, self.alloc, {0: [0.5, 0.5]}, hypotheses="x")
 
     def test_bad_self_layout_value_is_named(self):
-        # root and vertex 1 rejected: 2 and 3 are tested, and 2 is the smaller
-        with pytest.raises(ValueError, match="local p-value required at active vertex 2$"):
+        # root and vertex 1 rejected: 2 and 3 are tested, and 2 is the smaller;
+        # the walk is descend's, and so is the message
+        with pytest.raises(ValueError, match="^p-value required at tested vertex 2$"):
             descend_local(self.tree, self.alloc, {0: [0.01], 1: [0.01]}, hypotheses="self")
         with pytest.raises(ValueError, match="expects one p-value per vertex, got 2"):
             descend_local(
                 self.tree, self.alloc, {0: [0.01], 1: [0.01], 2: [0.1, 0.2], 3: [0.9]},
                 hypotheses="self",
             )
+        # every family is checked, also where the walk never goes: the root
+        # is accepted here, so vertex 1 is never tested
+        with pytest.raises(ValueError, match="^'self' layout expects one p-value per vertex, got 2$"):
+            descend_local(self.tree, self.alloc, {0: [0.9], 1: [0.1, 0.2]}, hypotheses="self")
 
     def test_batch_matches_reference_on_gather_layer_trees(self):
         rng = np.random.default_rng(41)

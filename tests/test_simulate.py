@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -446,6 +447,27 @@ class TestCompare:
         cfg = SimConfig(trees=((2, 2),), replications=20_000, seed=14)
         for rep in compare_procedures(cfg, list(("descend", "holm_flat", "bh_flat"))):
             assert rep.fwer_hat <= monte_carlo_bound(0.05, cfg.replications)
+
+    @pytest.mark.parametrize("trees", [((2, 2, 2),), ((2, 2), (3,)), ((4, 3),)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_global_null_matches_closed_forms(self, trees, seed):
+        # two-sided, so a draw biased low fails too: independent statistics
+        # give every procedure's null familywise error in closed form.  The
+        # roots share alpha equally; the flat procedures test the leaves.
+        alpha, reps = 0.05, 200_000
+        a, m = alpha / len(trees), sum(math.prod(t) for t in trees)
+        flat = 1 - (1 - alpha / m) ** m
+        exact = {
+            "descend": 1 - (1 - a) ** len(trees),  # a rejection needs a root
+            "descend_local": 1 - math.prod((1 - a / t[0]) ** t[0] for t in trees),  # root Holm
+            "holm_flat": flat,  # a rejection needs the smallest p at alpha / m
+            "bonferroni_flat": flat,
+            "bh_flat": alpha,  # Simes
+        }
+        cfg = SimConfig(trees=trees, alpha=alpha, replications=reps, seed=seed)
+        for rep in compare_procedures(cfg, PROCEDURES):
+            p = exact[rep.procedure]
+            assert abs(rep.fwer_hat - p) <= 4 * math.sqrt(p * (1 - p) / reps), rep.procedure
 
 
 def step_ulps(x, k):
@@ -1041,6 +1063,23 @@ class TestAuditAlphaSums:
         audit = audit_alpha_sums(3, (2, 3), n_weighted=2)
         assert audit.passed
         assert audit.max_level_sum <= 0.05 + 1e-12
+
+    @pytest.mark.parametrize("kwargs, where", [
+        ({"branchings": (2.7,)}, "branchings"),  # once audited binary trees
+        ({"branchings": (True,)}, "branchings"),  # once audited branching 1
+        ({"max_depth": True}, "max_depth"),  # once recorded as True
+        ({"max_depth": 1.5}, "max_depth"),  # once a TypeError from range()
+        ({"n_weighted": 1.5}, "n_weighted"),
+        ({"n_weighted": "2"}, "n_weighted"),
+    ])
+    def test_counts_read_by_the_number_rule(self, kwargs, where):
+        with pytest.raises(TypeError, match=f"^{where}: expected an? (number|integer), got "):
+            audit_alpha_sums(**{"max_depth": 1, "branchings": (2,), **kwargs})
+
+    def test_integral_counts_read_as_ints(self):
+        audit = audit_alpha_sums(1.0, (2.0, np.int64(2)), n_weighted=np.int64(1))
+        assert (audit.max_depth, audit.branchings, audit.allocations_per_tree) == (1, (2,), 2)
+        assert type(audit.max_depth) is int and type(audit.branchings[0]) is int
 
     def test_negative_weighted_count_rejected(self):
         # -5 used to report "-4 allocations" and a negative case count

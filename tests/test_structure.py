@@ -1,15 +1,16 @@
 """Source-structure checks: one layer traversal, one number rule, one
-per-vertex rule, one reader, no fresh block arrays, no unused public names
-or members, no test module lost.
+per-vertex rule, one vertex id rule, one reader, no fresh block arrays, no
+unused public names or members, no test module lost.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
 scratch.  JSON documents read their numbers through ``trees._number``,
-per-vertex inputs their shape through ``trees._per_vertex`` and truth
-through ``trees._truth_flags``, and only ``cli`` opens files.  Every name
-the package exports, and every public member of an exported class, has a
-user outside the tests, and every test module imports.
+per-vertex inputs their shape through ``trees._per_vertex``, truth through
+``trees._truth_flags`` and vertex ids through ``trees._vertex``, and only
+``cli`` opens files.  Every name the package exports, and every public
+member of an exported class, has a user outside the tests, and every test
+module imports.
 """
 
 import ast
@@ -85,6 +86,7 @@ def test_documents_read_numbers_through_one_rule():
         "simulate._branching": called(definition("simulate.py", "_branching")),
         "trees.allocation_from_doc": called(definition("trees.py", "allocation_from_doc")),
         "trees.build_complete_tree": called(definition("trees.py", "build_complete_tree")),
+        "simulate.audit_alpha_sums": called(definition("simulate.py", "audit_alpha_sums")),
     }
     assert {reader: names & {"int", "float"} for reader, names in readers.items()} == {
         reader: set() for reader in readers
@@ -110,6 +112,21 @@ def test_per_vertex_inputs_read_through_one_rule():
     )
     assert {r: "_truth_flags" in names for r, names in truth_readers.items()} == dict.fromkeys(
         truth_readers, True
+    )
+
+
+def test_vertex_ids_read_through_one_rule():
+    # hand-written id checks drift apart: int() read 1.7 and True as
+    # vertex 1, a negative id wrapped, and an id past the end was dropped
+    readers = {
+        "TestTree.children": called(definition("trees.py", "TestTree", "children")),
+        "trees.ancestors": called(definition("trees.py", "ancestors")),
+        "procedures.descend": called(definition("procedures.py", "descend")),
+        "procedures.descend_local": called(definition("procedures.py", "descend_local")),
+        "procedures.error_report": called(definition("procedures.py", "error_report")),
+    }
+    assert {r: ("_vertex" in names, "int" in names) for r, names in readers.items()} == (
+        dict.fromkeys(readers, (True, False))
     )
 
 

@@ -1,6 +1,7 @@
 """Tree structures, level allocations, and the combinatorial helpers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
-from treetest import audit_subtree_sums, descend
+from treetest import audit_subtree_sums, descend, descend_local, error_report
 from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
 
 from helpers import (
@@ -462,6 +463,45 @@ class TestPerVertexInputs:
             flags = as_truth(self.tree, given)
             assert flags.dtype == bool and flags.tolist() == [False, True, True]
             assert first_true_vertices(self.tree, given).tolist() == [1, 2]
+
+
+class TestVertexIds:
+    """Every vertex id a caller names is an integer (Python or numpy, never
+    bool) inside the tree, read through one rule; anything else raises,
+    where hand-written checks once truncated 1.7 to 1, read True as 1,
+    wrapped -7 and dropped 99."""
+
+    tree = build_complete_tree([2, 2])  # children 0 -> [1, 2], 1 -> [3, 4]
+    alloc = uniform_levels(tree, 0.05)
+    READERS = {
+        "children": lambda tree, alloc, v: tree.children(v),
+        "ancestors": lambda tree, alloc, v: ancestors(tree, v),
+        "descend": lambda tree, alloc, v: descend(tree, alloc, {0: 0.01, v: 0.5, 2: 0.5}),
+        "descend_local": lambda tree, alloc, v: descend_local(
+            tree, alloc, {0: [0.01, 0.01], v: [0.5, 0.5], 2: [0.5, 0.5]}),
+        "descend_local self": lambda tree, alloc, v: descend_local(
+            tree, alloc, {0: [0.01], v: [0.5], 2: [0.5]}, hypotheses="self"),
+        "error_report": lambda tree, alloc, v: error_report({v}, [1, 0, 1, 1, 1, 1, 1]),
+    }
+    BAD = [1.7, 1.0, 0.5, True, np.True_, -1, -7, 7, 99, "1", "a", None]
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("v", BAD, ids=repr)
+    def test_anything_but_an_id_in_range_refused(self, reader, v):
+        message = f"^unknown vertex id {re.escape(repr(v))}, outside the integers 0 to 6$"
+        with pytest.raises(ValueError, match=message):
+            self.READERS[reader](self.tree, self.alloc, v)
+
+    @pytest.mark.parametrize("v", [1, np.int64(1), np.uint8(1), np.intp(1)], ids=repr)
+    def test_python_and_numpy_integers_read_alike(self, v):
+        tree, alloc = self.tree, self.alloc
+        assert tree.children(v).tolist() == [3, 4]
+        assert ancestors(tree, v).tolist() == [0]
+        assert descend(tree, alloc, {0: 0.01, v: 0.5, 2: 0.5}).frontier == {1, 2}
+        local = self.READERS["descend_local"](tree, alloc, v)
+        assert (local.rejected, local.frontier) == ({1, 2}, {1, 2})
+        assert self.READERS["descend_local self"](tree, alloc, v).frontier == {1, 2}
+        assert error_report({v}, [1, 0, 1, 1, 1, 1, 1]).power == 1.0
 
 
 class TestDescentPassesMatchReference:

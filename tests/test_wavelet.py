@@ -192,6 +192,18 @@ class TestKeepMask:
         frac = mask[:, 2:].any(axis=1).mean()
         assert frac <= monte_carlo_bound(alpha, reps)
 
+    def test_pure_noise_family_error_is_exact(self):
+        # two-sided: a coefficient is kept only below a kept level-1 root,
+        # and the two roots are independent tests at alpha / 2
+        rng = np.random.default_rng(6)
+        alpha, n, chunk, reps = 0.05, 256, 25_000, 200_000
+        kept = 0
+        for _ in range(reps // chunk):  # in chunks, to bound memory
+            mask = keep_mask(haar_forward(rng.standard_normal((chunk, n))), alpha, 1.0)
+            kept += np.count_nonzero(mask[:, 2:].any(axis=1))
+        exact = 1 - (1 - alpha / 2) ** 2
+        assert abs(kept / reps - exact) <= 4 * np.sqrt(exact * (1 - exact) / reps)
+
 
 def deep_coefficients(rng, shape, J):
     """Coefficients with most entries far above every level's threshold, so
