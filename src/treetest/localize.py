@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import _check_sigma, two_sided_pvalue
-from .trees import TestTree, _descent, _tested, build_complete_tree, uniform_levels
+from .trees import TestTree, _descent, _numeric, _tested, build_complete_tree, uniform_levels
 
 __all__ = [
     "TrialMatrix",
@@ -39,7 +39,7 @@ class TrialMatrix:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _numeric(self.data, "trial data")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("trial data must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(data)):

@@ -18,11 +18,14 @@ per-run error accounting (``error_report``) round out the module.
 Each procedure is one kernel on a block of replications, deciding
 ``score <= cut``: the descent is ``trees._descent``, one numpy step per tree
 layer on vertex-major ``(n_vertices, rows)`` blocks; ``_local_descent``
-runs local Holm one family group at a time, and ``_holm`` and
-``_sorted_cut`` cut Holm and BH.  The public functions are thin wrappers
-(p-values as scores, thresholds as cuts), and the simulator runs the same
-kernels.  Wrappers check values only where the walk tested, after it ran;
-an error names the smallest such vertex.
+runs local Holm one family group at a time, on the rows where one of the
+group's parents is active, and ``_holm`` and ``_sorted_cut`` cut Holm and
+BH, the latter on rank-major sorted scores ``(m, rows)``.  The public
+functions are thin wrappers (p-values as scores, thresholds as cuts), and
+the simulator runs the same kernels.  Wrappers read arrays of numbers
+through ``trees._numeric``, so a string or a boolean is refused wherever it
+sits; they check values only where the walk tested, after it ran, and an
+error names the smallest such vertex.
 
 All functions are pure and reentrant.  Rejection uses the closed comparison
 ``p <= level`` so boundary ties count as rejections.
@@ -35,8 +38,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .trees import (LevelsLike, TestTree, _descent, _per_vertex, _tested, _truth_flags, _vertex,
-                    as_levels, level_budget_violations)
+from .trees import (LevelsLike, TestTree, _descent, _numeric, _per_vertex, _tested, _truth_flags,
+                    _vertex, as_levels, level_budget_violations)
 
 __all__ = [
     "TreeRejections",
@@ -96,8 +99,10 @@ class ErrorReport:
 
 # Families of at least this many members are cut by sorting, smaller ones
 # by pairwise comparison.  Measured on blocks of 1, 2 and 8 families of
-# 8192 rows: comparison is faster up to 10 members, sorting from 12 on.
-_SORT_FROM = 12
+# 8192 rows, summed over the three: sorting along the members' axis (no
+# transpose) won 5 of 5 runs from 9 members on (e.g. 9.5 against 11.9 ms
+# at 9, 9.1 against 10.8 at 10), and 2 of 4 at 8 (7.6 against 6.2 ms).
+_SORT_FROM = 9
 
 
 def _holm(s: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,29 +126,31 @@ def _holm(s: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         passes = rank + clears >= m
         flags = (below | passes[:, None]).all(axis=2)
     else:
-        ordered = s.transpose(0, 2, 1).copy()  # a copy even where the transpose is contiguous
-        ordered.sort(axis=2)
-        flags = s <= _sorted_cut(ordered, cuts)[:, None, :]
+        flags = s <= _sorted_cut(np.sort(s, axis=1), cuts)[:, None, :]
     return flags, flags.all(axis=1)
 
 
 def _sorted_cut(s: np.ndarray, cuts: np.ndarray, step_up: bool = False) -> np.ndarray:
     """Per-row rejection cut of Holm, or of BH when ``step_up``.
 
-    ``s`` holds each row's scores sorted ascending along its last axis,
-    ``(..., rows, m)``; ``cuts`` is ``(..., m)`` and increases along its
-    last axis.  Holm stops at the first sorted score above its cut, BH takes
-    the last one at or below it; either way the rejected scores are those at
-    or below the cut of the last rejected rank.  Returns that cut,
-    ``(..., rows)``, or ``-inf`` where nothing is rejected.
+    ``s`` is rank-major, ``(..., m, rows)``: each row's scores sorted
+    ascending along axis -2.  ``cuts`` is ``(..., m)`` and increases along
+    its last axis.  Holm stops at the first sorted score above its cut, BH
+    takes the last one at or below it; either way the rejected scores are
+    those at or below the cut of the last rejected rank.  That rank is a
+    rank-weighted maximum over axis -2, so every step runs elementwise
+    across rows.  Returns the cut, ``(..., rows)``, or ``-inf`` where
+    nothing is rejected.
     """
-    m = s.shape[-1]
-    passed = s <= cuts[..., None, :]
-    if step_up:
-        k = np.where(passed.any(axis=-1), m - passed[..., ::-1].argmax(axis=-1), 0)
-    else:
-        k = np.where(passed.all(axis=-1), m, passed.argmin(axis=-1))
-    return np.where(k > 0, np.take_along_axis(cuts, np.maximum(k - 1, 0), axis=-1), -np.inf)
+    m = s.shape[-2]
+    ranks = np.arange(1, m + 1, dtype=np.min_scalar_type(m))[:, None]
+    passed = s <= cuts[..., None]
+    if step_up:  # the last rank that passes
+        k = (passed * ranks).max(axis=-2)
+    else:  # the ranks before the first that fails
+        k = m - (~passed * ranks[::-1]).max(axis=-2)
+    none = np.full((*cuts.shape[:-1], 1), -np.inf)
+    return np.take_along_axis(np.concatenate([none, cuts], axis=-1), k, axis=-1)
 
 
 def _local_descent(
@@ -153,8 +160,12 @@ def _local_descent(
 
     ``cuts`` holds one ``(parents, k)`` cut table per family group of
     ``tree.families``.  A family is tested where its parent is active: the
-    root, or a vertex whose parent's family was rejected whole.  Returns the
-    (rejected, active) flags, a vertex rejected within its parent's family.
+    root, or a vertex whose parent's family was rejected whole.  Each group
+    touches only its live columns, the rows where one of its parents is
+    active: all of them for the root's family, and typically few below it,
+    where a group with none is skipped.  Returns the (rejected, active)
+    flags, a vertex rejected within its parent's family; both stay False
+    outside the live columns.
     """
     rows = scores.shape[1]
     rejected = np.zeros(scores.shape, dtype=bool)
@@ -162,10 +173,19 @@ def _local_descent(
     active[0] = True
     groups = (group for layer in tree.families for group in layer)
     for (par, kids, k), cut in zip(groups, cuts, strict=True):
-        flags, all_rej = _holm(scores[kids].reshape(-1, k, rows), cut)
         live = active[par]
-        rejected[kids] = (flags & live[:, None]).reshape(-1, rows)
-        active[kids] = np.repeat(all_rej & live, k, axis=0)
+        cols = np.flatnonzero(live.any(axis=0))
+        if cols.size == rows:
+            cols = slice(None)
+        elif cols.size == 0:
+            continue
+        at = (kids, cols)  # two index arrays index a grid only through ``ix_``
+        if isinstance(kids, np.ndarray) and isinstance(cols, np.ndarray):
+            at = np.ix_(kids, cols)
+        live = live[:, cols]
+        flags, all_rej = _holm(scores[at].reshape(-1, k, live.shape[1]), cut)
+        rejected[at] = (flags & live[:, None]).reshape(-1, live.shape[1])
+        active[at] = np.repeat(all_rej & live, k, axis=0)
     return rejected, active
 
 
@@ -199,7 +219,7 @@ def _outside_unit(p: np.ndarray) -> np.ndarray:
 
 
 def _checked_pvalues(pvals: Sequence[float]) -> np.ndarray:
-    p = np.asarray(pvals, dtype=np.float64)
+    p = _numeric(pvals, "p-values")
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError("need a non-empty 1-D list of p-values")
     if _outside_unit(p).any():
@@ -209,7 +229,7 @@ def _checked_pvalues(pvals: Sequence[float]) -> np.ndarray:
 
 def _flat(p: np.ndarray, thresholds: np.ndarray, step_up: bool) -> np.ndarray:
     rows = np.atleast_2d(p)
-    cut = _sorted_cut(np.sort(rows, axis=-1), thresholds, step_up)
+    cut = _sorted_cut(np.sort(rows, axis=-1).T, thresholds, step_up)
     return (rows <= cut[:, None]).reshape(p.shape)
 
 
@@ -296,9 +316,9 @@ def descend(
     if isinstance(pvals, Mapping):
         ids = [_vertex(v, n) for v in pvals]
         p, missing = np.full(n, np.nan), np.ones(n, dtype=bool)
-        p[ids], missing[ids] = list(pvals.values()), False
+        p[ids], missing[ids] = _numeric(list(pvals.values()), "p-values"), False
     else:
-        p = _per_vertex(pvals, n, "p-value array").astype(np.float64, copy=False)
+        p = _numeric(_per_vertex(pvals, n, "p-value array"), "p-values")
         missing = np.isnan(p)
     rejected = _descent(tree, p <= levels)
     tested = _tested(tree, rejected)
@@ -323,7 +343,7 @@ def descend_batch(
     transposed views of vertex-major arrays, so they are not C-contiguous.
     """
     levels = _budget_levels(tree, alloc, validate)
-    P = np.asarray(pmatrix, dtype=np.float64)
+    P = _numeric(pmatrix, "pmatrix")
     if P.ndim != 2 or P.shape[1] != tree.n_vertices:
         raise ValueError("pmatrix must have shape (replications, n_vertices)")
     if validate and _outside_unit(P).any():
@@ -379,7 +399,7 @@ def descend_local(
     # p-values under the child ids, NaN where no family of the right shape is given
     p, given, dims = np.full(n, np.nan), np.full(n, -1), np.ones(n, dtype=np.int64)
     for key, family in local_pvals.items():
-        v, f = _vertex(key, n), np.asarray(family, dtype=np.float64)
+        v, f = _vertex(key, n), _numeric(family, "local p-values")
         given[v], dims[v] = f.size, f.ndim
         if f.shape == (tree.child_counts[v],):
             p[tree.children(v)] = f

@@ -342,10 +342,11 @@ class _Instance:
     """Precomputed immutable state shared by all replication blocks.
 
     Block layout: the statistics of a block are drawn row-major, one row per
-    replication, and transposed once to vertex-major ``(n_vertices, rows)``.
-    These arrays (the draw, the scores, the truth in both layouts and the
-    sorted leaf scores) are views of one worker's ``scratch``, which that
-    worker holds for the whole call and refills for every block it draws.
+    replication, and transposed once to vertex-major ``(n_vertices, rows)``;
+    the sorted leaf scores are rank-major, ``(n_leaves, rows)``.  These
+    arrays (the draw, the scores, the truth in both layouts and the sorted
+    leaf scores) are views of one worker's ``scratch``, which that worker
+    holds for the whole call and refills for every block it draws.
     The procedures are the kernels the public functions wrap, run on one
     tree's rows ``scores[off : off + n]`` at a time; ``scope[procedure]``
     holds the vertex ids of the rows a procedure returns, its hypotheses.
@@ -458,7 +459,8 @@ class _Instance:
         cells, leaf_cells = rows * self.n_vertices, rows * self.n_leaves
         floats = np.split(np.empty(2 * (cells + leaf_cells)), np.cumsum([cells, cells, leaf_cells]))
         flags = np.split(np.empty(3 * cells, dtype=bool), 3)
-        # z: the row-major draw; y: nested means' leaf draw; alt: the false nulls
+        # z: the row-major draw, whose leaf scores are then sorted in place;
+        # y: nested means' leaf draw; sorted: rank-major; alt: the false nulls
         names = ("z", "scores", "y", "sorted", "truth", "truth_t", "alt")
         return dict(zip(names, floats + flags))
 
@@ -476,11 +478,11 @@ class _Instance:
         Scores and truth are ``(n_vertices, rows)``; truth is ``None`` when
         it is fixed (``global_null`` or ``explicit``; see ``fixed_truth``).
         With ``sort_leaves`` the third item holds the leaf scores of each
-        replication sorted ascending, ``(rows, n_leaves)``, which flat Holm
-        and BH share; otherwise it is ``None``.  The stream for block ``b``
-        is ``default_rng([seed, b])`` and the draw order inside a block is
-        fixed (truth first when random, then the Gaussian data, both drawn
-        row-major), so results do not depend on scheduling.
+        replication sorted ascending, rank-major ``(n_leaves, rows)``, which
+        flat Holm and BH share; otherwise it is ``None``.  The stream for
+        block ``b`` is ``default_rng([seed, b])`` and the draw order inside a
+        block is fixed (truth first when random, then the Gaussian data, both
+        drawn row-major), so results do not depend on scheduling.
 
         All three are views of ``scratch`` (from ``self.scratch``), valid
         until the next block drawn into it.
@@ -524,12 +526,12 @@ class _Instance:
         if self.pvalue_score:
             special.ndtr(z, out=z)
             z *= 2.0
-        sorted_leaves = None
-        if sort_leaves:
-            sorted_leaves = buf("sorted", rows, self.n_leaves)
-            np.copyto(sorted_leaves, z[:, self.leaves])
-            sorted_leaves.sort(axis=1)
         scores = _transposed(z, buf("scores", self.n_vertices, rows))
+        sorted_leaves = None
+        if sort_leaves:  # z is spent: sort its leaf scores in place, row by row
+            leaf = z[:, self.leaves]
+            leaf.sort(axis=1)
+            sorted_leaves = _transposed(leaf, buf("sorted", self.n_leaves, rows))
         if truth is not None:
             truth = _transposed(truth, buf("truth_t", self.n_vertices, rows))
         return scores, truth, sorted_leaves
@@ -541,7 +543,8 @@ class _Instance:
 
         Row ``i`` of the result holds the flags of vertex
         ``scope[procedure][i]``; every other vertex is never rejected.
-        Flat Holm and BH cut from ``sorted_leaves`` (see ``draw_block``).
+        Flat Holm and BH cut from ``sorted_leaves``, the rank-major
+        ``(n_leaves, rows)`` leaf scores of ``draw_block``.
         """
         if procedure == "descend":
             rejected = scores <= self.vertex_cuts[:, None]

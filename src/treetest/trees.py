@@ -321,7 +321,7 @@ class AlphaAllocation:
     levels: np.ndarray
 
     def __post_init__(self) -> None:
-        levels = np.array(self.levels, dtype=np.float64)
+        levels = _numeric(self.levels, "test levels").copy()
         if levels.ndim != 1 or levels.size == 0:
             raise ValueError("levels must be a non-empty 1-D array")
         if not np.all((levels > 0.0) & (levels <= 1.0)):
@@ -355,6 +355,17 @@ def _per_vertex(values, n: int, what: str) -> np.ndarray:
     if out.size != n:
         raise ValueError(f"{what} covers {out.size} vertices, tree has {n}")
     return out
+
+
+def _numeric(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, read only from integers or floats; a
+    ``ValueError`` for any other dtype, so "0.01" and True are refused rather
+    than read as 0.01 and 1.  Bool is for truth and rejection flags only."""
+    out = np.asarray(values)
+    if out.dtype.kind not in "iuf":
+        kind = {"b": "booleans", "c": "complex numbers", "U": "strings", "S": "bytes"}
+        raise ValueError(f"{what} must be real numbers, not {kind.get(out.dtype.kind, 'objects')}")
+    return out.astype(np.float64, copy=False)
 
 
 def _truth_flags(values: np.ndarray) -> np.ndarray:
@@ -407,7 +418,7 @@ def weighted_levels(
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     n = tree.n_vertices
-    w = _per_vertex(weights, n, "weight array").astype(np.float64, copy=False)
+    w = _numeric(_per_vertex(weights, n, "weight array"), "weights")
     if not (np.isfinite(w[1:]) & (w[1:] > 0.0)).all():
         raise ValueError("weights must be positive and finite")
     family_w = tree.child_sums(w)

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import special
 
 from .gaussian import _check_sigma, critical_z, two_sided_pvalue
+from .trees import _numeric
 
 __all__ = [
     "WaveletTree",
@@ -83,7 +84,7 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
     the smooth part; energy is preserved and ``haar_inverse`` recovers the
     input to floating-point accuracy.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = _numeric(signal, "signal")
     J = _check_length(x.shape[-1])
     coeffs = np.empty_like(x)
     s = x
@@ -217,7 +218,7 @@ def denoise(
     off the finest detail level.  Returns the reconstruction together with
     the kept-coefficient count and the per-level thresholds.
     """
-    samples = np.asarray(signal, dtype=np.float64)
+    samples = _numeric(signal, "signal")
     if not np.isfinite(samples).all():
         raise ValueError("signal samples must be finite")
     tree = haar_forward(samples)

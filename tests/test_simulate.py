@@ -28,7 +28,7 @@ from treetest import (
     uniform_levels,
     format_comparison,
 )
-from treetest.procedures import _SORT_FROM, _holm, _sorted_cut
+from treetest.procedures import _SORT_FROM, _holm, _local_descent, _local_thresholds, _sorted_cut
 from treetest.simulate import (
     _attainable_sums_check,
     _score_cuts,
@@ -585,7 +585,10 @@ class TestVectorizedKernels:
     Kernels decide on scores against cut tables and take vertex-major input:
     ``_holm`` takes ``(families, members, rows)`` scores and ``(families,
     members)`` cuts, ``run_procedure`` ``(vertices, rows)`` scores, and the
-    flat Holm and BH cut ``_sorted_cut`` takes each row's scores sorted.
+    flat Holm and BH cut ``_sorted_cut`` takes each row's scores sorted,
+    rank-major ``(members, rows)``.  ``_local_descent`` runs each family
+    group on its live rows only, so its tests pin rows where no family, one
+    deep path or every family opens.
     Every test runs on both scores: ``-|z|`` against the cuts of
     ``_score_cuts`` (``kind="z"``) and the p-value fallback against the
     thresholds themselves (``kind="p"``).  The reference always sees the
@@ -637,7 +640,7 @@ class TestVectorizedKernels:
     @staticmethod
     def flat(S, cuts, step_up):
         """Flat Holm (step-down) or BH (step-up) flags of each column of ``S``."""
-        return S <= _sorted_cut(np.sort(S.T, axis=1), cuts, step_up=step_up)
+        return S <= _sorted_cut(np.sort(S, axis=0), cuts, step_up=step_up)
 
     def check_holm(self, kind, S, levels, cuts):
         """``_holm`` on families ``S[f]`` and, per family, flat Holm, against ``reference_holm``."""
@@ -747,6 +750,72 @@ class TestVectorizedKernels:
                 S[:, :20] = self.scores(kind, rng.random((n, 20)) * 1e-3)  # deep descents
                 self.check_local_descent(kind, inst, S)
 
+    # (2, 3, 2): vertices 1-2, 3-8 and 9-20; 1's children are 3-5, 2's are
+    # 6-8, and 6, 7 and 8 have the leaves 15-16, 17-18 and 19-20
+    LIVE_TREE = SimConfig(trees=((2, 3, 2),), alpha=0.1, replications=1)
+
+    def live_rows(self, make_instance, kind, P):
+        """``_local_descent`` on the scores of p-values ``P`` over ``LIVE_TREE``,
+        checked against the reference first."""
+        inst = make_instance(kind, self.LIVE_TREE)
+        S = self.scores(kind, P)
+        self.check_local_descent(kind, inst, S)
+        return _local_descent(inst.trees[0], S, inst.local_cuts[0])
+
+    def test_local_descent_no_row_opens_the_root(self, make_instance):
+        # every deeper family would be rejected whole, but no row rejects
+        # the root's family whole, so none of them is ever tested
+        for kind in KINDS:
+            P = np.full((21, 64), 1e-8)
+            P[1, :32] = P[2, 32:] = 0.9
+            rejected, active = self.live_rows(make_instance, kind, P)
+            assert np.array_equal(rejected[1:3], P[1:3] < 0.5)
+            assert not rejected[3:].any() and not active[1:].any()
+
+    def test_local_descent_one_row_opens_a_deep_path(self, make_instance):
+        # only row 37 rejects the root's family whole; there 2's family
+        # opens, and below it only 8's: the path 0 -> 2 -> 8 runs through
+        # second and last parents, next to live siblings whose families
+        # stop and to dead ones whose p-values would reject
+        for kind in KINDS:
+            P = np.full((21, 64), 1e-8)
+            P[1] = 0.9
+            P[1, 37] = 1e-8
+            P[[3, 15, 17], 37] = 0.9
+            rejected, active = self.live_rows(make_instance, kind, P)
+            assert np.flatnonzero(rejected[:, 37]).tolist() == [1, 2, 4, 5, 6, 7, 8, 16, 18, 19, 20]
+            assert np.flatnonzero(active[:, 37]).tolist() == [0, 1, 2, 6, 7, 8, 19, 20]
+            assert np.flatnonzero(rejected[3:].any(axis=0)).tolist() == [37]
+            assert np.flatnonzero(active[1:].any(axis=0)).tolist() == [37]
+
+    def test_local_descent_every_row_opens_every_family(self, make_instance):
+        for kind in KINDS:
+            rejected, active = self.live_rows(make_instance, kind, np.full((21, 64), 1e-8))
+            assert rejected[1:].all() and not rejected[0].any() and active.all()
+
+    def test_local_descent_on_index_groups_of_mixed_sizes(self):
+        # layers 1 and 2 hold families of 2 and 3, and of 1, 2 and 3
+        # children, so their groups are index arrays; each row gathers the
+        # live columns of those groups
+        parents = [-1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 5, 5, 6, 6, 6, 7, 7, 8, 9, 9, 10, 10, 10]
+        tree = TestTree(parents)
+        assert [[k for _, _, k in layer] for layer in tree.families] == [[3], [2, 3], [1, 2, 3]]
+        groups = [group for layer in tree.families[1:] for group in layer]
+        assert all(isinstance(kids, np.ndarray) for _, kids, _ in groups)
+        levels = uniform_levels(tree, 0.2).levels
+        rng = np.random.default_rng(39)
+        P = rng.random((tree.n_vertices, 400)) ** rng.choice([1, 8, 30], 400)
+        P[:, :10] = 1e-8  # every family opens
+        rejected, active = _local_descent(tree, P, _local_thresholds(tree, levels))
+        kids = children_from_parents(parents)
+        assert 0 < active[4:].any(axis=0).sum() < 400  # some rows live below layer 1, not all
+        for i in range(P.shape[1]):
+            families = {v: P[ks, i] for v, ks in enumerate(kids) if ks}
+            want, _ = reference_descend_local(kids, levels, families)
+            opened = [v == 0 or set(kids[parents[v]]) <= want for v in range(tree.n_vertices)]
+            assert set(np.flatnonzero(rejected[:, i]).tolist()) == want, i
+            assert active[:, i].tolist() == opened, i
+
     def test_layered_descent_matches_scalar(self, make_instance):
         for kind in KINDS:
             rng = np.random.default_rng(37)
@@ -771,7 +840,7 @@ class TestVectorizedKernels:
             cuts = np.concatenate([inst.holm_cuts, inst.bh_cuts, [inst.bonferroni_cut]])
             S = self.boundary_scores(kind, rng, (inst.n_vertices, 200), cuts)
             P = self.pvalues(kind, S)[inst.leaf_ids]
-            shared = np.sort(S[inst.leaf_ids].T, axis=1)
+            shared = np.sort(S[inst.leaf_ids], axis=0)
             for proc, scalar in (("holm_flat", reference_holm), ("bonferroni_flat", bonferroni),
                                  ("bh_flat", reference_bh)):
                 got = inst.run_procedure(proc, S, shared)
@@ -794,7 +863,7 @@ class TestVectorizedKernels:
             assert np.allclose(scores[0], score(z_root), atol=1e-12)
             assert np.allclose(scores[1], score(z_internal), atol=1e-12)
             assert np.array_equal(scores[3], score(y[:, 0]))
-            assert np.array_equal(leaves, np.sort(score(y), axis=1))
+            assert np.array_equal(leaves, np.sort(score(y), axis=1).T)
 
     def test_nested_statistics_add_children_in_order(self):
         # numpy sums a contiguous run of 8 or more pairwise; the nested

@@ -6,7 +6,8 @@ Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
 scratch.  JSON documents read their numbers through ``trees._number``,
-per-vertex inputs their shape through ``trees._per_vertex``, truth through
+per-vertex inputs their shape through ``trees._per_vertex``, arrays of
+numbers their dtype through ``trees._numeric``, truth through
 ``trees._truth_flags`` and vertex ids through ``trees._vertex``, and only
 ``cli`` opens files.  Every name the package exports, and every public
 member of an exported class, has a user outside the tests, and every test
@@ -113,6 +114,36 @@ def test_per_vertex_inputs_read_through_one_rule():
     assert {r: "_truth_flags" in names for r, names in truth_readers.items()} == dict.fromkeys(
         truth_readers, True
     )
+
+
+def test_array_inputs_read_through_one_numeric_rule():
+    # a float64 cast reads "0.01" as 0.01 and True as 1: holm(["0.01",
+    # "0.2"]) once rejected the first, and boolean p-values made descend
+    # reject vertices 0 and 1
+    readers = {
+        "trees.AlphaAllocation": definition("trees.py", "AlphaAllocation", "__post_init__"),
+        "trees.weighted_levels": definition("trees.py", "weighted_levels"),
+        "procedures._checked_pvalues": definition("procedures.py", "_checked_pvalues"),
+        "procedures.descend": definition("procedures.py", "descend"),
+        "procedures.descend_batch": definition("procedures.py", "descend_batch"),
+        "procedures.descend_local": definition("procedures.py", "descend_local"),
+        "localize.TrialMatrix": definition("localize.py", "TrialMatrix", "__post_init__"),
+        "wavelet.haar_forward": definition("wavelet.py", "haar_forward"),
+        "wavelet.denoise": definition("wavelet.py", "denoise"),
+    }
+    casts = {"array", "asarray", "asanyarray", "ascontiguousarray", "astype"}
+    float_casts = {
+        reader: [ast.unparse(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+                 and getattr(call.func, "attr", getattr(call.func, "id", None)) in casts
+                 and any("float" in ast.unparse(arg) for arg in [*call.args, *call.keywords])]
+        for reader, node in readers.items()
+    }
+    assert float_casts == dict.fromkeys(readers, [])
+    assert {r: "_numeric" in called(node) for r, node in readers.items()} == dict.fromkeys(
+        readers, True
+    )
+    flat = ("holm", "bonferroni", "benjamini_hochberg")
+    assert all("_checked_pvalues" in called(definition("procedures.py", name)) for name in flat)
 
 
 def test_vertex_ids_read_through_one_rule():

@@ -19,7 +19,8 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
-from treetest import audit_subtree_sums, descend, descend_local, error_report
+from treetest import (TrialMatrix, audit_subtree_sums, benjamini_hochberg, bonferroni, denoise,
+                      descend, descend_batch, descend_local, error_report, haar_forward, holm)
 from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
 
 from helpers import (
@@ -502,6 +503,56 @@ class TestVertexIds:
         assert (local.rejected, local.frontier) == ({1, 2}, {1, 2})
         assert self.READERS["descend_local self"](tree, alloc, v).frontier == {1, 2}
         assert error_report({v}, [1, 0, 1, 1, 1, 1, 1]).power == 1.0
+
+
+class TestNumericInputs:
+    """Arrays of numbers (p-values, levels, weights, trial data, signals) are
+    read through one dtype rule: integers and floats pass, while strings,
+    booleans and other objects raise where a float cast once read "0.01" as
+    0.01 and True as 1."""
+
+    tree = build_complete_tree([2])
+    READERS = {  # a call on a 3-entry input, and the name its message gives it
+        "holm": (lambda tree, x: holm(x, 0.05), "p-values"),
+        "bonferroni": (lambda tree, x: bonferroni(x, 0.05), "p-values"),
+        "benjamini_hochberg": (lambda tree, x: benjamini_hochberg(x, 0.05), "p-values"),
+        "descend": (lambda tree, x: descend(tree, uniform_levels(tree, 0.05), x), "p-values"),
+        "descend mapping": (lambda tree, x: descend(
+            tree, uniform_levels(tree, 0.05), dict(enumerate(x))), "p-values"),
+        "descend_batch": (lambda tree, x: descend_batch(
+            tree, uniform_levels(tree, 0.05), np.array([x])), "pmatrix"),
+        "descend_local": (lambda tree, x: descend_local(
+            tree, uniform_levels(tree, 0.05), {0: x[:2]}), "local p-values"),
+        "level_budget_violations": (level_budget_violations, "test levels"),
+        "AlphaAllocation": (lambda tree, x: AlphaAllocation(x), "test levels"),
+        "weighted_levels": (lambda tree, x: weighted_levels(tree, 0.05, x), "weights"),
+        "TrialMatrix": (lambda tree, x: TrialMatrix([x]), "trial data"),
+        "haar_forward": (lambda tree, x: haar_forward(np.resize(x, 8)), "signal"),
+        "denoise": (lambda tree, x: denoise(np.resize(x, 64), 0.05, 1.0), "signal"),
+    }
+    BAD = {
+        "strings": ["0.05", "0.025", "0.025"],
+        "booleans": [False, False, True],
+        "objects": [0.05, None, 0.025],
+        "complex numbers": [0.05, 0.025j, 0.025],
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_anything_but_numbers_refused(self, reader):
+        read, what = self.READERS[reader]
+        for kind, given in self.BAD.items():
+            with pytest.raises(ValueError, match=f"^{what} must be real numbers, not {kind}$"):
+                read(self.tree, given)
+
+    def test_integers_read_as_floats(self):
+        assert holm(np.array([0, 1], dtype=np.int8), 0.05).tolist() == [True, False]
+        p = np.array([0, 1, 0], dtype=np.uint8)
+        assert descend(self.tree, [0.05, 0.025, 0.025], p).rejected == {0, 2}
+        assert TrialMatrix(np.ones((2, 4), dtype=np.int32)).data.dtype == np.float64
+        assert np.array_equal(haar_forward(np.arange(8)).coeffs,
+                              haar_forward(np.arange(8.0)).coeffs)
+        assert np.array_equal(weighted_levels(self.tree, 0.05, [1, 1, 3]).levels,
+                              weighted_levels(self.tree, 0.05, [1.0, 1.0, 3.0]).levels)
 
 
 class TestDescentPassesMatchReference:
