@@ -8,14 +8,22 @@ own level, the probability of any false rejection is bounded by the root
 level, regardless of how the test statistics depend on each other.
 
 Submodules: ``trees`` (structures and level budgets), ``procedures`` (the
-descent and flat baselines), ``gaussian`` (the two-sided z-test kernels),
-``simulate`` (Monte Carlo and exhaustive verification), ``wavelet``
-(coefficient thresholding), ``localize`` (time-interval localization),
-``cli``.  Every name exported here is used by the command line, the demos,
-the benchmark or the acceptance tests, except the scalar flat baselines and
+descent and flat baselines), ``gaussian`` (the two-sided z-test kernels
+and their score cuts), ``exact`` (exhaustive audits of the level-sum
+bound), ``simulate`` (Monte Carlo verification), ``wavelet`` (coefficient
+thresholding), ``localize`` (time-interval localization), ``cli``.
+Every name exported here is used by the command line, the demos, the
+benchmark or the acceptance tests, except the scalar flat baselines and
 ``allocation_doc``.
 """
 
+from .exact import (
+    AlphaSumAudit,
+    BudgetError,
+    SubtreeAudit,
+    audit_alpha_sums,
+    audit_subtree_sums,
+)
 from .gaussian import (
     critical_z,
     std_normal_cdf,
@@ -44,13 +52,8 @@ from .procedures import (
 )
 from .simulate import (
     PROCEDURES,
-    AlphaSumAudit,
-    BudgetError,
     SimConfig,
     SimReport,
-    SubtreeAudit,
-    audit_alpha_sums,
-    audit_subtree_sums,
     compare_procedures,
     format_comparison,
     monte_carlo_bound,

@@ -26,15 +26,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .exact import audit_alpha_sums
 from .localize import TrialMatrix, localize
-from .simulate import (
-    PROCEDURES,
-    SimConfig,
-    SimReport,
-    audit_alpha_sums,
-    compare_procedures,
-    format_comparison,
-)
+from .simulate import PROCEDURES, SimConfig, SimReport, compare_procedures, format_comparison
 from .simulate import simulate as run_simulation
 from .trees import allocation_from_doc, level_budget_violations
 from .wavelet import denoise

@@ -6,12 +6,20 @@ p-values are exactly uniform and the familywise-error simulations are
 sharp.  The CDF and quantile are contract-accurate wrappers (absolute CDF
 error below 1e-12, quantile round-trip below 1e-8 on |x| <= 6); the test
 suite checks them against an independent high-precision series.
+
+Scores and cuts: a p-value rule ``two_sided_pvalue(z) <= t`` can be decided
+on the score ``-|z|`` instead, as ``-|z| <= c`` for the cut ``c`` of ``t``,
+the largest float64 with ``2*ndtr(c) <= t``.  That is exact only where
+float64 ``ndtr`` steps cleanly across ``c``, so ``_score_cuts`` checks each
+cut over +-16 ulps around it and gives NaN where the check fails.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
+
+from .trees import _numeric
 
 __all__ = [
     "std_normal_cdf",
@@ -29,7 +37,7 @@ def _check_sigma(sigma: float) -> None:
 
 def std_normal_cdf(x):
     """Standard normal CDF, elementwise on arrays."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _numeric(x, "input")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
     out = special.ndtr(x)
@@ -38,7 +46,7 @@ def std_normal_cdf(x):
 
 def std_normal_quantile(p):
     """Inverse standard normal CDF on the open interval (0, 1)."""
-    p = np.asarray(p, dtype=np.float64)
+    p = _numeric(p, "probabilities")
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     out = special.ndtri(p)
@@ -47,9 +55,16 @@ def std_normal_quantile(p):
 
 def two_sided_pvalue(z):
     """P(|Z| >= |z|) for standard normal Z, computed via the far tail."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _numeric(z, "z-scores")
     out = 2.0 * special.ndtr(-np.abs(z))
     return float(out) if out.ndim == 0 else out
+
+
+def _pvalues_of_scores(s: np.ndarray) -> None:
+    """``2*ndtr(s)`` written over the scores ``s = -|z|``, allocating nothing:
+    ``two_sided_pvalue`` for a block that is already scores."""
+    special.ndtr(s, out=s)
+    s *= 2.0
 
 
 def critical_z(level: float) -> float:
@@ -58,3 +73,46 @@ def critical_z(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     return float(-special.ndtri(level / 2.0))
+
+
+# Each cut is checked to be a clean step of the p-value predicate over this
+# many float64 steps on either side; the search for it spans _CUT_REACH
+# steps on either side of ``ndtri(level / 2)``.
+_CUT_WINDOW = 16
+_CUT_REACH = 32
+
+
+def _score_cuts(levels: np.ndarray) -> np.ndarray:
+    """Score cut of each level: ``two_sided_pvalue(x) <= level`` iff ``x <= cut``.
+
+    The cut is the largest float64 ``x`` with ``2*ndtr(x) <= level``, found
+    among the floats within ``_CUT_REACH`` steps of ``ndtri(level / 2)``.
+    Float64 ``ndtr`` is not monotone everywhere, so a cut is kept only where
+    the predicate is a clean step on the whole searched grid (true up to
+    the cut, false after it) with at least ``_CUT_WINDOW`` floats on either
+    side of it; every other level, and any level whose ``ndtri(level / 2)``
+    is not finite, gets NaN.
+    """
+    levels = np.asarray(levels, dtype=np.float64).ravel()
+    unique, inverse = np.unique(levels, return_inverse=True)
+    cuts = np.empty(unique.size)
+    reach = _CUT_REACH + _CUT_WINDOW
+    chunk = 4096  # levels per search grid
+    for lo in range(0, unique.size, chunk):
+        level = unique[lo : lo + chunk]
+        grid = np.empty((level.size, 2 * reach + 1))
+        grid[:, reach] = special.ndtri(level / 2.0)
+        for k in range(1, reach + 1):
+            grid[:, reach + k] = np.nextafter(grid[:, reach + k - 1], np.inf)
+            grid[:, reach - k] = np.nextafter(grid[:, reach - k + 1], -np.inf)
+        holds = two_sided_pvalue(grid) <= level[:, None]
+        last = holds.sum(axis=1) - 1
+        clean = (
+            (holds == (np.arange(grid.shape[1]) <= last[:, None])).all(axis=1)
+            & (last >= _CUT_WINDOW)
+            & (last < grid.shape[1] - _CUT_WINDOW)
+            & np.isfinite(grid[:, reach])
+        )
+        cut = grid[np.arange(level.size), np.maximum(last, 0)]
+        cuts[lo : lo + chunk] = np.where(clean, cut, np.nan)
+    return cuts[inverse]

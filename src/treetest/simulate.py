@@ -1,34 +1,13 @@
-"""Monte Carlo and exhaustive verification engine.
+"""Monte Carlo verification engine.
 
-Two kinds of evidence back the familywise guarantee of the tree descent:
-
-* ``simulate`` estimates FWER / FDR / PCER / power for the descent, its
-  local-family variant, and flat baselines under configurable truth
-  assignments, effect sizes and dependence structures, with reproducible
-  counter-based random streams (replication block ``b`` always draws from
-  ``default_rng([seed, b])``, so results are bit-identical for any degree
-  of parallelism).
-
-  The simulator decides on the score ``-|z|`` rather than on the p-value
-  ``2*ndtr(-|z|)``: every threshold ``t`` of a procedure is replaced by its
-  cut, the largest float64 ``c`` with ``2*ndtr(c) <= t``, and ``p <= t`` by
-  ``-|z| <= c``.  That is exact only where float64 ``ndtr`` steps cleanly
-  across ``c``, so each cut is checked over +-16 ulps around it (see
-  ``_score_cuts``); if any cut of a configuration fails the check, that
-  configuration decides on p-values against the thresholds themselves.
-  Only the data differs between the two paths, so decisions, and reports,
-  are identical to those of the p-value rule either way.
-
-* ``audit_alpha_sums`` exhaustively verifies the combinatorial inequality
-  the guarantee rests on: over every truth assignment of every tree shape
-  in range, the total level attached to the first-true vertices never
-  exceeds the root level.  The level sum depends on an assignment only
-  through its first-true set, so the audit enumerates the attainable sums
-  per subtree (covering all ``2^|V|`` assignments exactly) and additionally
-  re-checks small shapes by literal per-assignment enumeration.
-
-``audit_subtree_sums`` checks the same bound at every subtree root for a
-given tree, allocation and truth assignment.
+``simulate`` estimates FWER / FDR / PCER / power for the descent, its
+local-family variant, and flat baselines under configurable truth
+assignments, effect sizes and dependence structures, with reproducible
+counter-based random streams (replication block ``b`` always draws from
+``default_rng([seed, b])``, so results are bit-identical for any degree
+of parallelism).  It decides on scores against cuts (see ``_Instance``),
+with reports identical to those of the p-value rule.  The exhaustive
+checks of the same guarantee are in ``exact``.
 """
 
 from __future__ import annotations
@@ -40,26 +19,20 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
+from .gaussian import _pvalues_of_scores, _score_cuts
 from .procedures import _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
     MAX_VERTICES,
     Index,
-    LevelsLike,
-    TestTree,
     _descent,
-    _first_true,
     _fold_up,
     _number,
-    _subtree_sums,
     _vertex_count,
-    as_levels,
-    as_truth,
     build_complete_tree,
     uniform_levels,
     weighted_levels,
@@ -67,17 +40,12 @@ from .trees import (
 
 __all__ = [
     "PROCEDURES",
-    "BudgetError",
     "SimConfig",
     "SimReport",
     "simulate",
     "compare_procedures",
     "format_comparison",
     "monte_carlo_bound",
-    "AlphaSumAudit",
-    "audit_alpha_sums",
-    "SubtreeAudit",
-    "audit_subtree_sums",
 ]
 
 PROCEDURES = ("descend", "descend_local", "holm_flat", "bonferroni_flat", "bh_flat")
@@ -92,13 +60,6 @@ _SCALARS = {"alpha": False, "effect": False, "dependence": None,
 
 # The field each config-section kind writes besides "kind"; others are refused.
 _SECTION_FIELDS = {"weighted": ("weights",), "random": ("density",), "explicit": ("values",)}
-
-# Largest Minkowski product the attainable-sum audit materializes.
-_COMBINE_LIMIT = 4_000_000
-
-
-class BudgetError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its budget."""
 
 
 def monte_carlo_bound(alpha: float, n: int, z: float = 3.0) -> float:
@@ -157,6 +118,8 @@ class SimConfig:
             raise ValueError("at least one tree is required")
         trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
         object.__setattr__(self, "trees", trees)
+        if any(b < 1 for t in trees for b in t):
+            raise ValueError("branching factors must be >= 1")
         if any(_vertex_count(b) > MAX_VERTICES for b in trees):
             raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
         if not 0.0 < self.alpha < 1.0:
@@ -524,8 +487,7 @@ class _Instance:
         np.abs(z, out=z)
         np.negative(z, out=z)
         if self.pvalue_score:
-            special.ndtr(z, out=z)
-            z *= 2.0
+            _pvalues_of_scores(z)
         scores = _transposed(z, buf("scores", self.n_vertices, rows))
         sorted_leaves = None
         if sort_leaves:  # z is spent: sort its leaf scores in place, row by row
@@ -615,49 +577,6 @@ def _count(flags: np.ndarray, axis: int) -> np.ndarray:
     """
     dtype = np.int16 if flags.shape[axis] < 2**15 else np.int64
     return flags.sum(axis=axis, dtype=dtype)
-
-
-# Each cut is checked to be a clean step of the p-value predicate over this
-# many float64 steps on either side; the search for it spans _CUT_REACH
-# steps on either side of ``ndtri(level / 2)``.
-_CUT_WINDOW = 16
-_CUT_REACH = 32
-
-
-def _score_cuts(levels: np.ndarray) -> np.ndarray:
-    """Score cut of each level: ``2*ndtr(x) <= level`` iff ``x <= cut``.
-
-    The cut is the largest float64 ``x`` with ``2*ndtr(x) <= level``, found
-    among the floats within ``_CUT_REACH`` steps of ``ndtri(level / 2)``.
-    Float64 ``ndtr`` is not monotone everywhere, so a cut is kept only where
-    the predicate is a clean step on the whole searched grid (true up to
-    the cut, false after it) with at least ``_CUT_WINDOW`` floats on either
-    side of it; every other level, and any level whose ``ndtri(level / 2)``
-    is not finite, gets NaN.
-    """
-    levels = np.asarray(levels, dtype=np.float64).ravel()
-    unique, inverse = np.unique(levels, return_inverse=True)
-    cuts = np.empty(unique.size)
-    reach = _CUT_REACH + _CUT_WINDOW
-    chunk = 4096  # levels per search grid
-    for lo in range(0, unique.size, chunk):
-        level = unique[lo : lo + chunk]
-        grid = np.empty((level.size, 2 * reach + 1))
-        grid[:, reach] = special.ndtri(level / 2.0)
-        for k in range(1, reach + 1):
-            grid[:, reach + k] = np.nextafter(grid[:, reach + k - 1], np.inf)
-            grid[:, reach - k] = np.nextafter(grid[:, reach - k + 1], -np.inf)
-        holds = 2.0 * special.ndtr(grid) <= level[:, None]
-        last = holds.sum(axis=1) - 1
-        clean = (
-            (holds == (np.arange(grid.shape[1]) <= last[:, None])).all(axis=1)
-            & (last >= _CUT_WINDOW)
-            & (last < grid.shape[1] - _CUT_WINDOW)
-            & np.isfinite(grid[:, reach])
-        )
-        cut = grid[np.arange(level.size), np.maximum(last, 0)]
-        cuts[lo : lo + chunk] = np.where(clean, cut, np.nan)
-    return cuts[inverse]
 
 
 # Bytes per (replication, vertex) cell of the scratch every worker holds for
@@ -782,200 +701,3 @@ def format_comparison(reports: Sequence[SimReport]) -> str:
             f"{r.fdr_hat:>8.4f} {r.pcer_hat:>8.4f} {r.power_hat:>8.4f}"
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive audits
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlphaSumAudit:
-    """Result of the exhaustive first-true level-sum audit."""
-
-    max_depth: int
-    branchings: tuple[int, ...]
-    alpha: float
-    trees_checked: int
-    allocations_per_tree: int
-    assignments_covered: int
-    cases_checked: int
-    literal_trees: int
-    max_level_sum: float
-    violations: int
-    elapsed: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def summary(self) -> str:
-        return (
-            f"checked {self.cases_checked} cases "
-            f"({self.assignments_covered} truth assignments x "
-            f"{self.allocations_per_tree} allocations over {self.trees_checked} trees, "
-            f"{self.literal_trees} trees re-checked literally); "
-            f"max level sum {self.max_level_sum:.12f} vs alpha {self.alpha}; "
-            f"violations {self.violations}"
-        )
-
-
-def _attainable_sums_check(tree: TestTree, levels: np.ndarray, alpha: float) -> tuple[float, int]:
-    """Exhaustively check the level sum over every first-true set.
-
-    The sum attached to a truth assignment depends only on its first-true
-    set, and within each subtree the attainable sums are the subtree root's
-    own level plus the Minkowski sums of the children's attainable sets.
-    Materializing those sets bottom-up (with the final root combination done
-    by sorted search) therefore covers every truth assignment exactly.
-    Returns (max attainable sum, number of attainable profiles in violation).
-    """
-    def combined(sets: list[np.ndarray]) -> np.ndarray:  # distinct sums, one per set
-        acc = np.zeros(1)  # 0 + x == x, so a leading {0} changes no sum
-        for nxt in sets:
-            if acc.size * nxt.size > _COMBINE_LIMIT:
-                raise BudgetError("attainable-sum enumeration exceeds its budget")
-            acc = np.unique(np.add.outer(acc, nxt).ravel())
-        return acc
-
-    sums: dict[int, np.ndarray] = {}
-    for v in range(tree.n_vertices - 1, 0, -1):
-        kids = [sums.pop(int(c)) for c in tree.children(v)]
-        sums[v] = np.unique(np.append(levels[v], combined(kids)))
-
-    bound = alpha + LEVEL_SUM_TOL
-    sets = [np.zeros(1)] + [sums[int(c)] for c in tree.children(0)]
-    acc, last = combined(sets[:-1]), np.sort(sets[-1])
-    # pair (i, j) violates iff last[j] > bound - acc[i]
-    violations = int((last.size - np.searchsorted(last, bound - acc, side="right")).sum())
-    # the remaining profile is the root itself being first-true
-    max_sum = max(float(acc.max() + last[-1]), float(levels[0]))
-    return max_sum, violations + int(levels[0] > bound)
-
-
-_LITERAL_CHUNK = 1 << 16  # truth assignments per step of the literal enumeration
-
-
-def _literal_sums_check(tree: TestTree, levels: np.ndarray, alpha: float) -> tuple[float, int]:
-    """Literal enumeration of all 2^|V| truth assignments (small trees)."""
-    n = tree.n_vertices
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)[:, None]
-    bound = alpha + LEVEL_SUM_TOL
-    max_sum = 0.0
-    violations = 0
-    for start in range(0, total, _LITERAL_CHUNK):
-        idx = np.arange(start, min(start + _LITERAL_CHUNK, total), dtype=np.uint64)
-        t = ((idx >> shifts) & 1).astype(bool)  # vertex-major: (n, assignments)
-        s = levels @ _first_true(tree, t)
-        max_sum = max(max_sum, float(s.max()))
-        violations += int((s > bound).sum())
-    return max_sum, violations
-
-
-def audit_alpha_sums(
-    max_depth: int = 3,
-    branchings: Sequence[int] = (2, 3),
-    *,
-    alpha: float = 0.05,
-    n_weighted: int = 10,
-    seed: int = 0,
-    literal_limit: int = 1 << 20,
-) -> AlphaSumAudit:
-    """Exhaustive audit of the first-true level-sum bound.
-
-    For every complete tree with per-layer branching factors drawn from
-    ``branchings`` and depth up to ``max_depth``, and for the uniform plus
-    ``n_weighted`` random-weighted budget-tight allocations, verifies that
-    the total level over the first-true vertices of EVERY truth assignment
-    stays at or below the root level.  Shapes whose assignment count is at
-    most ``literal_limit`` are additionally enumerated assignment by
-    assignment and the two routes are cross-checked.
-
-    The enumeration budget is ``max_depth <= 3`` with branching factors at
-    most 3; larger requests raise ``BudgetError``.
-    """
-    branchings = tuple(sorted({_number(b, "branchings", True) for b in branchings}))
-    if any(b < 1 for b in branchings) or not branchings:
-        raise ValueError("branching factors must be >= 1")
-    if (max_depth := _number(max_depth, "max_depth", True)) < 0:
-        raise ValueError("max_depth must be >= 0")
-    if (n_weighted := _number(n_weighted, "n_weighted", True)) < 0:
-        raise ValueError("n_weighted must be >= 0")
-    if max_depth > 3 or max(branchings) > 3:
-        raise BudgetError("enumeration budget is depth <= 3 with branching factors <= 3")
-
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    shapes: list[tuple[int, ...]] = [()]
-    for d in range(1, max_depth + 1):
-        shapes.extend(itertools.product(branchings, repeat=d))
-
-    trees_checked = 0
-    assignments_covered = 0
-    literal_trees = 0
-    max_sum = 0.0
-    violations = 0
-    n_allocs = 1 + n_weighted
-    for shape in shapes:
-        tree = build_complete_tree(shape)
-        n = tree.n_vertices
-        allocs = [uniform_levels(tree, alpha)]
-        for _ in range(n_weighted):
-            weights = rng.uniform(0.1, 1.0, size=n)
-            allocs.append(weighted_levels(tree, alpha, weights))
-        do_literal = (1 << n) <= literal_limit
-        for alloc in allocs:
-            vmax, vbad = _attainable_sums_check(tree, alloc.levels, alpha)
-            max_sum = max(max_sum, vmax)
-            violations += vbad
-            if do_literal:
-                lmax, lbad = _literal_sums_check(tree, alloc.levels, alpha)
-                if abs(lmax - vmax) > 1e-9 or (lbad == 0) != (vbad == 0):
-                    raise RuntimeError(
-                        f"audit cross-check failed on shape {shape}: "
-                        f"literal max {lmax} vs profile max {vmax}"
-                    )
-        trees_checked += 1
-        literal_trees += do_literal
-        assignments_covered += 1 << n
-
-    return AlphaSumAudit(
-        max_depth=max_depth,
-        branchings=branchings,
-        alpha=alpha,
-        trees_checked=trees_checked,
-        allocations_per_tree=n_allocs,
-        assignments_covered=assignments_covered,
-        cases_checked=assignments_covered * n_allocs,
-        literal_trees=literal_trees,
-        max_level_sum=max_sum,
-        violations=violations,
-        elapsed=time.perf_counter() - started,
-    )
-
-
-@dataclass
-class SubtreeAudit:
-    """Per-subtree level-sum check for one tree, allocation and truth."""
-
-    max_sum: float
-    violations: tuple[tuple[int, float, float], ...]  # (vertex, sum, level)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def audit_subtree_sums(
-    tree: TestTree,
-    alloc: LevelsLike,
-    truth: Union[Sequence[int], np.ndarray],
-) -> SubtreeAudit:
-    """Check the first-true level sum against the root level of every subtree;
-    ``alloc`` and ``truth`` (0/1, 1 = null true) hold one entry per vertex."""
-    levels = as_levels(alloc, tree.n_vertices)
-    sums = _subtree_sums(tree, levels, as_truth(tree, truth))
-    bad = np.flatnonzero(sums > levels + LEVEL_SUM_TOL).tolist()
-    violations = tuple((v, float(sums[v]), float(levels[v])) for v in bad)
-    return SubtreeAudit(max_sum=float(sums.max()), violations=violations)

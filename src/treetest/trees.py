@@ -13,7 +13,7 @@ budget by construction, and the combinatorial helpers the verification
 engine is built on: ancestor paths, the set of vertices whose null is true
 while every ancestor's null is false (``first_true_vertices``), and level
 sums over that set restricted to subtrees (read through
-``simulate.audit_subtree_sums``).
+``exact.audit_subtree_sums``).
 
 Vertices are dense integers, and every id a caller names is read through
 ``_vertex``.  Ids are assigned breadth-first by the constructors, and every
@@ -397,13 +397,7 @@ def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    levels = np.empty(tree.n_vertices, dtype=np.float64)
-    levels[0] = alpha
-    counts = tree.child_counts
-    for ids in tree.layers[1:]:
-        up = tree.parent[ids]
-        levels[ids] = levels[up] / counts[up]
-    return AlphaAllocation(levels)
+    return _split_levels(tree, alpha, np.ones(tree.n_vertices), tree.child_counts)
 
 
 def weighted_levels(
@@ -417,16 +411,20 @@ def weighted_levels(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    n = tree.n_vertices
-    w = _numeric(_per_vertex(weights, n, "weight array"), "weights")
+    w = _numeric(_per_vertex(weights, tree.n_vertices, "weight array"), "weights")
     if not (np.isfinite(w[1:]) & (w[1:] > 0.0)).all():
         raise ValueError("weights must be positive and finite")
-    family_w = tree.child_sums(w)
-    levels = np.empty(n, dtype=np.float64)
+    return _split_levels(tree, alpha, w, tree.child_sums(w))
+
+
+def _split_levels(tree: TestTree, alpha: float, share: np.ndarray, total: np.ndarray):
+    """Top-down split: the root gets ``alpha`` and each vertex the fraction
+    ``share[v] / total[parent]`` of its parent's level."""
+    levels = np.empty(tree.n_vertices, dtype=np.float64)
     levels[0] = alpha
     for ids in tree.layers[1:]:
         up = tree.parent[ids]
-        levels[ids] = levels[up] * w[ids] / family_w[up]
+        levels[ids] = levels[up] * share[ids] / total[up]
     return AlphaAllocation(levels)
 
 

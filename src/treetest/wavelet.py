@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special
 
-from .gaussian import _check_sigma, critical_z, two_sided_pvalue
+from .gaussian import _check_sigma, critical_z, std_normal_quantile, two_sided_pvalue
 from .trees import _numeric
 
 __all__ = [
@@ -55,7 +54,7 @@ class WaveletTree:
     sigma: Optional[float] = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = _numeric(self.coeffs, "coefficients")
         if c.shape[-1] != 1 << (self.J + 1):
             raise ValueError(f"coefficient length {c.shape[-1]} does not match J={self.J}")
         object.__setattr__(self, "coeffs", c)
@@ -169,7 +168,7 @@ def estimate_sigma(tree: WaveletTree) -> float:
         raise ValueError("need at least 16 finest-level coefficients")
     med = _even_median(finest)
     mad = _even_median(np.abs(finest - med[..., None]))
-    out = mad / float(-special.ndtri(0.25))
+    out = mad / -std_normal_quantile(0.25)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -29,12 +29,9 @@ from treetest import (
     format_comparison,
 )
 from treetest.procedures import _SORT_FROM, _holm, _local_descent, _local_thresholds, _sorted_cut
-from treetest.simulate import (
-    _attainable_sums_check,
-    _score_cuts,
-    _Instance,
-    _literal_sums_check,
-)
+from treetest.exact import _attainable_sums_check, _literal_sums_check
+from treetest.gaussian import _score_cuts
+from treetest.simulate import _Instance
 from treetest.trees import _subtree_sums
 
 from helpers import (
@@ -53,6 +50,7 @@ from helpers import (
 
 # the package attribute ``treetest.simulate`` is the function, not the module
 sim_module = importlib.import_module("treetest.simulate")
+exact_module = importlib.import_module("treetest.exact")
 
 
 class TestSimConfig:
@@ -145,6 +143,10 @@ class TestSimConfig:
         ({"truth_density": 0.3}, "truth_density requires truth 'random'"),
         ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 1, 0), "truth_density": 0.5},
          "truth_density requires truth 'random'"),
+        ({"trees": ((-2,),), "truth": "explicit", "truth_values": (1,)},
+         "branching factors must be >= 1"),
+        ({"trees": ((0,), (2,))}, "branching factors must be >= 1"),
+        ({"trees": ((2, -1),)}, "branching factors must be >= 1"),
     ])
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -1188,7 +1190,7 @@ class TestAuditAlphaSums:
         ]
         bad = sum(x > alpha + LEVEL_SUM_TOL for x in sums)
         assert 0 < bad < len(sums) and alpha in sums
-        monkeypatch.setattr(sim_module, "_LITERAL_CHUNK", 64)  # several chunks per tree
+        monkeypatch.setattr(exact_module, "_LITERAL_CHUNK", 64)  # several chunks per tree
         assert _literal_sums_check(tree, levels, alpha) == (max(sums), bad)
 
     def test_summary_mentions_counts(self):

@@ -1,6 +1,7 @@
 """Source-structure checks: one layer traversal, one number rule, one
 per-vertex rule, one vertex id rule, one reader, no fresh block arrays, no
-unused public names or members, no test module lost.
+unused public names or members, no test module lost, exact audits apart
+from the simulator, one scipy user.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
@@ -9,7 +10,9 @@ scratch.  JSON documents read their numbers through ``trees._number``,
 per-vertex inputs their shape through ``trees._per_vertex``, arrays of
 numbers their dtype through ``trees._numeric``, truth through
 ``trees._truth_flags`` and vertex ids through ``trees._vertex``, and only
-``cli`` opens files.  Every name the package exports, and every public
+``cli`` opens files.  The audits of ``exact`` check the simulator's
+guarantee, so they import nothing from ``simulate``; the normal CDF and
+quantile come from ``gaussian`` alone, the one module that imports scipy.  Every name the package exports, and every public
 member of an exported class, has a user outside the tests, and every test
 module imports.
 """
@@ -87,7 +90,7 @@ def test_documents_read_numbers_through_one_rule():
         "simulate._branching": called(definition("simulate.py", "_branching")),
         "trees.allocation_from_doc": called(definition("trees.py", "allocation_from_doc")),
         "trees.build_complete_tree": called(definition("trees.py", "build_complete_tree")),
-        "simulate.audit_alpha_sums": called(definition("simulate.py", "audit_alpha_sums")),
+        "exact.audit_alpha_sums": called(definition("exact.py", "audit_alpha_sums")),
     }
     assert {reader: names & {"int", "float"} for reader, names in readers.items()} == {
         reader: set() for reader in readers
@@ -130,6 +133,10 @@ def test_array_inputs_read_through_one_numeric_rule():
         "localize.TrialMatrix": definition("localize.py", "TrialMatrix", "__post_init__"),
         "wavelet.haar_forward": definition("wavelet.py", "haar_forward"),
         "wavelet.denoise": definition("wavelet.py", "denoise"),
+        "wavelet.WaveletTree": definition("wavelet.py", "WaveletTree", "__post_init__"),
+        "gaussian.std_normal_cdf": definition("gaussian.py", "std_normal_cdf"),
+        "gaussian.std_normal_quantile": definition("gaussian.py", "std_normal_quantile"),
+        "gaussian.two_sided_pvalue": definition("gaussian.py", "two_sided_pvalue"),
     }
     casts = {"array", "asarray", "asanyarray", "ascontiguousarray", "astype"}
     float_casts = {
@@ -159,6 +166,34 @@ def test_vertex_ids_read_through_one_rule():
     assert {r: ("_vertex" in names, "int" in names) for r, names in readers.items()} == (
         dict.fromkeys(readers, (True, False))
     )
+
+
+def imports(path: Path) -> set[str]:
+    """Dotted names a source file imports, package-relative ones under
+    ``treetest``; ``from m import n`` gives both ``m`` and ``m.n``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["treetest" if node.level else "", node.module]))
+            names.add(module)
+            names.update(f"{module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_exact_imports_nothing_from_simulate():
+    # an oracle that runs the simulator's code cannot catch its faults
+    names = imports(SRC / "exact.py")
+    assert "treetest.trees" in names  # the scan sees the package imports
+    assert sorted(n for n in names if (n + ".").startswith("treetest.simulate.")) == []
+
+
+def test_only_gaussian_imports_scipy():
+    # one p-value kernel: a second module calling ndtr or ndtri can drift from it
+    users = {path.name for path in SRC.glob("*.py")
+             if any(n.split(".")[0] == "scipy" for n in imports(path))}
+    assert users == {"gaussian.py"}
 
 
 def test_only_cli_opens_files():

@@ -19,8 +19,9 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
-from treetest import (TrialMatrix, audit_subtree_sums, benjamini_hochberg, bonferroni, denoise,
-                      descend, descend_batch, descend_local, error_report, haar_forward, holm)
+from treetest import (TrialMatrix, WaveletTree, audit_subtree_sums, benjamini_hochberg, bonferroni,
+                      denoise, descend, descend_batch, descend_local, error_report, haar_forward,
+                      holm, std_normal_cdf, std_normal_quantile, two_sided_pvalue)
 from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
 
 from helpers import (
@@ -211,7 +212,7 @@ class TestAllocations:
         tree = build_complete_tree([3, 2])
         a = weighted_levels(tree, 0.05, np.ones(tree.n_vertices))
         b = uniform_levels(tree, 0.05)
-        assert np.allclose(a.levels, b.levels)
+        assert np.array_equal(a.levels, b.levels)
 
     def test_missing_weight_rejected(self):
         tree = build_complete_tree([2])
@@ -529,6 +530,10 @@ class TestNumericInputs:
         "TrialMatrix": (lambda tree, x: TrialMatrix([x]), "trial data"),
         "haar_forward": (lambda tree, x: haar_forward(np.resize(x, 8)), "signal"),
         "denoise": (lambda tree, x: denoise(np.resize(x, 64), 0.05, 1.0), "signal"),
+        "WaveletTree": (lambda tree, x: WaveletTree(np.resize(x, 4), 1), "coefficients"),
+        "two_sided_pvalue": (lambda tree, x: two_sided_pvalue(x), "z-scores"),
+        "std_normal_cdf": (lambda tree, x: std_normal_cdf(x), "input"),
+        "std_normal_quantile": (lambda tree, x: std_normal_quantile(x), "probabilities"),
     }
     BAD = {
         "strings": ["0.05", "0.025", "0.025"],
