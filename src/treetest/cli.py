@@ -92,8 +92,8 @@ def _write_frequency_csv(path: str, report: SimReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vertex", "rejections", "frequency"])
-        for vertex, count, freq in report.frequency_rows():
-            writer.writerow([vertex, count, repr(freq)])
+        for vertex, count in enumerate(report.rejection_counts.tolist()):
+            writer.writerow([vertex, count, repr(count / report.replications)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import _check_sigma, two_sided_pvalue
-from .trees import TestTree, _descent, _numeric, _tested, build_complete_tree, uniform_levels
+from .trees import (TestTree, _descent, _number, _numeric, _tested, build_complete_tree,
+                    uniform_levels)
 
 __all__ = [
     "TrialMatrix",
@@ -95,6 +96,8 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     and ``arity**depth <= n_times`` so every leaf interval is nonempty.
     The spans are computed one layer at a time.
     """
+    n_times, depth = _number(n_times, "n_times", True), _number(depth, "depth", True)
+    arity = _number(arity, "arity", True)
     if n_times < 1:
         raise ValueError("n_times must be positive")
     if depth < 0:
@@ -195,6 +198,7 @@ def localize(
     ``itree`` must have the given ``depth`` and ``arity`` and span exactly
     ``trials.n_times`` samples.
     """
+    depth, arity = _number(depth, "depth", True), _number(arity, "arity", True)
     if itree is None:
         itree = build_interval_tree(trials.n_times, depth, arity)
     tree = itree.tree

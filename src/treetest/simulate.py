@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,13 +53,22 @@ PROCEDURES = ("descend", "descend_local", "holm_flat", "bonferroni_flat", "bh_fl
 _TRUTH_KINDS = ("global_null", "explicit", "random")
 _DEPENDENCE = ("independent", "nested_means")
 
-# The scalar keys of a config document, each read into the SimConfig field
-# of its name: a number (False), an integer (True), or as given (None).
-_SCALARS = {"alpha": False, "effect": False, "dependence": None,
-            "replications": True, "seed": True, "block_size": True}
+# The scalar keys of a config document, each the SimConfig field of its name.
+_SCALARS = ("alpha", "effect", "dependence", "replications", "seed", "block_size")
+
+# The SimConfig field of each key of a config document, or of its allocation
+# or truth section, that holds one (the trees and the section kinds aside).
+_DOC_FIELDS = {**dict(zip(_SCALARS, _SCALARS)), "root_levels": "root_levels",
+               "weights": "weights", "density": "truth_density", "values": "truth_values"}
 
 # The field each config-section kind writes besides "kind"; others are refused.
 _SECTION_FIELDS = {"weighted": ("weights",), "random": ("density",), "explicit": ("values",)}
+
+# The number fields of a SimConfig as ``(integral, is_tuple)``: each is read
+# by ``trees._number`` as an int or a float, entry by entry when a tuple.
+_NUMBERS = {"alpha": (False, False), "effect": (False, False), "truth_density": (False, False),
+            "replications": (True, False), "seed": (True, False), "block_size": (True, False),
+            "root_levels": (False, True), "weights": (False, True), "truth_values": (True, True)}
 
 
 def monte_carlo_bound(alpha: float, n: int, z: float = 3.0) -> float:
@@ -79,7 +88,8 @@ class SimConfig:
     ``trees`` holds one branching list per tree; a single entry means a
     single tree, several entries a forest whose root levels (uniform split
     of ``alpha`` unless ``root_levels`` is given) must sum to at most
-    ``alpha``.
+    ``alpha``.  The allocation is weighted by ``weights`` (single tree only)
+    when they are given, and uniform otherwise.
 
     Truth assignment kinds:
 
@@ -101,7 +111,6 @@ class SimConfig:
 
     trees: tuple[tuple[int, ...], ...] = ((),)
     root_levels: Optional[tuple[float, ...]] = None
-    allocation: str = "uniform"
     weights: Optional[tuple[float, ...]] = None
     alpha: float = 0.05
     truth: str = "global_null"
@@ -114,10 +123,17 @@ class SimConfig:
     block_size: int = 8192
 
     def __post_init__(self) -> None:
+        # every number is read here, so a config built in Python writes the
+        # document from_doc reads back; the fields that default to None keep it
         if not self.trees:
             raise ValueError("at least one tree is required")
         trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
         object.__setattr__(self, "trees", trees)
+        for name, (integral, is_tuple) in _NUMBERS.items():
+            value = getattr(self, name)  # the class attribute is the field's default
+            if value is not None or getattr(SimConfig, name) is not None:
+                object.__setattr__(self, name, tuple(_number(v, name, integral) for v in value)
+                                   if is_tuple else _number(value, name, integral))
         if any(b < 1 for t in trees for b in t):
             raise ValueError("branching factors must be >= 1")
         if any(_vertex_count(b) > MAX_VERTICES for b in trees):
@@ -154,12 +170,7 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
-        if self.allocation not in ("uniform", "weighted"):
-            raise ValueError("allocation must be 'uniform' or 'weighted'")
-        if (self.allocation == "weighted") != (self.weights is not None):
-            raise ValueError("weighted allocation requires weights" if self.weights is None
-                             else "weights require allocation 'weighted'")
-        if self.allocation == "weighted" and len(self.trees) != 1:
+        if self.weights is not None and len(self.trees) != 1:
             raise ValueError("weighted allocation supports a single tree only")
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
@@ -172,7 +183,7 @@ class SimConfig:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "SimConfig":
-        """Build a configuration from a JSON-compatible document."""
+        """A configuration from a JSON-compatible document; ``__post_init__`` reads its numbers."""
         if not isinstance(doc, Mapping):
             raise ValueError("configuration must be a JSON object")
         unknown = set(doc) - {"tree", "forest", "root_levels", "allocation", "truth", *_SCALARS}
@@ -180,32 +191,29 @@ class SimConfig:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         # a section of the wrong JSON type surfaces as a TypeError
         try:
-            kwargs: dict = {}
+            allocation, alloc = _section(doc, "allocation", "uniform")
+            if allocation not in ("uniform", "weighted"):
+                raise ValueError("allocation must be 'uniform' or 'weighted'")
+            if allocation == "weighted" and "weights" not in alloc:
+                raise ValueError("weighted allocation requires weights")
+            truth, truth_fields = _section(doc, "truth", "global_null")
+            kwargs = {_DOC_FIELDS[key]: value for part in (doc, alloc, truth_fields)
+                      for key, value in part.items() if key in _DOC_FIELDS}
+            # a null is refused, not taken as "not given" by a field that defaults to None
+            if None in kwargs.values():
+                raise TypeError(f"{next(f for f, v in kwargs.items() if v is None)}: got None")
             if "forest" in doc:
                 kwargs["trees"] = tuple(
                     _branching(entry, f"forest[{i}]") for i, entry in enumerate(doc["forest"])
                 )
             elif "tree" in doc:
                 kwargs["trees"] = (_branching(doc["tree"], "tree"),)
-            if "root_levels" in doc:
-                kwargs["root_levels"] = tuple(_number(x, "root_levels") for x in doc["root_levels"])
-            kwargs["allocation"], alloc = _section(doc, "allocation", "uniform")
-            if "weights" in alloc:
-                kwargs["weights"] = tuple(_number(w, "weights") for w in alloc["weights"])
-            kwargs["truth"], truth = _section(doc, "truth", "global_null")
-            if "density" in truth:
-                kwargs["truth_density"] = _number(truth["density"], "density")
-            if "values" in truth:
-                kwargs["truth_values"] = tuple(_number(v, "values", True) for v in truth["values"])
-            for key, integral in _SCALARS.items():
-                if key in doc:
-                    kwargs[key] = doc[key] if integral is None else _number(doc[key], key, integral)
-            return cls(**kwargs)
+            return cls(truth=truth, **kwargs)
         except TypeError as exc:
             raise ValueError(f"malformed configuration: {exc}") from exc
 
     def to_doc(self) -> dict:
-        doc = {"allocation": self.allocation, "truth": self.truth}
+        doc = {"allocation": "uniform", "truth": self.truth}
         doc.update((key, getattr(self, key)) for key in _SCALARS)
         if len(self.trees) == 1:
             doc["tree"] = {"branching": list(self.trees[0])}
@@ -273,27 +281,10 @@ class SimReport:
     config: dict
 
     def to_doc(self) -> dict:
-        return {
-            "procedure": self.procedure,
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "n_hypotheses": self.n_hypotheses,
-            "fwer_hat": self.fwer_hat,
-            "fwer_se": self.fwer_se,
-            "fdr_hat": self.fdr_hat,
-            "pcer_hat": self.pcer_hat,
-            "power_hat": self.power_hat,
-            "any_false": self.any_false,
-            "domination_violations": self.domination_violations,
-            "rejection_counts": [int(c) for c in self.rejection_counts],
-            "elapsed_seconds": self.elapsed,
-            "config": self.config,
-        }
-
-    def frequency_rows(self) -> list[tuple[int, int, float]]:
-        """(vertex id, rejections, frequency) rows for CSV export."""
-        n = self.replications
-        return [(v, int(c), int(c) / n) for v, c in enumerate(self.rejection_counts)]
+        doc = asdict(self)
+        doc["rejection_counts"] = [int(c) for c in self.rejection_counts]
+        doc["elapsed_seconds"] = doc.pop("elapsed")
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +618,15 @@ def compare_procedures(
     paired; reports come back in the order requested.  At most one worker
     per available CPU runs, and block counts are summed in block order as they arrive.
     """
+    if isinstance(procedures, str):
+        raise ValueError(f"procedures must be a sequence of names, got the string {procedures!r}")
     procedures = list(procedures)
     if not procedures:
         raise ValueError("at least one procedure is required")
     for p in procedures:
         if p not in PROCEDURES:
             raise ValueError(f"unknown procedure {p!r}; choose from {PROCEDURES}")
-    if threads < 1:
+    if (threads := _number(threads, "threads", True)) < 1:
         raise ValueError("threads must be at least 1")
     workers = min(threads, -(-config.replications // config.block_size), _available_cpus())
     _check_block_memory(config, workers)

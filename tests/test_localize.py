@@ -65,6 +65,19 @@ class TestBuildIntervalTree:
         with pytest.raises(ValueError, match=message):
             build_interval_tree(n_times, depth, arity)
 
+    @pytest.mark.parametrize("args, where", [
+        ((8.5, 2), "n_times"),  # once spanned 8 samples
+        ((8, True), "depth"),  # once ran at depth 1
+        ((8, 2, "2"), "arity"),
+    ])
+    def test_counts_read_by_the_number_rule(self, args, where):
+        with pytest.raises(TypeError, match=f"^{where}: expected an? (number|integer), got "):
+            build_interval_tree(*args)
+
+    def test_integral_counts_read_as_ints(self):
+        itree = build_interval_tree(8.0, np.int64(2), 2.0)
+        assert spans(itree) == spans(build_interval_tree(8, 2))
+
     def test_too_deep(self):
         with pytest.raises(ValueError, match="fit"):
             build_interval_tree(8, 4, 2)
@@ -267,6 +280,20 @@ class TestLocalize:
         assert all(row["decision"] in ("rejected", "accepted") for row in doc["intervals"])
         assert len(doc["intervals"]) == len(doc["rejected"]) + len(doc["frontier"])
         assert doc["tested"] == res.tested == len(doc["intervals"])
+
+    @pytest.mark.parametrize("args, where", [
+        ((True,), "depth"),  # once ran at depth 1
+        ((1.5,), "depth"),
+        ((2, 2.5), "arity"),
+    ])
+    def test_counts_read_by_the_number_rule(self, args, where):
+        with pytest.raises(TypeError, match=f"^{where}: expected an? (number|integer), got "):
+            localize(TrialMatrix(np.zeros((2, 8))), 0.05, *args)
+
+    def test_integral_counts_read_as_ints(self):
+        # a depth of 2.0 once failed in list repetition, an arity of 2.0 in an IndexError
+        trials = TrialMatrix(np.random.default_rng(5).standard_normal((3, 8)))
+        assert localize(trials, 0.05, 2.0, 2.0).to_doc() == localize(trials, 0.05, 2).to_doc()
 
 
 class TestLocalizePrebuilt:

@@ -70,7 +70,6 @@ class TestSimConfig:
     def test_doc_round_trip_explicit(self):
         cfg = SimConfig(
             trees=((2,),),
-            allocation="weighted",
             weights=(1.0, 3.0, 1.0),
             truth="explicit",
             truth_values=(1, 0, 1),
@@ -86,7 +85,7 @@ class TestSimConfig:
         SimConfig(),
         SimConfig(trees=((2, 2),), truth="random", truth_density=0.3, effect=1.5),
         SimConfig(trees=((2,),), truth="explicit", truth_values=(0, 1, 0), dependence="nested_means"),
-        SimConfig(trees=((3,),), allocation="weighted", weights=(1.0, 1.0, 2.0, 0.5),
+        SimConfig(trees=((3,),), weights=(1.0, 1.0, 2.0, 0.5),
                   truth="random", dependence="nested_means"),
         SimConfig(trees=((2, 2), (3,), ()), truth="explicit", truth_values=(0,) * 12,
                   dependence="nested_means"),
@@ -131,8 +130,7 @@ class TestSimConfig:
         ({"truth": "mixed"}, "truth must be one of"),
         ({"truth": "random", "truth_density": 1.5}, "truth_density"),
         ({"block_size": 0}, "block_size"),
-        ({"trees": ((2,), (2,)), "allocation": "weighted", "weights": (1.0, 1.0, 1.0)},
-         "single tree"),
+        ({"trees": ((2,), (2,)), "weights": (1.0, 1.0, 1.0)}, "single tree"),
         ({"trees": ((2,), (2,)), "root_levels": (0.01,)}, "one root level per tree"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 2, 0)}, "0 or 1"),
@@ -165,6 +163,49 @@ class TestSimConfig:
         assert (cfg.trees, cfg.replications, cfg.seed) == (((2,),), 1000, 5)
         assert type(cfg.replications) is int and type(cfg.trees[0][0]) is int
 
+    def test_python_numbers_round_trip_as_plain_numbers(self):
+        # numpy integers once made to_doc unserializable, and integral
+        # floats ran into range()
+        cfg = SimConfig(
+            trees=[[np.int64(2), 2.0]], root_levels=[np.float32(0.04)],
+            weights=[1, np.int64(3)] + [1] * 5, alpha=np.float64(0.05), truth="explicit",
+            truth_values=list(np.array([1, 0, 1, 1, 0, 1, 1])), effect=np.int64(1),
+            replications=np.int64(100), seed=7.0, block_size=np.int32(64),
+        )
+        assert SimConfig.from_doc(json.loads(json.dumps(cfg.to_doc()))) == cfg
+        numbers = [*cfg.trees[0], *cfg.root_levels, *cfg.weights, cfg.alpha, *cfg.truth_values,
+                   cfg.effect, cfg.replications, cfg.seed, cfg.block_size]
+        want = [int] * 2 + [float] * 9 + [int] * 7 + [float] + [int] * 3
+        assert [type(x) for x in numbers] == want
+        report = simulate(cfg)
+        assert json.loads(json.dumps(report.to_doc()))["config"] == cfg.to_doc()
+        density = SimConfig(truth="random", truth_density=np.float32(0.5)).truth_density
+        assert type(density) is float
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("replications", True, "expected a number, got True"),
+        ("replications", 2.5, "expected an integer, got 2.5"),
+        ("seed", True, "expected a number, got True"),
+        ("block_size", 2.5, "expected an integer, got 2.5"),
+        ("truth_values", (True, False, 1.0), "expected a number, got True"),
+        ("truth_values", (1, 0.5, 1), "expected an integer, got 0.5"),
+        ("alpha", "0.05", "expected a number, got '0.05'"),
+        ("effect", "1", "expected a number, got '1'"),
+        ("truth_density", "0.5", "expected a number, got '0.5'"),
+        ("root_levels", ("0.05",), "expected a number, got '0.05'"),
+        ("weights", (1.0, "2", 1.0), "expected a number, got '2'"),
+    ])
+    def test_number_fields_read_by_the_number_rule(self, field, value, message):
+        # True once ran as 1 and wrote "true", which from_doc refuses
+        truth = {"truth_values": "explicit", "truth_density": "random"}.get(field, "global_null")
+        with pytest.raises(TypeError, match=f"^{field}: {message}$"):
+            SimConfig(trees=((2,),), truth=truth, **{field: value})
+
+    def test_weights_make_the_allocation_weighted(self):
+        doc = SimConfig(trees=((2,),), weights=(1, 3, 1)).to_doc()
+        assert doc["allocation"] == {"kind": "weighted", "weights": [1.0, 3.0, 1.0]}
+        assert SimConfig(trees=((2,),)).to_doc()["allocation"] == "uniform"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(alpha=1.5)
@@ -174,8 +215,6 @@ class TestSimConfig:
             SimConfig(truth="explicit")
         with pytest.raises(ValueError):
             SimConfig(dependence="equicorrelated")
-        with pytest.raises(ValueError):
-            SimConfig(allocation="weighted")
         with pytest.raises(ValueError):
             SimConfig(trees=((2,), (2,)), root_levels=(0.04, 0.04), alpha=0.05)
 
@@ -210,8 +249,6 @@ class TestSimConfig:
         # the run would be uniform while to_doc reported it weighted
         with pytest.raises(ValueError, match="weights"):
             SimConfig.from_doc(doc)
-        with pytest.raises(ValueError, match="weights"):
-            SimConfig(trees=((2,),), weights=(1.0, 2.0, 3.0))
 
     def test_malformed_doc(self):
         with pytest.raises(ValueError):
@@ -235,6 +272,9 @@ class TestSimConfig:
         {"replications": 1000.9}, {"seed": 1.5}, {"alpha": "0.05"},
         {"tree": {"branching": [2]}, "truth": {"kind": "explicit", "values": [0, 0.5, 0]}},
         {"truth": {"kind": "random", "density": "0.5"}}, {"root_levels": [True]},
+        # a null is not "not given", though these fields default to None
+        {"allocation": {"kind": "weighted", "weights": None}},
+        {"truth": {"kind": "random", "density": None}}, {"root_levels": None},
     ])
     def test_value_of_wrong_json_type(self, doc):
         with pytest.raises(ValueError, match="malformed"):
@@ -363,6 +403,18 @@ class TestCompare:
     def test_empty_procedure_list(self):
         with pytest.raises(ValueError, match="at least one"):
             compare_procedures(SimConfig(replications=10), [])
+
+    @pytest.mark.parametrize("threads, message", [
+        (2.5, "expected an integer, got 2.5"), (True, "expected a number, got True"),
+    ])
+    def test_threads_read_by_the_number_rule(self, threads, message):
+        with pytest.raises(TypeError, match=f"^threads: {message}$"):
+            compare_procedures(SimConfig(replications=10), ["descend"], threads=threads)
+
+    def test_procedure_string_refused(self):
+        # once iterated letter by letter: "unknown procedure 'd'"
+        with pytest.raises(ValueError, match="got the string 'descend'"):
+            compare_procedures(SimConfig(replications=10), "descend")
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one(self, threads):
@@ -740,7 +792,7 @@ class TestVectorizedKernels:
             for branching in ((1, 2), (2, _SORT_FROM - 1), (_SORT_FROM, 2), (4, 3)):
                 n = _Instance(SimConfig(trees=(branching,), replications=1)).n_vertices
                 config = lambda r: SimConfig(
-                    trees=(branching,), alpha=0.1, replications=1, allocation="weighted",
+                    trees=(branching,), alpha=0.1, replications=1,
                     weights=tuple(r.uniform(0.5, 2.0, n)),
                 )
                 all_levels = lambda cfg: np.concatenate(
@@ -1078,7 +1130,7 @@ class TestFixedSeedReports:
             "bf13dd92e68cffa8a5f67c3122ff0e3ed54e836e7dea59e384c76d97a7a6015b",
         ),
         "weighted_4_3": (
-            SimConfig(trees=((4, 3),), allocation="weighted",
+            SimConfig(trees=((4, 3),),
                       weights=tuple(float(1 + (v % 5)) for v in range(17)),
                       truth="random", truth_density=0.7, effect=2.5,
                       replications=6_000, seed=105, block_size=2048),

@@ -6,15 +6,16 @@ from the simulator, one scipy user.
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
-scratch.  JSON documents read their numbers through ``trees._number``,
-per-vertex inputs their shape through ``trees._per_vertex``, arrays of
-numbers their dtype through ``trees._numeric``, truth through
-``trees._truth_flags`` and vertex ids through ``trees._vertex``, and only
-``cli`` opens files.  The audits of ``exact`` check the simulator's
-guarantee, so they import nothing from ``simulate``; the normal CDF and
-quantile come from ``gaussian`` alone, the one module that imports scipy.  Every name the package exports, and every public
-member of an exported class, has a user outside the tests, and every test
-module imports.
+scratch.  JSON documents, ``SimConfig`` and count arguments read their
+numbers through ``trees._number``, per-vertex inputs their shape through
+``trees._per_vertex``, arrays of numbers their dtype through
+``trees._numeric``, truth through ``trees._truth_flags`` and vertex ids
+through ``trees._vertex``, and only ``cli`` opens files.  The audits of
+``exact`` check the simulator's guarantee, so they import nothing from
+``simulate``; the normal CDF and quantile come from ``gaussian`` alone, the
+one module that imports scipy.  Every name the package exports, and every
+public member of an exported class, has a user outside the tests, and every
+test module imports.
 """
 
 import ast
@@ -86,16 +87,21 @@ def test_block_draw_fills_the_scratch():
 def test_documents_read_numbers_through_one_rule():
     # a bare int() or float() reads 2.7 as 2, true as 1 and "0.05" as 0.05
     readers = {
-        "SimConfig.from_doc": called(definition("simulate.py", "SimConfig", "from_doc")),
+        "SimConfig.__post_init__": called(
+            definition("simulate.py", "SimConfig", "__post_init__")
+        ),
         "simulate._branching": called(definition("simulate.py", "_branching")),
         "trees.allocation_from_doc": called(definition("trees.py", "allocation_from_doc")),
         "trees.build_complete_tree": called(definition("trees.py", "build_complete_tree")),
         "exact.audit_alpha_sums": called(definition("exact.py", "audit_alpha_sums")),
+        "localize.build_interval_tree": called(definition("localize.py", "build_interval_tree")),
     }
     assert {reader: names & {"int", "float"} for reader, names in readers.items()} == {
         reader: set() for reader in readers
     }
     assert all("_number" in names for names in readers.values())  # the scan sees the rule
+    # a config's numbers are read once, by __post_init__, whatever built it
+    assert "_number" not in called(definition("simulate.py", "SimConfig", "from_doc"))
 
 
 def test_per_vertex_inputs_read_through_one_rule():
