@@ -33,6 +33,7 @@ from .trees import (
     _fold_up,
     _number,
     _vertex_count,
+    _weights,
     build_complete_tree,
     uniform_levels,
     weighted_levels,
@@ -124,10 +125,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # every number is read here, so a config built in Python writes the
-        # document from_doc reads back; the fields that default to None keep it
-        if not self.trees:
-            raise ValueError("at least one tree is required")
+        # document from_doc reads back; the fields that default to None keep it.
+        # The rows of a 2-D array of trees read as branching lists, as tuples do.
         trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
+        if not trees:
+            raise ValueError("at least one tree is required")
         object.__setattr__(self, "trees", trees)
         for name, (integral, is_tuple) in _NUMBERS.items():
             value = getattr(self, name)  # the class attribute is the field's default
@@ -170,8 +172,10 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
-        if self.weights is not None and len(self.trees) != 1:
-            raise ValueError("weighted allocation supports a single tree only")
+        if self.weights is not None:
+            if len(self.trees) != 1:
+                raise ValueError("weighted allocation supports a single tree only")
+            _weights(self.weights, _vertex_count(trees[0]))
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
                 raise ValueError("one root level per tree is required")
@@ -262,7 +266,9 @@ class SimReport:
     ``pcer_hat`` are per-replication averages of the false-discovery
     proportion and of V/m, so both are bounded by ``fwer_hat`` by
     construction (``domination_violations`` counts per-replication
-    breaches; it is always 0).
+    breaches; it is always 0).  With no false null among the procedure's
+    hypotheses every rejection is false, so ``fdr_hat == fwer_hat`` and
+    ``power_hat == 0`` exactly.
     """
 
     procedure: str
@@ -414,7 +420,8 @@ class _Instance:
         floats = np.split(np.empty(2 * (cells + leaf_cells)), np.cumsum([cells, cells, leaf_cells]))
         flags = np.split(np.empty(3 * cells, dtype=bool), 3)
         # z: the row-major draw, whose leaf scores are then sorted in place;
-        # y: nested means' leaf draw; sorted: rank-major; alt: the false nulls
+        # y: nested means' leaf draw, then a forest's gathered leaf scores;
+        # sorted: rank-major; alt: the false nulls
         names = ("z", "scores", "y", "sorted", "truth", "truth_t", "alt")
         return dict(zip(names, floats + flags))
 
@@ -481,8 +488,12 @@ class _Instance:
             _pvalues_of_scores(z)
         scores = _transposed(z, buf("scores", self.n_vertices, rows))
         sorted_leaves = None
-        if sort_leaves:  # z is spent: sort its leaf scores in place, row by row
-            leaf = z[:, self.leaves]
+        if sort_leaves:  # z and y are spent: sort the leaf scores in place, row by row
+            if isinstance(self.leaves, slice):
+                leaf = z[:, self.leaves]
+            else:  # a forest's leaves, gathered into y; "clip" keeps take from buffering
+                leaf = np.take(z, self.leaf_ids, axis=1, out=buf("y", rows, self.n_leaves),
+                               mode="clip")
             leaf.sort(axis=1)
             sorted_leaves = _transposed(leaf, buf("sorted", self.n_leaves, rows))
         if truth is not None:
@@ -519,13 +530,35 @@ class _Instance:
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
 
     def accumulate(self, procedure: str, rejected: np.ndarray, truth: Optional[np.ndarray]) -> dict:
-        """Per-block error counts of one procedure (see ``run_procedure``)."""
+        """Per-block error counts of one procedure (see ``run_procedure``).
+
+        When the truth is fixed and every vertex in the procedure's scope is
+        a true null (``global_null``, or ``explicit`` with no false null in
+        scope), every rejection is false: V = R in each replication, so the
+        counts take their closed forms.  A replication errs iff it rejects,
+        its false-discovery proportion is exactly 0 or 1, V/m is R/m, power
+        is 0, and domination fails only where R > m (never, unless a kernel
+        is wrong).  The sums are bit-equal to the general route's.
+        """
         ids = self.scope[procedure]
         m = max(ids.size, 1)
         n_rej = _count(rejected, axis=0)
+        reject_counts = np.zeros(self.n_vertices, dtype=np.int64)
+        reject_counts[ids] = _count(rejected, axis=1)
+        if truth is None and self.fixed_truth[ids].all():
+            any_rej = int(np.count_nonzero(n_rej))
+            return {
+                "n": rejected.shape[1],
+                "any_false": any_rej,
+                "fdp_sum": float(any_rej),
+                "pcer_sum": float(n_rej.sum()) / m,
+                "power_sum": 0.0,
+                "reject_counts": reject_counts,
+                "domination_violations": int(np.count_nonzero(n_rej > m)),
+            }
         if truth is None:
             null = self.fixed_truth[ids]
-            false_rej = n_rej if null.all() else _count(rejected[null], axis=0)
+            false_rej = _count(rejected[null], axis=0)
             n_false = ids.size - np.count_nonzero(null)
         else:
             null = truth if ids.size == self.n_vertices else truth[ids]
@@ -536,8 +569,6 @@ class _Instance:
         fdp = false_rej / np.maximum(n_rej, 1)
         power = hits / np.maximum(n_false, 1)
         dominated = (fdp <= any_false + 1e-12) & (false_rej / m <= any_false + 1e-12)
-        reject_counts = np.zeros(self.n_vertices, dtype=np.int64)
-        reject_counts[ids] = _count(rejected, axis=1)
         return {
             "n": rejected.shape[1],
             "any_false": int(any_false.sum()),

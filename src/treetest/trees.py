@@ -411,10 +411,17 @@ def weighted_levels(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    w = _numeric(_per_vertex(weights, tree.n_vertices, "weight array"), "weights")
+    w = _weights(weights, tree.n_vertices)
+    return _split_levels(tree, alpha, w, tree.child_sums(w))
+
+
+def _weights(weights, n: int) -> np.ndarray:
+    """Weights of an ``n``-vertex tree as float64, each but the root's
+    positive and finite; ``ValueError`` otherwise."""
+    w = _numeric(_per_vertex(weights, n, "weight array"), "weights")
     if not (np.isfinite(w[1:]) & (w[1:] > 0.0)).all():
         raise ValueError("weights must be positive and finite")
-    return _split_levels(tree, alpha, w, tree.child_sums(w))
+    return w
 
 
 def _split_levels(tree: TestTree, alpha: float, share: np.ndarray, total: np.ndarray):

@@ -145,6 +145,9 @@ class TestSimConfig:
          "branching factors must be >= 1"),
         ({"trees": ((0,), (2,))}, "branching factors must be >= 1"),
         ({"trees": ((2, -1),)}, "branching factors must be >= 1"),
+        # weights were once refused only when a simulation ran
+        ({"trees": ((2,),), "weights": (1.0, 2.0)}, "weight array covers 2 vertices, tree has 3"),
+        ({"trees": ((2,),), "weights": (1.0, -2.0, 1.0)}, "weights must be positive and finite"),
     ])
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -157,6 +160,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"^tree would exceed 10000000 vertices$"):
             SimConfig(trees=trees)
         assert SimConfig(trees=((2,) * 22,)).trees == ((2,) * 22,)  # 8,388,607 vertices
+
+    def test_trees_as_an_array_read_row_by_row(self):
+        # an array once failed on its own truth value, naming no field
+        assert SimConfig(trees=np.array([[2, 2]])) == SimConfig(trees=((2, 2),))
+        forest = SimConfig(trees=np.array([[2, 3], [3, 1]]))
+        assert forest.trees == ((2, 3), (3, 1)) and type(forest.trees[0][0]) is int
+        with pytest.raises(ValueError, match="at least one tree"):
+            SimConfig(trees=np.empty((0, 2), dtype=int))
 
     def test_integral_float_reads_as_int(self):
         cfg = SimConfig.from_doc({"tree": {"branching": [2.0]}, "replications": 1e3, "seed": 5.0})
@@ -1093,12 +1104,61 @@ class TestScratch:
         assert all(np.array_equal(r.rejection_counts, k) for r, k in zip(reports, kept))
         assert self.docs(reports) == self.docs(compare_procedures(cfg, PROCEDURES))
 
+    def test_forest_leaves_gathered_into_the_scratch(self):
+        # the gather once made a fresh (rows, n_leaves) copy every block: 1,028 KiB here
+        inst = _Instance(SimConfig(trees=((2, 2, 2), (2, 2, 2))))
+        scratch = inst.scratch(8192)
+        inst.draw_block(0, 8192, True, scratch)
+        tracemalloc.start()
+        try:
+            inst.draw_block(1, 8192, True, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_leaves_are_a_slice_when_contiguous(self):
         assert _Instance(self.CONFIGS[0]).leaves == slice(7, 15)
         assert _Instance(SimConfig(trees=((2, 2), ()))).leaves == slice(3, 8)
         gathered = _Instance(self.CONFIGS[2])
         assert gathered.leaves is gathered.leaf_ids
         assert gathered.leaf_ids.tolist() == [1, 2, 7, 8, 9, 10, 11, 12]
+
+
+class TestNullAccounting:
+    """With no false null in a procedure's scope, ``accumulate`` counts by
+    V = R; the counts must be those of the general route, bit for bit."""
+
+    CONFIGS = [
+        SimConfig(trees=((2, 2, 2),), alpha=0.3),
+        SimConfig(trees=((2, 2),), truth="explicit", truth_values=(1,) * 7, alpha=0.3),
+        # the root is the one false null: only descend's scope holds it
+        SimConfig(trees=((2, 2),), truth="explicit", truth_values=(0,) + (1,) * 6, alpha=0.3,
+                  effect=2.0),
+        SimConfig(trees=((2,), (3, 2)), alpha=0.3),  # a forest with gathered leaves
+    ]
+
+    @pytest.mark.parametrize("procedure", PROCEDURES)
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_both_routes_agree(self, cfg, procedure):
+        inst, rows = _Instance(cfg), 2048
+        scores, truth, sorted_leaves = inst.draw_block(0, rows, True, inst.scratch(rows))
+        assert truth is None
+        flags = inst.run_procedure(procedure, scores, sorted_leaves)
+        fixed = inst.accumulate(procedure, flags, None)
+        general = inst.accumulate(procedure, flags, np.repeat(inst.fixed_truth[:, None], rows, 1))
+        assert fixed.keys() == general.keys()
+        assert np.array_equal(fixed.pop("reject_counts"), general.pop("reject_counts"))
+        assert {k: (type(v), float(v).hex()) for k, v in fixed.items()} == {
+            k: (type(v), float(v).hex()) for k, v in general.items()
+        }
+        assert {type(fixed[k]) for k in ("n", "any_false", "domination_violations")} == {int}
+        assert fixed["any_false"] > 0  # the counts are not all zero
+
+    def test_reports_of_the_global_null(self):
+        for report in compare_procedures(self.CONFIGS[0], PROCEDURES):
+            assert report.fdr_hat == report.fwer_hat > 0 and report.power_hat == 0.0
+            json.dumps(report.to_doc())
 
 
 class TestFixedSeedReports:

@@ -110,9 +110,13 @@ def test_per_vertex_inputs_read_through_one_rule():
     shape_readers = {
         "trees.as_levels": called(definition("trees.py", "as_levels")),
         "trees.as_truth": called(definition("trees.py", "as_truth")),
-        "trees.weighted_levels": called(definition("trees.py", "weighted_levels")),
+        "trees._weights": called(definition("trees.py", "_weights")),
         "procedures.descend": called(definition("procedures.py", "descend")),
     }
+    # weights are read by one helper, for the allocation and for a SimConfig alike
+    weight_readers = [definition("trees.py", "weighted_levels"),
+                      definition("simulate.py", "SimConfig", "__post_init__")]
+    assert all("_weights" in called(node) for node in weight_readers)
     truth_readers = {
         "trees.as_truth": shape_readers["trees.as_truth"],
         "procedures.error_report": called(definition("procedures.py", "error_report")),
@@ -131,7 +135,7 @@ def test_array_inputs_read_through_one_numeric_rule():
     # reject vertices 0 and 1
     readers = {
         "trees.AlphaAllocation": definition("trees.py", "AlphaAllocation", "__post_init__"),
-        "trees.weighted_levels": definition("trees.py", "weighted_levels"),
+        "trees._weights": definition("trees.py", "_weights"),
         "procedures._checked_pvalues": definition("procedures.py", "_checked_pvalues"),
         "procedures.descend": definition("procedures.py", "descend"),
         "procedures.descend_batch": definition("procedures.py", "descend_batch"),
