@@ -27,10 +27,11 @@ from .gaussian import _pvalues_of_scores, _score_cuts
 from .procedures import _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
-    MAX_VERTICES,
     Index,
+    _branching_list,
     _descent,
     _fold_up,
+    _listed,
     _number,
     _vertex_count,
     _weights,
@@ -127,19 +128,17 @@ class SimConfig:
         # every number is read here, so a config built in Python writes the
         # document from_doc reads back; the fields that default to None keep it.
         # The rows of a 2-D array of trees read as branching lists, as tuples do.
-        trees = tuple(tuple(_number(b, "branching", True) for b in t) for t in self.trees)
+        trees = tuple(_branching_list(t, f"trees[{i}]")
+                      for i, t in enumerate(_listed(self.trees, "trees")))
         if not trees:
             raise ValueError("at least one tree is required")
         object.__setattr__(self, "trees", trees)
         for name, (integral, is_tuple) in _NUMBERS.items():
             value = getattr(self, name)  # the class attribute is the field's default
             if value is not None or getattr(SimConfig, name) is not None:
-                object.__setattr__(self, name, tuple(_number(v, name, integral) for v in value)
-                                   if is_tuple else _number(value, name, integral))
-        if any(b < 1 for t in trees for b in t):
-            raise ValueError("branching factors must be >= 1")
-        if any(_vertex_count(b) > MAX_VERTICES for b in trees):
-            raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
+                value = (tuple(_number(v, name, integral) for v in _listed(value, name))
+                         if is_tuple else _number(value, name, integral))
+                object.__setattr__(self, name, value)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.truth not in _TRUTH_KINDS:
@@ -207,9 +206,8 @@ class SimConfig:
             if None in kwargs.values():
                 raise TypeError(f"{next(f for f, v in kwargs.items() if v is None)}: got None")
             if "forest" in doc:
-                kwargs["trees"] = tuple(
-                    _branching(entry, f"forest[{i}]") for i, entry in enumerate(doc["forest"])
-                )
+                forest = enumerate(_listed(doc["forest"], "forest"))
+                kwargs["trees"] = tuple(_branching(e, f"forest[{i}]") for i, e in forest)
             elif "tree" in doc:
                 kwargs["trees"] = (_branching(doc["tree"], "tree"),)
             return cls(truth=truth, **kwargs)
@@ -252,9 +250,11 @@ def _section(doc: Mapping, key: str, default: str) -> tuple[str, Mapping]:
 
 def _branching(entry, where: str) -> tuple[int, ...]:
     """Branching factors of one ``tree`` or ``forest`` entry of a config document."""
-    if isinstance(entry, Mapping) and "branching" not in entry:
+    if not isinstance(entry, Mapping):
+        raise TypeError(f"{where}: expected an object holding 'branching', got {entry!r}")
+    if "branching" not in entry:
         raise ValueError(f"{where}: missing key 'branching'")
-    return tuple(_number(b, f"{where} branching", True) for b in entry["branching"])
+    return _branching_list(entry["branching"], f"{where} branching")
 
 
 @dataclass
@@ -302,11 +302,12 @@ class _Instance:
     """Precomputed immutable state shared by all replication blocks.
 
     Block layout: the statistics of a block are drawn row-major, one row per
-    replication, and transposed once to vertex-major ``(n_vertices, rows)``;
-    the sorted leaf scores are rank-major, ``(n_leaves, rows)``.  These
-    arrays (the draw, the scores, the truth in both layouts and the sorted
-    leaf scores) are views of one worker's ``scratch``, which that worker
-    holds for the whole call and refills for every block it draws.
+    replication, and transposed once to vertex-major ``(n_vertices, rows)``,
+    as is drawn truth; fixed truth is one vertex-major column for every
+    replication.  The sorted leaf scores are rank-major, ``(n_leaves, rows)``.
+    These arrays (the draw, the scores, drawn truth in both layouts and the
+    sorted leaf scores) are views of one worker's ``scratch``, which that
+    worker holds for the whole call and refills for every block it draws.
     The procedures are the kernels the public functions wrap, run on one
     tree's rows ``scores[off : off + n]`` at a time; ``scope[procedure]``
     holds the vertex ids of the rows a procedure returns, its hypotheses.
@@ -365,14 +366,15 @@ class _Instance:
             **dict.fromkeys(("holm_flat", "bonferroni_flat", "bh_flat"), self.leaf_ids),
         }
 
-        # per-vertex truth when it does not change between replications
+        # per-vertex truth when it does not change between replications (all
+        # true under global_null); all_null: no false null in a procedure's scope
         self.fixed_truth: Optional[np.ndarray] = None
-        if config.truth == "explicit":
-            self.fixed_truth = np.asarray(config.truth_values, dtype=bool)
+        if config.truth != "random":
+            self.fixed_truth = np.array(config.truth_values or (1,) * self.n_vertices, dtype=bool)
             if config.dependence == "nested_means":
-                self.fixed_truth = self._nested_truth(self.fixed_truth[None, self.leaf_ids])[0]
-        elif config.truth == "global_null":
-            self.fixed_truth = np.ones(self.n_vertices, dtype=bool)
+                self._nested_truth(self.fixed_truth[None, self.leaf_ids], self.fixed_truth[None])
+        self.all_null = {p: self.fixed_truth is not None and bool(self.fixed_truth[ids].all())
+                         for p, ids in self.scope.items()}
 
         # one cut per distinct threshold, looked up by each table
         m, alpha = self.n_leaves, config.alpha
@@ -397,14 +399,13 @@ class _Instance:
             _fold_up(tree, values[:, off : off + tree.n_vertices].T, ufunc)
         return values
 
-    def _nested_truth(self, leaf_truth: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Truth rows ``(rows, n_vertices)`` from leaf truth ``(rows, n_leaves)``:
-        an internal vertex is a true null iff every descendant leaf is.
-        Written into ``out`` when given."""
-        truth = np.empty((leaf_truth.shape[0], self.n_vertices), bool) if out is None else out
-        truth.fill(True)
-        truth[:, self.leaves] = leaf_truth
-        return self._bottom_up(truth, np.logical_and)
+    def _nested_truth(self, leaf_truth: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Truth rows ``(rows, n_vertices)`` from leaf truth ``(rows, n_leaves)``,
+        written into ``out``: an internal vertex is a true null iff every
+        descendant leaf is."""
+        out.fill(True)
+        out[:, self.leaves] = leaf_truth
+        return self._bottom_up(out, np.logical_and)
 
     def scratch(self, rows: int) -> dict[str, np.ndarray]:
         """Flat buffers for ``draw_block`` on blocks of up to ``rows`` replications.
@@ -433,11 +434,11 @@ class _Instance:
         rows: int,
         sort_leaves: bool,
         scratch: dict[str, np.ndarray],
-    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Draw one replication block: vertex-major scores and truth, sorted leaf scores.
 
-        Scores and truth are ``(n_vertices, rows)``; truth is ``None`` when
-        it is fixed (``global_null`` or ``explicit``; see ``fixed_truth``).
+        Scores are ``(n_vertices, rows)``, and so is the true-null mask when it
+        is drawn; fixed truth (``global_null``, ``explicit``) is one column.
         With ``sort_leaves`` the third item holds the leaf scores of each
         replication sorted ascending, rank-major ``(n_leaves, rows)``, which
         flat Holm and BH share; otherwise it is ``None``.  The stream for
@@ -445,8 +446,8 @@ class _Instance:
         block is fixed (truth first when random, then the Gaussian data, both
         drawn row-major), so results do not depend on scheduling.
 
-        All three are views of ``scratch`` (from ``self.scratch``), valid
-        until the next block drawn into it.
+        Scores, drawn truth and sorted scores are views of ``scratch`` (from
+        ``self.scratch``), valid until the next block drawn into it.
         """
         cfg = self.config
 
@@ -457,18 +458,19 @@ class _Instance:
         nested = cfg.dependence == "nested_means"
         draw = buf("y", rows, self.n_leaves) if nested else buf("z", rows, self.n_vertices)
 
-        truth = None
         if self.fixed_truth is not None:
+            truth = self.fixed_truth[:, None]
             alt = ~(self.fixed_truth[self.leaves] if nested else self.fixed_truth)
         else:
             rng.random(out=draw)
             if nested:
                 alt = np.less(draw, cfg.truth_density, out=buf("alt", rows, self.n_leaves))
-                truth = self._nested_truth(alt, out=buf("truth", rows, self.n_vertices))
+                drawn = self._nested_truth(alt, buf("truth", rows, self.n_vertices))
                 np.logical_not(alt, out=alt)
             else:
-                truth = np.less(draw, cfg.truth_density, out=buf("truth", rows, self.n_vertices))
-                alt = np.logical_not(truth, out=buf("alt", rows, self.n_vertices))
+                drawn = np.less(draw, cfg.truth_density, out=buf("truth", rows, self.n_vertices))
+                alt = np.logical_not(drawn, out=buf("alt", rows, self.n_vertices))
+            truth = _transposed(drawn, buf("truth_t", self.n_vertices, rows))
 
         rng.standard_normal(out=draw)
         if cfg.effect:
@@ -496,8 +498,6 @@ class _Instance:
                                mode="clip")
             leaf.sort(axis=1)
             sorted_leaves = _transposed(leaf, buf("sorted", self.n_leaves, rows))
-        if truth is not None:
-            truth = _transposed(truth, buf("truth_t", self.n_vertices, rows))
         return scores, truth, sorted_leaves
 
     def run_procedure(
@@ -529,55 +529,39 @@ class _Instance:
             return leaf <= _sorted_cut(sorted_leaves, self.bh_cuts, step_up=True)
         raise ValueError(f"unknown procedure {procedure!r}; choose from {PROCEDURES}")
 
-    def accumulate(self, procedure: str, rejected: np.ndarray, truth: Optional[np.ndarray]) -> dict:
-        """Per-block error counts of one procedure (see ``run_procedure``).
+    def accumulate(self, procedure: str, rejected: np.ndarray, truth: np.ndarray) -> dict:
+        """Per-block error counts of one procedure (see ``run_procedure``)
+        against the true-null mask of ``draw_block``, broadcast over the flags.
 
-        When the truth is fixed and every vertex in the procedure's scope is
-        a true null (``global_null``, or ``explicit`` with no false null in
-        scope), every rejection is false: V = R in each replication, so the
-        counts take their closed forms.  A replication errs iff it rejects,
-        its false-discovery proportion is exactly 0 or 1, V/m is R/m, power
-        is 0, and domination fails only where R > m (never, unless a kernel
-        is wrong).  The sums are bit-equal to the general route's.
+        A one-column mask with no false null in the procedure's scope
+        (``all_null``) makes every rejection false: V = R in each replication,
+        so the counts take their closed forms.  A replication errs iff it
+        rejects, its false-discovery proportion is exactly 0 or 1, V/m is
+        R/m, power is 0, and domination fails only where R > m (never,
+        unless a kernel is wrong).  The sums are bit-equal to the general
+        route's.
         """
         ids = self.scope[procedure]
         m = max(ids.size, 1)
         n_rej = _count(rejected, axis=0)
-        reject_counts = np.zeros(self.n_vertices, dtype=np.int64)
-        reject_counts[ids] = _count(rejected, axis=1)
-        if truth is None and self.fixed_truth[ids].all():
-            any_rej = int(np.count_nonzero(n_rej))
-            return {
-                "n": rejected.shape[1],
-                "any_false": any_rej,
-                "fdp_sum": float(any_rej),
-                "pcer_sum": float(n_rej.sum()) / m,
-                "power_sum": 0.0,
-                "reject_counts": reject_counts,
-                "domination_violations": int(np.count_nonzero(n_rej > m)),
-            }
-        if truth is None:
-            null = self.fixed_truth[ids]
-            false_rej = _count(rejected[null], axis=0)
-            n_false = ids.size - np.count_nonzero(null)
+        if truth.shape[1] == 1 and self.all_null[procedure]:
+            false_rej, any_false = n_rej, int(np.count_nonzero(n_rej))
+            fdp_sum, power_sum = float(any_false), 0.0
+            violations = int(np.count_nonzero(n_rej > m))
         else:
             null = truth if ids.size == self.n_vertices else truth[ids]
             false_rej = _count(rejected & null, axis=0)
-            n_false = ids.size - _count(null, axis=0)
-        hits = n_rej - false_rej
-        any_false = false_rej >= 1
-        fdp = false_rej / np.maximum(n_rej, 1)
-        power = hits / np.maximum(n_false, 1)
-        dominated = (fdp <= any_false + 1e-12) & (false_rej / m <= any_false + 1e-12)
-        return {
-            "n": rejected.shape[1],
-            "any_false": int(any_false.sum()),
-            "fdp_sum": float(fdp.sum()),
-            "pcer_sum": float(false_rej.sum()) / m,
-            "power_sum": float(power.sum()),
-            "reject_counts": reject_counts,
-            "domination_violations": int((~dominated).sum()),
-        }
+            erred = false_rej >= 1
+            fdp = false_rej / np.maximum(n_rej, 1)
+            power = (n_rej - false_rej) / np.maximum(ids.size - _count(null, axis=0), 1)
+            dominated = (fdp <= erred + 1e-12) & (false_rej / m <= erred + 1e-12)
+            any_false, fdp_sum, power_sum = int(erred.sum()), float(fdp.sum()), float(power.sum())
+            violations = int((~dominated).sum())
+        reject_counts = np.zeros(self.n_vertices, dtype=np.int64)
+        reject_counts[ids] = _count(rejected, axis=1)
+        return {"n": rejected.shape[1], "any_false": any_false, "fdp_sum": fdp_sum,
+                "pcer_sum": float(false_rej.sum()) / m, "power_sum": power_sum,
+                "reject_counts": reject_counts, "domination_violations": violations}
 
 
 def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:

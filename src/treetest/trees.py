@@ -42,7 +42,7 @@ import itertools
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -238,6 +238,17 @@ def _vertex_count(branching: Sequence[int]) -> int:
     return 1 + sum(itertools.accumulate(branching, operator.mul))
 
 
+def _branching_list(values, where: str = "branching") -> tuple[int, ...]:
+    """A branching list: integer factors >= 1 read by ``_number`` (a non-list
+    is a ``TypeError`` naming ``where``), of at most ``MAX_VERTICES`` vertices."""
+    branching = tuple(_number(b, where, True) for b in _listed(values, where))
+    if any(b < 1 for b in branching):
+        raise ValueError("branching factors must be >= 1")
+    if _vertex_count(branching) > MAX_VERTICES:
+        raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
+    return branching
+
+
 def build_complete_tree(branching: Sequence[int]) -> TestTree:
     """Build the complete tree in which every depth-``l`` vertex has
     ``branching[l]`` children.
@@ -246,12 +257,8 @@ def build_complete_tree(branching: Sequence[int]) -> TestTree:
     empty sequence gives the single-vertex tree.  Construction is refused
     above ``MAX_VERTICES`` vertices, before any array is allocated.
     """
-    branching = tuple(_number(b, "branching", True) for b in branching)
-    if any(b < 1 for b in branching):
-        raise ValueError("branching factors must be >= 1")
+    branching = _branching_list(branching)
     total = _vertex_count(branching)
-    if total > MAX_VERTICES:
-        raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
 
     # vertex i of layer d + 1 is child i // b of layer d
     b = np.asarray(branching, dtype=np.int64)
@@ -298,10 +305,11 @@ def _fold_up(tree: TestTree, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     for layer in reversed(tree.families):
         for par, kids, k in layer:
             members = values[kids].reshape(-1, k, *values.shape[1:])
-            acc = ufunc(values[par], members[:, 0])
-            for i in range(1, k):
+            acc = values[par]  # a view of the parents' rows when they are a slice
+            for i in range(k):
                 ufunc(acc, members[:, i], out=acc)
-            values[par] = acc
+            if not isinstance(par, slice):
+                values[par] = acc
     return values
 
 
@@ -515,12 +523,19 @@ def _number(value, where: str, integral: bool = False) -> Union[int, float]:
     return int(value) if integral else float(value)
 
 
+def _listed(values, where: str):
+    """``values`` when it can be iterated, else a ``TypeError`` naming ``where``."""
+    if not isinstance(values, Iterable):
+        raise TypeError(f"{where}: expected a list, got {values!r}")
+    return values
+
+
 def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
     """Inverse of ``allocation_doc``; validates lengths, not the budget."""
     if not isinstance(doc, Mapping):
         raise ValueError("allocation document must be a JSON object")
     try:
-        branching = [_number(b, "branching", True) for b in doc["branching"]]
+        branching = _branching_list(doc["branching"])
         depth = _number(doc["depth"], "depth", True)
         allocation = [_number(x, "allocation") for x in doc["allocation"]]
         root = _number(doc["alpha_root"], "alpha_root") if "alpha_root" in doc else None

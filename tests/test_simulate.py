@@ -113,6 +113,14 @@ class TestSimConfig:
         with pytest.raises(TypeError, match="integer, got 2.7"):
             SimConfig(trees=((2.7,),))
         assert SimConfig(trees=((2.0,),)).to_doc()["tree"] == {"branching": [2]}
+        # a flat list once ended in a bare "'int' object is not iterable"
+        for flat in [(2, 2), np.array([2, 2])]:
+            with pytest.raises(TypeError, match=r"^trees\[0\]: expected a list, got "):
+                SimConfig(trees=flat)
+        with pytest.raises(TypeError, match=r"^trees: expected a list, got 5$"):
+            SimConfig(trees=5)
+        with pytest.raises(TypeError, match=r"^weights: expected a list, got 5$"):
+            SimConfig(weights=5)
 
     @pytest.mark.parametrize("truth", [
         {"kind": "random", "density": 0.5, "values": [0, 1, 0]},
@@ -148,6 +156,9 @@ class TestSimConfig:
         # weights were once refused only when a simulation ran
         ({"trees": ((2,),), "weights": (1.0, 2.0)}, "weight array covers 2 vertices, tree has 3"),
         ({"trees": ((2,),), "weights": (1.0, -2.0, 1.0)}, "weights must be positive and finite"),
+        # each branching list is checked whole as it is read, before any other field
+        ({"trees": ((2, 0),), "seed": "1"}, "branching factors must be >= 1"),
+        ({"trees": ((2,) * 24,), "alpha": None}, r"^tree would exceed 10000000 vertices$"),
     ])
     def test_field_refused(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -286,10 +297,17 @@ class TestSimConfig:
         # a null is not "not given", though these fields default to None
         {"allocation": {"kind": "weighted", "weights": None}},
         {"truth": {"kind": "random", "density": None}}, {"root_levels": None},
+        # each once named no field
+        {"forest": 5}, {"forest": {"branching": [2]}}, {"forest": [[2, 2]]},
+        {"truth": {"kind": "explicit", "values": 1}},
     ])
     def test_value_of_wrong_json_type(self, doc):
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="^malformed configuration: ") as info:
             SimConfig.from_doc(doc)
+        # the message names the field: a key of the document, or the field it fills
+        field = str(info.value).split(": ")[1]
+        keys = [key for part in (doc, *doc.values()) if isinstance(part, dict) for key in part]
+        assert any(key in field for key in keys), str(info.value)
 
     @pytest.mark.parametrize("doc, where", [
         ({"forest": [{"x": 1}]}, "forest[0]"),
@@ -604,30 +622,44 @@ class TestLayeredAggregates:
 
     @pytest.mark.parametrize("branching, leaf_truth", [
         ((2, 2), [1, 1, 0, 1]), ((3, 2), [1, 1, 0, 1, 1, 0]),
+        # drawn truth under either dependence: each replication is counted
+        # against its own column of the mask
+        pytest.param((3, 2), "independent", id="random-independent"),
+        pytest.param((2, 3), "nested_means", id="random-nested_means"),
     ])
     def test_explicit_truth_under_nested_means(self, branching, leaf_truth):
         # every internal value contradicts its leaves: internal truth must be
         # derived from the leaves, and errors counted against the derived truth
         tree = build_complete_tree(branching)
-        values = np.ones(tree.n_vertices, dtype=bool)
-        values[tree.leaves] = leaf_truth
-        want = reference_internal_truth(tree.parent.tolist(), values[None])[0]
-        inner = tree.child_counts > 0
-        values[inner] = ~want[inner]
-        cfg = SimConfig(
-            trees=(branching,), alpha=0.2, dependence="nested_means", effect=3.0,
-            truth="explicit", truth_values=tuple(values.astype(int).tolist()),
-            replications=200, seed=9,
-        )
+        if isinstance(leaf_truth, str):  # the block's truth, redrawn from its stream
+            nested = leaf_truth == "nested_means"
+            cfg = SimConfig(trees=(branching,), alpha=0.2, dependence=leaf_truth, effect=2.0,
+                            truth="random", truth_density=0.6, replications=200, seed=9)
+            cols = tree.leaves if nested else slice(None)
+            want = np.ones((200, tree.n_vertices), dtype=bool)
+            want[:, cols] = np.random.default_rng([9, 0]).random(want[:, cols].shape) < 0.6
+            want = (reference_internal_truth(tree.parent.tolist(), want) if nested else want).T
+        else:
+            values = np.ones(tree.n_vertices, dtype=bool)
+            values[tree.leaves] = leaf_truth
+            want = reference_internal_truth(tree.parent.tolist(), values[None]).T
+            inner = tree.child_counts > 0
+            values[inner] = ~want[inner, 0]
+            cfg = SimConfig(
+                trees=(branching,), alpha=0.2, dependence="nested_means", effect=3.0,
+                truth="explicit", truth_values=tuple(values.astype(int).tolist()),
+                replications=200, seed=9,
+            )
         inst = _Instance(cfg)
-        assert np.array_equal(inst.fixed_truth, want)
         scores, truth, shared = inst.draw_block(0, 200, True, inst.scratch(200))
-        assert truth is None
+        assert truth.shape == want.shape and np.array_equal(truth, want)
+        assert cfg.truth == "random" or np.array_equal(inst.fixed_truth, want[:, 0])
         for proc in PROCEDURES:
             ids = inst.scope[proc]
             rejected = inst.run_procedure(proc, scores, shared)
-            reports = [error_report(rejected[:, i], want[ids]) for i in range(200)]
-            got = inst.accumulate(proc, rejected, None)
+            null = np.broadcast_to(want[ids], rejected.shape)
+            reports = [error_report(rejected[:, i], null[:, i]) for i in range(200)]
+            got = inst.accumulate(proc, rejected, truth)
             false_rejections = sum(r.false_rejections for r in reports)
             assert got["any_false"] == sum(r.any_false for r in reports), proc
             assert got["pcer_sum"] * ids.size == pytest.approx(false_rejections), proc
@@ -640,7 +672,9 @@ class TestLayeredAggregates:
         rng = np.random.default_rng(len(trees))
         truth = rng.random((50, inst.n_vertices)) < 0.8
         want = reference_internal_truth(self.forest_parents(trees), truth)
-        assert np.array_equal(inst._nested_truth(truth[:, inst.leaf_ids]), want)
+        out = np.empty(truth.shape, dtype=bool)
+        assert inst._nested_truth(truth[:, inst.leaf_ids], out) is out
+        assert np.array_equal(out, want)
 
 
 class TestVectorizedKernels:
@@ -1117,6 +1151,20 @@ class TestScratch:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_nested_block_folds_in_place(self):
+        # the fold once allocated one accumulator per family group: 12,419 KiB here
+        cfg = SimConfig(trees=((2,) * 8,), truth="random", dependence="nested_means", effect=1.0)
+        inst = _Instance(cfg)
+        scratch = inst.scratch(8192)
+        inst.draw_block(0, 8192, True, scratch)
+        tracemalloc.start()
+        try:
+            inst.draw_block(1, 8192, True, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
     def test_leaves_are_a_slice_when_contiguous(self):
         assert _Instance(self.CONFIGS[0]).leaves == slice(7, 15)
         assert _Instance(SimConfig(trees=((2, 2), ()))).leaves == slice(3, 8)
@@ -1140,13 +1188,21 @@ class TestNullAccounting:
 
     @pytest.mark.parametrize("procedure", PROCEDURES)
     @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_both_routes_agree(self, cfg, procedure):
+    def test_both_routes_agree(self, cfg, procedure, monkeypatch):
         inst, rows = _Instance(cfg), 2048
         scores, truth, sorted_leaves = inst.draw_block(0, rows, True, inst.scratch(rows))
-        assert truth is None
+        assert truth.shape == (inst.n_vertices, 1)
+        assert np.array_equal(truth[:, 0], inst.fixed_truth)
         flags = inst.run_procedure(procedure, scores, sorted_leaves)
-        fixed = inst.accumulate(procedure, flags, None)
+        # only the closed forms call count_nonzero: the one-column mask takes
+        # them where the scope holds no false null, the repeated mask never
+        closed, count_nonzero = [], np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda *a: closed.append(1) or count_nonzero(*a))
+        fixed = inst.accumulate(procedure, flags, truth)
+        assert bool(closed) == inst.fixed_truth[inst.scope[procedure]].all()
+        closed.clear()
         general = inst.accumulate(procedure, flags, np.repeat(inst.fixed_truth[:, None], rows, 1))
+        assert not closed
         assert fixed.keys() == general.keys()
         assert np.array_equal(fixed.pop("reject_counts"), general.pop("reject_counts"))
         assert {k: (type(v), float(v).hex()) for k, v in fixed.items()} == {

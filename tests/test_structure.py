@@ -93,13 +93,15 @@ def test_documents_read_numbers_through_one_rule():
         "simulate._branching": called(definition("simulate.py", "_branching")),
         "trees.allocation_from_doc": called(definition("trees.py", "allocation_from_doc")),
         "trees.build_complete_tree": called(definition("trees.py", "build_complete_tree")),
+        "trees._branching_list": called(definition("trees.py", "_branching_list")),
         "exact.audit_alpha_sums": called(definition("exact.py", "audit_alpha_sums")),
         "localize.build_interval_tree": called(definition("localize.py", "build_interval_tree")),
     }
     assert {reader: names & {"int", "float"} for reader, names in readers.items()} == {
         reader: set() for reader in readers
     }
-    assert all("_number" in names for names in readers.values())  # the scan sees the rule
+    # the scan sees the rule, called directly or through the branching-list reader
+    assert all(names & {"_number", "_branching_list"} for names in readers.values())
     # a config's numbers are read once, by __post_init__, whatever built it
     assert "_number" not in called(definition("simulate.py", "SimConfig", "from_doc"))
 

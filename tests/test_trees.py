@@ -75,9 +75,9 @@ class TestBuildCompleteTree:
         assert list(tree.children(2)) == [6, 7, 8]
         assert np.all(tree.depth_of == [0, 1, 1, 2, 2, 2, 2, 2, 2])
 
-    @pytest.mark.parametrize("branching", [[2.7], [True], ["2"]])
+    @pytest.mark.parametrize("branching", [[2.7], [True], ["2"], 3])
     def test_branching_read_by_the_number_rule(self, branching):
-        # [2.7] built the binary tree
+        # [2.7] built the binary tree; 3 ended in "'int' object is not iterable"
         with pytest.raises(TypeError, match="branching"):
             build_complete_tree(branching)
 
