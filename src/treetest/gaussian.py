@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .trees import _numeric
+from .trees import _level, _number, _numeric
 
 __all__ = [
     "std_normal_cdf",
@@ -29,10 +29,11 @@ __all__ = [
 ]
 
 
-def _check_sigma(sigma: float) -> None:
-    """A known noise scale must be positive and finite."""
-    if not 0.0 < sigma < np.inf:
+def _check_sigma(sigma: float) -> float:
+    """A known noise scale, read by ``trees._number``: positive and finite."""
+    if not 0.0 < (sigma := _number(sigma, "sigma")) < np.inf:
         raise ValueError("sigma must be positive and finite")
+    return sigma
 
 
 def std_normal_cdf(x):
@@ -70,9 +71,7 @@ def _pvalues_of_scores(s: np.ndarray) -> None:
 def critical_z(level: float) -> float:
     """Two-sided z-score threshold: ``|z| >= critical_z(level)`` matches
     ``two_sided_pvalue(z) <= level``.  Strictly decreasing in ``level``."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly inside (0, 1)")
-    return float(-special.ndtri(level / 2.0))
+    return float(-special.ndtri(_level(level, "level", below_one=True) / 2.0))
 
 
 # Each cut is checked to be a clean step of the p-value predicate over this

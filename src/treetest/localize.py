@@ -45,7 +45,7 @@ class TrialMatrix:
             raise ValueError("trial data must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(data)):
             raise ValueError("trial data must be finite")
-        _check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -38,8 +38,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .trees import (LevelsLike, TestTree, _descent, _numeric, _per_vertex, _tested, _truth_flags,
-                    _vertex, as_levels, level_budget_violations)
+from .trees import (LevelsLike, TestTree, _descent, _level, _numeric, _per_vertex, _tested,
+                    _truth_flags, _vertex, as_levels, level_budget_violations)
 
 __all__ = [
     "TreeRejections",
@@ -183,7 +183,7 @@ def _local_descent(
         if isinstance(kids, np.ndarray) and isinstance(cols, np.ndarray):
             at = np.ix_(kids, cols)
         live = live[:, cols]
-        flags, all_rej = _holm(scores[at].reshape(-1, k, live.shape[1]), cut)
+        flags, all_rej = _holm(np.ascontiguousarray(scores[at]).reshape(-1, k, live.shape[1]), cut)
         rejected[at] = (flags & live[:, None]).reshape(-1, live.shape[1])
         active[at] = np.repeat(all_rej & live, k, axis=0)
     return rejected, active
@@ -242,17 +242,13 @@ def holm(pvals: Sequence[float], level: float) -> np.ndarray:
     2-D input holds one family per row.
     """
     p = _checked_pvalues(pvals)
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must lie in (0, 1]")
-    return _flat(p, level / np.arange(p.shape[-1], 0, -1), step_up=False)
+    return _flat(p, _level(level, "level") / np.arange(p.shape[-1], 0, -1), step_up=False)
 
 
 def bonferroni(pvals: Sequence[float], level: float) -> np.ndarray:
     """Reject every p-value at or below ``level / m`` (per row of 2-D input)."""
     p = _checked_pvalues(pvals)
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must lie in (0, 1]")
-    return p <= level / p.shape[-1]
+    return p <= _level(level, "level") / p.shape[-1]
 
 
 def benjamini_hochberg(pvals: Sequence[float], q: float) -> np.ndarray:
@@ -263,10 +259,8 @@ def benjamini_hochberg(pvals: Sequence[float], q: float) -> np.ndarray:
     one family per row.
     """
     p = _checked_pvalues(pvals)
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
     m = p.shape[-1]
-    return _flat(p, np.arange(1, m + 1) * q / m, step_up=True)
+    return _flat(p, np.arange(1, m + 1) * _level(q, "q") / m, step_up=True)
 
 
 # ---------------------------------------------------------------------------

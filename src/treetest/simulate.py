@@ -31,8 +31,10 @@ from .trees import (
     _branching_list,
     _descent,
     _fold_up,
+    _level,
     _listed,
     _number,
+    _truth_flags,
     _vertex_count,
     _weights,
     build_complete_tree,
@@ -55,22 +57,23 @@ PROCEDURES = ("descend", "descend_local", "holm_flat", "bonferroni_flat", "bh_fl
 _TRUTH_KINDS = ("global_null", "explicit", "random")
 _DEPENDENCE = ("independent", "nested_means")
 
-# The scalar keys of a config document, each the SimConfig field of its name.
-_SCALARS = ("alpha", "effect", "dependence", "replications", "seed", "block_size")
-
-# The SimConfig field of each key of a config document, or of its allocation
-# or truth section, that holds one (the trees and the section kinds aside).
-_DOC_FIELDS = {**dict(zip(_SCALARS, _SCALARS)), "root_levels": "root_levels",
-               "weights": "weights", "density": "truth_density", "values": "truth_values"}
-
-# The field each config-section kind writes besides "kind"; others are refused.
-_SECTION_FIELDS = {"weighted": ("weights",), "random": ("density",), "explicit": ("values",)}
-
-# The number fields of a SimConfig as ``(integral, is_tuple)``: each is read
-# by ``trees._number`` as an int or a float, entry by entry when a tuple.
-_NUMBERS = {"alpha": (False, False), "effect": (False, False), "truth_density": (False, False),
-            "replications": (True, False), "seed": (True, False), "block_size": (True, False),
-            "root_levels": (False, True), "weights": (False, True), "truth_values": (True, True)}
+# The fields of a config document besides its trees and section kinds, one
+# row each: the SimConfig field; the section and kind whose object holds its
+# key, or None for the top level; the key; and its reader: "int" or "float"
+# by ``trees._number`` ("ints" and "floats" entry by entry, into a tuple), or
+# "str", kept as given.  ``to_doc`` writes the keys in this order.
+_FIELDS = (
+    ("alpha", None, None, "alpha", "float"),
+    ("effect", None, None, "effect", "float"),
+    ("dependence", None, None, "dependence", "str"),
+    ("replications", None, None, "replications", "int"),
+    ("seed", None, None, "seed", "int"),
+    ("block_size", None, None, "block_size", "int"),
+    ("root_levels", None, None, "root_levels", "floats"),
+    ("weights", "allocation", "weighted", "weights", "floats"),
+    ("truth_density", "truth", "random", "density", "float"),
+    ("truth_values", "truth", "explicit", "values", "ints"),
+)
 
 
 def monte_carlo_bound(alpha: float, n: int, z: float = 3.0) -> float:
@@ -133,14 +136,14 @@ class SimConfig:
         if not trees:
             raise ValueError("at least one tree is required")
         object.__setattr__(self, "trees", trees)
-        for name, (integral, is_tuple) in _NUMBERS.items():
+        for name, _, _, _, reader in _FIELDS:
             value = getattr(self, name)  # the class attribute is the field's default
-            if value is not None or getattr(SimConfig, name) is not None:
+            if reader != "str" and (value is not None or getattr(SimConfig, name) is not None):
+                integral = reader.startswith("int")
                 value = (tuple(_number(v, name, integral) for v in _listed(value, name))
-                         if is_tuple else _number(value, name, integral))
+                         if reader.endswith("s") else _number(value, name, integral))
                 object.__setattr__(self, name, value)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _level(self.alpha, "alpha", below_one=True)
         if self.truth not in _TRUTH_KINDS:
             raise ValueError(f"truth must be one of {_TRUTH_KINDS}")
         if (self.truth == "explicit") != (self.truth_values is not None):
@@ -150,8 +153,7 @@ class SimConfig:
             n = sum(_vertex_count(b) for b in trees)
             if len(self.truth_values) != n:
                 raise ValueError(f"truth_values needs {n} entries, one per vertex")
-            if not set(self.truth_values) <= {0, 1}:
-                raise ValueError("truth values must be 0 or 1")
+            _truth_flags(np.array(self.truth_values))
         if self.truth != "random":
             if self.truth_density is not None:
                 raise ValueError("truth_density requires truth 'random'")
@@ -163,10 +165,8 @@ class SimConfig:
             raise ValueError("effect must be nonnegative and finite")
         if self.dependence not in _DEPENDENCE:
             raise ValueError(f"dependence must be one of {_DEPENDENCE}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.replications > 10**9:
-            raise ValueError("replication counter above 10^9 is not supported")
+        if not 1 <= self.replications <= 10**9:
+            raise ValueError("replications must lie in [1, 10^9]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
@@ -178,9 +178,8 @@ class SimConfig:
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
                 raise ValueError("one root level per tree is required")
-            bad = [(i, a) for i, a in enumerate(self.root_levels) if not 0.0 < a <= 1.0]
-            if bad:
-                raise ValueError("root_levels[%d] = %r must lie in (0, 1]" % bad[0])
+            for i, a in enumerate(self.root_levels):
+                _level(a, f"root_levels[{i}] = {a!r}")
             if sum(self.root_levels) > self.alpha + LEVEL_SUM_TOL:
                 raise ValueError("root levels exceed the global level")
 
@@ -189,8 +188,8 @@ class SimConfig:
         """A configuration from a JSON-compatible document; ``__post_init__`` reads its numbers."""
         if not isinstance(doc, Mapping):
             raise ValueError("configuration must be a JSON object")
-        unknown = set(doc) - {"tree", "forest", "root_levels", "allocation", "truth", *_SCALARS}
-        if unknown:
+        top = {key for _, section, _, key, _ in _FIELDS if section is None}
+        if unknown := set(doc) - top - {"tree", "forest", "allocation", "truth"}:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         # a section of the wrong JSON type surfaces as a TypeError
         try:
@@ -200,8 +199,9 @@ class SimConfig:
             if allocation == "weighted" and "weights" not in alloc:
                 raise ValueError("weighted allocation requires weights")
             truth, truth_fields = _section(doc, "truth", "global_null")
-            kwargs = {_DOC_FIELDS[key]: value for part in (doc, alloc, truth_fields)
-                      for key, value in part.items() if key in _DOC_FIELDS}
+            parts = {None: doc, "allocation": alloc, "truth": truth_fields}
+            kwargs = {name: parts[section][key] for name, section, _, key, _ in _FIELDS
+                      if key in parts[section]}
             # a null is refused, not taken as "not given" by a field that defaults to None
             if None in kwargs.values():
                 raise TypeError(f"{next(f for f, v in kwargs.items() if v is None)}: got None")
@@ -216,19 +216,13 @@ class SimConfig:
 
     def to_doc(self) -> dict:
         doc = {"allocation": "uniform", "truth": self.truth}
-        doc.update((key, getattr(self, key)) for key in _SCALARS)
-        if len(self.trees) == 1:
-            doc["tree"] = {"branching": list(self.trees[0])}
-        else:
-            doc["forest"] = [{"branching": list(b)} for b in self.trees]
-        if self.root_levels is not None:
-            doc["root_levels"] = list(self.root_levels)
-        if self.weights is not None:
-            doc["allocation"] = {"kind": "weighted", "weights": list(self.weights)}
-        if self.truth == "random":
-            doc["truth"] = {"kind": "random", "density": self.truth_density}
-        elif self.truth == "explicit":
-            doc["truth"] = {"kind": "explicit", "values": list(self.truth_values or ())}
+        for name, section, kind, key, _ in _FIELDS:
+            if name == "root_levels":  # the document lists the trees before their root levels
+                trees = [{"branching": list(b)} for b in self.trees]
+                doc.update({"tree": trees[0]} if len(trees) == 1 else {"forest": trees})
+            if (value := getattr(self, name)) is not None:
+                value = list(value) if isinstance(value, tuple) else value
+                doc[section or key] = {"kind": kind, key: value} if section else value
         return doc
 
 
@@ -242,8 +236,8 @@ def _section(doc: Mapping, key: str, default: str) -> tuple[str, Mapping]:
     if not isinstance(section, Mapping):
         raise ValueError(f"{key} must be a string or an object")
     kind = str(section.get("kind", default))
-    extra = set(section) - {"kind", *_SECTION_FIELDS.get(kind, ())}
-    if extra:
+    fields = (k for _, sec, sec_kind, k, _ in _FIELDS if (sec, sec_kind) == (key, kind))
+    if extra := set(section) - {"kind", *fields}:
         raise ValueError(f"{key} {kind!r} takes no {sorted(extra)}")
     return kind, section
 

@@ -15,10 +15,11 @@ while every ancestor's null is false (``first_true_vertices``), and level
 sums over that set restricted to subtrees (read through
 ``exact.audit_subtree_sums``).
 
-Vertices are dense integers, and every id a caller names is read through
-``_vertex``.  Ids are assigned breadth-first by the constructors, and every
-parent id is smaller than its children's ids; trees are immutable after
-construction and safe for concurrent reads.
+Vertices are dense integers, assigned breadth-first by the constructors,
+and every parent id is smaller than its children's ids; trees are immutable
+after construction and safe for concurrent reads.  A caller's vertex ids are
+read through ``_vertex``, its numbers through ``_number`` and its test
+levels through ``_level`` (``_number``, then the range (0, 1]).
 
 A tree keeps its children as one read-only array ordered by parent, and
 ``children(v)`` returns a read-only view into it.  ``layers`` holds the
@@ -403,9 +404,7 @@ def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:
     The root gets ``alpha``; every internal vertex passes its own level down
     in equal shares, so the budget holds with equality at every vertex.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    return _split_levels(tree, alpha, np.ones(tree.n_vertices), tree.child_counts)
+    return _split_levels(tree, _level(alpha, "alpha"), np.ones(tree.n_vertices), tree.child_counts)
 
 
 def weighted_levels(
@@ -417,8 +416,7 @@ def weighted_levels(
     positive weights, one per vertex (the root's is not read).  With equal
     weights this reduces to ``uniform_levels``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _level(alpha, "alpha")
     w = _weights(weights, tree.n_vertices)
     return _split_levels(tree, alpha, w, tree.child_sums(w))
 
@@ -523,9 +521,18 @@ def _number(value, where: str, integral: bool = False) -> Union[int, float]:
     return int(value) if integral else float(value)
 
 
+def _level(value, where: str, below_one: bool = False) -> float:
+    """A test level read by ``_number``, in (0, 1], or (0, 1) if ``below_one``."""
+    level = _number(value, where)
+    if not (0.0 < level < 1.0 or level == 1.0 and not below_one):
+        raise ValueError(f"{where} must lie in (0, 1{')' if below_one else ']'}")
+    return level
+
+
 def _listed(values, where: str):
-    """``values`` when it can be iterated, else a ``TypeError`` naming ``where``."""
-    if not isinstance(values, Iterable):
+    """``values`` when it iterates as a list (not a string or a mapping), else a
+    ``TypeError`` naming ``where``."""
+    if not isinstance(values, Iterable) or isinstance(values, (str, bytes, Mapping)):
         raise TypeError(f"{where}: expected a list, got {values!r}")
     return values
 
@@ -537,7 +544,7 @@ def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
     try:
         branching = _branching_list(doc["branching"])
         depth = _number(doc["depth"], "depth", True)
-        allocation = [_number(x, "allocation") for x in doc["allocation"]]
+        allocation = [_number(x, "allocation") for x in _listed(doc["allocation"], "allocation")]
         root = _number(doc["alpha_root"], "alpha_root") if "alpha_root" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed allocation document: {exc}") from exc

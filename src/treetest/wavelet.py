@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gaussian import _check_sigma, critical_z, std_normal_quantile, two_sided_pvalue
-from .trees import _numeric
+from .trees import _level, _numeric
 
 __all__ = [
     "WaveletTree",
@@ -117,9 +117,7 @@ def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     ``z_j = critical_z(alpha / 2**j)``; the sequence is strictly increasing
     in ``j``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    _check_sigma(sigma)
+    alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
     return np.array([sigma * critical_z(alpha / (1 << j)) for j in range(1, J + 1)])
 
 
@@ -136,9 +134,7 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     kept level-``j`` coefficient ``k``, so a level costs one gather and one
     comparison over the candidates instead of over the whole level.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    _check_sigma(sigma)
+    alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
     c = tree.coeffs.reshape(-1, tree.n)  # one row per batch entry
     mask = np.zeros(c.shape, dtype=bool)
     mask[:, :2] = True
@@ -223,15 +219,12 @@ def denoise(
     tree = haar_forward(samples)
     if tree.coeffs.ndim != 1:
         raise ValueError("denoise expects a single 1-D signal")
-    if isinstance(sigma, str):
-        if sigma != "estimate":
-            raise ValueError("sigma must be a positive number or 'estimate'")
-        scale = estimate_sigma(tree)
-        if not scale > 0.0:
-            raise ValueError("estimated noise scale is zero; cannot threshold")
-    else:
-        scale = float(sigma)
-        _check_sigma(scale)
+    if not isinstance(sigma, str):
+        scale = _check_sigma(sigma)
+    elif sigma != "estimate":
+        raise ValueError("sigma must be a positive number or 'estimate'")
+    elif not (scale := estimate_sigma(tree)) > 0.0:
+        raise ValueError("estimated noise scale is zero; cannot threshold")
     mask = keep_mask(tree, alpha, scale)
     kept = int(mask[2:].sum())
     out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import copy
 import csv
+import dataclasses
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treetest import SimConfig
 from treetest.cli import main
+from treetest.simulate import _FIELDS
 
 
 def write_json(path: Path, doc) -> str:
@@ -440,6 +446,82 @@ class TestMalformedInputs:
         cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)
         assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
+class TestConfigFieldMutations:
+    """Seeded malformed configs.  Each case bends one field of the config
+    table ``simulate._FIELDS``: it gives the field, or one entry of a list
+    field, a bad value, drops its key or adds a key beside it.  Each runs
+    through ``main`` and, but for an added key, through ``SimConfig``.
+    Every run exits 0, 2 or 3 with no exception and at most one ``error:``
+    line; every refusal in Python is a ValueError or TypeError naming the
+    field or its key."""
+
+    BASES = (  # valid configs that hold every key of the table between them
+        {"tree": {"branching": [2, 2]}, "root_levels": [0.04], "alpha": 0.05, "effect": 1.0,
+         "dependence": "independent", "replications": 600, "seed": 3, "block_size": 512,
+         "allocation": {"kind": "weighted", "weights": [1, 1, 2, 1, 1, 1, 1]},
+         "truth": {"kind": "random", "density": 0.5}},
+        {"tree": {"branching": [2]}, "dependence": "nested_means", "replications": 16,
+         "truth": {"kind": "explicit", "values": [0, 1, 0]}},
+    )
+    EDITS = ("value", "entry", "drop", "extra")
+
+    @staticmethod
+    def bad_value(rng: random.Random):
+        return rng.choice([
+            None, True, False, "", "0.05", "x\ny", -rng.choice([1, 0.5, 1e-300, 7]), 1e308,
+            math.nan, math.inf, -math.inf, [[rng.random()]], [0.5, [1]], {"x": 1}, {},
+        ])
+
+    def cases(self, n: int, seed: int):
+        """``n`` cases ``(field row, edit, doc, kwargs)``; kwargs is None for an added key."""
+        rng = random.Random(seed)
+        for _ in range(n):
+            row = name, section, _, key, reader = rng.choice(_FIELDS)
+            edit = rng.choice(self.EDITS if reader.endswith("s") else ("value", "drop", "extra"))
+            base = next(b for b in self.BASES if key in (b[section] if section else b))
+            doc = copy.deepcopy(base)
+            holder = doc[section] if section else doc
+            config = SimConfig.from_doc(base)
+            kwargs = {f.name: getattr(config, f.name) for f in dataclasses.fields(SimConfig)}
+            bad = self.bad_value(rng)
+            if edit == "value":
+                holder[key] = kwargs[name] = bad
+            elif edit == "entry":
+                i = rng.randrange(len(holder[key]))
+                holder[key][i] = bad
+                kwargs[name] = (*kwargs[name][:i], bad, *kwargs[name][i + 1 :])
+            elif edit == "drop":
+                del holder[key], kwargs[name]
+            else:
+                holder[f"{key}_extra"], kwargs = bad, None
+            yield row, edit, doc, kwargs
+
+    def test_every_field_refused_cleanly(self, tmp_path, capsys):
+        path, seen, exits = tmp_path / "cfg.json", set(), set()
+        for row, edit, doc, kwargs in self.cases(1000, seed=2909):
+            case = f"{edit} {row[3]}: {json.dumps(doc)}"
+            seen.add((row[0], edit))
+            path.write_text(json.dumps(doc))
+            try:
+                code = main(["simulate", "--config", str(path)])
+            except Exception as exc:
+                raise AssertionError(f"{case}: {exc!r} escaped main") from exc
+            err = capsys.readouterr().err
+            exits.add(code)
+            assert code in (0, 2, 3), case
+            assert (err.startswith("error: ") and len(err.splitlines()) == 1) if code else not err, (
+                case, err)
+            if kwargs is None:
+                continue
+            try:
+                SimConfig(**kwargs)
+            except (ValueError, TypeError) as exc:
+                assert row[0] in str(exc) or row[3] in str(exc), (case, str(exc))
+        # the generator reaches every field with every edit it has for it
+        assert len(seen) == sum(4 if row[4].endswith("s") else 3 for row in _FIELDS)
+        assert exits == {0, 2}
 
 
 def test_module_entry_point(tmp_path):

@@ -50,6 +50,7 @@ from helpers import (
 
 # the package attribute ``treetest.simulate`` is the function, not the module
 sim_module = importlib.import_module("treetest.simulate")
+procedures_module = importlib.import_module("treetest.procedures")
 exact_module = importlib.import_module("treetest.exact")
 
 
@@ -121,6 +122,19 @@ class TestSimConfig:
             SimConfig(trees=5)
         with pytest.raises(TypeError, match=r"^weights: expected a list, got 5$"):
             SimConfig(weights=5)
+
+    @pytest.mark.parametrize("doc, where", [
+        # a string or an object once iterated as a list: "" and {} ran a
+        # one-vertex tree, and "22" was read as its characters
+        ({"tree": {"branching": ""}}, "tree branching"),
+        ({"tree": {"branching": {}}}, "tree branching"),
+        ({"tree": {"branching": "22"}}, "tree branching"),
+        ({"forest": [{"branching": [2]}], "root_levels": ""}, "root_levels"),
+        ({"allocation": {"kind": "weighted", "weights": {}}}, "weights"),
+    ])
+    def test_string_or_object_is_no_list(self, doc, where):
+        with pytest.raises(ValueError, match=rf"^malformed configuration: {where}: expected a list"):
+            SimConfig.from_doc(doc)
 
     @pytest.mark.parametrize("truth", [
         {"kind": "random", "density": 0.5, "values": [0, 1, 0]},
@@ -891,6 +905,21 @@ class TestVectorizedKernels:
         for kind in KINDS:
             rejected, active = self.live_rows(make_instance, kind, np.full((21, 64), 1e-8))
             assert rejected[1:].all() and not rejected[0].any() and active.all()
+
+    def test_local_holm_runs_on_contiguous_blocks(self, monkeypatch):
+        # the children as a slice and the live columns as an index array once
+        # gathered blocks that are not C-contiguous, on which _holm ran
+        # several times slower
+        contiguous = []
+        spy = lambda s, cuts: contiguous.append(s.flags.c_contiguous) or _holm(s, cuts)
+        monkeypatch.setattr(procedures_module, "_holm", spy)
+        tree = build_complete_tree([2, 3, 2])
+        P = np.full((tree.n_vertices, 64), 1e-8)
+        P[1, :32] = 0.9  # half the rows open the root's family
+        levels = uniform_levels(tree, 0.1).levels
+        rejected, _ = _local_descent(tree, P, _local_thresholds(tree, levels))
+        assert rejected[3:, 32:].all() and not rejected[3:, :32].any()
+        assert contiguous == [True] * 3
 
     def test_local_descent_on_index_groups_of_mixed_sizes(self):
         # layers 1 and 2 hold families of 2 and 3, and of 1, 2 and 3

@@ -1,13 +1,15 @@
-"""Source-structure checks: one layer traversal, one number rule, one
-per-vertex rule, one vertex id rule, one reader, no fresh block arrays, no
-unused public names or members, no test module lost, exact audits apart
-from the simulator, one scipy user.
+"""Source-structure checks: one layer traversal, one number rule, one level
+rule, one per-vertex rule, one vertex id rule, one reader, no fresh block
+arrays, no unused public names or members, no test module lost, exact
+audits apart from the simulator, one scipy user.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
 scratch.  JSON documents, ``SimConfig`` and count arguments read their
-numbers through ``trees._number``, per-vertex inputs their shape through
+numbers through ``trees._number``, scalar test levels through
+``trees._level`` and noise scales through ``gaussian._check_sigma`` (both
+by ``_number``), per-vertex inputs their shape through
 ``trees._per_vertex``, arrays of numbers their dtype through
 ``trees._numeric``, truth through ``trees._truth_flags`` and vertex ids
 through ``trees._vertex``, and only ``cli`` opens files.  The audits of
@@ -122,6 +124,7 @@ def test_per_vertex_inputs_read_through_one_rule():
     truth_readers = {
         "trees.as_truth": shape_readers["trees.as_truth"],
         "procedures.error_report": called(definition("procedures.py", "error_report")),
+        "SimConfig.__post_init__": called(definition("simulate.py", "SimConfig", "__post_init__")),
     }
     assert {r: "_per_vertex" in names for r, names in shape_readers.items()} == dict.fromkeys(
         shape_readers, True
@@ -178,6 +181,51 @@ def test_vertex_ids_read_through_one_rule():
     assert {r: ("_vertex" in names, "int" in names) for r, names in readers.items()} == (
         dict.fromkeys(readers, (True, False))
     )
+
+
+def level_checks(node: ast.AST) -> set[tuple[int, int]]:
+    """Places of the chains ``0 < x < 1`` and ``0 < x <= 1`` inside ``node``:
+    a scalar test level checked against its range."""
+    return {
+        (c.lineno, c.col_offset) for c in ast.walk(node)
+        if isinstance(c, ast.Compare) and len(c.ops) == 2 and isinstance(c.ops[0], ast.Lt)
+        and isinstance(c.left, ast.Constant) and c.left.value == 0
+        and isinstance(c.comparators[-1], ast.Constant) and c.comparators[-1].value == 1
+    }
+
+
+def test_levels_read_through_one_rule():
+    # eight copies of the range check once ran True as level 1 and ended
+    # "0.05" in a bare comparison TypeError
+    level_readers = {
+        "trees.uniform_levels": definition("trees.py", "uniform_levels"),
+        "trees.weighted_levels": definition("trees.py", "weighted_levels"),
+        "procedures.holm": definition("procedures.py", "holm"),
+        "procedures.bonferroni": definition("procedures.py", "bonferroni"),
+        "procedures.benjamini_hochberg": definition("procedures.py", "benjamini_hochberg"),
+        "wavelet.level_thresholds": definition("wavelet.py", "level_thresholds"),
+        "wavelet.keep_mask": definition("wavelet.py", "keep_mask"),
+        "gaussian.critical_z": definition("gaussian.py", "critical_z"),
+        "SimConfig.__post_init__": definition("simulate.py", "SimConfig", "__post_init__"),
+    }
+    scale_readers = {
+        "localize.TrialMatrix": definition("localize.py", "TrialMatrix", "__post_init__"),
+        "wavelet.level_thresholds": level_readers["wavelet.level_thresholds"],
+        "wavelet.keep_mask": level_readers["wavelet.keep_mask"],
+        "wavelet.denoise": definition("wavelet.py", "denoise"),
+    }
+    assert {r: "_level" in called(node) for r, node in level_readers.items()} == dict.fromkeys(
+        level_readers, True
+    )
+    assert {r: "_check_sigma" in called(node) for r, node in scale_readers.items()} == (
+        dict.fromkeys(scale_readers, True)
+    )
+    assert "_number" in called(definition("gaussian.py", "_check_sigma"))
+    rule = level_checks(definition("trees.py", "_level"))
+    assert rule  # the scan sees the rule itself
+    checks = {path.name: level_checks(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    checks["trees.py"] -= rule
+    assert {name: places for name, places in checks.items() if places} == {}
 
 
 def imports(path: Path) -> set[str]:

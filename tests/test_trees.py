@@ -19,9 +19,10 @@ from treetest import (
     uniform_levels,
     weighted_levels,
 )
-from treetest import (TrialMatrix, WaveletTree, audit_subtree_sums, benjamini_hochberg, bonferroni,
-                      denoise, descend, descend_batch, descend_local, error_report, haar_forward,
-                      holm, std_normal_cdf, std_normal_quantile, two_sided_pvalue)
+from treetest import (SimConfig, TrialMatrix, WaveletTree, audit_alpha_sums, audit_subtree_sums,
+                      benjamini_hochberg, bonferroni, critical_z, denoise, descend, descend_batch,
+                      descend_local, error_report, haar_forward, holm, keep_mask, level_thresholds,
+                      localize, std_normal_cdf, std_normal_quantile, two_sided_pvalue)
 from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
 
 from helpers import (
@@ -560,6 +561,77 @@ class TestNumericInputs:
                               weighted_levels(self.tree, 0.05, [1.0, 1.0, 3.0]).levels)
 
 
+class TestLevelArguments:
+    """Every scalar test level (``alpha``, ``level``, ``q``, root levels) is
+    read through ``trees._level`` and every noise scale through
+    ``gaussian._check_sigma``, both by the number rule: True once ran as
+    level 1 or scale 1, and "0.05" ended in a bare comparison TypeError."""
+
+    LEVELS = {  # a call at level x, the argument's name, and whether 1 is refused
+        "uniform_levels": (lambda x: uniform_levels(build_complete_tree([2]), x), "alpha", False),
+        "weighted_levels": (
+            lambda x: weighted_levels(build_complete_tree([2]), x, [1, 1, 2]), "alpha", False),
+        "holm": (lambda x: holm([0.01, 0.5], x), "level", False),
+        "bonferroni": (lambda x: bonferroni([0.01, 0.5], x), "level", False),
+        "benjamini_hochberg": (lambda x: benjamini_hochberg([0.01, 0.5], x), "q", False),
+        "localize": (lambda x: localize(TrialMatrix(np.zeros((2, 8))), x, 2), "alpha", False),
+        "audit_alpha_sums": (
+            lambda x: audit_alpha_sums(max_depth=1, branchings=(2,), alpha=x), "alpha", False),
+        "SimConfig root_levels": (lambda x: SimConfig(root_levels=(x,)), "root_levels", False),
+        "SimConfig alpha": (lambda x: SimConfig(alpha=x), "alpha", True),
+        "critical_z": (critical_z, "level", True),
+        "level_thresholds": (lambda x: level_thresholds(x, 3, 1.0), "alpha", True),
+        "keep_mask": (lambda x: keep_mask(haar_forward(np.arange(8.0)), x, 1.0), "alpha", True),
+        "denoise": (lambda x: denoise(np.arange(64.0), x, 1.0), "alpha", True),
+    }
+    SCALES = {  # a call at noise scale x
+        "TrialMatrix": lambda x: TrialMatrix(np.zeros((2, 4)), sigma=x),
+        "level_thresholds": lambda x: level_thresholds(0.05, 3, x),
+        "keep_mask": lambda x: keep_mask(haar_forward(np.arange(8.0)), 0.05, x),
+        "denoise": lambda x: denoise(np.arange(64.0), 0.05, x),
+    }
+
+    @pytest.mark.parametrize("given", [True, np.bool_(False), "0.05", None, [0.05]], ids=repr)
+    @pytest.mark.parametrize("reader", LEVELS)
+    def test_level_that_is_no_number_refused(self, reader, given):
+        read, name, _ = self.LEVELS[reader]
+        with pytest.raises(TypeError, match=f"^{name}: expected a number, got {re.escape(repr(given))}$"):
+            read(given)
+
+    @pytest.mark.parametrize("given", [float("nan"), 0.0, -0.05, 1.5, float("inf"), 1.0])
+    @pytest.mark.parametrize("reader", LEVELS)
+    def test_level_outside_its_range_refused(self, reader, given):
+        read, name, below_one = self.LEVELS[reader]
+        if given == 1.0 and not below_one:  # the whole budget is a level
+            if reader != "SimConfig root_levels":  # though not above a config's alpha < 1
+                read(given)
+            return
+        bracket = r"\)" if below_one else r"\]"
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}.* must lie in \(0, 1{bracket}$"):
+            read(given)
+
+    # a string is denoise's sigma mode: "estimate", or a ValueError naming it
+    @pytest.mark.parametrize("reader, given", [
+        (r, g) for r in SCALES for g in (True, np.bool_(True), "0.05", None)
+        if not (r == "denoise" and isinstance(g, str))
+    ], ids=repr)
+    def test_scale_that_is_no_number_refused(self, reader, given):
+        with pytest.raises(TypeError, match=f"^sigma: expected a number, got {re.escape(repr(given))}$"):
+            self.SCALES[reader](given)
+
+    @pytest.mark.parametrize("given", [float("nan"), 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("reader", SCALES)
+    def test_scale_outside_its_range_refused(self, reader, given):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite$"):
+            self.SCALES[reader](given)
+
+    def test_numbers_are_read_as_floats(self):
+        # TrialMatrix once kept the scale as given, True included
+        assert type(TrialMatrix(np.zeros((2, 4)), sigma=np.int64(2)).sigma) is float
+        assert np.array_equal(holm([0.01, 0.03], np.float32(0.05)), holm([0.01, 0.03], 0.05))
+        assert uniform_levels(build_complete_tree([2]), 1).root_level == 1.0
+
+
 class TestDescentPassesMatchReference:
     """First-true flags and subtree membership come from the descent pass;
     compare them with per-vertex walks on random general trees and on trees
@@ -605,6 +677,9 @@ class TestSerialization:
         ({"depth": 1, "branching": [2.9], "allocation": [0.05, 0.025, 0.025]}, "integer, got 2.9"),
         ({"depth": True, "branching": [2], "allocation": [0.05, 0.025, 0.025]}, "number, got True"),
         ({"depth": 1, "branching": [2], "allocation": [0.05, "0.025", 0.025]}, "got '0.025'"),
+        # the first once failed naming no key, the second ran as a one-vertex tree
+        ({"depth": 1, "branching": [2], "allocation": 0.05}, "allocation: expected a list, got "),
+        ({"depth": 0, "branching": "", "allocation": [0.05]}, "branching: expected a list, got "),
     ])
     def test_numbers_read_as_written(self, doc, message):
         with pytest.raises(ValueError, match=message):
