@@ -12,75 +12,18 @@ descent and flat baselines), ``gaussian`` (the two-sided z-test kernels
 and their score cuts), ``exact`` (exhaustive audits of the level-sum
 bound), ``simulate`` (Monte Carlo verification), ``wavelet`` (coefficient
 thresholding), ``localize`` (time-interval localization), ``cli``.
-Every name exported here is used by the command line, the demos, the
-benchmark or the acceptance tests, except the scalar flat baselines and
-``allocation_doc``.
+Each submodule's ``__all__`` is its export list, republished here by a
+wildcard import (``cli`` is not imported).  Every exported name is used by
+the command line, the demos, the benchmark or the acceptance tests, except
+the scalar flat baselines and ``allocation_doc``.
 """
 
-from .exact import (
-    AlphaSumAudit,
-    BudgetError,
-    SubtreeAudit,
-    audit_alpha_sums,
-    audit_subtree_sums,
-)
-from .gaussian import (
-    critical_z,
-    std_normal_cdf,
-    std_normal_quantile,
-    two_sided_pvalue,
-)
-from .localize import (
-    IntervalNode,
-    IntervalTree,
-    LocalizeResult,
-    TrialMatrix,
-    build_interval_tree,
-    interval_pvalues,
-    localize,
-)
-from .procedures import (
-    ErrorReport,
-    TreeRejections,
-    benjamini_hochberg,
-    bonferroni,
-    descend,
-    descend_batch,
-    descend_local,
-    error_report,
-    holm,
-)
-from .simulate import (
-    PROCEDURES,
-    SimConfig,
-    SimReport,
-    compare_procedures,
-    format_comparison,
-    monte_carlo_bound,
-    simulate,
-)
-from .trees import (
-    LEVEL_SUM_TOL,
-    AlphaAllocation,
-    TestTree,
-    allocation_doc,
-    allocation_from_doc,
-    ancestors,
-    build_complete_tree,
-    first_true_vertices,
-    level_budget_violations,
-    uniform_levels,
-    weighted_levels,
-)
-from .wavelet import (
-    DenoiseResult,
-    WaveletTree,
-    denoise,
-    estimate_sigma,
-    haar_forward,
-    haar_inverse,
-    keep_mask,
-    level_thresholds,
-)
+from .exact import *
+from .gaussian import *
+from .localize import *
+from .procedures import *
+from .simulate import *
+from .trees import *
+from .wavelet import *
 
 __version__ = "0.1.0"

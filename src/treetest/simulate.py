@@ -174,10 +174,10 @@ class SimConfig:
         if self.weights is not None:
             if len(self.trees) != 1:
                 raise ValueError("weighted allocation supports a single tree only")
-            _weights(self.weights, _vertex_count(trees[0]))
+            _weights(self.weights, _vertex_count(trees[0]), "weights: weight array")
         if self.root_levels is not None:
             if len(self.root_levels) != len(self.trees):
-                raise ValueError("one root level per tree is required")
+                raise ValueError("root_levels: one root level per tree is required")
             for i, a in enumerate(self.root_levels):
                 _level(a, f"root_levels[{i}] = {a!r}")
             if sum(self.root_levels) > self.alpha + LEVEL_SUM_TOL:
@@ -324,12 +324,12 @@ class _Instance:
       Bonferroni, BH).
 
     Family tables increase with rank along their last axis.  Scores are
-    ``-|z|`` and cuts come from ``_score_cuts``, unless one cut of the
-    config fails its clean-step check; then ``pvalue_score`` is set, scores
-    are the p-values ``2*ndtr(-|z|)`` and each cut is its threshold.
+    ``-|z|`` and cuts come from ``_score_cuts``, unless one cut that the
+    run's ``procedures`` read fails its clean-step check; then ``pvalue_score``
+    is set, scores are the p-values ``2*ndtr(-|z|)`` and each cut is its threshold.
     """
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, procedures: Sequence[str] = PROCEDURES):
         self.config = config
         self.trees = [build_complete_tree(b) for b in config.trees]
         root_levels = config.root_levels or [config.alpha / len(self.trees)] * len(self.trees)
@@ -374,13 +374,15 @@ class _Instance:
         m, alpha = self.n_leaves, config.alpha
         local = [_local_thresholds(t, lv) for t, lv in zip(self.trees, self.levels)]
         flat = [alpha / np.arange(m, 0, -1), np.arange(1, m + 1) * alpha / m]
-        tables = [self.levels_flat, *itertools.chain.from_iterable(local), *flat]
-        thresholds = np.unique(np.concatenate([t.ravel() for t in tables] + [[alpha / m]]))
+        tables = {"descend": [self.levels_flat], "descend_local": [*itertools.chain(*local)],
+                  "holm_flat": flat[:1], "bonferroni_flat": [np.array([alpha / m])],
+                  "bh_flat": flat[1:]}
+        thresholds = np.unique(np.concatenate([t.ravel() for ts in tables.values() for t in ts]))
         cuts = _score_cuts(thresholds)
-        self.pvalue_score = bool(np.isnan(cuts).any())
-        if self.pvalue_score:
-            cuts = thresholds
         lookup = lambda table: cuts[np.searchsorted(thresholds, table)]
+        self.pvalue_score = any(np.isnan(lookup(t)).any() for p in procedures for t in tables[p])
+        if self.pvalue_score:
+            cuts = thresholds  # from here ``lookup`` reads the thresholds
         self.vertex_cuts = lookup(self.levels_flat)
         self.local_cuts = [[lookup(t) for t in tree_tables] for tree_tables in local]
         self.holm_cuts, self.bh_cuts = map(lookup, flat)
@@ -639,7 +641,7 @@ def compare_procedures(
         raise ValueError("threads must be at least 1")
     workers = min(threads, -(-config.replications // config.block_size), _available_cpus())
     _check_block_memory(config, workers)
-    inst = _Instance(config)
+    inst = _Instance(config, procedures)
     started = time.perf_counter()
     sort_leaves = "holm_flat" in procedures or "bh_flat" in procedures
     blocks = _blocks(config.replications, config.block_size)

@@ -59,8 +59,6 @@ __all__ = [
     "first_true_vertices",
     "allocation_doc",
     "allocation_from_doc",
-    "as_levels",
-    "as_truth",
 ]
 
 # Absolute slack when comparing children's level sums against the parent
@@ -421,10 +419,10 @@ def weighted_levels(
     return _split_levels(tree, alpha, w, tree.child_sums(w))
 
 
-def _weights(weights, n: int) -> np.ndarray:
+def _weights(weights, n: int, what: str = "weight array") -> np.ndarray:
     """Weights of an ``n``-vertex tree as float64, each but the root's
-    positive and finite; ``ValueError`` otherwise."""
-    w = _numeric(_per_vertex(weights, n, "weight array"), "weights")
+    positive and finite; ``ValueError`` otherwise, a shape error naming ``what``."""
+    w = _numeric(_per_vertex(weights, n, what), "weights")
     if not (np.isfinite(w[1:]) & (w[1:] > 0.0)).all():
         raise ValueError("weights must be positive and finite")
     return w

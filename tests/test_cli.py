@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import treetest.cli as cli_module
 from treetest import SimConfig
 from treetest.cli import main
 from treetest.simulate import _FIELDS
@@ -188,6 +189,15 @@ class TestBruteForceCommand:
         assert main(["brute-force", "--max-depth", "4"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_violated_bound_exits_3(self, monkeypatch, capsys):
+        audit = cli_module.audit_alpha_sums
+        monkeypatch.setattr(cli_module, "audit_alpha_sums",
+                            lambda **kw: dataclasses.replace(audit(**kw), violations=1))
+        assert main(["brute-force", "--max-depth", "1", "--branchings", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.splitlines() == ["FAIL: level-sum bound violated"]
+
     def test_negative_weighted_count_exits_2(self, capsys):
         assert main(["brute-force", "--max-depth", "1", "--weighted", "-5"]) == 2
         captured = capsys.readouterr()
@@ -257,6 +267,26 @@ class TestDenoiseCommand:
         out = tmp_path / "o.txt"
         assert main(["denoise", "--signal", str(sig), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_of_another_length_exits_2(self, tmp_path, capsys):
+        sig, ref = tmp_path / "sig.txt", tmp_path / "ref.txt"
+        sig.write_text("".join("1.0\n" for _ in range(64)))
+        ref.write_text("".join("0.0\n" for _ in range(32)))
+        out = tmp_path / "o.txt"
+        code = main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(out),
+                     "--reference", str(ref)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ref}: reference length does not match the signal"]
+        assert not out.exists()
+
+    def test_blank_signal_file_exits_2(self, tmp_path, capsys):
+        sig = tmp_path / "sig.txt"
+        sig.write_text("\n  \n\n")
+        out = tmp_path / "o.txt"
+        assert main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {sig}: no numbers found"]
         assert not out.exists()
 
     def test_non_finite_reference_exits_2(self, tmp_path, capsys):
@@ -471,7 +501,7 @@ class TestConfigFieldMutations:
     def bad_value(rng: random.Random):
         return rng.choice([
             None, True, False, "", "0.05", "x\ny", -rng.choice([1, 0.5, 1e-300, 7]), 1e308,
-            math.nan, math.inf, -math.inf, [[rng.random()]], [0.5, [1]], {"x": 1}, {},
+            math.nan, math.inf, -math.inf, [], [[rng.random()]], [0.5, [1]], {"x": 1}, {},
         ])
 
     def cases(self, n: int, seed: int):
@@ -499,10 +529,12 @@ class TestConfigFieldMutations:
             yield row, edit, doc, kwargs
 
     def test_every_field_refused_cleanly(self, tmp_path, capsys):
-        path, seen, exits = tmp_path / "cfg.json", set(), set()
-        for row, edit, doc, kwargs in self.cases(1000, seed=2909):
+        path, seen, empty, exits = tmp_path / "cfg.json", set(), set(), set()
+        for row, edit, doc, kwargs in self.cases(1000, seed=2910):
             case = f"{edit} {row[3]}: {json.dumps(doc)}"
             seen.add((row[0], edit))
+            if edit == "value" and (doc[row[1]] if row[1] else doc)[row[3]] == []:
+                empty.add(row[0])
             path.write_text(json.dumps(doc))
             try:
                 code = main(["simulate", "--config", str(path)])
@@ -519,8 +551,10 @@ class TestConfigFieldMutations:
                 SimConfig(**kwargs)
             except (ValueError, TypeError) as exc:
                 assert row[0] in str(exc) or row[3] in str(exc), (case, str(exc))
-        # the generator reaches every field with every edit it has for it
+        # the generator reaches every field with every edit it has for it,
+        # and gives every list field an empty list
         assert len(seen) == sum(4 if row[4].endswith("s") else 3 for row in _FIELDS)
+        assert empty >= {row[0] for row in _FIELDS if row[4].endswith("s")}
         assert exits == {0, 2}
 
 

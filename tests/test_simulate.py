@@ -292,6 +292,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig.from_doc({"frobnicate": 1})
 
+    def test_unknown_allocation_kind_refused(self):
+        with pytest.raises(ValueError, match="^allocation must be 'uniform' or 'weighted'$"):
+            SimConfig.from_doc({"allocation": "bogus"})
+
     @pytest.mark.parametrize("key, value", [
         ("allocation", 5), ("allocation", ["weighted"]), ("truth", ["x"]), ("truth", 1.0),
     ])
@@ -429,6 +433,15 @@ class TestSimulate:
 
 
 class TestCompare:
+    def test_domination_failure_raises(self, monkeypatch):
+        # FDR and PCER never exceed FWER per replication; a kernel that broke
+        # that would be a bug, not a result
+        accumulate = _Instance.accumulate
+        monkeypatch.setattr(_Instance, "accumulate",
+                            lambda self, *a: {**accumulate(self, *a), "fdp_sum": np.inf})
+        with pytest.raises(RuntimeError, match="^per-replication domination failed; this is a bug$"):
+            compare_procedures(SimConfig(trees=((2,),), replications=10), ["descend"])
+
     def test_paired_holm_dominates_bonferroni(self):
         cfg = SimConfig(trees=((2, 2, 2),), truth="random", truth_density=0.4,
                         effect=2.5, replications=8_000, seed=12)
@@ -1077,6 +1090,28 @@ class TestScoreCuts:
         assert not _Instance(SimConfig(trees=((2, 2, 2, 2),), alpha=0.05)).pvalue_score
         assert _Instance(SimConfig(trees=((2,) * 10,), alpha=0.05)).pvalue_score
 
+    def test_run_decides_fallback_from_its_own_procedures(self):
+        # only BH's cut of the pinned level is unclean on (2,)*10: a descend
+        # run once took the p-value route for a cut it never reads
+        cfg = SimConfig(trees=((2,) * 10,), alpha=0.05)
+        assert not _Instance(cfg, ["descend"]).pvalue_score
+        assert _Instance(cfg, PROCEDURES).pvalue_score
+        assert [_Instance(cfg, [p]).pvalue_score for p in PROCEDURES] == [False] * 4 + [True]
+        # a run whose procedures have no table at all: local Holm on one vertex
+        assert not _Instance(SimConfig(trees=((),)), ["descend_local"]).pvalue_score
+
+    def test_score_route_reports_match_the_pvalue_route(self, monkeypatch):
+        cfg = TestFixedSeedReports.CONFIGS["binary_depth_10"][0]
+        made, make = [], _Instance
+        monkeypatch.setattr(sim_module, "_Instance", lambda *a: made.append(make(*a)) or made[-1])
+        docs = lambda reports: [
+            {k: v for k, v in r.to_doc().items() if k != "elapsed_seconds"} for r in reports
+        ]
+        both = docs(compare_procedures(cfg, PROCEDURES))
+        alone = docs([simulate(cfg, p) for p in ("descend", "descend_local")])
+        assert [inst.pvalue_score for inst in made] == [True, False, False]
+        assert alone == both[:2]
+
     @pytest.mark.parametrize("off, clean", [(0, True), (-30, True), (40, False), (60, False)])
     def test_cut_far_from_its_start_is_refused(self, monkeypatch, off, clean):
         # start the search ``off`` floats away from ndtri(level/2): the cut
@@ -1353,6 +1388,23 @@ class TestAuditAlphaSums:
         # -5 used to report "-4 allocations" and a negative case count
         with pytest.raises(ValueError, match="n_weighted must be >= 0"):
             audit_alpha_sums(1, (2,), n_weighted=-5)
+
+    @pytest.mark.parametrize("max_depth, branchings, message", [
+        (1, (0,), "^branching factors must be >= 1$"),
+        (1, (), "^branching factors must be >= 1$"),
+        (-1, (2,), "^max_depth must be >= 0$"),
+    ])
+    def test_shape_arguments_refused(self, max_depth, branchings, message):
+        with pytest.raises(ValueError, match=message):
+            audit_alpha_sums(max_depth, branchings)
+
+    def test_routes_that_disagree_raise(self, monkeypatch):
+        # the literal route is the cross-check of the profile route
+        literal = _literal_sums_check
+        monkeypatch.setattr(exact_module, "_literal_sums_check",
+                            lambda *a: (literal(*a)[0] + 0.01, 0))
+        with pytest.raises(RuntimeError, match=r"^audit cross-check failed on shape \(\): "):
+            audit_alpha_sums(1, (2,))
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):

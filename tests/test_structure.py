@@ -18,6 +18,10 @@ through ``trees._vertex``, and only ``cli`` opens files.  The audits of
 one module that imports scipy.  Every name the package exports, and every
 public member of an exported class, has a user outside the tests, and every
 test module imports.
+
+Each library module's ``__all__`` is the export list: ``__init__`` holds
+only one star import per module and ``__version__``, the lists share no
+name, and each listed name is defined in the module that lists it.
 """
 
 import ast
@@ -287,11 +291,53 @@ def referenced(path: Path, exports: dict[str, str]) -> set[str]:
     return set(names.values())
 
 
+def export_lists() -> dict[str, list[str]]:
+    """The ``__all__`` of each module that ``__init__`` imports from, in
+    import order."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    return {node.module: importlib.import_module(f"treetest.{node.module}").__all__
+            for node in init.body if isinstance(node, ast.ImportFrom)}
+
+
 def exported() -> dict[str, str]:
     """The package's exported names, each mapped to its defining module."""
+    return {name: module for module, names in export_lists().items() for name in names}
+
+
+def test_init_only_republishes_module_exports():
+    # a name imported or defined in __init__ itself would be a second export list
     init = ast.parse((SRC / "__init__.py").read_text())
-    return {a.asname or a.name: node.module for node in init.body
-            if isinstance(node, ast.ImportFrom) for a in node.names}
+    body = [node for node in init.body if not isinstance(node, ast.Expr)]  # the docstring
+    stars = [node for node in body if isinstance(node, ast.ImportFrom)]
+    assert [ast.unparse(node) for node in body if node not in stars] == ["__version__ = '0.1.0'"]
+    assert {(node.level, *(a.name for a in node.names)) for node in stars} == {(1, "*")}
+    assert set(export_lists()) == {p.stem for p in SRC.glob("*.py")} - {
+        "__init__", "__main__", "cli"
+    }
+
+
+def test_export_lists_are_disjoint():
+    # a name in two lists would be silently taken from the later star import
+    seen: dict[str, list[str]] = {}
+    for module, names in export_lists().items():
+        assert len(set(names)) == len(names), module
+        for name in names:
+            seen.setdefault(name, []).append(module)
+    assert {name: ms for name, ms in seen.items() if len(ms) > 1} == {}
+
+
+def test_exports_are_defined_where_listed():
+    # a listed name that is only imported into its module would map to the
+    # wrong module in exported(), and escape the member scan
+    for module, listed in export_lists().items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        defined |= {node.target.id for node in tree.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        assert sorted(set(listed) - defined) == [], module
 
 
 # Users: the package's modules, the demos, the benchmark and the acceptance

@@ -109,6 +109,10 @@ class TestTreeValidation:
         with pytest.raises(ValueError, match="root"):
             TestTree([0, 0, 0])
 
+    def test_empty_parents_refused(self):
+        with pytest.raises(ValueError, match="^parents must be a non-empty 1-D sequence$"):
+            TestTree([])
+
     def test_general_complete_tree_accepted(self):
         # same-depth vertices may have different child counts
         tree = TestTree([-1, 0, 0, 1, 1, 2, 2, 2])
@@ -703,3 +707,7 @@ class TestSerialization:
     def test_levels_must_be_probabilities(self):
         with pytest.raises(ValueError):
             AlphaAllocation(np.array([0.05, -0.01]))
+
+    def test_levels_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^levels must be a non-empty 1-D array$"):
+            AlphaAllocation(np.full((2, 2), 0.01))

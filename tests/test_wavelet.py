@@ -54,6 +54,8 @@ class TestHaarTransform:
         for j in range(1, 4):
             assert tree.detail(j).size == 2**j
         assert tree.detail(0).size == 1
+        with pytest.raises(ValueError, match=r"^detail level must lie in 0\.\.3$"):
+            tree.detail(tree.J + 1)
 
     def test_batch_axes(self):
         rng = np.random.default_rng(2)
@@ -412,6 +414,11 @@ class TestDenoise:
     def test_bad_sigma_mode(self):
         with pytest.raises(ValueError, match="estimate"):
             denoise(np.zeros(64), 0.05, "guess")
+
+    def test_batch_of_signals_refused(self):
+        # haar_forward takes a batch; denoise returns one signal
+        with pytest.raises(ValueError, match="^denoise expects a single 1-D signal$"):
+            denoise(np.zeros((2, 64)), 0.05, 1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("sigma", [1.0, "estimate"])
