@@ -159,8 +159,11 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.reference}: reference samples must be finite")
         if truth.size != signal.size:
             raise ValueError(f"{args.reference}: reference length does not match the signal")
-        meta["input_mse"] = float(np.mean((signal - truth) ** 2))
-        meta["output_mse"] = float(np.mean((result.denoised - truth) ** 2))
+        with np.errstate(over="ignore"):
+            mse = [float(np.mean((x - truth) ** 2)) for x in (signal, result.denoised)]
+        if not np.isfinite(mse).all():
+            raise ValueError(f"{args.reference}: mean squared error overflows float64")
+        meta["input_mse"], meta["output_mse"] = mse
     _write_signal(args.out, result.denoised)
     if args.meta:
         _write_json(args.meta, meta)

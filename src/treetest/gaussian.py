@@ -12,12 +12,16 @@ on the score ``-|z|`` instead, as ``-|z| <= c`` for the cut ``c`` of ``t``,
 the largest float64 with ``2*ndtr(c) <= t``.  That is exact only where
 float64 ``ndtr`` steps cleanly across ``c``, so ``_score_cuts`` checks each
 cut over +-16 ulps around it and gives NaN where the check fails.
+
+scipy loads at the first kernel call, not at import, so ``import treetest``
+and the commands that compute no p-value start without it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import special
 
 from .trees import _level, _number, _numeric
 
@@ -36,12 +40,21 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported at the first call.  Kernels look ``ndtr``
+    and ``ndtri`` up on it each time they run, never binding them once."""
+    from scipy import special
+
+    return special
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, elementwise on arrays."""
     x = _numeric(x, "input")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
-    out = special.ndtr(x)
+    out = _special().ndtr(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -50,28 +63,29 @@ def std_normal_quantile(p):
     p = _numeric(p, "probabilities")
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    out = special.ndtri(p)
+    out = _special().ndtri(p)
     return float(out) if out.ndim == 0 else out
 
 
 def two_sided_pvalue(z):
     """P(|Z| >= |z|) for standard normal Z, computed via the far tail."""
     z = _numeric(z, "z-scores")
-    out = 2.0 * special.ndtr(-np.abs(z))
+    out = 2.0 * _special().ndtr(-np.abs(z))
     return float(out) if out.ndim == 0 else out
 
 
 def _pvalues_of_scores(s: np.ndarray) -> None:
     """``2*ndtr(s)`` written over the scores ``s = -|z|``, allocating nothing:
     ``two_sided_pvalue`` for a block that is already scores."""
-    special.ndtr(s, out=s)
+    _special().ndtr(s, out=s)
     s *= 2.0
 
 
 def critical_z(level: float) -> float:
     """Two-sided z-score threshold: ``|z| >= critical_z(level)`` matches
     ``two_sided_pvalue(z) <= level``.  Strictly decreasing in ``level``."""
-    return float(-special.ndtri(_level(level, "level", below_one=True) / 2.0))
+    level = _level(level, "level", below_one=True)
+    return float(-_special().ndtri(level / 2.0))
 
 
 # Each cut is checked to be a clean step of the p-value predicate over this
@@ -100,7 +114,7 @@ def _score_cuts(levels: np.ndarray) -> np.ndarray:
     for lo in range(0, unique.size, chunk):
         level = unique[lo : lo + chunk]
         grid = np.empty((level.size, 2 * reach + 1))
-        grid[:, reach] = special.ndtri(level / 2.0)
+        grid[:, reach] = _special().ndtri(level / 2.0)
         for k in range(1, reach + 1):
             grid[:, reach + k] = np.nextafter(grid[:, reach + k - 1], np.inf)
             grid[:, reach - k] = np.nextafter(grid[:, reach - k + 1], -np.inf)

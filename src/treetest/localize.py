@@ -130,17 +130,25 @@ def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
     """Two-sided z-test of zero grand mean per interval node, pooling all
     trials: ``z = sum / (sigma * sqrt(R*w))`` over R trials and width w.
 
-    Raises ``ValueError`` unless ``itree`` spans exactly the trials' samples.
+    Raises ``ValueError`` unless ``itree`` spans exactly the trials' samples,
+    or when the trial sums overflow float64, or an interval's total and its
+    ``sigma * sqrt(R*w)`` both do.
     """
     if itree.ends[0] != trials.n_times:
         raise ValueError(
             f"interval tree spans {int(itree.ends[0])} samples, trials have {trials.n_times}"
         )
-    prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
     starts, ends = itree.starts, itree.ends
-    totals = prefix[ends] - prefix[starts]
-    n_eff = trials.n_trials * (ends - starts)
-    return two_sided_pvalue(totals / (trials.sigma * np.sqrt(n_eff)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
+        scales = trials.sigma * np.sqrt(trials.n_trials * (ends - starts))
+        # past float64 a total or a z-score is +-inf, and its p-value the limit 0
+        z = (prefix[ends] - prefix[starts]) / scales
+    if not np.isfinite(prefix[-1]):  # as is every prefix after a non-finite one
+        raise ValueError("trial sums overflow float64")
+    if not np.isfinite(scales[0]) and np.isnan(z).any():  # the root's scale is the largest
+        raise ValueError("an interval's total and its sigma * sqrt(R*w) both overflow float64")
+    return two_sided_pvalue(z)
 
 
 @dataclass(frozen=True)

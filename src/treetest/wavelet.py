@@ -140,14 +140,15 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     mask[:, :2] = True
     rows = np.repeat(np.arange(c.shape[0]), 2)  # the level-1 candidates
     ks = np.tile(np.arange(2), c.shape[0])
-    for j in range(1, tree.J + 1):
-        cols = (1 << j) + ks
-        p = two_sided_pvalue(c[rows, cols] / sigma)
-        small = p <= alpha / (1 << j)  # closed comparison, ties reject
-        rows, ks = rows[small], ks[small]
-        mask[rows, cols[small]] = True
-        rows = np.repeat(rows, 2)
-        ks = (2 * ks[:, None] + (0, 1)).ravel()
+    with np.errstate(over="ignore"):  # an infinite score has p-value 0
+        for j in range(1, tree.J + 1):
+            cols = (1 << j) + ks
+            p = two_sided_pvalue(c[rows, cols] / sigma)
+            small = p <= alpha / (1 << j)  # closed comparison, ties reject
+            rows, ks = rows[small], ks[small]
+            mask[rows, cols[small]] = True
+            rows = np.repeat(rows, 2)
+            ks = (2 * ks[:, None] + (0, 1)).ravel()
     return mask.reshape(tree.coeffs.shape)
 
 
@@ -156,14 +157,15 @@ def estimate_sigma(tree: WaveletTree) -> float:
     deviation about the median, rescaled by the Gaussian quartile 0.6745.
 
     Requires at least 16 finest-level coefficients.  Degenerate inputs
-    (all finest coefficients equal) give 0, which downstream thresholding
-    rejects.
+    (all finest coefficients equal) give 0, and coefficients whose spread
+    overflows float64 give inf; downstream thresholding rejects both.
     """
     finest = tree.detail(tree.J)
     if finest.shape[-1] < 16:
         raise ValueError("need at least 16 finest-level coefficients")
-    med = _even_median(finest)
-    mad = _even_median(np.abs(finest - med[..., None]))
+    with np.errstate(over="ignore"):
+        med = _even_median(finest)
+        mad = _even_median(np.abs(finest - med[..., None]))
     out = mad / -std_normal_quantile(0.25)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -211,23 +213,39 @@ def denoise(
 
     ``sigma`` is either the known noise scale or ``"estimate"`` to read it
     off the finest detail level.  Returns the reconstruction together with
-    the kept-coefficient count and the per-level thresholds.
+    the kept-coefficient count and the per-level thresholds.  A finite
+    signal whose Haar sums, noise estimate, thresholds or synthesis pass
+    float64 raises ``ValueError`` naming the overflow.
     """
+    alpha = _level(alpha, "alpha", below_one=True)  # refused before the noise estimate
     samples = _numeric(signal, "signal")
-    if not np.isfinite(samples).all():
-        raise ValueError("signal samples must be finite")
-    tree = haar_forward(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = haar_forward(samples)
+    # a non-finite sample makes its finest-level coefficient non-finite, so
+    # one pass over the coefficients checks the samples and their sums
+    if not np.isfinite(tree.coeffs).all():
+        if not np.isfinite(samples).all():
+            raise ValueError("signal samples must be finite")
+        raise ValueError("Haar sums of the signal overflow float64")
     if tree.coeffs.ndim != 1:
         raise ValueError("denoise expects a single 1-D signal")
     if not isinstance(sigma, str):
         scale = _check_sigma(sigma)
     elif sigma != "estimate":
         raise ValueError("sigma must be a positive number or 'estimate'")
-    elif not (scale := estimate_sigma(tree)) > 0.0:
-        raise ValueError("estimated noise scale is zero; cannot threshold")
+    elif not 0.0 < (scale := estimate_sigma(tree)) < np.inf:
+        raise ValueError(f"estimated noise scale is {'zero' if scale == 0 else 'not finite'}; "
+                         "cannot threshold")
+    thresholds = level_thresholds(alpha, tree.J, scale)
+    if not np.isfinite(thresholds[-1]):  # the largest
+        raise ValueError(f"level thresholds at sigma={scale!r} overflow float64")
     mask = keep_mask(tree, alpha, scale)
     kept = int(mask[2:].sum())
-    out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
+    try:
+        with np.errstate(over="raise"):
+            out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
+    except FloatingPointError:
+        raise ValueError("Haar synthesis of the denoised signal overflows float64") from None
     # level 1 tests both its coefficients; each deeper level tests the two
     # children of every coefficient kept one level up
     tested = 2 + 2 * int(mask[2 : tree.n // 2].sum())
@@ -235,7 +253,7 @@ def denoise(
     return DenoiseResult(
         denoised=out,
         kept=kept,
-        thresholds=level_thresholds(alpha, tree.J, scale),
+        thresholds=thresholds,
         sigma=scale,
         tested=tested,
         deepest_level=last_kept.bit_length() - 1,

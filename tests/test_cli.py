@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,29 @@ class TestDenoiseCommand:
         assert "reference" in err and len(err.strip().splitlines()) == 1
         assert not meta.exists() and not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mse_exits_2(self, tmp_path, capsys):
+        # finite samples 1e200 off the reference: their squared error is past float64
+        sig, ref = tmp_path / "sig.txt", tmp_path / "ref.txt"
+        sig.write_text("".join("1e200\n" if i % 2 else "0.0\n" for i in range(64)))
+        ref.write_text("0.0\n" * 64)
+        out, meta = tmp_path / "o.txt", tmp_path / "meta.json"
+        code = main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(out),
+                     "--meta", str(meta), "--reference", str(ref)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ref}: mean squared error overflows float64"]
+        assert not meta.exists() and not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_haar_sums_exit_2(self, tmp_path, capsys):
+        sig, out = tmp_path / "sig.txt", tmp_path / "o.txt"
+        sig.write_text("1e308\n" * 64)
+        assert main(["denoise", "--signal", str(sig), "--sigma", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Haar sums of the signal overflow float64"]
+        assert not out.exists()
+
     def test_csv_column_input(self, tmp_path):
         sig = tmp_path / "sig.csv"
         sig.write_text("".join(f"{i},0.0\n" for i in range(64)))
@@ -390,6 +414,15 @@ class TestLocalizeCommand:
         out = tmp_path / "loc.json"
         assert main(["localize", "--trials", str(trials), "--depth", "1", "--out", str(out)]) == 0
         assert (read_json(out)["n_trials"], read_json(out)["n_times"]) == (2, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trial_sums_exit_2(self, tmp_path, capsys):
+        # NaN p-values once, written as bare NaN tokens into the --out JSON
+        trials, out = tmp_path / "t.csv", tmp_path / "loc.json"
+        trials.write_text((",".join(["1e308"] * 8) + "\n") * 3)
+        assert main(["localize", "--trials", str(trials), "--depth", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: trial sums overflow float64"]
+        assert not out.exists()
 
     def test_ragged_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "ragged.csv"
@@ -556,6 +589,135 @@ class TestConfigFieldMutations:
         assert len(seen) == sum(4 if row[4].endswith("s") else 3 for row in _FIELDS)
         assert empty >= {row[0] for row in _FIELDS if row[4].endswith("s")}
         assert exits == {0, 2}
+
+
+class TestRandomNumericArguments:
+    """Seeded random numbers for ``denoise``, ``localize`` and ``brute-force``:
+    in their flags and in the files they read, among them NaN, +-inf, zero,
+    negatives, subnormals, samples near the float64 limit, huge depths and
+    words.  Every run through ``main`` exits 0, 2 or 3 with no exception and
+    no warning, any error is one ``error:`` line, and no file it writes holds
+    a NaN or an infinity.  Each flag keeps a valid value or, at random, takes
+    one from the pools, so that cases get past the first check.  Flags that
+    argparse reads get values of their type, since argparse refuses the
+    others itself, and are passed as ``--flag=value`` so that ``-inf`` is
+    not read as a flag."""
+
+    FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-300", "0.05", "0.5",
+              "0.999", "1", "2.5", "1e300", "1e308", "-1e308", "1.7e308")
+    INTS = ("0", "-1", "-7", "1", "2", "3", "4", "6", "10", "64", "100000", str(2**63), str(10**30))
+    WORDS = ("x", "", "estimate", "1,2", "0x10", "nan", "inf", "-2", "0", "1e308", "5e-324")
+    SCALES = (1.0, 1e-300, 1e150, 1e300, 1e308, 1.7e308)
+    BAD_CELLS = ("nan", "inf", "-inf", "x", "1.7e308", "-1.7e308", "5e-324", "")
+
+    @staticmethod
+    def pick(rng: random.Random, good: str, pool) -> str:
+        return rng.choice(pool) if rng.random() < 0.3 else good
+
+    def samples(self, rng: random.Random, rows: int, cols: int) -> str:
+        """A CSV of ``rows`` lines of ``cols`` cells: noise at one scale, or
+        one value everywhere; sometimes one cell from ``BAD_CELLS``."""
+        scale = rng.choice(self.SCALES)
+        if rng.random() < 0.25:
+            value = rng.choice(("1e308", "-1e308", "1.7e308", "0", "1", "5e-324"))
+            cells = [[value] * cols for _ in range(rows)]
+        else:
+            cells = [[repr(max(min(rng.gauss(0.0, 1.0) * scale, 1.7e308), -1.7e308))
+                      for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.15:
+            cells[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(self.BAD_CELLS)
+        return "".join(",".join(row) + "\n" for row in cells)
+
+    def cases(self, n: int, seed: int, tmp_path: Path):
+        """``n`` argument lists; each writes its input files first."""
+        rng = random.Random(seed)
+        data, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+        for _ in range(n):
+            command = rng.choice(("denoise", "localize", "brute-force"))
+            if command == "denoise":
+                n_samples = int(self.pick(rng, "64", ("128", "16", "4", "63", "1")))
+                data.write_text(self.samples(rng, n_samples, 1))
+                args = ["denoise", "--signal", str(data), "--out", str(tmp_path / "out.txt"),
+                        "--meta", str(tmp_path / "meta.json"),
+                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}"]
+                sigma = self.pick(rng, rng.choice(("estimate", "1")), self.FLOATS + self.WORDS)
+                args.append(f"--sigma={sigma}")
+                if rng.random() < 0.3:
+                    ref.write_text(self.samples(rng, int(self.pick(rng, str(n_samples), ("8",))), 1))
+                    args += ["--reference", str(ref)]
+            elif command == "localize":
+                data.write_text(self.samples(rng, rng.choice((1, 3, 8)), rng.choice((8, 16, 64))))
+                args = ["localize", "--trials", str(data), "--out", str(tmp_path / "loc.json"),
+                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}",
+                        f"--sigma={self.pick(rng, '1', self.FLOATS)}",
+                        f"--depth={self.pick(rng, rng.choice('0123'), self.INTS)}",
+                        f"--arity={self.pick(rng, '2', self.INTS[:8])}"]
+            else:  # trees small enough that a passing audit takes milliseconds
+                args = ["brute-force", f"--max-depth={self.pick(rng, rng.choice('12'), self.INTS)}",
+                        f"--branchings={self.pick(rng, rng.choice(('2', '1,2')), self.WORDS)}",
+                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}",
+                        f"--weighted={self.pick(rng, '1', ('0', '2', '-1'))}",
+                        f"--seed={self.pick(rng, '0', ('-1', str(2**70)))}"]
+            yield args
+
+    @staticmethod
+    def finite_outputs(tmp_path: Path) -> None:
+        def refuse(token):
+            raise AssertionError(f"{token} in a JSON output")
+
+        for path in (tmp_path / "meta.json", tmp_path / "loc.json"):
+            if path.exists():
+                json.loads(path.read_text(), parse_constant=refuse)
+                path.unlink()
+        if (out := tmp_path / "out.txt").exists():
+            assert all(math.isfinite(float(x)) for x in out.read_text().split())
+            out.unlink()
+
+    def test_every_run_ends_cleanly(self, tmp_path, capsys):
+        exits = {}
+        for args in self.cases(300, seed=2311, tmp_path=tmp_path):
+            case = " ".join(args)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(args)
+                except Exception as exc:
+                    raise AssertionError(f"{case}: {exc!r} escaped main") from exc
+            err = capsys.readouterr().err
+            assert not caught, (case, [str(w.message) for w in caught])
+            assert code in (0, 2, 3), case
+            assert (err.startswith("error: ") and len(err.splitlines()) == 1) if code else not err, (
+                case, err)
+            self.finite_outputs(tmp_path)
+            exits.setdefault(args[0], set()).add(code)
+        # every command both succeeds and refuses somewhere in the run
+        assert exits == {"denoise": {0, 2}, "localize": {0, 2}, "brute-force": {0, 2, 3}}
+
+
+def test_commands_without_pvalues_never_load_scipy(tmp_path):
+    # scipy loads at the first Gaussian kernel call, in a fresh interpreter
+    alloc = write_json(tmp_path / "alloc.json", {
+        "depth": 1, "branching": [2], "alpha_root": 0.05, "allocation": [0.05, 0.025, 0.025]})
+    signal = tmp_path / "sig.txt"
+    signal.write_text("0.0\n" * 64)
+    code = f"""
+import sys
+from treetest import SimConfig
+from treetest.cli import main
+SimConfig(trees=((2, 2),))
+assert main(["brute-force", "--max-depth", "2", "--branchings", "2", "--weighted", "1"]) == 0
+assert main(["validate-lb", "--tree", {alloc!r}]) == 0
+assert main(["denoise", "--signal", {str(signal)!r}, "--alpha", "2", "--out", "unused"]) == 2
+assert main(["localize", "--trials", {str(signal)!r}, "--depth", "9"]) == 2
+assert "scipy" not in sys.modules, "a command without p-values loaded scipy"
+from treetest import two_sided_pvalue
+two_sided_pvalue(1.0)
+assert "scipy.special" in sys.modules, "the first p-value did not load scipy"
+"""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stderr
 
 
 def test_module_entry_point(tmp_path):

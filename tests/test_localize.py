@@ -182,6 +182,33 @@ class TestIntervalPvalue:
             assert vec[v] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+class TestIntervalSumOverflow:
+    """Finite trials whose sums pass float64: refused, or given the limit
+    p-value, never a NaN and never a warning."""
+
+    def test_overflowing_column_sums_refused(self):
+        with pytest.raises(ValueError, match="^trial sums overflow float64$"):
+            localize(TrialMatrix(np.full((3, 8), 1e308)), 0.05, 2)
+
+    # prefixes 0, P, P, 0, -P, 0, 0, 0, 0: the interval [2, 4) totals -2P
+    P = 1e308
+    DIVERGENT = np.array([[P, 0.0, -P, -P, P, 0.0, 0.0, 0.0]])
+
+    def test_total_past_float64_has_pvalue_zero(self):
+        itree = build_interval_tree(8, 2, 2)
+        p = interval_pvalues(TrialMatrix(self.DIVERGENT), itree)
+        assert p[spans(itree).index((2, 4))] == 0.0 and np.isfinite(p).all()
+
+    def test_scale_past_float64_has_pvalue_one(self):
+        p = interval_pvalues(TrialMatrix(np.ones((3, 8)), sigma=1.7e308), build_interval_tree(8, 2, 2))
+        assert p.tolist() == [1.0] * 7
+
+    def test_total_and_scale_past_float64_refused(self):
+        with pytest.raises(ValueError, match="both overflow float64$"):
+            interval_pvalues(TrialMatrix(self.DIVERGENT, sigma=1.7e308), build_interval_tree(8, 2, 2))
+
+
 class TestLocalize:
     def test_planted_leaf_found(self):
         rng = np.random.default_rng(2)

@@ -26,6 +26,8 @@ name, and each listed name is defined in the module that lists it.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +262,32 @@ def test_only_gaussian_imports_scipy():
     assert users == {"gaussian.py"}
 
 
+def import_time(node: ast.AST):
+    """Nodes under ``node`` that run when their module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from import_time(child)
+
+
+def test_no_module_imports_scipy_at_import():
+    # scipy loads at the first kernel call, so `import treetest` and the
+    # commands that compute no p-value start without it
+    loaded = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in import_time(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+        loaded[path.name] = names
+    assert "numpy" in loaded["gaussian.py"]  # the scan sees module-level imports
+    assert {name: sorted(n for n in names if n.split(".")[0] == "scipy")
+            for name, names in loaded.items()} == {name: [] for name in loaded}
+
+
 def test_only_cli_opens_files():
     modules = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     assert {name for name, module in modules.items() if "open" in called(module)} == {"cli.py"}
@@ -302,6 +330,36 @@ def export_lists() -> dict[str, list[str]]:
 def exported() -> dict[str, str]:
     """The package's exported names, each mapped to its defining module."""
     return {name: module for module, names in export_lists().items() for name in names}
+
+
+# The package namespace of a fresh `import treetest`: the exports and the
+# library modules that the star imports load.
+NAMESPACE = [
+    "AlphaAllocation", "AlphaSumAudit", "BudgetError", "DenoiseResult", "ErrorReport",
+    "IntervalNode", "IntervalTree", "LEVEL_SUM_TOL", "LocalizeResult", "PROCEDURES",
+    "SimConfig", "SimReport", "SubtreeAudit", "TestTree", "TreeRejections", "TrialMatrix",
+    "WaveletTree", "allocation_doc", "allocation_from_doc", "ancestors", "audit_alpha_sums",
+    "audit_subtree_sums", "benjamini_hochberg", "bonferroni", "build_complete_tree",
+    "build_interval_tree", "compare_procedures", "critical_z", "denoise", "descend",
+    "descend_batch", "descend_local", "error_report", "estimate_sigma", "exact",
+    "first_true_vertices", "format_comparison", "gaussian", "haar_forward", "haar_inverse",
+    "holm", "interval_pvalues", "keep_mask", "level_budget_violations", "level_thresholds",
+    "localize", "monte_carlo_bound", "procedures", "simulate", "std_normal_cdf",
+    "std_normal_quantile", "trees", "two_sided_pvalue", "uniform_levels", "wavelet",
+    "weighted_levels",
+]
+
+
+def test_package_namespace_is_pinned():
+    # test_every_export_has_a_user counts uses inside the package, so a
+    # private helper added to an __all__ would pass it; this list would not.
+    # A fresh interpreter, because importing treetest.cli elsewhere in the
+    # run adds `cli` to the namespace.
+    code = "import treetest; print(*sorted(n for n in dir(treetest) if not n.startswith('__')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == NAMESPACE
 
 
 def test_init_only_republishes_module_exports():

@@ -429,6 +429,46 @@ class TestDenoise:
             denoise(noisy, 0.05, sigma)
 
 
+@pytest.mark.filterwarnings("error")
+class TestDenoiseOverflow:
+    """Finite signals whose Haar sums, noise estimate, thresholds or
+    synthesis pass float64: refused with one reason, never a NaN and never
+    a warning."""
+
+    @pytest.mark.parametrize("sigma", [1.0, "estimate"])
+    def test_overflowing_haar_sums_refused(self, sigma):
+        with pytest.raises(ValueError, match="^Haar sums of the signal overflow float64$"):
+            denoise(np.full(64, 1e308), 0.05, sigma)
+
+    def test_overflowing_noise_estimate_refused(self):
+        # finest coefficients +-1.2e308, most of them positive: their median
+        # and their spread about it pass float64, while every sum is zero
+        a = 0.85e308
+        signal = np.array([(a, -a)] * 20 + [(-a, a)] * 12).ravel()
+        with pytest.raises(ValueError, match="^estimated noise scale is not finite; cannot threshold$"):
+            denoise(signal, 0.05, "estimate")
+
+    def test_overflowing_thresholds_refused(self):
+        with pytest.raises(ValueError, match="^level thresholds at sigma=1e\\+308 overflow float64$"):
+            denoise(blocks_signal(64), 0.05, 1e308)
+
+    def test_overflowing_synthesis_refused(self):
+        # the Haar pair (s + d) / sqrt(2) of a 1.5e308 sample sums past float64
+        signal = np.zeros(64)
+        signal[0] = 1.5e308
+        with pytest.raises(ValueError, match="^Haar synthesis of the denoised signal overflows float64$"):
+            denoise(signal, 0.05, 1.0)
+
+    def test_score_past_float64_kept(self):
+        # |w| / sigma is +inf: p-value 0, so every coefficient is kept
+        signal = blocks_signal(64) + np.random.default_rng(3).standard_normal(64)
+        assert denoise(signal, 0.05, 1e-310).kept == 62
+
+    def test_bad_alpha_refused_before_the_noise_estimate(self):
+        with pytest.raises(ValueError, match="^alpha must lie in"):
+            denoise(np.zeros(64), 2.0, "estimate")  # the estimate alone would refuse: zero
+
+
 class TestCoefficientForest:
     def test_structure(self):
         (trees, root_levels), positions = coefficient_forest(4, 0.05)
