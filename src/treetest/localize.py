@@ -142,7 +142,7 @@ def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
         scales = trials.sigma * np.sqrt(trials.n_trials * (ends - starts))
-        # past float64 a total or a z-score is +-inf, and its p-value the limit 0
+        # a total or z-score past float64 is +-inf (p-value 0), a scale inf (z-score 0)
         z = (prefix[ends] - prefix[starts]) / scales
     if not np.isfinite(prefix[-1]):  # as is every prefix after a non-finite one
         raise ValueError("trial sums overflow float64")

@@ -15,7 +15,7 @@ by ``_number``), per-vertex inputs their shape through
 through ``trees._vertex``, and only ``cli`` opens files.  The audits of
 ``exact`` check the simulator's guarantee, so they import nothing from
 ``simulate``; the normal CDF and quantile come from ``gaussian`` alone, the
-one module that imports scipy.  Every name the package exports, and every
+one module that imports scipy, and only at its first kernel call.  Every name the package exports, and every
 public member of an exported class, has a user outside the tests, and every
 test module imports.
 
