@@ -11,8 +11,10 @@ validate-lb  Check a serialized allocation against the level budget.
 
 Exit codes: 0 on success, 2 on usage or configuration errors, 3 on runtime
 or assertion failures (including audit violations and exceeded enumeration
-budgets).  All randomness flows from ``--seed``; without the flag a fixed
-default (1729) keeps runs reproducible.
+budgets).  Every refusal, the argument parser's included, is one ``error:``
+line on stderr.  brute-force checks its budget (depth <= 3, branching factors
+<= 3, --weighted <= 400) before it builds a tree.  Randomness flows from
+``--seed``, whose default (1729) keeps runs reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exact import audit_alpha_sums
+from .exact import _MAX_WEIGHTED, audit_alpha_sums
 from .localize import TrialMatrix, localize
 from .simulate import PROCEDURES, SimConfig, SimReport, compare_procedures, format_comparison
 from .simulate import simulate as run_simulation
@@ -201,13 +203,18 @@ def _cmd_validate_lb(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a refusal leaves through main's handler, as one line
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="treetest", description=__doc__)
+    parser = _Parser(prog="treetest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="Monte Carlo error-rate estimation")
     p.add_argument("--config", required=True, help="JSON simulation config")
-    p.add_argument("--procedure", default="descend", choices=PROCEDURES)
+    p.add_argument("--procedure", default="descend", help=f"one of {', '.join(PROCEDURES)}")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--freq-csv", help="write per-vertex rejection frequencies here")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -226,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--branchings", default="2,3", help="comma-separated branching factors")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--weighted", type=int, default=10, help="random-weighted allocations per tree")
+    p.add_argument("--weighted", type=int, default=10,
+                   help=f"random-weighted allocations per tree, at most {_MAX_WEIGHTED}")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_brute_force)
 
@@ -257,16 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:  # BudgetError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # BudgetError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

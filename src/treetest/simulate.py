@@ -418,7 +418,7 @@ class _Instance:
         flags = np.split(np.empty(3 * cells, dtype=bool), 3)
         # z: the row-major draw, whose leaf scores are then sorted in place;
         # y: nested means' leaf draw, then a forest's gathered leaf scores;
-        # sorted: rank-major; alt: the false nulls
+        # sorted: rank-major; alt: the drawn true nulls, then the false nulls
         names = ("z", "scores", "y", "sorted", "truth", "truth_t", "alt")
         return dict(zip(names, floats + flags))
 
@@ -459,14 +459,10 @@ class _Instance:
             alt = ~(self.fixed_truth[self.leaves] if nested else self.fixed_truth)
         else:
             rng.random(out=draw)
-            if nested:
-                alt = np.less(draw, cfg.truth_density, out=buf("alt", rows, self.n_leaves))
-                drawn = self._nested_truth(alt, buf("truth", rows, self.n_vertices))
-                np.logical_not(alt, out=alt)
-            else:
-                drawn = np.less(draw, cfg.truth_density, out=buf("truth", rows, self.n_vertices))
-                alt = np.logical_not(drawn, out=buf("alt", rows, self.n_vertices))
+            alt = np.less(draw, cfg.truth_density, out=buf("alt", *draw.shape))
+            drawn = self._nested_truth(alt, buf("truth", rows, self.n_vertices)) if nested else alt
             truth = _transposed(drawn, buf("truth_t", self.n_vertices, rows))
+            np.logical_not(alt, out=alt)
 
         rng.standard_normal(out=draw)
         if cfg.effect:

@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -199,6 +200,17 @@ class TestBruteForceCommand:
         assert "PASS" not in captured.out
         assert captured.err.splitlines() == ["FAIL: level-sum bound violated"]
 
+    def test_weighted_count_beyond_budget_exits_3_at_once(self, capsys):
+        # the budget is checked before any tree is built; this ran for hours
+        started = time.perf_counter()
+        assert main(["brute-force", "--weighted", "100000"]) == 3
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines() == [
+            "error: enumeration budget is depth <= 3, branching factors <= 3, "
+            "literal_limit <= 2**20 and n_weighted <= 400"]
+
     def test_negative_weighted_count_exits_2(self, capsys):
         assert main(["brute-force", "--max-depth", "1", "--weighted", "-5"]) == 2
         captured = capsys.readouterr()
@@ -255,10 +267,9 @@ class TestDenoiseCommand:
         sig = tmp_path / "sig.txt"
         sig.write_text("".join("1.0\n" for _ in range(64)))
         out = tmp_path / "o.txt"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["denoise", "--signal", str(sig), "--force-levels", "1", "--out", str(out)])
-        assert exit_info.value.code == 2
-        assert "--force-levels" in capsys.readouterr().err
+        assert main(["denoise", "--signal", str(sig), "--force-levels", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--force-levels" in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -511,6 +522,72 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
+PARSER_REFUSALS = [  # (command, case, its arguments, what the error line names)
+    *((c, "unknown flag", ["--force-levels", "1"], "--force-levels")
+      for c in ("simulate", "compare", "brute-force", "denoise", "localize", "validate-lb")),
+    *((c, "missing flag", None, flag) for c, flag in (
+        ("simulate", "--config"), ("compare", "--config"), ("denoise", "--signal"),
+        ("localize", "--trials"), ("validate-lb", "--tree"))),
+    ("simulate", "bad int", ["--threads", "two"], "--threads"),
+    ("compare", "bad int", ["--seed", "1.5"], "--seed"),
+    ("brute-force", "bad int", ["--max-depth", "x"], "--max-depth"),
+    ("denoise", "bad int", ["--column", "0.5"], "--column"),
+    ("localize", "bad int", ["--arity", "2.0"], "--arity"),
+    ("brute-force", "bad float", ["--alpha", "five"], "--alpha"),
+    ("denoise", "bad float", ["--alpha", "0,05"], "--alpha"),
+    ("localize", "bad float", ["--sigma", "x"], "--sigma"),
+    ("simulate", "bad procedure", ["--procedure", "nope"], "procedure 'nope'"),
+    ("compare", "bad procedure", ["--procedures", "descend,nope"], "procedure 'nope'"),
+    *((c, "alpha -1e-3", ["--alpha", "-1e-3"], "--alpha")
+      for c in ("brute-force", "denoise", "localize")),
+    *((c, "sigma -inf", ["--sigma", "-inf"], "--sigma") for c in ("denoise", "localize")),
+    (None, "no command", [], "command"),
+]
+
+
+class TestParserRefusals:
+    """What the argument parser refuses ends like every other refusal:
+    ``main`` returns 2 with one ``error:`` line that names the flag or the
+    missing command, and prints nothing on stdout."""
+
+    @staticmethod
+    def valid(command: str, tmp_path: Path) -> list:
+        """Arguments on which ``command`` runs and returns 0, its required flag first."""
+        signal, trials = tmp_path / "sig.txt", tmp_path / "trials.csv"
+        signal.write_text("".join(f"{math.sin(i)!r}\n" for i in range(64)))
+        trials.write_text("0.0,0.0,0.0,0.0\n" * 3)
+        config = write_json(tmp_path / "cfg.json", {**SIM_CONFIG, "replications": 100})
+        alloc = write_json(tmp_path / "alloc.json", {
+            "depth": 1, "branching": [2], "alpha_root": 0.05, "allocation": [0.05, 0.025, 0.025]})
+        return {"simulate": ["--config", config], "compare": ["--config", config],
+                "brute-force": ["--max-depth", "1"],
+                "denoise": ["--signal", str(signal), "--out", str(tmp_path / "out.txt")],
+                "localize": ["--trials", str(trials), "--depth", "1"],
+                "validate-lb": ["--tree", alloc]}[command]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "brute-force", "denoise",
+                                         "localize", "validate-lb"])
+    def test_valid_arguments_run(self, tmp_path, capsys, command):
+        # the refusals below each change one thing on these arguments
+        assert main([command, *self.valid(command, tmp_path)]) == 0
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, case, extra, named", PARSER_REFUSALS,
+                             ids=[f"{c}-{case}" for c, case, _, _ in PARSER_REFUSALS])
+    def test_refused_in_one_line(self, tmp_path, capsys, command, case, extra, named):
+        if command is None:
+            argv = []
+        else:
+            valid = self.valid(command, tmp_path)
+            argv = [command, *(valid[2:] if extra is None else valid + extra)]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert not (tmp_path / "out.txt").exists()
+
+
 class TestConfigFieldMutations:
     """Seeded malformed configs.  Each case bends one field of the config
     table ``simulate._FIELDS``: it gives the field, or one entry of a list
@@ -598,10 +675,10 @@ class TestRandomNumericArguments:
     words.  Every run through ``main`` exits 0, 2 or 3 with no exception and
     no warning, any error is one ``error:`` line, and no file it writes holds
     a NaN or an infinity.  Each flag keeps a valid value or, at random, takes
-    one from the pools, so that cases get past the first check.  Flags that
-    argparse reads get values of their type, since argparse refuses the
-    others itself, and are passed as ``--flag=value`` so that ``-inf`` is
-    not read as a flag."""
+    one from the pools, so that cases get past the first check; typed flags
+    also take words, which the argument parser refuses.  Each flag is passed
+    as ``--flag value`` or ``--flag=value`` at random, so ``--sigma -inf``
+    is refused as a flag without its value."""
 
     FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-300", "0.05", "0.5",
               "0.999", "1", "2.5", "1e300", "1e308", "-1e308", "1.7e308")
@@ -628,37 +705,46 @@ class TestRandomNumericArguments:
             cells[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(self.BAD_CELLS)
         return "".join(",".join(row) + "\n" for row in cells)
 
+    @staticmethod
+    def argv(rng: random.Random, command: str, flags) -> list:
+        """``command`` and its ``(flag, value)`` pairs, each pair as one
+        ``--flag=value`` or two arguments at random."""
+        args = [command]
+        for flag, value in flags:
+            args += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        return args
+
     def cases(self, n: int, seed: int, tmp_path: Path):
         """``n`` argument lists; each writes its input files first."""
         rng = random.Random(seed)
         data, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+        floats, ints = self.FLOATS + self.WORDS, self.INTS + self.WORDS
         for _ in range(n):
             command = rng.choice(("denoise", "localize", "brute-force"))
             if command == "denoise":
                 n_samples = int(self.pick(rng, "64", ("128", "16", "4", "63", "1")))
                 data.write_text(self.samples(rng, n_samples, 1))
-                args = ["denoise", "--signal", str(data), "--out", str(tmp_path / "out.txt"),
-                        "--meta", str(tmp_path / "meta.json"),
-                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}"]
-                sigma = self.pick(rng, rng.choice(("estimate", "1")), self.FLOATS + self.WORDS)
-                args.append(f"--sigma={sigma}")
+                flags = [("--signal", str(data)), ("--out", str(tmp_path / "out.txt")),
+                         ("--meta", str(tmp_path / "meta.json")),
+                         ("--alpha", self.pick(rng, "0.05", floats)),
+                         ("--sigma", self.pick(rng, rng.choice(("estimate", "1")), floats))]
                 if rng.random() < 0.3:
                     ref.write_text(self.samples(rng, int(self.pick(rng, str(n_samples), ("8",))), 1))
-                    args += ["--reference", str(ref)]
+                    flags.append(("--reference", str(ref)))
             elif command == "localize":
                 data.write_text(self.samples(rng, rng.choice((1, 3, 8)), rng.choice((8, 16, 64))))
-                args = ["localize", "--trials", str(data), "--out", str(tmp_path / "loc.json"),
-                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}",
-                        f"--sigma={self.pick(rng, '1', self.FLOATS)}",
-                        f"--depth={self.pick(rng, rng.choice('0123'), self.INTS)}",
-                        f"--arity={self.pick(rng, '2', self.INTS[:8])}"]
+                flags = [("--trials", str(data)), ("--out", str(tmp_path / "loc.json")),
+                         ("--alpha", self.pick(rng, "0.05", floats)),
+                         ("--sigma", self.pick(rng, "1", floats)),
+                         ("--depth", self.pick(rng, rng.choice("0123"), ints)),
+                         ("--arity", self.pick(rng, "2", self.INTS[:8] + self.WORDS))]
             else:  # trees small enough that a passing audit takes milliseconds
-                args = ["brute-force", f"--max-depth={self.pick(rng, rng.choice('12'), self.INTS)}",
-                        f"--branchings={self.pick(rng, rng.choice(('2', '1,2')), self.WORDS)}",
-                        f"--alpha={self.pick(rng, '0.05', self.FLOATS)}",
-                        f"--weighted={self.pick(rng, '1', ('0', '2', '-1'))}",
-                        f"--seed={self.pick(rng, '0', ('-1', str(2**70)))}"]
-            yield args
+                flags = [("--max-depth", self.pick(rng, rng.choice("12"), ints)),
+                         ("--branchings", self.pick(rng, rng.choice(("2", "1,2")), self.WORDS)),
+                         ("--alpha", self.pick(rng, "0.05", floats)),
+                         ("--weighted", self.pick(rng, "1", ("0", "2", "-1") + self.WORDS)),
+                         ("--seed", self.pick(rng, "0", ("-1", str(2**70)) + self.WORDS))]
+            yield self.argv(rng, command, flags)
 
     @staticmethod
     def finite_outputs(tmp_path: Path) -> None:

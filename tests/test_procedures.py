@@ -1,5 +1,8 @@
 """The tree descent, its local-family variant, and the flat baselines."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -414,6 +417,62 @@ class TestKernelWrappers:
                     assert np.array_equal(got[i], ref(Q[i], level)), (proc.__name__, Q[i])
                     assert np.array_equal(proc(Q[i], level), got[i])
             assert np.array_equal(bonferroni(P, level), P <= level / m)
+
+
+class TestMappingInput:
+    """Seeded malformed p-value mappings for ``descend``: keys that are numpy
+    integers, booleans, floats, strings or ids outside the tree, and values
+    that are strings, booleans, NaN or numbers outside [0, 1].  Each call
+    returns, or raises a ValueError or TypeError that names the first bad
+    key or, when every key is good, the p-values; no other exception
+    escapes, and no bad key is accepted."""
+
+    BAD_KEYS = (True, False, np.True_, 1.0, 0.5, np.float64(2.0), math.nan, "1", "", -1,
+                np.int64(-1), 10**30)
+    BAD_VALUES = ("0.01", "", True, False, np.True_, math.nan, -0.5, 1.5, 1e308, math.inf,
+                  -math.inf)
+
+    @staticmethod
+    def good_key(key, n: int) -> bool:
+        return (isinstance(key, (int, np.integer)) and not isinstance(key, (bool, np.bool_))
+                and 0 <= key < n)
+
+    def cases(self, n: int, seed: int):
+        """``n`` cases ``(tree, mapping)``; equal keys collapse as in any dict,
+        so ``True`` beside ``1`` is no bad key."""
+        rng = random.Random(seed)
+        for _ in range(n):
+            tree = build_complete_tree(rng.choice(((2,), (2, 2), (3,), (1, 2))))
+            size = tree.n_vertices
+            items = [(np.int64(v) if rng.random() < 0.3 else v, rng.choice((0.0, 0.01, 0.5, 1.0)))
+                     for v in range(size) if rng.random() < 0.9]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                key = rng.choice(self.BAD_KEYS + (size, np.int64(size)))
+                items.insert(rng.randrange(len(items) + 1), (key, rng.random()))
+            for _ in range(rng.choice((0, 1, 2))):
+                if items:
+                    i = rng.randrange(len(items))
+                    items[i] = (items[i][0], rng.choice(self.BAD_VALUES))
+            yield tree, dict(items)
+
+    def test_every_mapping_refused_cleanly(self):
+        outcomes = set()
+        for tree, mapping in self.cases(1000, seed=24):
+            case = f"{tree.n_vertices} vertices: {mapping!r}"
+            bad = [k for k in mapping if not self.good_key(k, tree.n_vertices)]
+            try:
+                res = descend(tree, uniform_levels(tree, 0.05), mapping)
+            except (ValueError, TypeError) as exc:
+                named = repr(bad[0]) if bad else "p-value"
+                assert named in str(exc), (case, str(exc))
+                outcomes.add("key" if bad else "p-values")
+            except Exception as exc:
+                raise AssertionError(f"{case}: {exc!r} escaped descend") from exc
+            else:
+                assert not bad, case
+                assert res.rejected | res.frontier <= set(mapping), case
+                outcomes.add("returned")
+        assert outcomes == {"key", "p-values", "returned"}
 
 
 class TestErrorReport:

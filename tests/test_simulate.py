@@ -1412,6 +1412,24 @@ class TestAuditAlphaSums:
         with pytest.raises(BudgetError):
             audit_alpha_sums(3, (2, 4))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": 4},
+        {"branchings": (2, 4)},
+        {"n_weighted": 401},  # 100,000 once ran for hours
+        {"literal_limit": 2**20 + 1},
+    ])
+    def test_budget_refused_before_any_tree(self, monkeypatch, kwargs):
+        def no_tree(*args):
+            raise AssertionError("a tree was built before the budget was checked")
+
+        monkeypatch.setattr(exact_module, "build_complete_tree", no_tree)
+        with pytest.raises(BudgetError, match=r"n_weighted <= 400$"):
+            audit_alpha_sums(**{"max_depth": 3, "branchings": (2, 3), **kwargs})
+
+    def test_budget_limits_are_accepted(self):
+        audit = audit_alpha_sums(0, (3,), n_weighted=400, literal_limit=2**20)
+        assert audit.allocations_per_tree == 401 and audit.literal_trees == 1 and audit.passed
+
     def test_routes_agree_on_violations(self):
         # an oversubscribed allocation must be flagged by both routes
         tree = build_complete_tree([2, 2])
