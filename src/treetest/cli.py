@@ -24,7 +24,7 @@ import csv
 import dataclasses
 import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .exact import _MAX_WEIGHTED, audit_alpha_sums
 from .localize import TrialMatrix, localize
 from .simulate import PROCEDURES, SimConfig, SimReport, compare_procedures, format_comparison
 from .simulate import simulate as run_simulation
-from .trees import allocation_from_doc, level_budget_violations
+from .trees import _number, allocation_from_doc, level_budget_violations
 from .wavelet import denoise
 
 DEFAULT_SEED = 1729
@@ -134,14 +134,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute_force(args: argparse.Namespace) -> int:
-    branchings = tuple(int(b) for b in args.branchings.split(","))
-    audit = audit_alpha_sums(
-        max_depth=args.max_depth,
-        branchings=branchings,
-        alpha=args.alpha,
-        n_weighted=args.weighted,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-    )
+    audit = audit_alpha_sums(max_depth=args.max_depth, branchings=args.branchings,
+                             alpha=args.alpha, n_weighted=args.weighted, seed=args.seed)
     print(audit.summary())
     if not audit.passed:
         print("FAIL: level-sum bound violated", file=sys.stderr)
@@ -152,8 +146,7 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
 
 def _cmd_denoise(args: argparse.Namespace) -> int:
     signal = _read_csv(args.signal, args.column)
-    sigma = args.sigma if args.sigma == "estimate" else float(args.sigma)
-    result = denoise(signal, args.alpha, sigma)
+    result = denoise(signal, args.alpha, args.sigma)
     meta = {**result.to_doc(), "n": int(signal.size), "alpha": args.alpha}
     if args.reference:
         truth = _read_csv(args.reference, 0)
@@ -229,20 +222,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_compare)
 
+    def branchings(text: str) -> tuple[int, ...]:  # each entry by the integer number rule
+        return tuple(_number(float(b), "branchings", True) for b in text.split(","))
+
+    def sigma(text: str) -> Union[str, float]:
+        return text if text == "estimate" else float(text)
+
     p = sub.add_parser("brute-force", help="exhaustive level-sum audit")
     p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--branchings", default="2,3", help="comma-separated branching factors")
+    p.add_argument("--branchings", type=branchings, default="2,3",
+                   help="comma-separated branching factors")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--weighted", type=int, default=10,
                    help=f"random-weighted allocations per tree, at most {_MAX_WEIGHTED}")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_brute_force)
 
     p = sub.add_parser("denoise", help="Haar-threshold a signal file")
     p.add_argument("--signal", required=True, help="input, one float per line or CSV")
     p.add_argument("--column", type=int, default=0, help="CSV column to read")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--sigma", default="estimate", help="noise scale, or 'estimate'")
+    p.add_argument("--sigma", type=sigma, default="estimate", help="noise scale, or 'estimate'")
     p.add_argument("--out", required=True, help="denoised output path")
     p.add_argument("--meta", help="write threshold metadata JSON here")
     p.add_argument("--reference", help="noise-free reference for MSE reporting")

@@ -23,9 +23,9 @@ group's parents is active, and ``_holm`` and ``_sorted_cut`` cut Holm and
 BH, the latter on rank-major sorted scores ``(m, rows)``.  The public
 functions are thin wrappers (p-values as scores, thresholds as cuts), and
 the simulator runs the same kernels.  Wrappers read arrays of numbers
-through ``trees._numeric``, so a string or a boolean is refused wherever it
-sits; they check values only where the walk tested, after it ran, and an
-error names the smallest such vertex.
+through ``trees._numeric`` and mapping values through ``trees._number``, so
+a string or a boolean is refused wherever it sits; they check values only
+where the walk tested, after it ran, and an error names the smallest vertex.
 
 All functions are pure and reentrant.  Rejection uses the closed comparison
 ``p <= level`` so boundary ties count as rejections.
@@ -38,8 +38,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .trees import (LevelsLike, TestTree, _descent, _level, _numeric, _per_vertex, _tested,
-                    _truth_flags, _vertex, as_levels, level_budget_violations)
+from .trees import (LevelsLike, TestTree, _descent, _level, _number, _numeric, _per_vertex,
+                    _tested, _truth_flags, _vertex, as_levels, level_budget_violations)
 
 __all__ = [
     "TreeRejections",
@@ -310,7 +310,8 @@ def descend(
     if isinstance(pvals, Mapping):
         ids = [_vertex(v, n) for v in pvals]
         p, missing = np.full(n, np.nan), np.ones(n, dtype=bool)
-        p[ids], missing[ids] = _numeric(list(pvals.values()), "p-values"), False
+        p[ids] = [_number(x, f"p-value at vertex {v}") for v, x in zip(ids, pvals.values())]
+        missing[ids] = False
     else:
         p = _numeric(_per_vertex(pvals, n, "p-value array"), "p-values")
         missing = np.isnan(p)

@@ -352,26 +352,30 @@ def _vertex(v, n: int) -> int:
     return int(v)
 
 
-def _per_vertex(values, n: int, what: str) -> np.ndarray:
-    """``values`` as an array of one entry per vertex of an ``n``-vertex tree,
-    not cast; ``ValueError`` for any other shape, an id->value mapping included."""
+def _per_vertex(values, n: int, what: str):
+    """``values`` uncast, once checked to hold one entry per vertex of an ``n``-vertex tree
+    (a cast would hide a bool among numbers); ``ValueError`` for any other shape, a mapping too."""
     out = np.asarray(values)
     if out.ndim != 1:
         raise ValueError(f"{what} must list one entry per vertex, not a {out.ndim}-D "
                          f"{type(values).__name__}")
     if out.size != n:
         raise ValueError(f"{what} covers {out.size} vertices, tree has {n}")
-    return out
+    return values
 
 
 def _numeric(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, read only from integers or floats; a
-    ``ValueError`` for any other dtype, so "0.01" and True are refused rather
-    than read as 0.01 and 1.  Bool is for truth and rejection flags only."""
+    """``values`` as a float64 array, read only from integers or floats; a ``ValueError``
+    for any other dtype or for a bool among the numbers of a (nested) sequence, so "0.01"
+    and True are refused rather than read as 0.01 and 1.  Bool is for flags only."""
     out = np.asarray(values)
-    if out.dtype.kind not in "iuf":
-        kind = {"b": "booleans", "c": "complex numbers", "U": "strings", "S": "bytes"}
-        raise ValueError(f"{what} must be real numbers, not {kind.get(out.dtype.kind, 'objects')}")
+    kind = out.dtype.kind
+    if kind in "iuf" and isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        kind = "b"
+    if kind not in "iuf":
+        kinds = {"b": "booleans", "c": "complex numbers", "U": "strings", "S": "bytes"}
+        raise ValueError(f"{what} must be real numbers, not {kinds.get(kind, 'objects')}")
     return out.astype(np.float64, copy=False)
 
 
@@ -393,7 +397,7 @@ def as_levels(alloc: LevelsLike, n_vertices: int) -> np.ndarray:
 
 def as_truth(tree: TestTree, truth: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     """A truth assignment, one 0/1 entry per vertex (1 = null true), as bool flags."""
-    return _truth_flags(_per_vertex(truth, tree.n_vertices, "truth assignment"))
+    return _truth_flags(np.asarray(_per_vertex(truth, tree.n_vertices, "truth assignment")))
 
 
 def uniform_levels(tree: TestTree, alpha: float) -> AlphaAllocation:

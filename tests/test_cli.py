@@ -187,6 +187,14 @@ class TestBruteForceCommand:
         out = capsys.readouterr().out
         assert "violations 0" in out
 
+    def test_branchings_read_by_the_integer_rule(self, capsys):
+        # the parser reads each entry as audit_alpha_sums does: 2.0 is 2
+        outs = []
+        for given in ("2", "2.0,2"):
+            assert main(["brute-force", "--max-depth", "1", "--branchings", given]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "over 2 trees" in outs[0]
+
     def test_budget_exceeded_exits_3(self, capsys):
         assert main(["brute-force", "--max-depth", "4"]) == 3
         assert "budget" in capsys.readouterr().err
@@ -536,6 +544,9 @@ PARSER_REFUSALS = [  # (command, case, its arguments, what the error line names)
     ("brute-force", "bad float", ["--alpha", "five"], "--alpha"),
     ("denoise", "bad float", ["--alpha", "0,05"], "--alpha"),
     ("localize", "bad float", ["--sigma", "x"], "--sigma"),
+    *(("brute-force", f"branchings {v!r}", ["--branchings", v], "--branchings")
+      for v in ("2,x", "2.5", "", "2,,3")),
+    ("denoise", "bad sigma", ["--sigma", "abc"], "--sigma"),
     ("simulate", "bad procedure", ["--procedure", "nope"], "procedure 'nope'"),
     ("compare", "bad procedure", ["--procedures", "descend,nope"], "procedure 'nope'"),
     *((c, "alpha -1e-3", ["--alpha", "-1e-3"], "--alpha")

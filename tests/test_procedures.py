@@ -422,15 +422,17 @@ class TestKernelWrappers:
 class TestMappingInput:
     """Seeded malformed p-value mappings for ``descend``: keys that are numpy
     integers, booleans, floats, strings or ids outside the tree, and values
-    that are strings, booleans, NaN or numbers outside [0, 1].  Each call
-    returns, or raises a ValueError or TypeError that names the first bad
-    key or, when every key is good, the p-values; no other exception
-    escapes, and no bad key is accepted."""
+    that are strings, booleans, lists, NaN or numbers outside [0, 1].  Each
+    call returns, or raises a ValueError or TypeError that names the first
+    bad key or, when every key is good, the p-values; no other exception
+    escapes, and no bad key is accepted.  Values are read by the number
+    rule, so a mapping holding a boolean, a string or a list is refused
+    even where the walk never tests it."""
 
     BAD_KEYS = (True, False, np.True_, 1.0, 0.5, np.float64(2.0), math.nan, "1", "", -1,
                 np.int64(-1), 10**30)
-    BAD_VALUES = ("0.01", "", True, False, np.True_, math.nan, -0.5, 1.5, 1e308, math.inf,
-                  -math.inf)
+    BAD_VALUES = ("0.01", "", True, False, np.True_, [0.5], [], math.nan, -0.5, 1.5, 1e308,
+                  math.inf, -math.inf)
 
     @staticmethod
     def good_key(key, n: int) -> bool:
@@ -470,9 +472,25 @@ class TestMappingInput:
                 raise AssertionError(f"{case}: {exc!r} escaped descend") from exc
             else:
                 assert not bad, case
+                assert not any(isinstance(x, (bool, np.bool_, str, list))
+                               for x in mapping.values()), case
                 assert res.rejected | res.frontier <= set(mapping), case
                 outcomes.add("returned")
         assert outcomes == {"key", "p-values", "returned"}
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", [0.5], None],
+                             ids=["bool", "numpy bool", "string", "list", "None"])
+    def test_values_read_by_the_number_rule(self, value):
+        # a boolean among numbers once ran as p-value 1, and {0: [0.1]} as 0.1
+        tree = build_complete_tree([2])
+        for mapping, v in (({0: 0.01, 1: value, 2: 0.5}, 1), ({0: value}, 0)):
+            with pytest.raises(TypeError, match=f"^p-value at vertex {v}: expected a number, got "):
+                descend(tree, uniform_levels(tree, 0.05), mapping)
+
+    def test_nan_value_reaches_the_unit_check(self):
+        tree = build_complete_tree([2])
+        with pytest.raises(ValueError, match=r"^p-value at vertex 1 lies outside \[0, 1\]$"):
+            descend(tree, uniform_levels(tree, 0.05), {0: 0.01, 1: math.nan, 2: 0.5})
 
 
 class TestErrorReport:

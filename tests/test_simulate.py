@@ -1431,13 +1431,18 @@ class TestAuditAlphaSums:
         assert audit.allocations_per_tree == 401 and audit.literal_trees == 1 and audit.passed
 
     def test_routes_agree_on_violations(self):
-        # an oversubscribed allocation must be flagged by both routes
+        # an oversubscribed allocation must be flagged by both routes, and
+        # the uniform one beside it by neither
         tree = build_complete_tree([2, 2])
-        levels = np.array([0.05, 0.04, 0.04, 0.02, 0.02, 0.02, 0.02])
-        vmax, vbad = _attainable_sums_check(tree, levels, 0.05)
+        levels = np.stack([uniform_levels(tree, 0.05).levels,
+                           [0.05, 0.04, 0.04, 0.02, 0.02, 0.02, 0.02]])
         lmax, lbad = _literal_sums_check(tree, levels, 0.05)
-        assert vbad > 0 and lbad > 0
-        assert vmax == pytest.approx(lmax, abs=1e-12) == pytest.approx(0.08, abs=1e-12)
+        for row, want_max, violated in zip(levels, (0.05, 0.08), (False, True)):
+            vmax, vbad = _attainable_sums_check(tree, row, 0.05)
+            assert (vbad > 0) == violated
+            assert vmax == pytest.approx(want_max, abs=1e-12)
+        assert lmax == pytest.approx([0.05, 0.08], abs=1e-12)
+        assert (lbad > 0).tolist() == [False, True]
 
     @pytest.mark.parametrize("parents", [
         build_complete_tree((2, 2)).parent.tolist(),
@@ -1445,20 +1450,41 @@ class TestAuditAlphaSums:
         [-1, 0, 1, 1, 0, 4, 4, 4],  # gather layers
     ])
     def test_literal_route_counts_every_assignment(self, monkeypatch, parents):
-        # dyadic levels, so every sum is exact in any order; children are
-        # oversubscribed, so some assignments exceed alpha and some tie it
+        # dyadic levels, so every sum is exact in any order; in the random
+        # rows children are oversubscribed, so some assignments exceed alpha
+        # and some tie it, while the uniform row never exceeds it
         tree = TestTree(parents)
         n = tree.n_vertices
-        levels = np.random.default_rng(n).integers(1, 9, n) / 64.0
         alpha = 8 / 64.0
-        sums = [
-            levels[reference_first_true(parents, [(i >> v) & 1 for v in range(n)])].sum()
-            for i in range(1 << n)
-        ]
-        bad = sum(x > alpha + LEVEL_SUM_TOL for x in sums)
-        assert 0 < bad < len(sums) and alpha in sums
+        rng = np.random.default_rng(n)
+        levels = np.stack([uniform_levels(tree, alpha).levels,
+                           *(rng.integers(1, 9, n) / 64.0 for _ in range(2))])
+        first = [reference_first_true(parents, [(i >> v) & 1 for v in range(n)])
+                 for i in range(1 << n)]
+        want_max, want_bad = [], []
+        for row in levels:
+            sums = [row[f].sum() for f in first]
+            want_max.append(max(sums))
+            want_bad.append(sum(x > alpha + LEVEL_SUM_TOL for x in sums))
+        assert want_bad[0] == 0 and all(0 < b < len(first) for b in want_bad[1:])
+        assert alpha in [row[f].sum() for f in first for row in levels[1:]]
         monkeypatch.setattr(exact_module, "_LITERAL_CHUNK", 64)  # several chunks per tree
-        assert _literal_sums_check(tree, levels, alpha) == (max(sums), bad)
+        lmax, lbad = _literal_sums_check(tree, levels, alpha)
+        assert lmax.tolist() == pytest.approx(want_max, abs=1e-15) and lbad.tolist() == want_bad
+        assert lmax[1:].tolist() == want_max[1:]  # exact where every level is dyadic
+
+    @pytest.mark.parametrize("n_weighted", [0, 3])
+    def test_assignments_enumerated_once_per_shape(self, monkeypatch, n_weighted):
+        # the first-true flags of a shape do not depend on its allocation, so
+        # the literal route builds them once per shape and chunk, not once
+        # per allocation: 3 shapes of under 2**7 assignments, 3 calls
+        calls = []
+        first_true = exact_module._first_true
+        monkeypatch.setattr(exact_module, "_first_true",
+                            lambda *a: calls.append(1) or first_true(*a))
+        audit = audit_alpha_sums(2, (2,), n_weighted=n_weighted)
+        assert audit.literal_trees == audit.trees_checked == 3 and audit.passed
+        assert len(calls) == 3
 
     def test_summary_mentions_counts(self):
         audit = audit_alpha_sums(1, (3,), n_weighted=1)

@@ -515,7 +515,7 @@ class TestNumericInputs:
     """Arrays of numbers (p-values, levels, weights, trial data, signals) are
     read through one dtype rule: integers and floats pass, while strings,
     booleans and other objects raise where a float cast once read "0.01" as
-    0.01 and True as 1."""
+    0.01 and True as 1, a boolean among the numbers of a list included."""
 
     tree = build_complete_tree([2])
     READERS = {  # a call on a 3-entry input, and the name its message gives it
@@ -523,8 +523,6 @@ class TestNumericInputs:
         "bonferroni": (lambda tree, x: bonferroni(x, 0.05), "p-values"),
         "benjamini_hochberg": (lambda tree, x: benjamini_hochberg(x, 0.05), "p-values"),
         "descend": (lambda tree, x: descend(tree, uniform_levels(tree, 0.05), x), "p-values"),
-        "descend mapping": (lambda tree, x: descend(
-            tree, uniform_levels(tree, 0.05), dict(enumerate(x))), "p-values"),
         "descend_batch": (lambda tree, x: descend_batch(
             tree, uniform_levels(tree, 0.05), np.array([x])), "pmatrix"),
         "descend_local": (lambda tree, x: descend_local(
@@ -553,6 +551,19 @@ class TestNumericInputs:
         for kind, given in self.BAD.items():
             with pytest.raises(ValueError, match=f"^{what} must be real numbers, not {kind}$"):
                 read(self.tree, given)
+
+    @pytest.mark.parametrize("reader, given", [
+        ("descend", [0.01, True, 0.5]),
+        ("AlphaAllocation", [0.05, 0.025, np.True_]),
+        ("two_sided_pvalue", [[0.5, True], [1.0, 2.0]]),
+        ("TrialMatrix", [0.0, True, 0.5]),  # read as the one row of a nested list
+        ("weighted_levels", [1, True, 2]),
+    ])
+    def test_booleans_among_numbers_refused(self, reader, given):
+        # numpy casts such a list to float64, which once read True as 1.0
+        read, what = self.READERS[reader]
+        with pytest.raises(ValueError, match=f"^{what} must be real numbers, not booleans$"):
+            read(self.tree, given)
 
     def test_integers_read_as_floats(self):
         assert holm(np.array([0, 1], dtype=np.int8), 0.05).tolist() == [True, False]
