@@ -20,10 +20,11 @@ from treetest import (
 )
 
 # Every complete tree of depth <= 3 with per-layer branching 2 or 3, every
-# truth assignment, uniform plus ten random-weighted allocations.  The sum
-# depends on a truth assignment only through its first-true set, so the
-# audit enumerates attainable sums per subtree and covers all 2^|V|
-# assignments exactly; small shapes are re-checked assignment by assignment.
+# truth assignment, uniform plus ten random-weighted allocations.  The
+# first-true sets are the tree's antichains, so the worst sum below a vertex
+# is the larger of its own level and its children's worst sums added up: one
+# bottom-up pass covers all 2^|V| assignments exactly, and small shapes are
+# re-checked assignment by assignment.
 audit = audit_alpha_sums(max_depth=3, branchings=(2, 3), alpha=0.05, n_weighted=10, seed=0)
 print(audit.summary())
 print("passed:", audit.passed)

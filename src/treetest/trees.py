@@ -80,7 +80,8 @@ class TestTree:
     parents : sequence of int
         ``parents[v]`` is the parent id of vertex ``v``; the root is vertex 0
         with parent -1.  Every parent id must be smaller than the child's id.
-        Children of a vertex are ordered by id.
+        Children of a vertex are ordered by id.  Ids are integers or
+        integral floats; a bool, a string or a fraction is a ``ValueError``.
 
     The per-vertex arrays ``parent``, ``depth_of`` and ``child_counts`` are
     read-only; ``layers[d]`` indexes the vertices at depth ``d`` and
@@ -102,6 +103,10 @@ class TestTree:
     __test__ = False  # not a test case, despite the name
 
     def __init__(self, parents: Sequence[int]):
+        if not (isinstance(parents, np.ndarray) and parents.dtype.kind == "i"):
+            parents = _numeric(parents, "parents")  # -1.0 reads as -1; 0.7, "0" and True do not
+            if not (np.isfinite(parents) & (np.trunc(parents) == parents)).all():
+                raise ValueError("parents must be integer vertex ids")
         parent = np.array(parents, dtype=np.int64)
         if parent.ndim != 1 or parent.size == 0:
             raise ValueError("parents must be a non-empty 1-D sequence")
@@ -293,13 +298,15 @@ def _tested(tree: TestTree, rejected: np.ndarray) -> np.ndarray:
     return tested
 
 
-def _fold_up(tree: TestTree, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+def _fold_up(tree: TestTree, values: np.ndarray, ufunc: np.ufunc,
+             floor: Optional[np.ndarray] = None) -> np.ndarray:
     """Fold each vertex's children into it, deepest layer first, in place.
 
     ``values`` is vertex-major, ``(n_vertices, ...)``; every internal vertex
     becomes ``ufunc`` of its own entry and its children's folded entries,
     combined one child at a time in child order (numpy sums a contiguous run
-    of 8 or more pairwise, which rounds differently).
+    of 8 or more pairwise, which rounds differently), then raised to at
+    least its row of ``floor`` (same shape as ``values``) when one is given.
     """
     for layer in reversed(tree.families):
         for par, kids, k in layer:
@@ -307,6 +314,8 @@ def _fold_up(tree: TestTree, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
             acc = values[par]  # a view of the parents' rows when they are a slice
             for i in range(k):
                 ufunc(acc, members[:, i], out=acc)
+            if floor is not None:
+                np.maximum(acc, floor[par], out=acc)
             if not isinstance(par, slice):
                 values[par] = acc
     return values

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from treetest import TestTree, build_complete_tree
+from treetest import LEVEL_SUM_TOL, TestTree, build_complete_tree
 
 
 def children_from_parents(parents) -> list[list[int]]:
@@ -234,6 +234,38 @@ def reference_subtree_sums(parents, levels, truth, tol: float):
         if s > levels[v] + tol:
             bad.append((v, s, float(levels[v])))
     return sums, bad
+
+
+def reference_attainable_sums(tree: TestTree, levels: np.ndarray,
+                              alpha: float) -> tuple[float, int]:
+    """Exhaustively check the level sum over every first-true set.
+
+    The sum attached to a truth assignment depends only on its first-true
+    set, and within each subtree the attainable sums are the subtree root's
+    own level plus the Minkowski sums of the children's attainable sets.
+    Materializing those sets bottom-up (with the final root combination done
+    by sorted search) therefore covers every truth assignment exactly.
+    Returns (max attainable sum, number of attainable profiles in violation).
+    """
+    def combined(sets: list[np.ndarray]) -> np.ndarray:  # distinct sums, one per set
+        acc = np.zeros(1)  # 0 + x == x, so a leading {0} changes no sum
+        for nxt in sets:
+            acc = np.unique(np.add.outer(acc, nxt).ravel())
+        return acc
+
+    sums: dict[int, np.ndarray] = {}
+    for v in range(tree.n_vertices - 1, 0, -1):
+        kids = [sums.pop(int(c)) for c in tree.children(v)]
+        sums[v] = np.unique(np.append(levels[v], combined(kids)))
+
+    bound = alpha + LEVEL_SUM_TOL
+    sets = [np.zeros(1)] + [sums[int(c)] for c in tree.children(0)]
+    acc, last = combined(sets[:-1]), np.sort(sets[-1])
+    # pair (i, j) violates iff last[j] > bound - acc[i]
+    violations = int((last.size - np.searchsorted(last, bound - acc, side="right")).sum())
+    # the remaining profile is the root itself being first-true
+    max_sum = max(float(acc.max() + last[-1]), float(levels[0]))
+    return max_sum, violations + int(levels[0] > bound)
 
 
 def reference_interval_pvalue(data, sigma: float, start: int, end: int) -> float:

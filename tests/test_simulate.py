@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from treetest import (
     BudgetError,
     SimConfig,
     TestTree,
+    weighted_levels,
     audit_alpha_sums,
     audit_subtree_sums,
     bonferroni,
@@ -29,7 +31,7 @@ from treetest import (
     format_comparison,
 )
 from treetest.procedures import _SORT_FROM, _holm, _local_descent, _local_thresholds, _sorted_cut
-from treetest.exact import _attainable_sums_check, _literal_sums_check
+from treetest.exact import _literal_sums_check, _worst_sums
 from treetest.gaussian import _score_cuts
 from treetest.simulate import _Instance
 from treetest.trees import _subtree_sums
@@ -38,6 +40,7 @@ from helpers import (
     children_from_parents,
     gather_layer_trees,
     random_general_parents,
+    reference_attainable_sums,
     reference_bh,
     reference_descend,
     reference_descend_local,
@@ -1374,6 +1377,13 @@ class TestAuditAlphaSums:
         ({"max_depth": 1.5}, "max_depth"),  # once a TypeError from range()
         ({"n_weighted": 1.5}, "n_weighted"),
         ({"n_weighted": "2"}, "n_weighted"),
+        ({"literal_limit": True}, "literal_limit"),  # once read as 1
+        ({"literal_limit": "16"}, "literal_limit"),  # once a bare '>' TypeError
+        ({"literal_limit": None}, "literal_limit"),
+        ({"literal_limit": 1.5}, "literal_limit"),
+        ({"seed": True}, "seed"),  # once ran as seed 1
+        ({"seed": 2.5}, "seed"),
+        ({"seed": "0"}, "seed"),
     ])
     def test_counts_read_by_the_number_rule(self, kwargs, where):
         with pytest.raises(TypeError, match=f"^{where}: expected an? (number|integer), got "):
@@ -1384,10 +1394,24 @@ class TestAuditAlphaSums:
         assert (audit.max_depth, audit.branchings, audit.allocations_per_tree) == (1, (2,), 2)
         assert type(audit.max_depth) is int and type(audit.branchings[0]) is int
 
+    def test_integral_seed_and_literal_limit_read_as_ints(self):
+        # seed 2.0 was refused by numpy with a message that did not name it
+        fields = [dataclasses.replace(audit, elapsed=0.0) for audit in (
+            audit_alpha_sums(2, (2,), n_weighted=3, seed=2, literal_limit=16),
+            audit_alpha_sums(2, (2,), n_weighted=3, seed=2.0, literal_limit=np.int64(16)))]
+        assert fields[0] == fields[1] and fields[0].literal_trees == 2
+        assert audit_alpha_sums(2, (2,), literal_limit=0).literal_trees == 0
+
     def test_negative_weighted_count_rejected(self):
         # -5 used to report "-4 allocations" and a negative case count
         with pytest.raises(ValueError, match="n_weighted must be >= 0"):
             audit_alpha_sums(1, (2,), n_weighted=-5)
+
+    @pytest.mark.parametrize("name", ["literal_limit", "seed"])
+    def test_negative_limit_and_seed_rejected(self, name):
+        # literal_limit -5 used to run
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            audit_alpha_sums(1, (2,), **{name: -5})
 
     @pytest.mark.parametrize("max_depth, branchings, message", [
         (1, (0,), "^branching factors must be >= 1$"),
@@ -1437,12 +1461,33 @@ class TestAuditAlphaSums:
         levels = np.stack([uniform_levels(tree, 0.05).levels,
                            [0.05, 0.04, 0.04, 0.02, 0.02, 0.02, 0.02]])
         lmax, lbad = _literal_sums_check(tree, levels, 0.05)
-        for row, want_max, violated in zip(levels, (0.05, 0.08), (False, True)):
-            vmax, vbad = _attainable_sums_check(tree, row, 0.05)
-            assert (vbad > 0) == violated
-            assert vmax == pytest.approx(want_max, abs=1e-12)
+        worst = _worst_sums(tree, levels)
+        assert worst == pytest.approx([0.05, 0.08], abs=1e-12)
+        assert (worst > 0.05 + LEVEL_SUM_TOL).tolist() == [False, True]
         assert lmax == pytest.approx([0.05, 0.08], abs=1e-12)
         assert (lbad > 0).tolist() == [False, True]
+
+    @pytest.mark.parametrize("branchings", [(2, 3), (1, 2, 3)])
+    def test_fold_equals_set_enumeration_beyond_literal_reach(self, branchings):
+        # shapes over 20 vertices are beyond the literal route's 2**20
+        # assignments, so the set enumeration is their reference; the last
+        # row raises a child of the root by 2 * LEVEL_SUM_TOL over the budget
+        rng = np.random.default_rng(len(branchings))
+        shapes = [s for d in range(1, 4) for s in itertools.product(branchings, repeat=d)]
+        trees = [t for t in map(build_complete_tree, shapes) if t.n_vertices > 20]
+        assert len(trees) >= 5
+        for tree in trees:
+            n = tree.n_vertices
+            over = uniform_levels(tree, 0.05).levels.copy()
+            over[1] += 2 * LEVEL_SUM_TOL
+            levels = np.stack([uniform_levels(tree, 0.05).levels] + [
+                weighted_levels(tree, 0.05, rng.uniform(0.1, 1.0, n)).levels
+                for _ in range(3)] + [over])
+            worst = _worst_sums(tree, levels)
+            want = [reference_attainable_sums(tree, row, 0.05) for row in levels]
+            assert [x.hex() for x in worst.tolist()] == [m.hex() for m, _ in want]
+            assert (worst > 0.05 + LEVEL_SUM_TOL).tolist() == [False] * 4 + [True]
+            assert [bad > 0 for _, bad in want] == [False] * 4 + [True]
 
     @pytest.mark.parametrize("parents", [
         build_complete_tree((2, 2)).parent.tolist(),

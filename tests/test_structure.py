@@ -14,10 +14,11 @@ by ``_number``), per-vertex inputs their shape through
 ``trees._numeric``, truth through ``trees._truth_flags`` and vertex ids
 through ``trees._vertex``, and only ``cli`` opens files.  The audits of
 ``exact`` check the simulator's guarantee, so they import nothing from
-``simulate``; the normal CDF and quantile come from ``gaussian`` alone, the
-one module that imports scipy, and only at its first kernel call.  Every name the package exports, and every
-public member of an exported class, has a user outside the tests, and every
-test module imports.
+``simulate``, and they reach a tree only through the passes of ``trees``;
+the normal CDF and quantile come from ``gaussian`` alone, the one module
+that imports scipy, and only at its first kernel call.  Every name the
+package exports, and every public member of an exported class, has a user
+outside the tests, and every test module imports.
 
 Each library module's ``__all__`` is the export list: ``__init__`` holds
 only one star import per module and ``__version__``, the lists share no
@@ -145,6 +146,7 @@ def test_array_inputs_read_through_one_numeric_rule():
     # "0.2"]) once rejected the first, and boolean p-values made descend
     # reject vertices 0 and 1
     readers = {
+        "trees.TestTree": definition("trees.py", "TestTree", "__init__"),
         "trees.AlphaAllocation": definition("trees.py", "AlphaAllocation", "__post_init__"),
         "trees._weights": definition("trees.py", "_weights"),
         "procedures._checked_pvalues": definition("procedures.py", "_checked_pvalues"),
@@ -172,6 +174,18 @@ def test_array_inputs_read_through_one_numeric_rule():
     )
     flat = ("holm", "bonferroni", "benjamini_hochberg")
     assert all("_checked_pvalues" in called(definition("procedures.py", name)) for name in flat)
+
+
+def test_exact_reaches_trees_only_through_the_passes():
+    # the audit once walked tree.children vertex by vertex, building every
+    # attainable sum once per allocation; its tree work is the passes of
+    # trees, so no per-vertex Python walk comes back
+    module = ast.parse((SRC / "exact.py").read_text(), filename="exact.py")
+    assert "children" not in called(module)
+    read = {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "tree"}
+    assert read <= {"n_vertices", "child_counts"}
+    assert {"_fold_up", "_first_true", "_subtree_sums"} <= called(module)
 
 
 def test_vertex_ids_read_through_one_rule():

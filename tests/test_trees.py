@@ -23,11 +23,13 @@ from treetest import (SimConfig, TrialMatrix, WaveletTree, audit_alpha_sums, aud
                       benjamini_hochberg, bonferroni, critical_z, denoise, descend, descend_batch,
                       descend_local, error_report, haar_forward, holm, keep_mask, level_thresholds,
                       localize, std_normal_cdf, std_normal_quantile, two_sided_pvalue)
-from treetest.trees import _descent, _subtree_sums, as_levels, as_truth
+from treetest import trees as trees_module
+from treetest.trees import _descent, _fold_up, _subtree_sums, as_levels, as_truth
 
 from helpers import (
     children_from_parents,
     gather_layer_trees,
+    preorder_parents,
     random_general_parents,
     random_uniform_shape,
     reference_budget_violations,
@@ -123,6 +125,36 @@ class TestTreeValidation:
         tree = TestTree([-1, 0, 0, 1, 1, 2, 2, 2])
         with pytest.raises(ValueError, match="layer-uniform"):
             tree.layer_branching()
+
+    @pytest.mark.parametrize("parents", [
+        [-1, 0.7, 0],  # once built as [-1, 0, 0]
+        [-1, "0"],  # once built as [-1, 0]
+        [-1, True],
+        (-1, 0, 0.5),
+        np.array([-1.0, np.nan]),
+        np.array([-1.0, np.inf]),
+        np.array([-1, 0], dtype=object),
+    ])
+    def test_parents_read_by_the_number_rule(self, parents):
+        with pytest.raises(ValueError, match="^parents must be "):
+            TestTree(parents)
+
+    @pytest.mark.parametrize("parents", [
+        [-1.0, 0.0, 0.0], (-1, 0.0, 0), np.array([-1.0, 0.0, 0.0]),
+        np.array([-1, 0, 0], dtype=np.int32),
+    ])
+    def test_integral_parents_read_as_ints(self, parents):
+        tree = TestTree(parents)
+        assert tree.parent.dtype == np.int64 and tree.parent.tolist() == [-1, 0, 0]
+
+    def test_integer_arrays_skip_the_numeric_rule(self, monkeypatch):
+        # build_complete_tree hands an int64 array to every localize call
+        def no_pass(*args):
+            raise AssertionError("an integer parent array went through _numeric")
+
+        monkeypatch.setattr(trees_module, "_numeric", no_pass)
+        assert build_complete_tree([2, 3]).n_vertices == 9
+        assert TestTree(np.array([-1, 0, 0], dtype=np.int32)).n_vertices == 3
 
 
 class TestLayeredStructure:
@@ -419,6 +451,60 @@ class TestSubtreeAlphaSum:
                 members = first_true_vertices(tree, np.array(truth))
                 for alloc in allocs:
                     assert alloc.levels[members].sum() <= 0.05 + LEVEL_SUM_TOL
+
+
+class TestFoldUpFloor:
+    """``_fold_up`` with a floor gives every vertex the largest first-true
+    level sum of its subtree, ``max(level, sum of the children's)``."""
+
+    @staticmethod
+    def brute_force_worst(parents, levels: np.ndarray) -> np.ndarray:
+        """Per vertex and row of ``levels`` (n_vertices, rows), the largest
+        first-true level sum inside the vertex's subtree over every truth
+        assignment, by walking each vertex's root path."""
+        n = len(parents)
+        inside = np.zeros((n, n))
+        for v in range(n):
+            inside[v, reference_subtree_vertices(parents, v)] = 1.0
+        first = np.zeros((1 << n, n))
+        for i in range(1 << n):
+            first[i, reference_first_true(parents, [(i >> v) & 1 for v in range(n)])] = 1.0
+        # (assignments, n_vertices, rows) -> worst per (vertex, row)
+        return np.einsum("av,uv,vr->aur", first, inside, levels).max(axis=0)
+
+    @staticmethod
+    def sample_trees() -> list[list[int]]:
+        rng = np.random.default_rng(27)
+        general = [random_general_parents(rng, 3, 3, 12) for _ in range(12)]
+        gather = [t.parent.tolist() for t in gather_layer_trees() if t.n_vertices <= 12]
+        return general + [preorder_parents(p) for p in general] + gather
+
+    def test_matches_brute_force_over_every_assignment(self):
+        # dyadic levels, so every sum is exact in any order; random levels
+        # break the budget, so the floor and the children's sum each win
+        # somewhere
+        rng = np.random.default_rng(28)
+        copied_back = floor_won = sum_won = 0
+        for parents in self.sample_trees():
+            tree = TestTree(parents)
+            n = tree.n_vertices
+            levels = rng.integers(1, 33, size=(n, 3)) / 64.0
+            values = np.where((tree.child_counts > 0)[:, None], 0.0, levels)
+            got = _fold_up(tree, values, np.add, floor=levels)
+            want = self.brute_force_worst(parents, levels)
+            assert got is values and got.tolist() == want.tolist()
+            inner = tree.child_counts > 0
+            floor_won += (got[inner] == levels[inner]).sum()
+            sum_won += (got[inner] > levels[inner]).sum()
+            copied_back += any(isinstance(par, np.ndarray)
+                               for layer in tree.families for par, _, _ in layer)
+        assert copied_back >= 10 and floor_won >= 10 and sum_won >= 10
+
+    def test_without_floor_the_fold_is_unchanged(self):
+        tree = TestTree([-1, 0, 1, 1, 0, 4, 4, 4])
+        values = np.arange(1.0, 9.0)
+        assert _fold_up(tree, values.copy(), np.add).tolist() == [
+            36.0, 9.0, 3.0, 4.0, 26.0, 6.0, 7.0, 8.0]
 
 
 class TestPerVertexInputs:
