@@ -81,11 +81,20 @@ def _pvalues_of_scores(s: np.ndarray) -> None:
     s *= 2.0
 
 
-def critical_z(level: float) -> float:
+def critical_z(level):
     """Two-sided z-score threshold: ``|z| >= critical_z(level)`` matches
-    ``two_sided_pvalue(z) <= level``.  Strictly decreasing in ``level``."""
-    level = _level(level, "level", below_one=True)
-    return float(-_special().ndtri(level / 2.0))
+    ``two_sided_pvalue(z) <= level``.  Strictly decreasing in ``level``.
+
+    ``level`` is one number, read by ``trees._level``, or a numpy array of
+    levels; every level must lie in (0, 1)."""
+    if isinstance(level, np.ndarray):
+        level = _numeric(level, "levels")
+        if not np.all((level > 0.0) & (level < 1.0)):
+            raise ValueError("levels must lie in (0, 1)")
+    else:
+        level = _level(level, "level", below_one=True)
+    out = -_special().ndtri(level / 2.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # Each cut is checked to be a clean step of the p-value predicate over this

@@ -43,10 +43,13 @@ class TrialMatrix:
         data = _numeric(self.data, "trial data")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("trial data must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(data)):
+        data = data.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
+        # a finite sum means finite entries; an overflowing one needs the full check
+        if not np.isfinite(total) and not np.isfinite(data).all():
             raise ValueError("trial data must be finite")
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

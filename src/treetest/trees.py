@@ -85,7 +85,9 @@ class TestTree:
 
     The per-vertex arrays ``parent``, ``depth_of`` and ``child_counts`` are
     read-only; ``layers[d]`` indexes the vertices at depth ``d`` and
-    ``families[d]`` their children.
+    ``families[d]`` their children.  The constructor derives every field
+    from the parent array of any tree; ``build_complete_tree`` fills the
+    same fields in closed form instead.
 
     Raises
     ------
@@ -259,19 +261,34 @@ def build_complete_tree(branching: Sequence[int]) -> TestTree:
 
     ``branching`` holds one factor (>= 1) per layer above the bottom one; an
     empty sequence gives the single-vertex tree.  Construction is refused
-    above ``MAX_VERTICES`` vertices, before any array is allocated.
+    above ``MAX_VERTICES`` vertices, before any array is allocated.  Every
+    field is filled in closed form from the layer widths, equal to what
+    ``TestTree(parents)`` derives from the parent array: ids grow with
+    depth, so each layer and each layer's children are one slice.
     """
     branching = _branching_list(branching)
     total = _vertex_count(branching)
 
-    # vertex i of layer d + 1 is child i // b of layer d
-    b = np.asarray(branching, dtype=np.int64)
-    widths = np.cumprod(np.concatenate(([1], b)))
-    layer_start = np.concatenate(([0], np.cumsum(widths)))
-    layer_of = np.repeat(np.arange(len(branching)), widths[1:])
-    offset = np.arange(1, total) - layer_start[layer_of + 1]
-    parents = np.concatenate(([-1], layer_start[layer_of] + offset // b[layer_of]))
-    return TestTree(parents)
+    widths = list(itertools.accumulate(branching, operator.mul, initial=1))
+    starts = list(itertools.accumulate(widths, initial=0))
+    counts = np.repeat(np.array(branching + (0,), dtype=np.int64), widths)
+    kid_start = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(counts, out=kid_start[1:])
+    # every vertex is the parent of its child_counts children, in id order
+    parent = np.concatenate(([-1], np.repeat(np.arange(total, dtype=np.int64), counts)))
+    depth_of = np.repeat(np.arange(len(widths), dtype=np.int64), widths)
+    kids = np.arange(1, total, dtype=np.int64)
+    for arr in (parent, depth_of, counts, kid_start, kids):
+        arr.setflags(write=False)
+
+    tree = TestTree.__new__(TestTree)
+    tree.parent, tree.depth_of, tree.child_counts = parent, depth_of, counts
+    tree._kids, tree._kid_start = kids, kid_start
+    tree.n_vertices, tree.depth = total, len(branching)
+    tree.layers = tuple(map(slice, starts[:-1], starts[1:]))
+    tree._families = tuple(((tree.layers[d], tree.layers[d + 1], b),)
+                           for d, b in enumerate(branching))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +396,8 @@ def _numeric(values, what: str) -> np.ndarray:
     and True are refused rather than read as 0.01 and 1.  Bool is for flags only."""
     out = np.asarray(values)
     kind = out.dtype.kind
-    if kind in "iuf" and isinstance(values, (list, tuple)) and any(
-            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+    if kind in "iuf" and isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+            map(type, np.asarray(values, dtype=object).flat)):
         kind = "b"
     if kind not in "iuf":
         kinds = {"b": "booleans", "c": "complex numbers", "U": "strings", "S": "bytes"}

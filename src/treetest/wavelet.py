@@ -12,6 +12,12 @@ coefficient is bounded by the chosen level.
 The two coarse values are exempt from testing and always kept, which keeps
 the transform invertible.
 
+Both transforms write into their outputs rather than allocating a fresh
+array per level and operation, ``keep_mask`` walks flat coefficient ids,
+and ``level_thresholds`` takes all levels in one quantile call; each gives
+the bytes of the plain per-level computation.  Level counts (``J``, and
+``j`` of ``WaveletTree.detail``) are read by ``trees._number`` as integers.
+
 Known limitation: coefficients at low resolution levels average the signal
 over long stretches and can sit near zero even when fine-scale structure is
 present, stopping the descent early.
@@ -25,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gaussian import _check_sigma, critical_z, std_normal_quantile, two_sided_pvalue
-from .trees import _level, _numeric
+from .trees import _level, _number, _numeric
 
 __all__ = [
     "WaveletTree",
@@ -55,9 +61,11 @@ class WaveletTree:
 
     def __post_init__(self) -> None:
         c = _numeric(self.coeffs, "coefficients")
-        if c.shape[-1] != 1 << (self.J + 1):
-            raise ValueError(f"coefficient length {c.shape[-1]} does not match J={self.J}")
+        J = _level_index(self.J, "J")
+        if c.shape[-1] != 1 << (J + 1):
+            raise ValueError(f"coefficient length {c.shape[-1]} does not match J={J}")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "J", J)
 
     @property
     def n(self) -> int:
@@ -65,9 +73,16 @@ class WaveletTree:
 
     def detail(self, j: int) -> np.ndarray:
         """Detail level ``j`` (``2**j`` coefficients; j = 0..J)."""
-        if not 0 <= j <= self.J:
+        if not 0 <= (j := _number(j, "j", True)) <= self.J:
             raise ValueError(f"detail level must lie in 0..{self.J}")
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
+
+
+def _level_index(value, where: str) -> int:
+    """A count of wavelet levels read by ``trees._number`` as an integer, at least 0."""
+    if (value := _number(value, where, True)) < 0:
+        raise ValueError(f"{where} must be >= 0")
+    return value
 
 
 def _check_length(n: int) -> int:
@@ -81,31 +96,40 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
 
     Pairwise ``s = (a + b)/sqrt(2)``, ``d = (a - b)/sqrt(2)``, recursing on
     the smooth part; energy is preserved and ``haar_inverse`` recovers the
-    input to floating-point accuracy.
+    input to floating-point accuracy.  Each detail level is written straight
+    into the coefficients, and the smooth part alternates between two
+    scratch sections of ``n/2`` and ``n/4`` entries.
     """
     x = _numeric(signal, "signal")
-    J = _check_length(x.shape[-1])
-    coeffs = np.empty_like(x)
-    s = x
+    J = _check_length(n := x.shape[-1])
+    coeffs = np.empty(x.shape)
+    scratch = np.empty(x.shape[:-1] + (n // 2 + n // 4,))
+    sections = scratch[..., : n // 2], scratch[..., n // 2 :]
+    root2, s = np.sqrt(2.0), x
     for j in range(J, -1, -1):
         a, b = s[..., 0::2], s[..., 1::2]
-        d = (a - b) / np.sqrt(2.0)
-        s = (a + b) / np.sqrt(2.0)
-        coeffs[..., 1 << j : 1 << (j + 1)] = d
-    coeffs[..., 0] = s[..., 0]
+        d = coeffs[..., 1 << j : 1 << (j + 1)]
+        np.subtract(a, b, out=d)
+        d /= root2
+        s = sections[(J - j) % 2][..., : 1 << j] if j else coeffs[..., :1]
+        np.add(a, b, out=s)
+        s /= root2
     return WaveletTree(coeffs, J)
 
 
 def haar_inverse(tree: WaveletTree) -> np.ndarray:
-    """Synthesis inverse of ``haar_forward``."""
+    """Synthesis inverse of ``haar_forward``.  Each level fills an
+    ``(..., m, 2)`` block with the sums and differences of its ``m`` smooth
+    and detail values, so the block read flat is the next smooth part."""
     c = tree.coeffs
-    s = c[..., 0:1]
+    root2, s = np.sqrt(2.0), c[..., 0:1]
     for j in range(0, tree.J + 1):
         d = c[..., 1 << j : 1 << (j + 1)]
-        out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.float64)
-        out[..., 0::2] = (s + d) / np.sqrt(2.0)
-        out[..., 1::2] = (s - d) / np.sqrt(2.0)
-        s = out
+        block = np.empty(c.shape[:-1] + (1 << j, 2))
+        np.add(s, d, out=block[..., 0])
+        np.subtract(s, d, out=block[..., 1])
+        block /= root2
+        s = block.reshape(c.shape[:-1] + (2 << j,))
     return s
 
 
@@ -115,10 +139,12 @@ def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     With the uniform budget split the level-``j`` coefficients are tested at
     ``alpha / 2**j``, i.e. kept when ``|w| >= sigma * z_j`` with
     ``z_j = critical_z(alpha / 2**j)``; the sequence is strictly increasing
-    in ``j``.
+    in ``j``.  A threshold past float64 is infinite.
     """
     alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
-    return np.array([sigma * critical_z(alpha / (1 << j)) for j in range(1, J + 1)])
+    levels = alpha / np.ldexp(1.0, np.arange(1, _level_index(J, "J") + 1))
+    with np.errstate(over="ignore"):
+        return sigma * critical_z(levels)
 
 
 def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
@@ -129,26 +155,24 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     is tested only while its parent was kept.  The coarse block is always
     kept.  The mask is path-closed within each coefficient tree.
 
-    Only the children of kept coefficients are tested: the candidates at
-    level ``j + 1`` are the coefficients ``2k`` and ``2k + 1`` below each
-    kept level-``j`` coefficient ``k``, so a level costs one gather and one
-    comparison over the candidates instead of over the whole level.
+    Only the children of kept coefficients are tested.  The walk reads the
+    coefficients flat, one row of ``n`` per batch entry: the children of the
+    flat coefficient ``f`` are ``f + f % n`` and the one after it, so a level
+    costs one gather and one comparison over the candidates instead of over
+    the whole level.
     """
     alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
-    c = tree.coeffs.reshape(-1, tree.n)  # one row per batch entry
-    mask = np.zeros(c.shape, dtype=bool)
-    mask[:, :2] = True
-    rows = np.repeat(np.arange(c.shape[0]), 2)  # the level-1 candidates
-    ks = np.tile(np.arange(2), c.shape[0])
+    n = tree.n
+    c = tree.coeffs.reshape(-1)
+    mask = np.zeros(c.size, dtype=bool)
+    mask.reshape(-1, n)[:, :2] = True
+    f = (np.arange(0, c.size, n)[:, None] + (2, 3)).ravel()  # the level-1 candidates
     with np.errstate(over="ignore"):  # an infinite score has p-value 0
         for j in range(1, tree.J + 1):
-            cols = (1 << j) + ks
-            p = two_sided_pvalue(c[rows, cols] / sigma)
-            small = p <= alpha / (1 << j)  # closed comparison, ties reject
-            rows, ks = rows[small], ks[small]
-            mask[rows, cols[small]] = True
-            rows = np.repeat(rows, 2)
-            ks = (2 * ks[:, None] + (0, 1)).ravel()
+            if j > 1:
+                f = ((f + f % n)[:, None] + (0, 1)).ravel()
+            f = f[two_sided_pvalue(c[f] / sigma) <= alpha / (1 << j)]  # ties reject
+            mask[f] = True
     return mask.reshape(tree.coeffs.shape)
 
 
@@ -241,9 +265,10 @@ def denoise(
         raise ValueError(f"level thresholds at sigma={scale!r} overflow float64")
     mask = keep_mask(tree, alpha, scale)
     kept = int(mask[2:].sum())
+    np.copyto(tree.coeffs, 0.0, where=~mask)  # the coefficients are this call's own
     try:
         with np.errstate(over="raise"):
-            out = haar_inverse(WaveletTree(np.where(mask, tree.coeffs, 0.0), tree.J, scale))
+            out = haar_inverse(tree)
     except FloatingPointError:
         raise ValueError("Haar synthesis of the denoised signal overflows float64") from None
     # level 1 tests both its coefficients; each deeper level tests the two

@@ -314,6 +314,70 @@ def reference_keep_mask(coeffs, alpha: float, sigma: float) -> np.ndarray:
     return mask
 
 
+def reference_haar_forward(signal) -> np.ndarray:
+    """Haar analysis coefficients in flat layout, with fresh arrays for the
+    sums and differences of every level."""
+    x = np.asarray(signal, dtype=np.float64)
+    J = x.shape[-1].bit_length() - 2
+    coeffs = np.empty_like(x)
+    s = x
+    for j in range(J, -1, -1):
+        a, b = s[..., 0::2], s[..., 1::2]
+        d = (a - b) / np.sqrt(2.0)
+        s = (a + b) / np.sqrt(2.0)
+        coeffs[..., 1 << j : 1 << (j + 1)] = d
+    coeffs[..., 0] = s[..., 0]
+    return coeffs
+
+
+def reference_haar_inverse(coeffs) -> np.ndarray:
+    """Haar synthesis of flat-layout coefficients, interleaving each level's
+    sums and differences into a fresh array."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    s = c[..., 0:1]
+    for j in range(0, c.shape[-1].bit_length() - 1):
+        d = c[..., 1 << j : 1 << (j + 1)]
+        out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.float64)
+        out[..., 0::2] = (s + d) / np.sqrt(2.0)
+        out[..., 1::2] = (s - d) / np.sqrt(2.0)
+        s = out
+    return s
+
+
+def reference_keep_walk(coeffs, alpha: float, sigma: float) -> np.ndarray:
+    """Sparse descent over the Haar coefficient forest, tracking separate
+    (row, k) pairs: the level-``j + 1`` candidates are the coefficients
+    ``2k`` and ``2k + 1`` below each kept level-``j`` coefficient ``k``."""
+    from scipy import special
+
+    c = np.asarray(coeffs, dtype=np.float64)
+    n = c.shape[-1]
+    c = c.reshape(-1, n)
+    mask = np.zeros(c.shape, dtype=bool)
+    mask[:, :2] = True
+    rows = np.repeat(np.arange(c.shape[0]), 2)
+    ks = np.tile(np.arange(2), c.shape[0])
+    with np.errstate(over="ignore"):
+        for j in range(1, n.bit_length() - 1):
+            cols = (1 << j) + ks
+            p = 2.0 * special.ndtr(-np.abs(c[rows, cols] / sigma))
+            small = p <= alpha / (1 << j)
+            rows, ks = rows[small], ks[small]
+            mask[rows, cols[small]] = True
+            rows = np.repeat(rows, 2)
+            ks = (2 * ks[:, None] + (0, 1)).ravel()
+    return mask.reshape(np.shape(coeffs))
+
+
+def reference_level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
+    """``sigma * z`` per detail level ``j = 1..J``, one scalar quantile call
+    per level at ``alpha / 2**j``."""
+    from scipy import special
+
+    return np.array([sigma * float(-special.ndtri(alpha / (1 << j) / 2.0))
+                     for j in range(1, J + 1)])
+
+
 def reference_estimate_sigma(tree):
     """Median absolute deviation of the finest detail level about its
     median, by two ``np.median`` calls, rescaled to a Gaussian scale."""

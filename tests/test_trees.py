@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,39 @@ class TestBuildCompleteTree:
     def test_vertex_cap(self):
         with pytest.raises(ValueError, match="exceed"):
             build_complete_tree([10] * 8)
+
+    @pytest.mark.parametrize("branching", [[10] * 8, [trees_module.MAX_VERTICES], [2] * 24])
+    def test_vertex_cap_checked_before_allocating(self, branching):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^tree would exceed {trees_module.MAX_VERTICES} vertices$"):
+                build_complete_tree(branching)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @staticmethod
+    def slots(tree: TestTree) -> dict:
+        """Every slot of ``tree``, arrays as dtype, values and flags, and the
+        rest by ``repr`` (which tells a numpy integer from a Python one)."""
+        tree.families  # a general tree groups its families on first use
+        out = {}
+        for name in TestTree.__slots__:
+            value = getattr(tree, name)
+            out[name] = (value.dtype, value.shape, value.tobytes(), value.flags.writeable,
+                         value.flags.c_contiguous) if isinstance(value, np.ndarray) else repr(value)
+        return out
+
+    SHAPES = [b for k in range(5) for b in itertools.product((1, 2, 3, 5), repeat=k)]
+
+    @pytest.mark.parametrize("shapes", [SHAPES, [(2,) * 10, (4096,), ()]], ids=["small", "large"])
+    def test_closed_form_matches_the_generic_tree(self, shapes):
+        # the closed form fills every slot that TestTree derives from parents
+        for branching in shapes:
+            tree = build_complete_tree(branching)
+            assert self.slots(tree) == self.slots(TestTree(tree.parent)), branching
+            assert tree.layer_branching() == branching
 
 
 class TestTreeValidation:

@@ -1,5 +1,8 @@
 """Haar transform and descent-driven coefficient thresholding."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -19,7 +22,16 @@ from treetest import (
     uniform_levels,
 )
 
-from helpers import blocks_signal, coefficient_forest, reference_estimate_sigma, reference_keep_mask
+from helpers import (
+    blocks_signal,
+    coefficient_forest,
+    reference_estimate_sigma,
+    reference_haar_forward,
+    reference_haar_inverse,
+    reference_keep_mask,
+    reference_keep_walk,
+    reference_level_thresholds,
+)
 
 
 class TestHaarTransform:
@@ -82,6 +94,61 @@ class TestHaarTransform:
     def test_malformed_tree(self):
         with pytest.raises(ValueError, match="does not match"):
             WaveletTree(np.zeros(8), 3)
+
+
+class TestLevelIndexes:
+    """``level_thresholds``'s ``J``, ``WaveletTree``'s ``J`` and ``detail``'s
+    ``j`` follow the number rule: 2.5 once ended in a bare TypeError from
+    ``range`` or ``<<``, True read as level 1 and J = -1 gave no thresholds."""
+
+    READERS = {
+        "level_thresholds": (lambda x: level_thresholds(0.05, x, 1.0), "J"),
+        "WaveletTree": (lambda x: WaveletTree(np.zeros(8), x), "J"),
+        "detail": (lambda x: WaveletTree(np.zeros(8), 2).detail(x), "j"),
+    }
+
+    @pytest.mark.parametrize("given", [2.5, True, np.bool_(True), "2", None], ids=repr)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_no_integer_refused(self, reader, given):
+        read, name = self.READERS[reader]
+        kind = "an integer" if given == 2.5 else "a number"
+        with pytest.raises(TypeError, match=f"^{name}: expected {kind}, got {re.escape(repr(given))}$"):
+            read(given)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_negative_refused(self, reader):
+        read, name = self.READERS[reader]
+        match = "^J must be >= 0$" if name == "J" else r"^detail level must lie in 0\.\.2$"
+        with pytest.raises(ValueError, match=match):
+            read(-1)
+
+    def test_integral_values_read_as_integers(self):
+        tree = WaveletTree(np.zeros(8), 2.0)
+        assert type(tree.J) is int and tree.J == 2
+        assert np.shares_memory(tree.detail(np.int64(1)), tree.coeffs[2:4])
+        assert tree.detail(1.0).shape == (2,)
+        assert level_thresholds(0.05, 3.0, 1.0).tobytes() == level_thresholds(0.05, 3, 1.0).tobytes()
+        assert level_thresholds(0.05, 0, 1.0).shape == (0,)
+
+
+class TestCriticalZArray:
+    def test_matches_the_scalar_call(self):
+        levels = np.array([[0.5, 0.05], [1e-300, 0.999999]])
+        got = critical_z(levels)
+        assert got.shape == levels.shape
+        want = np.array([critical_z(float(x)) for x in levels.ravel()]).reshape(levels.shape)
+        assert got.tobytes() == want.tobytes()
+        assert type(critical_z(np.float64(0.05))) is float
+        assert critical_z(np.array(0.05)) == critical_z(0.05)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan, np.inf])
+    def test_each_level_checked(self, bad):
+        with pytest.raises(ValueError, match=r"^levels must lie in \(0, 1\)$"):
+            critical_z(np.array([0.05, bad]))
+
+    def test_non_numbers_refused(self):
+        with pytest.raises(ValueError, match="^levels must be real numbers, not booleans$"):
+            critical_z(np.array([True, False]))
 
 
 class TestCoefficientPvalues:
@@ -262,6 +329,77 @@ class TestKeepMaskMatchesDenseReference:
         # the children of a tie-kept coefficient are tested and kept
         assert mask[2 * on_cut].all() and mask[2 * on_cut + 1].all()
         assert not mask[(1 << j) + 6]
+
+
+class TestBytesMatchFreshArrayReferences:
+    """The transforms write into their outputs, the keep walk tracks flat
+    ids and the thresholds take one quantile call; each gives the bytes of
+    a plain reference that allocates every intermediate, overflowing sums'
+    inf and NaN included."""
+
+    LENGTHS = [1 << k for k in range(2, 17)]  # 4 to 65,536
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=repr)
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e308])
+    def test_transforms(self, lead, scale):
+        rng = np.random.default_rng(50)
+        for n in self.LENGTHS:
+            x = rng.uniform(-1.75, 1.75, lead + (n,)) * scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = reference_haar_forward(x)
+                got = haar_forward(x)
+                assert got.coeffs.tobytes() == want.tobytes()
+                assert haar_inverse(got).tobytes() == reference_haar_inverse(want).tobytes()
+        if scale == 1e308:  # the sums overflow: the bytes compared hold inf and NaN
+            assert np.isinf(want).any() and np.isnan(want).any()
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=repr)
+    def test_keep_mask_with_planted_blocks(self, lead):
+        rng = np.random.default_rng(51)
+        for n in (4, 64, 1024, 1 << 14):
+            x = rng.standard_normal(lead + (n,))
+            for k, row in enumerate(x.reshape(-1, n)):  # a different block in every row
+                lo = (k * n) // 7
+                row[lo : lo + n // 5] += 4.0 + k
+            coeffs = haar_forward(x).coeffs
+            for alpha, sigma in ((0.05, 1.0), (0.5, 0.3), (1e-6, 2.0)):
+                got = keep_mask(WaveletTree(coeffs, n.bit_length() - 2), alpha, sigma)
+                assert got.tobytes() == reference_keep_walk(coeffs, alpha, sigma).tobytes()
+
+    def test_thresholds(self):
+        for J in range(0, 41):
+            for alpha, sigma in ((0.05, 1.0), (0.9, 1e-300), (1e-8, 3.7), (0.3, 1e308)):
+                with np.errstate(over="ignore"):
+                    got = level_thresholds(alpha, J, sigma)
+                want = reference_level_thresholds(alpha, J, sigma)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.isinf(level_thresholds(0.3, 40, 1e308)[-1])  # past float64, not refused
+
+
+class TestAllocationBound:
+    """Peak traced allocation at n = 65,536, in signal-sized float64 arrays.
+    Fresh arrays at every level once took ``haar_forward`` to 2.5 of them and
+    ``denoise`` to 4.1."""
+
+    n = 1 << 16
+
+    def peak(self, call) -> float:
+        call()  # loads scipy and warms every cache before the count
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.n)
+
+    def test_haar_forward(self):
+        x = np.random.default_rng(52).standard_normal(self.n)
+        assert self.peak(lambda: haar_forward(x)) <= 2.0
+
+    def test_denoise(self):
+        x = blocks_signal(self.n) + np.random.default_rng(53).standard_normal(self.n)
+        assert self.peak(lambda: denoise(x, 0.05)) <= 3.0
 
 
 class TestEstimateSigma:
