@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialMatrix:
-    """Stacked trials (rows) by time points (columns) with known noise scale."""
+    """Stacked trials (rows) by time points (columns) with known noise scale.
+
+    ``data`` is a read-only copy of the given matrix; its per-time column
+    sums, which ``interval_pvalues`` reads, are taken once at construction.
+    """
 
     data: np.ndarray
     sigma: float = 1.0
@@ -45,13 +49,15 @@ class TrialMatrix:
             raise ValueError("trial data must be a non-empty 2-D matrix")
         data = data.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            total = data.sum()
-        # a finite sum means finite entries; an overflowing one needs the full check
-        if not np.isfinite(total) and not np.isfinite(data).all():
+            sums = data.sum(axis=0)
+        # finite column sums mean finite entries; an overflowing one needs the full check
+        if not np.isfinite(sums).all() and not np.isfinite(data).all():
             raise ValueError("trial data must be finite")
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         data.setflags(write=False)
+        sums.setflags(write=False)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_sums", sums)
 
     @property
     def n_trials(self) -> int:
@@ -97,7 +103,13 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     parts; when the length is not divisible the leftmost children take the
     remainder (sizes differ by at most one).  Requires ``depth <= n_times``
     and ``arity**depth <= n_times`` so every leaf interval is nonempty.
-    The spans are computed one layer at a time.
+
+    The spans come from one array of leaf boundaries: with ``M =
+    arity**depth``, leaf ``k`` holds ``n_times // M + 1`` samples exactly when
+    the base-``arity`` digit reversal of ``k`` is below ``n_times % M``, else
+    ``n_times // M``.  A layer-``d`` vertex covers a run of ``s =
+    arity**(depth-d)`` leaves, so that layer's starts and ends are the strided
+    slices ``bounds[:-1:s]`` and ``bounds[s::s]``.
     """
     n_times, depth = _number(n_times, "n_times", True), _number(depth, "depth", True)
     arity = _number(arity, "arity", True)
@@ -113,17 +125,16 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
         raise ValueError(f"{arity}**{depth} leaf intervals do not fit into {n_times} samples")
 
     tree = build_complete_tree([arity] * depth)
-    # breadth-first ids: layer d+1 lists the children of layer d in order
-    layer_starts, layer_ends = [np.zeros(1, dtype=np.int64)], [np.full(1, n_times, dtype=np.int64)]
-    rank = np.arange(arity)
-    for _ in range(depth):
-        lo = layer_starts[-1]
-        base, rem = np.divmod(layer_ends[-1] - lo, arity)
-        sizes = base[:, None] + (rank < rem[:, None])
-        ends = lo[:, None] + np.cumsum(sizes, axis=1)
-        layer_starts.append((ends - sizes).ravel())
-        layer_ends.append(ends.ravel())
-    starts, ends = np.concatenate(layer_starts), np.concatenate(layer_ends)
+    # leaf k takes one extra sample exactly when its digit reversal is below the remainder
+    base, rem = divmod(n_times, arity**depth)
+    rev = np.zeros(1, dtype=np.int64)
+    for d in range(depth):
+        rev = (rev[:, None] + np.arange(arity) * arity**d).ravel()
+    bounds = np.concatenate(([0], np.cumsum(base + (rev < rem))))
+    # breadth-first ids: the layer-d vertices split the leaves into runs of arity**(depth-d)
+    steps = [arity ** (depth - d) for d in range(depth + 1)]
+    starts = np.concatenate([bounds[:-1:k] for k in steps])
+    ends = np.concatenate([bounds[k::k] for k in steps])
     starts.setflags(write=False)
     ends.setflags(write=False)
     return IntervalTree(tree, starts, ends)
@@ -143,7 +154,7 @@ def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
         )
     starts, ends = itree.starts, itree.ends
     with np.errstate(over="ignore", invalid="ignore"):
-        prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
+        prefix = np.concatenate(([0.0], np.cumsum(trials._sums)))
         scales = trials.sigma * np.sqrt(trials.n_trials * (ends - starts))
         # a total or z-score past float64 is +-inf (p-value 0), a scale inf (z-score 0)
         z = (prefix[ends] - prefix[starts]) / scales

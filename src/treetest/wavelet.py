@@ -13,9 +13,10 @@ The two coarse values are exempt from testing and always kept, which keeps
 the transform invertible.
 
 Both transforms write into their outputs rather than allocating a fresh
-array per level and operation, ``keep_mask`` walks flat coefficient ids,
-and ``level_thresholds`` takes all levels in one quantile call; each gives
-the bytes of the plain per-level computation.  Level counts (``J``, and
+array per level and operation, the synthesis stops its level loop below the
+finest nonzero level, ``keep_mask`` walks flat coefficient ids, and
+``level_thresholds`` takes all levels in one quantile call; each gives the
+bytes of the plain per-level computation.  Level counts (``J``, and
 ``j`` of ``WaveletTree.detail``) are read by ``trees._number`` as integers.
 
 Known limitation: coefficients at low resolution levels average the signal
@@ -120,17 +121,38 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
 def haar_inverse(tree: WaveletTree) -> np.ndarray:
     """Synthesis inverse of ``haar_forward``.  Each level fills an
     ``(..., m, 2)`` block with the sums and differences of its ``m`` smooth
-    and detail values, so the block read flat is the next smooth part."""
-    c = tree.coeffs
-    root2, s = np.sqrt(2.0), c[..., 0:1]
-    for j in range(0, tree.J + 1):
+    and detail values, so the block read flat is the next smooth part.
+
+    Only the levels up to the finest level ``L`` holding a coefficient with
+    nonzero bits are synthesized this way.  Below it every detail is +0.0,
+    so each level-``L`` smooth value ``s`` becomes ``2**(J-L)`` copies of
+    ``s`` divided by ``sqrt(2)`` once per remaining level.  The sums with
+    +0.0 turn a -0.0 into +0.0 on every path but the all-difference one, so
+    only the last copy of each block keeps it.  A -0.0 detail counts as
+    nonzero, since ``s - (-0.0)`` is not ``s - 0.0``.
+    """
+    c, J = tree.coeffs, tree.J
+    bits = c.view(np.int64)
+    L = J  # the finest level holding a nonzero bit, -1 for none
+    while L >= 0 and not bits[..., 1 << L : 2 << L].any():
+        L -= 1
+    root2, s = np.sqrt(2.0), c[..., 0:1].copy()  # divided in place when L is -1
+    for j in range(0, L + 1):
         d = c[..., 1 << j : 1 << (j + 1)]
         block = np.empty(c.shape[:-1] + (1 << j, 2))
         np.add(s, d, out=block[..., 0])
         np.subtract(s, d, out=block[..., 1])
         block /= root2
         s = block.reshape(c.shape[:-1] + (2 << j,))
-    return s
+    if L == J:
+        return s
+    for _ in range(J - L):
+        s /= root2
+    m = 1 << (J - L)
+    out = np.repeat(s, m, axis=-1)
+    out += 0.0
+    out[..., m - 1 :: m] = s
+    return out
 
 
 def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
@@ -153,7 +175,8 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     The two level-1 coefficients are the forest roots, each tested at
     ``alpha/2``; below them the budget halves per level, and a coefficient
     is tested only while its parent was kept.  The coarse block is always
-    kept.  The mask is path-closed within each coefficient tree.
+    kept.  The mask is path-closed within each coefficient tree, and the
+    walk ends at the first level that keeps nothing.
 
     Only the children of kept coefficients are tested.  The walk reads the
     coefficients flat, one row of ``n`` per batch entry: the children of the
@@ -172,6 +195,8 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
             if j > 1:
                 f = ((f + f % n)[:, None] + (0, 1)).ravel()
             f = f[two_sided_pvalue(c[f] / sigma) <= alpha / (1 << j)]  # ties reject
+            if not f.size:  # nothing kept, so no deeper level is tested
+                break
             mask[f] = True
     return mask.reshape(tree.coeffs.shape)
 
@@ -188,18 +213,19 @@ def estimate_sigma(tree: WaveletTree) -> float:
     if finest.shape[-1] < 16:
         raise ValueError("need at least 16 finest-level coefficients")
     with np.errstate(over="ignore"):
-        med = _even_median(finest)
+        med = _even_median(finest.copy(order="K"))  # not the coefficients' own memory
         mad = _even_median(np.abs(finest - med[..., None]))
     out = mad / -std_normal_quantile(0.25)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _even_median(x: np.ndarray) -> np.ndarray:
-    """``np.median`` over an even-length last axis from one partition.  NaNs
-    sort last, so a row holding one has a NaN upper-half minimum and median."""
+    """``np.median`` over an even-length last axis from one partition of
+    ``x`` in place.  NaNs sort last, so a row holding one has a NaN
+    upper-half minimum and median."""
     h = x.shape[-1] // 2
-    p = np.partition(x, h, axis=-1)
-    return (p[..., :h].max(axis=-1) + p[..., h:].min(axis=-1)) / 2.0
+    x.partition(h, axis=-1)
+    return (x[..., :h].max(axis=-1) + x[..., h:].min(axis=-1)) / 2.0
 
 
 @dataclass(frozen=True)

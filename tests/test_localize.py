@@ -1,5 +1,6 @@
 """Interval subdivision trees and mean-shift localization."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from treetest import (
     interval_pvalues,
     localize,
     monte_carlo_bound,
+    two_sided_pvalue,
 )
 
 from helpers import children_from_parents, reference_interval_pvalue, reference_interval_spans
@@ -116,6 +118,19 @@ class TestBuildIntervalTree:
         assert spans(itree) == want
         assert not itree.starts.flags.writeable and not itree.ends.flags.writeable
 
+    def test_spans_match_recursive_reference_sweep(self):
+        """The leaf boundaries' digit-reversal rule against the recursive split:
+        arity 1-7, depth 0-6, 40 consecutive ``n_times`` from the smallest
+        allowed (three for the shapes past 5,000 leaves, where the recursion is
+        slow) and one large ``n_times`` per shape."""
+        for arity, depth in itertools.product(range(1, 8), range(7)):
+            leaves = arity**depth
+            low = max(leaves, depth)
+            sweep = range(low, low + 40) if leaves <= 5000 else (leaves, leaves + 1, 2 * leaves - 1)
+            for n_times in (*sweep, 10**6 + 7):
+                itree = build_interval_tree(n_times, depth, arity)
+                assert spans(itree) == reference_interval_spans(n_times, depth, arity), (n_times, depth, arity)
+
     def test_builds_no_nodes(self, node_counter):
         itree = build_interval_tree(1 << 17, 16)
         assert itree.tree.n_vertices == (1 << 17) - 1
@@ -180,6 +195,27 @@ class TestIntervalPvalue:
         for v, (start, end) in enumerate(spans(itree)):
             want = reference_interval_pvalue(trials.data, trials.sigma, start, end)
             assert vec[v] == pytest.approx(want, abs=1e-12)
+
+
+class TestSumsOfTheCopy:
+    """``interval_pvalues`` reads column sums of the trials' C-ordered copy
+    taken at construction, never of the caller's layout, which rounds them
+    differently."""
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_pvalues_from_the_copys_sums(self, layout):
+        rng = np.random.default_rng(8)
+        if layout == "fortran":
+            x = np.asfortranarray(rng.standard_normal((50, 4096)))
+        else:  # every other time point of a column-major buffer
+            x = rng.standard_normal((8192, 50)).T[:, ::2]
+        trials = TrialMatrix(x)
+        itree = build_interval_tree(4096, 10)
+        prefix = np.concatenate(([0.0], np.cumsum(trials.data.sum(axis=0))))
+        starts, ends = itree.starts, itree.ends
+        z = (prefix[ends] - prefix[starts]) / (trials.sigma * np.sqrt(trials.n_trials * (ends - starts)))
+        assert interval_pvalues(trials, itree).tobytes() == two_sided_pvalue(z).tobytes()
+        assert x.sum(axis=0).tobytes() != trials.data.sum(axis=0).tobytes()  # the layouts differ
 
 
 @pytest.mark.filterwarnings("error")

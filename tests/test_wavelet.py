@@ -1,5 +1,6 @@
 """Haar transform and descent-driven coefficient thresholding."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -374,6 +375,31 @@ class TestBytesMatchFreshArrayReferences:
                 want = reference_level_thresholds(alpha, J, sigma)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.isinf(level_thresholds(0.3, 40, 1e308)[-1])  # past float64, not refused
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=repr)
+    def test_inverse_below_the_finest_nonzero_level(self, lead):
+        """Synthesis stops densely at the finest level ``L`` holding a nonzero
+        bit; the zero tail must give the reference's bytes, signed zeros
+        included, for every ``L`` (-1: only the scaling value), a scaling
+        value of +0.0 or -0.0, and zero details of +0.0 or -0.0 (a -0.0
+        detail is not +0.0: ``s - (-0.0)`` turns a -0.0 smooth value into +0.0)."""
+        rng = np.random.default_rng(54)
+        for n in self.LENGTHS:
+            J = n.bit_length() - 2
+            # mostly signed zeros, so the coarse levels' smooth parts hold both
+            base = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0], size=lead + (n,)) * rng.standard_normal(n)
+            for L in range(-1, J + 1):
+                for smooth, zero in itertools.product((0.0, -0.0), (0.0, -0.0)):
+                    c = base.copy()
+                    c[..., 0] = smooth
+                    c[..., 2 << L if L >= 0 else 1 :] = zero
+                    if L >= 0:  # a nonzero value or a -0.0 ends level L
+                        c[..., (2 << L) - 1] = (0.75, -0.0)[L % 2]
+                    before = c.tobytes()
+                    got = haar_inverse(WaveletTree(c, J))
+                    assert got.shape == c.shape
+                    assert got.tobytes() == reference_haar_inverse(c).tobytes(), (n, L, smooth, zero)
+                    assert c.tobytes() == before
 
 
 class TestAllocationBound:
