@@ -125,12 +125,14 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
         raise ValueError(f"{arity}**{depth} leaf intervals do not fit into {n_times} samples")
 
     tree = build_complete_tree([arity] * depth)
-    # leaf k takes one extra sample exactly when its digit reversal is below the remainder
     base, rem = divmod(n_times, arity**depth)
-    rev = np.zeros(1, dtype=np.int64)
-    for d in range(depth):
-        rev = (rev[:, None] + np.arange(arity) * arity**d).ravel()
-    bounds = np.concatenate(([0], np.cumsum(base + (rev < rem))))
+    if rem:  # leaf k takes one extra sample exactly when its digit reversal is below rem
+        rev = np.zeros(1, dtype=np.int64)
+        for d in range(depth):
+            rev = (rev[:, None] + np.arange(arity) * arity**d).ravel()
+        bounds = np.concatenate(([0], np.cumsum(base + (rev < rem))))
+    else:  # every leaf takes base samples
+        bounds = np.arange(0, n_times + 1, base)
     # breadth-first ids: the layer-d vertices split the leaves into runs of arity**(depth-d)
     steps = [arity ** (depth - d) for d in range(depth + 1)]
     starts = np.concatenate([bounds[:-1:k] for k in steps])

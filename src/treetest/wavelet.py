@@ -14,7 +14,8 @@ the transform invertible.
 
 Both transforms write into their outputs rather than allocating a fresh
 array per level and operation, the synthesis stops its level loop below the
-finest nonzero level, ``keep_mask`` walks flat coefficient ids, and
+finest nonzero level (in ``denoise``, the walk's deepest kept level, through
+which it zeroes all but the kept ids), ``keep_mask`` walks flat ids, and
 ``level_thresholds`` takes all levels in one quantile call; each gives the
 bytes of the plain per-level computation.  Level counts (``J``, and
 ``j`` of ``WaveletTree.detail``) are read by ``trees._number`` as integers.
@@ -31,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gaussian import _check_sigma, critical_z, std_normal_quantile, two_sided_pvalue
+from .gaussian import _check_sigma, _pvalues_of_scores, critical_z, std_normal_quantile
 from .trees import _level, _number, _numeric
 
 __all__ = [
@@ -119,23 +120,25 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
 
 
 def haar_inverse(tree: WaveletTree) -> np.ndarray:
-    """Synthesis inverse of ``haar_forward``.  Each level fills an
-    ``(..., m, 2)`` block with the sums and differences of its ``m`` smooth
-    and detail values, so the block read flat is the next smooth part.
-
-    Only the levels up to the finest level ``L`` holding a coefficient with
-    nonzero bits are synthesized this way.  Below it every detail is +0.0,
-    so each level-``L`` smooth value ``s`` becomes ``2**(J-L)`` copies of
-    ``s`` divided by ``sqrt(2)`` once per remaining level.  The sums with
-    +0.0 turn a -0.0 into +0.0 on every path but the all-difference one, so
-    only the last copy of each block keeps it.  A -0.0 detail counts as
-    nonzero, since ``s - (-0.0)`` is not ``s - 0.0``.
-    """
+    """Synthesis inverse of ``haar_forward``, through the finest level
+    holding a coefficient with nonzero bits (see ``_synthesize``)."""
     c, J = tree.coeffs, tree.J
     bits = c.view(np.int64)
     L = J  # the finest level holding a nonzero bit, -1 for none
     while L >= 0 and not bits[..., 1 << L : 2 << L].any():
         L -= 1
+    return _synthesize(c, J, L)
+
+
+def _synthesize(c: np.ndarray, J: int, L: int) -> np.ndarray:
+    """Haar synthesis of ``c`` whose detail levels past ``L`` are +0.0 (a
+    -0.0 is not: ``s - (-0.0)`` is not ``s - 0.0``), reading none of them.
+    Each level up to ``L`` fills an ``(..., m, 2)`` block with the sums and
+    differences of its ``m`` smooth and detail values, read flat as the next
+    smooth part.  Below ``L`` each smooth value ``s`` becomes ``2**(J-L)``
+    copies of ``s`` divided by ``sqrt(2)`` once per remaining level; the sums
+    with +0.0 turn a -0.0 into +0.0 on all but the last copy of each block.
+    """
     root2, s = np.sqrt(2.0), c[..., 0:1].copy()  # divided in place when L is -1
     for j in range(0, L + 1):
         d = c[..., 1 << j : 1 << (j + 1)]
@@ -177,28 +180,35 @@ def keep_mask(tree: WaveletTree, alpha: float, sigma: float) -> np.ndarray:
     is tested only while its parent was kept.  The coarse block is always
     kept.  The mask is path-closed within each coefficient tree, and the
     walk ends at the first level that keeps nothing.
-
-    Only the children of kept coefficients are tested.  The walk reads the
-    coefficients flat, one row of ``n`` per batch entry: the children of the
-    flat coefficient ``f`` are ``f + f % n`` and the one after it, so a level
-    costs one gather and one comparison over the candidates instead of over
-    the whole level.
     """
     alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
     n = tree.n
     c = tree.coeffs.reshape(-1)
     mask = np.zeros(c.size, dtype=bool)
     mask.reshape(-1, n)[:, :2] = True
+    for f in _kept(c, n, tree.J, alpha, sigma):
+        mask[f] = True
+    return mask.reshape(tree.coeffs.shape)
+
+
+def _kept(c: np.ndarray, n: int, J: int, alpha: float, sigma: float) -> list[np.ndarray]:
+    """The flat ids ``keep_mask`` keeps in ``c``, rows of ``n`` read flat:
+    one array per detail level 1, 2, ..., ending before the first level that
+    keeps nothing.  Only the children of kept coefficients are tested, those
+    of ``f`` being ``f + f % n`` and the one after it, so a level costs one
+    gather and one comparison over the candidates."""
+    kept = []
     f = (np.arange(0, c.size, n)[:, None] + (2, 3)).ravel()  # the level-1 candidates
     with np.errstate(over="ignore"):  # an infinite score has p-value 0
-        for j in range(1, tree.J + 1):
+        for j in range(1, J + 1):
             if j > 1:
                 f = ((f + f % n)[:, None] + (0, 1)).ravel()
-            f = f[two_sided_pvalue(c[f] / sigma) <= alpha / (1 << j)]  # ties reject
-            if not f.size:  # nothing kept, so no deeper level is tested
-                break
-            mask[f] = True
-    return mask.reshape(tree.coeffs.shape)
+            p = c[f] / sigma  # two_sided_pvalue in place
+            _pvalues_of_scores(np.negative(np.abs(p, out=p), out=p))
+            if not (f := f[p <= alpha / (1 << j)]).size:  # ties reject
+                break  # nothing kept, so no deeper level is tested
+            kept.append(f)
+    return kept
 
 
 def estimate_sigma(tree: WaveletTree) -> float:
@@ -289,23 +299,26 @@ def denoise(
     thresholds = level_thresholds(alpha, tree.J, scale)
     if not np.isfinite(thresholds[-1]):  # the largest
         raise ValueError(f"level thresholds at sigma={scale!r} overflow float64")
-    mask = keep_mask(tree, alpha, scale)
-    kept = int(mask[2:].sum())
-    np.copyto(tree.coeffs, 0.0, where=~mask)  # the coefficients are this call's own
+    c, J = tree.coeffs, tree.J  # the coefficients are this call's own
+    kept = _kept(c, tree.n, J, alpha, scale)
+    # nothing below the walk's deepest level is kept: L is haar_inverse's scan
+    deepest = len(kept)
+    L = deepest or (0 if c[1:2].view(np.int64).any() else -1)
+    values = [c[f] for f in kept]
+    c[2 : 2 << deepest] = 0.0  # the deeper levels are never read
+    for f, v in zip(kept, values):
+        c[f] = v
     try:
         with np.errstate(over="raise"):
-            out = haar_inverse(tree)
+            out = _synthesize(c, J, L)
     except FloatingPointError:
         raise ValueError("Haar synthesis of the denoised signal overflows float64") from None
-    # level 1 tests both its coefficients; each deeper level tests the two
-    # children of every coefficient kept one level up
-    tested = 2 + 2 * int(mask[2 : tree.n // 2].sum())
-    last_kept = int(np.flatnonzero(mask)[-1])
+    # level 1 tests its two coefficients, a deeper level two per kept parent
     return DenoiseResult(
         denoised=out,
-        kept=kept,
+        kept=sum(f.size for f in kept),
         thresholds=thresholds,
         sigma=scale,
-        tested=tested,
-        deepest_level=last_kept.bit_length() - 1,
+        tested=2 + 2 * sum(f.size for f in kept[: J - 1]),
+        deepest_level=deepest,
     )

@@ -344,6 +344,21 @@ def reference_haar_inverse(coeffs) -> np.ndarray:
     return s
 
 
+def reference_denoise(x, alpha: float, sigma: float):
+    """Denoising at a known ``sigma`` the dense way: the dense keep mask,
+    every coefficient it does not keep zeroed, a synthesis through every
+    level, and the counts read off the mask.  Returns the denoised signal
+    with the ``kept``, ``tested`` and ``deepest_level`` counts."""
+    c = reference_haar_forward(x)
+    n = c.shape[-1]
+    mask = reference_keep_mask(c, alpha, sigma)
+    c[~mask] = 0.0
+    tested = 2 + 2 * int(mask[2 : n // 2].sum())  # the children of every kept parent
+    levels = range(1, n.bit_length() - 1)  # 1..J
+    deepest = max((j for j in levels if mask[1 << j : 2 << j].any()), default=0)
+    return reference_haar_inverse(c), int(mask[2:].sum()), tested, deepest
+
+
 def reference_keep_walk(coeffs, alpha: float, sigma: float) -> np.ndarray:
     """Sparse descent over the Haar coefficient forest, tracking separate
     (row, k) pairs: the level-``j + 1`` candidates are the coefficients

@@ -137,6 +137,23 @@ class TestBuildIntervalTree:
         assert node_counter == []
 
 
+class TestIntervalNodeWidth:
+    def test_width_is_end_minus_start(self):
+        data = np.random.default_rng(57).standard_normal((20, 1003))
+        data[:, 300:420] += 1.0
+        res = localize(TrialMatrix(data), 0.05, 3, 5)
+        nodes = res.rejected + res.maximal + res.frontier
+        assert res.rejected and res.frontier
+        assert all(nd.width == nd.end - nd.start for nd in nodes)
+
+    def test_full_layers_cover_every_sample(self):
+        itree = build_interval_tree(1003, 3, 5)
+        for depth in range(4):
+            layer = [IntervalNode(0, a, b, depth) for a, b in spans(itree, depth)]
+            assert len(layer) == 5**depth
+            assert sum(nd.width for nd in layer) == 1003
+
+
 class TestTrialMatrix:
     def test_requires_rows(self):
         with pytest.raises(ValueError, match="non-empty"):

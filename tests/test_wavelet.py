@@ -26,6 +26,7 @@ from treetest import (
 from helpers import (
     blocks_signal,
     coefficient_forest,
+    reference_denoise,
     reference_estimate_sigma,
     reference_haar_forward,
     reference_haar_inverse,
@@ -591,6 +592,50 @@ class TestDenoise:
         noisy[5] = bad
         with pytest.raises(ValueError, match="finite"):
             denoise(noisy, 0.05, sigma)
+
+
+class TestDenoiseMatchesDenseReference:
+    """``denoise`` zeroes and synthesizes only through the walk's deepest
+    kept level and counts from the kept ids; the dense reference zeroes
+    every coefficient not kept and synthesizes every level."""
+
+    LENGTHS = [1 << k for k in range(2, 17)]
+
+    @staticmethod
+    def same(x, deepest=None):
+        got, (want, kept, tested, level) = denoise(x, 0.05, 1.0), reference_denoise(x, 0.05, 1.0)
+        assert got.denoised.tobytes() == want.tobytes()
+        assert (got.kept, got.tested, got.deepest_level) == (kept, tested, level)
+        assert deepest is None or level == deepest
+
+    @staticmethod
+    def planted(rng, n, deepest):
+        """A signal whose coefficients are small noise but for one path of
+        large ones from level 1 down to ``deepest``."""
+        J = n.bit_length() - 2
+        c = 0.1 * rng.standard_normal(n)
+        leaf = int(rng.integers(1 << J))
+        for j in range(1, deepest + 1):
+            c[(1 << j) + (leaf >> (J - j))] = 50.0 * rng.choice((-1.0, 1.0))
+        return reference_haar_inverse(c)
+
+    def test_nothing_kept(self):
+        for n in self.LENGTHS:
+            self.same(np.zeros(n), 0)  # nothing to synthesize but the scaling value
+            # a step at the midpoint: only the coarsest detail, never tested, is nonzero
+            self.same(np.repeat([3.0, -3.0], n // 2), 0)
+
+    def test_deepest_kept_level(self):
+        rng = np.random.default_rng(55)
+        for n in self.LENGTHS:
+            J = n.bit_length() - 2
+            for deepest in sorted({1, J - 1, J} - {0}):
+                self.same(self.planted(rng, n, deepest), deepest)
+
+    def test_noisy_blocks(self):
+        rng = np.random.default_rng(56)
+        for n in self.LENGTHS[2:]:
+            self.same(blocks_signal(n) * 3.0 + rng.standard_normal(n))
 
 
 @pytest.mark.filterwarnings("error")
