@@ -85,9 +85,9 @@ class TestTree:
 
     The per-vertex arrays ``parent``, ``depth_of`` and ``child_counts`` are
     read-only; ``layers[d]`` indexes the vertices at depth ``d`` and
-    ``families[d]`` their children.  The constructor derives every field
-    from the parent array of any tree; ``build_complete_tree`` fills the
-    same fields in closed form instead.
+    ``families[d]`` their children.  The constructor derives the fields
+    from the parent array of any tree, ``build_complete_tree`` takes them in
+    closed form, and both hand them to the one initializer ``_fill``.
 
     Raises
     ------
@@ -131,8 +131,6 @@ class TestTree:
             anc = anc[anc]
 
         counts = np.bincount(parent[1:], minlength=n)
-        kid_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=kid_start[1:])
         kids = np.argsort(parent[1:], kind="stable") + 1
 
         depth = int(depth_of.max())
@@ -148,18 +146,20 @@ class TestTree:
             by_depth = np.argsort(depth_of, kind="stable")
             by_depth.setflags(write=False)
             layers = tuple(by_depth[a:b] for a, b in zip(layer_start, layer_start[1:]))
+        self._fill(parent, depth_of, counts, kids, layers)
 
+    def _fill(self, parent: np.ndarray, depth_of: np.ndarray, counts: np.ndarray,
+              kids: np.ndarray, layers: tuple, families: Optional[tuple] = None) -> None:
+        """Set every slot from the per-vertex arrays (made read-only here), the
+        children in parent order and the layers; ``families=None`` leaves them
+        to be grouped on first use."""
+        kid_start = np.zeros(parent.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=kid_start[1:])
         for arr in (parent, depth_of, counts, kid_start, kids):
             arr.setflags(write=False)
-        self.parent = parent
-        self.depth_of = depth_of
-        self.n_vertices = n
-        self.depth = depth
-        self.layers = layers
-        self.child_counts = counts
-        self._kids = kids
-        self._kid_start = kid_start
-        self._families: Optional[tuple] = None
+        self.parent, self.depth_of, self.child_counts = parent, depth_of, counts
+        self._kids, self._kid_start, self._families = kids, kid_start, families
+        self.n_vertices, self.depth, self.layers = parent.size, len(layers) - 1, layers
 
     # -- basic structure ------------------------------------------------
 
@@ -261,10 +261,11 @@ def build_complete_tree(branching: Sequence[int]) -> TestTree:
 
     ``branching`` holds one factor (>= 1) per layer above the bottom one; an
     empty sequence gives the single-vertex tree.  Construction is refused
-    above ``MAX_VERTICES`` vertices, before any array is allocated.  Every
-    field is filled in closed form from the layer widths, equal to what
-    ``TestTree(parents)`` derives from the parent array: ids grow with
-    depth, so each layer and each layer's children are one slice.
+    above ``MAX_VERTICES`` vertices, before any array is allocated.  The
+    fields are taken in closed form from the layer widths and handed to
+    ``TestTree._fill``, equal to what ``TestTree(parents)`` derives from
+    the parent array: ids grow with depth, so each layer and each layer's
+    children are one slice.
     """
     branching = _branching_list(branching)
     total = _vertex_count(branching)
@@ -272,22 +273,14 @@ def build_complete_tree(branching: Sequence[int]) -> TestTree:
     widths = list(itertools.accumulate(branching, operator.mul, initial=1))
     starts = list(itertools.accumulate(widths, initial=0))
     counts = np.repeat(np.array(branching + (0,), dtype=np.int64), widths)
-    kid_start = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(counts, out=kid_start[1:])
     # every vertex is the parent of its child_counts children, in id order
     parent = np.concatenate(([-1], np.repeat(np.arange(total, dtype=np.int64), counts)))
     depth_of = np.repeat(np.arange(len(widths), dtype=np.int64), widths)
-    kids = np.arange(1, total, dtype=np.int64)
-    for arr in (parent, depth_of, counts, kid_start, kids):
-        arr.setflags(write=False)
+    layers = tuple(map(slice, starts[:-1], starts[1:]))
 
     tree = TestTree.__new__(TestTree)
-    tree.parent, tree.depth_of, tree.child_counts = parent, depth_of, counts
-    tree._kids, tree._kid_start = kids, kid_start
-    tree.n_vertices, tree.depth = total, len(branching)
-    tree.layers = tuple(map(slice, starts[:-1], starts[1:]))
-    tree._families = tuple(((tree.layers[d], tree.layers[d + 1], b),)
-                           for d, b in enumerate(branching))
+    tree._fill(parent, depth_of, counts, np.arange(1, total, dtype=np.int64), layers,
+               tuple(((layers[d], layers[d + 1], b),) for d, b in enumerate(branching)))
     return tree
 
 

@@ -64,8 +64,8 @@ class WaveletTree:
     def __post_init__(self) -> None:
         c = _numeric(self.coeffs, "coefficients")
         J = _level_index(self.J, "J")
-        if c.shape[-1] != 1 << (J + 1):
-            raise ValueError(f"coefficient length {c.shape[-1]} does not match J={J}")
+        if c.shape[-1:] != (1 << (J + 1),):  # a 0-d array has no last axis
+            raise ValueError(f"coefficient shape {c.shape} does not match J={J}")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "J", J)
 
@@ -103,7 +103,7 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
     scratch sections of ``n/2`` and ``n/4`` entries.
     """
     x = _numeric(signal, "signal")
-    J = _check_length(n := x.shape[-1])
+    J = _check_length(n := x.shape[-1] if x.ndim else 0)
     coeffs = np.empty(x.shape)
     scratch = np.empty(x.shape[:-1] + (n // 2 + n // 4,))
     sections = scratch[..., : n // 2], scratch[..., n // 2 :]

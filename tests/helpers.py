@@ -6,6 +6,7 @@ paths; that independence is the point.
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -48,6 +49,26 @@ def normal_cdf_oracle(x: float) -> float:
 
     with mpmath.workdps(40):
         return float(mpmath.ncdf(x))
+
+
+def flat_closed_forms(m: int, alpha: float, effect: float, m0=None, density=None) -> dict:
+    """Exact error rates of the flat baselines on ``m`` independent two-sided
+    leaf tests at level ``alpha``, false nulls shifted by ``effect``: ``m0``
+    true nulls (fixed truth), or each leaf a true null with probability
+    ``density`` (random truth).  Power counts a replication with no false
+    null as 0; BH's FDR is the true-null share times ``alpha`` (Benjamini
+    and Hochberg 1995; Benjamini and Yekutieli 2001)."""
+    normal = statistics.NormalDist()
+    c = normal.inv_cdf(1 - alpha / (2 * m))  # the Bonferroni cut on |z|
+    hit = normal.cdf(-c - effect) + normal.cdf(-c + effect)
+    if density is None:
+        true_share, all_true = m0 / m, float(m0 == m)
+        fwer = 1 - (1 - alpha / m) ** m0
+    else:
+        true_share, all_true = density, density**m
+        fwer = 1 - (1 - density * alpha / m) ** m
+    return {"bonferroni_fwer": fwer, "bonferroni_power": hit * (1 - all_true),
+            "bonferroni_pcer": true_share * alpha / m, "bh_fdr": true_share * alpha}
 
 
 def uniform_shapes(max_vertices: int) -> list[tuple[int, ...]]:

@@ -38,6 +38,7 @@ from treetest.trees import _subtree_sums
 
 from helpers import (
     children_from_parents,
+    flat_closed_forms,
     gather_layer_trees,
     random_general_parents,
     reference_attainable_sums,
@@ -581,6 +582,30 @@ class TestCompare:
         for rep in compare_procedures(cfg, PROCEDURES):
             p = exact[rep.procedure]
             assert abs(rep.fwer_hat - p) <= 4 * math.sqrt(p * (1 - p) / reps), rep.procedure
+
+    # 5 of the 8 leaves (ids 7 to 14) are true nulls; the flat procedures read no other entry
+    EXPLICIT = {"truth": "explicit", "truth_values": (0,) * 7 + (1, 0, 1, 1, 0, 1, 0, 1)}
+
+    @pytest.mark.parametrize("branching, effect, setting", [
+        ((2, 2, 2), 2.0, EXPLICIT),
+        ((2, 2, 2), 1.0, {**EXPLICIT, "dependence": "nested_means"}),
+        ((3, 4), 2.5, {"truth": "random", "truth_density": 0.3}),
+        ((2, 3), 1.5, {"truth": "random", "truth_density": 0.6, "dependence": "nested_means"}),
+    ], ids=["explicit", "explicit-nested", "random", "random-nested"])
+    def test_flat_baselines_match_closed_forms(self, branching, effect, setting):
+        # two-sided at 4 se: the flat procedures read only the leaves, whose
+        # statistics are independent under both dependence models; the se of
+        # a [0, 1]-valued mean mu is at most sqrt(mu (1 - mu) / n)
+        reps = 200_000
+        cfg = SimConfig(trees=(branching,), effect=effect, replications=reps, seed=11, **setting)
+        m = math.prod(branching)
+        m0 = sum(cfg.truth_values[-m:]) if cfg.truth_values else None
+        exact = flat_closed_forms(m, cfg.alpha, effect, m0=m0, density=cfg.truth_density)
+        bonferroni, bh = compare_procedures(cfg, ["bonferroni_flat", "bh_flat"])
+        simulated = {"bonferroni_fwer": bonferroni.fwer_hat, "bonferroni_power": bonferroni.power_hat,
+                     "bonferroni_pcer": bonferroni.pcer_hat, "bh_fdr": bh.fdr_hat}
+        for name, p in exact.items():
+            assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
 
 
 def step_ulps(x, k):

@@ -18,7 +18,8 @@ through ``trees._vertex``, and only ``cli`` opens files.  The audits of
 the normal CDF and quantile come from ``gaussian`` alone, the one module
 that imports scipy, and only at its first kernel call.  Every name the
 package exports, and every public member of an exported class, has a user
-outside the tests, and every test module imports.
+outside the tests, every test module imports, and every mutant of the
+register in ``mutants.py`` applies to exactly one place.
 
 Each library module's ``__all__`` is the export list: ``__init__`` holds
 only one star import per module and ``__version__``, the lists share no
@@ -30,6 +31,8 @@ import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "treetest"
@@ -466,3 +469,11 @@ def test_every_test_module_imports():
     # past collection errors, instead of failing
     for path in sorted(Path(__file__).parent.glob("test_*.py")):
         importlib.import_module(path.stem)
+
+
+def test_every_mutant_applies_once():
+    # a refactor that rewrites a mutant's old text would orphan it silently
+    assert len(mutants.MUTANTS) >= 11
+    for mutant in mutants.MUTANTS:
+        mutants.mutated(mutant, (SRC / mutant.module).read_text())  # ValueError unless once
+        assert (ROOT / mutant.killer.split("::")[0]).is_file(), mutant.name

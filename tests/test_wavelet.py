@@ -85,6 +85,8 @@ class TestHaarTransform:
             haar_forward(np.ones(24))
         with pytest.raises(ValueError, match="power of two"):
             haar_forward(np.ones(2))
+        with pytest.raises(ValueError, match="^signal length must be a power of two and at least 4$"):
+            haar_forward(2.0)  # a 0-d array has no last axis to read
 
     def test_inverse_special_cases(self):
         zeros = WaveletTree(np.zeros(8), 2)
@@ -96,6 +98,8 @@ class TestHaarTransform:
     def test_malformed_tree(self):
         with pytest.raises(ValueError, match="does not match"):
             WaveletTree(np.zeros(8), 3)
+        with pytest.raises(ValueError, match=r"^coefficient shape \(\) does not match J=1$"):
+            WaveletTree(2.0, 1)
 
 
 class TestLevelIndexes:
@@ -584,6 +588,8 @@ class TestDenoise:
         # haar_forward takes a batch; denoise returns one signal
         with pytest.raises(ValueError, match="^denoise expects a single 1-D signal$"):
             denoise(np.zeros((2, 64)), 0.05, 1.0)
+        with pytest.raises(ValueError, match="^signal length must be a power of two and at least 4$"):
+            denoise(2.0, 0.05)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("sigma", [1.0, "estimate"])
