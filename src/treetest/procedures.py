@@ -430,7 +430,8 @@ def error_report(
     (any other id raises ``ValueError``), or a boolean array aligned with
     ``truth``; ``truth`` holds 1 where the null is true.
     Power is the fraction of false nulls rejected (1 denominator when there
-    are none).
+    are none).  The counts and both ratios are ``_errors`` on one column,
+    as in the simulator.
     """
     t = np.asarray(truth)
     if t.ndim != 1 or t.size == 0:
@@ -447,12 +448,27 @@ def error_report(
         flags = np.zeros(t.size, dtype=bool)
         flags[[_vertex(v, t.size) for v in rejected]] = True
 
-    false_rej, rej, hits, n_false_nulls = np.count_nonzero(
-        [flags & t, flags, flags & ~t, ~t], axis=1).tolist()
-    return ErrorReport(
-        false_rejections=false_rej,
-        rejections=rej,
-        fdp=false_rej / max(rej, 1),
-        any_false=false_rej >= 1,
-        power=hits / max(n_false_nulls, 1),
-    )
+    rej, false_rej, fdp, power = (x.item() for x in _errors(flags[:, None], t[:, None]))
+    return ErrorReport(false_rejections=false_rej, rejections=rej, fdp=fdp,
+                       any_false=false_rej >= 1, power=power)
+
+
+def _errors(rejected: np.ndarray, null: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per replication of vertex-major flags ``(m, rows)`` and the true-null
+    mask broadcast over them: R, V, the FDP ``V / max(R, 1)`` and the power
+    ``(R - V) / max(m - m0, 1)``.  The one owner of both denominators."""
+    n_rej = _count(rejected, axis=0)
+    false_rej = _count(rejected & null, axis=0)
+    fdp = false_rej / np.maximum(n_rej, 1)
+    power = (n_rej - false_rej) / np.maximum(rejected.shape[0] - _count(null, axis=0), 1)
+    return n_rej, false_rej, fdp, power
+
+
+def _count(flags: np.ndarray, axis: int) -> np.ndarray:
+    """Number of set flags along ``axis``.
+
+    Summed in int16 when the axis is short enough: that is several times
+    faster than ``count_nonzero`` or an int64 sum on these small blocks.
+    """
+    dtype = np.int16 if flags.shape[axis] < 2**15 else np.int64
+    return flags.sum(axis=axis, dtype=dtype)

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .gaussian import _pvalues_of_scores, _score_cuts
-from .procedures import _local_descent, _local_thresholds, _sorted_cut
+from .procedures import _count, _errors, _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
     Index,
@@ -531,21 +531,19 @@ class _Instance:
         rejects, its false-discovery proportion is exactly 0 or 1, V/m is
         R/m, power is 0, and domination fails only where R > m (never,
         unless a kernel is wrong).  The sums are bit-equal to the general
-        route's.
+        route's, ``procedures._errors``, which ``error_report`` also takes.
         """
         ids = self.scope[procedure]
         m = max(ids.size, 1)
-        n_rej = _count(rejected, axis=0)
         if truth.shape[1] == 1 and self.all_null[procedure]:
-            false_rej, any_false = n_rej, int(np.count_nonzero(n_rej))
+            false_rej = _count(rejected, axis=0)
+            any_false = int(np.count_nonzero(false_rej))
             fdp_sum, power_sum = float(any_false), 0.0
-            violations = int(np.count_nonzero(n_rej > m))
+            violations = int(np.count_nonzero(false_rej > m))
         else:
             null = truth if ids.size == self.n_vertices else truth[ids]
-            false_rej = _count(rejected & null, axis=0)
+            _, false_rej, fdp, power = _errors(rejected, null)
             erred = false_rej >= 1
-            fdp = false_rej / np.maximum(n_rej, 1)
-            power = (n_rej - false_rej) / np.maximum(ids.size - _count(null, axis=0), 1)
             dominated = (fdp <= erred + 1e-12) & (false_rej / m <= erred + 1e-12)
             any_false, fdp_sum, power_sum = int(erred.sum()), float(fdp.sum()), float(power.sum())
             violations = int((~dominated).sum())
@@ -565,16 +563,6 @@ def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     for lo in range(0, a.shape[0], 512):
         out[:, lo : lo + 512] = a[lo : lo + 512].T
     return out
-
-
-def _count(flags: np.ndarray, axis: int) -> np.ndarray:
-    """Number of set flags along ``axis``.
-
-    Summed in int16 when the axis is short enough: that is several times
-    faster than ``count_nonzero`` or an int64 sum on these small blocks.
-    """
-    dtype = np.int16 if flags.shape[axis] < 2**15 else np.int64
-    return flags.sum(axis=axis, dtype=dtype)
 
 
 # Bytes per (replication, vertex) cell of the scratch every worker holds for

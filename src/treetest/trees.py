@@ -224,19 +224,15 @@ class TestTree:
     # -- layer-uniform helpers -------------------------------------------
 
     def layer_branching(self) -> tuple[int, ...]:
-        """Per-layer branching factors, if the tree is layer-uniform.
-
-        Raises ``ValueError`` when two vertices at the same depth have
-        different child counts (such trees cannot be described by a
-        branching list).
+        """Per-layer branching factors: the ``k`` of each layer's one group
+        in ``families``, which owns the grouping by child count.  A layer of
+        several groups raises ``ValueError``: the tree is not layer-uniform,
+        so no branching list describes it.
         """
-        inner = self.child_counts > 0  # every vertex above the bottom layer
-        depths, sizes = self.depth_of[inner], self.child_counts[inner]
-        branching = np.zeros(self.depth, dtype=np.int64)
-        branching[depths] = sizes
-        if (branching[depths] != sizes).any():
+        sizes = tuple(k for layer in self.families for _, _, k in layer)
+        if len(sizes) != self.depth:
             raise ValueError("tree is not layer-uniform")
-        return tuple(branching.tolist())
+        return sizes
 
 
 def _vertex_count(branching: Sequence[int]) -> int:

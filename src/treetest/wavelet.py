@@ -12,13 +12,8 @@ coefficient is bounded by the chosen level.
 The two coarse values are exempt from testing and always kept, which keeps
 the transform invertible.
 
-Both transforms write into their outputs rather than allocating a fresh
-array per level and operation, the synthesis stops its level loop below the
-finest nonzero level (in ``denoise``, the walk's deepest kept level, through
-which it zeroes all but the kept ids), ``keep_mask`` walks flat ids, and
-``level_thresholds`` takes all levels in one quantile call; each gives the
-bytes of the plain per-level computation.  Level counts (``J``, and
-``j`` of ``WaveletTree.detail``) are read by ``trees._number`` as integers.
+Level counts (``J``, and ``j`` of ``WaveletTree.detail``) are read by
+``trees._number`` as integers.
 
 Known limitation: coefficients at low resolution levels average the signal
 over long stretches and can sit near zero even when fine-scale structure is
@@ -121,24 +116,26 @@ def haar_forward(signal: np.ndarray) -> WaveletTree:
 
 def haar_inverse(tree: WaveletTree) -> np.ndarray:
     """Synthesis inverse of ``haar_forward``, through the finest level
-    holding a coefficient with nonzero bits (see ``_synthesize``)."""
-    c, J = tree.coeffs, tree.J
+    holding a coefficient with nonzero bits, found by ``_synthesize``."""
+    return _synthesize(tree.coeffs, tree.J, tree.J)
+
+
+def _synthesize(c: np.ndarray, J: int, top: int) -> np.ndarray:
+    """Haar synthesis of ``c`` whose detail levels past ``top`` are ignored.
+
+    The one owner of the stop level: ``L`` is the finest level up to ``top``
+    holding a nonzero bit, -1 for none (a -0.0 counts: ``s - (-0.0)`` is not
+    ``s - 0.0``), and no level past ``L`` is read.  Each level up to ``L``
+    fills an ``(..., m, 2)`` block with the sums and differences of its
+    ``m`` smooth and detail values, read flat as the next smooth part.
+    Below ``L`` each smooth value ``s`` becomes ``2**(J-L)`` copies of ``s``
+    divided by ``sqrt(2)`` once per remaining level; the sums with +0.0 turn
+    a -0.0 into +0.0 on all but the last copy of each block.
+    """
     bits = c.view(np.int64)
-    L = J  # the finest level holding a nonzero bit, -1 for none
+    L = top
     while L >= 0 and not bits[..., 1 << L : 2 << L].any():
         L -= 1
-    return _synthesize(c, J, L)
-
-
-def _synthesize(c: np.ndarray, J: int, L: int) -> np.ndarray:
-    """Haar synthesis of ``c`` whose detail levels past ``L`` are +0.0 (a
-    -0.0 is not: ``s - (-0.0)`` is not ``s - 0.0``), reading none of them.
-    Each level up to ``L`` fills an ``(..., m, 2)`` block with the sums and
-    differences of its ``m`` smooth and detail values, read flat as the next
-    smooth part.  Below ``L`` each smooth value ``s`` becomes ``2**(J-L)``
-    copies of ``s`` divided by ``sqrt(2)`` once per remaining level; the sums
-    with +0.0 turn a -0.0 into +0.0 on all but the last copy of each block.
-    """
     root2, s = np.sqrt(2.0), c[..., 0:1].copy()  # divided in place when L is -1
     for j in range(0, L + 1):
         d = c[..., 1 << j : 1 << (j + 1)]
@@ -273,9 +270,10 @@ def denoise(
 
     ``sigma`` is either the known noise scale or ``"estimate"`` to read it
     off the finest detail level.  Returns the reconstruction together with
-    the kept-coefficient count and the per-level thresholds.  A finite
-    signal whose Haar sums, noise estimate, thresholds or synthesis pass
-    float64 raises ``ValueError`` naming the overflow.
+    the kept-coefficient count and the per-level thresholds.  The synthesis
+    starts its stop-level scan (``_synthesize``) at the walk's deepest kept
+    level.  A finite signal whose Haar sums, noise estimate, thresholds or
+    synthesis pass float64 raises ``ValueError`` naming the overflow.
     """
     alpha = _level(alpha, "alpha", below_one=True)  # refused before the noise estimate
     samples = _numeric(signal, "signal")
@@ -301,16 +299,14 @@ def denoise(
         raise ValueError(f"level thresholds at sigma={scale!r} overflow float64")
     c, J = tree.coeffs, tree.J  # the coefficients are this call's own
     kept = _kept(c, tree.n, J, alpha, scale)
-    # nothing below the walk's deepest level is kept: L is haar_inverse's scan
-    deepest = len(kept)
-    L = deepest or (0 if c[1:2].view(np.int64).any() else -1)
+    deepest = len(kept)  # nothing below the walk's deepest level is kept
     values = [c[f] for f in kept]
     c[2 : 2 << deepest] = 0.0  # the deeper levels are never read
     for f, v in zip(kept, values):
         c[f] = v
     try:
         with np.errstate(over="raise"):
-            out = _synthesize(c, J, L)
+            out = _synthesize(c, J, deepest)
     except FloatingPointError:
         raise ValueError("Haar synthesis of the denoised signal overflows float64") from None
     # level 1 tests its two coefficients, a deeper level two per kept parent

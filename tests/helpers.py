@@ -10,7 +10,7 @@ import statistics
 
 import numpy as np
 
-from treetest import LEVEL_SUM_TOL, TestTree, build_complete_tree
+from treetest import LEVEL_SUM_TOL, ErrorReport, TestTree, TreeRejections, build_complete_tree
 
 
 def children_from_parents(parents) -> list[list[int]]:
@@ -69,6 +69,69 @@ def flat_closed_forms(m: int, alpha: float, effect: float, m0=None, density=None
         fwer = 1 - (1 - density * alpha / m) ** m
     return {"bonferroni_fwer": fwer, "bonferroni_power": hit * (1 - all_true),
             "bonferroni_pcer": true_share * alpha / m, "bh_fdr": true_share * alpha}
+
+
+def descend_closed_forms(branching, alpha: float, effect: float, truth) -> dict:
+    """Exact FWER and power of ``descend`` on the complete tree ``branching``
+    (breadth-first ids, level ``alpha`` split evenly among siblings) with
+    independent two-sided tests, fixed ``truth`` (1 = true null) and false
+    nulls shifted by ``effect``.
+
+    Bottom-up, ``N(v)`` is the chance of no false rejection in the subtree
+    of a tested ``v``: ``1 - a_v`` at a true null, 1 at a false leaf (its
+    rejection is no error), and ``(1 - pi_v) + pi_v * prod N(c)`` at a false
+    internal vertex, with ``pi_v = Phi(-c_v - effect) + Phi(-c_v + effect)``
+    its rejection chance at cut ``c_v``; FWER is ``1 - N(root)``.  A vertex
+    is tested with the product of its ancestors' rejection chances (``a_u``
+    at a true null, ``pi_u`` at a false one), and power is the mean of
+    ``P(tested) * pi_v`` over the false nulls (0 when there are none)."""
+    normal = statistics.NormalDist()
+    widths = [1]
+    for b in branching:
+        widths.append(widths[-1] * b)
+    starts = [sum(widths[:d]) for d in range(len(widths))]
+    parents, depth = [-1], [0]
+    for d, b in enumerate(branching):
+        parents += [starts[d] + i // b for i in range(widths[d + 1])]
+        depth += [d + 1] * widths[d + 1]
+    kids = children_from_parents(parents)
+    a = [alpha / math.prod(branching[:d]) for d in depth]
+    c = [normal.inv_cdf(1 - level / 2) for level in a]
+    pi = [normal.cdf(-cut - effect) + normal.cdf(-cut + effect) for cut in c]
+    hit = [a[v] if truth[v] else pi[v] for v in range(len(parents))]
+    N = [0.0] * len(parents)
+    for v in reversed(range(len(parents))):
+        if truth[v]:
+            N[v] = 1 - a[v]
+        else:
+            N[v] = 1 - pi[v] + pi[v] * math.prod(N[k] for k in kids[v])
+    tested = [1.0] * len(parents)
+    for v in range(1, len(parents)):
+        tested[v] = tested[parents[v]] * hit[parents[v]]
+    false = [v for v in range(len(parents)) if not truth[v]]
+    power = sum(tested[v] * pi[v] for v in false) / max(len(false), 1)
+    return {"fwer": 1 - N[0], "power": power}
+
+
+def reference_error_report(rejected, truth) -> ErrorReport:
+    """``error_report`` on valid inputs, counted by one ``count_nonzero``
+    over the stacked flags, independent of the simulator's accounting."""
+    t = np.asarray(truth).astype(bool)
+    if isinstance(rejected, TreeRejections):
+        rejected = rejected.rejected
+    flags = np.asarray(rejected)
+    if flags.dtype != bool:
+        flags = np.zeros(t.size, dtype=bool)
+        flags[list(rejected)] = True
+    false_rej, rej, hits, n_false_nulls = np.count_nonzero(
+        [flags & t, flags, flags & ~t, ~t], axis=1).tolist()
+    return ErrorReport(
+        false_rejections=false_rej,
+        rejections=rej,
+        fdp=false_rej / max(rej, 1),
+        any_false=false_rej >= 1,
+        power=hits / max(n_false_nulls, 1),
+    )
 
 
 def uniform_shapes(max_vertices: int) -> list[tuple[int, ...]]:

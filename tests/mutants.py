@@ -60,9 +60,9 @@ MUTANTS = [
            "for layer in reversed(tree.families):",
            "for layer in reversed(tree.families[1:]):",
            "tests/test_trees.py::TestFoldUpFloor::test_without_floor_the_fold_is_unchanged"),
-    Mutant("denoise L = deepest or -1", "wavelet.py",
-           "L = deepest or (0 if c[1:2].view(np.int64).any() else -1)",
-           "L = deepest or -1",
+    Mutant("denoise scans for the stop level from deepest - 1", "wavelet.py",
+           "out = _synthesize(c, J, deepest)",
+           "out = _synthesize(c, J, deepest - 1)",
            "tests/test_wavelet.py::TestDenoiseMatchesDenseReference::test_nothing_kept"),
     Mutant("denoise zeroes coeffs[2 : 1 << L]", "wavelet.py",
            "c[2 : 2 << deepest] = 0.0",
@@ -89,6 +89,61 @@ MUTANTS = [
            "np.cumsum(counts, out=kid_start[1:])",
            "np.cumsum(counts, out=kid_start[:-1])",
            "tests/test_trees.py::TestBuildCompleteTree::test_breadth_first_ids"),
+    Mutant("descent drops the last layer", "trees.py",
+           "    for ids in tree.layers[1:]:\n        rejected[ids] &=",
+           "    for ids in tree.layers[1:-1]:\n        rejected[ids] &=",
+           "tests/test_procedures.py::TestDescend::test_matches_naive_reference"),
+    Mutant("score cut one float low", "gaussian.py",
+           "np.maximum(last, 0)",
+           "np.maximum(last - 1, 0)",
+           "tests/test_simulate.py::TestScoreCuts::test_every_cut_is_the_last_float_that_passes"),
+    Mutant("nested truth by OR", "simulate.py",
+           "self._bottom_up(out, np.logical_and)",
+           "self._bottom_up(out, np.logical_or)",
+           "tests/test_simulate.py::TestVectorizedKernels::test_nested_truth_derived_from_leaves"),
+    Mutant("BH step-down in the simulator", "simulate.py",
+           "_sorted_cut(sorted_leaves, self.bh_cuts, step_up=True)",
+           "_sorted_cut(sorted_leaves, self.bh_cuts)",
+           "tests/test_simulate.py::TestVectorizedKernels::test_flat_procedures_match_scalar"),
+    Mutant("< in the keep walk", "wavelet.py",
+           "f[p <= alpha / (1 << j)]",
+           "f[p < alpha / (1 << j)]",
+           "tests/test_wavelet.py::TestKeepMaskMatchesDenseReference"
+           "::test_coefficients_exactly_on_the_threshold"),
+    Mutant("localize at alpha/2", "localize.py",
+           "alloc = uniform_levels(tree, alpha)",
+           "alloc = uniform_levels(tree, alpha / 2)",
+           "tests/test_localize.py::TestLocalize::test_pure_noise_family_error_is_exact"),
+    Mutant("sigma-hat quantile 0.24", "wavelet.py",
+           "std_normal_quantile(0.25)",
+           "std_normal_quantile(0.24)",
+           "tests/test_wavelet.py::TestEstimateSigma::test_matches_two_median_reference_1d"),
+    Mutant("FDP denominator +1", "procedures.py",
+           "fdp = false_rej / np.maximum(n_rej, 1)",
+           "fdp = false_rej / (np.maximum(n_rej, 1) + 1)",
+           "tests/test_procedures.py::TestErrorReportMatchesReference"
+           "::test_flags_ids_and_tree_rejections"),
+    Mutant("power denominator +1", "procedures.py",
+           "np.maximum(rejected.shape[0] - _count(null, axis=0), 1)",
+           "(np.maximum(rejected.shape[0] - _count(null, axis=0), 1) + 1)",
+           "tests/test_procedures.py::TestErrorReportMatchesReference"
+           "::test_flags_ids_and_tree_rejections"),
+    Mutant("local Holm too strict", "procedures.py",
+           "levels[par, None] / np.arange(k, 0, -1)",
+           "levels[par, None] / np.arange(k + 1, 1, -1)",
+           "tests/test_procedures.py::TestDescendLocal::test_holm_locals_step_down"),
+    Mutant("budget slack 1e-3", "trees.py",
+           "> levels + LEVEL_SUM_TOL",
+           "> levels + 1e-3",
+           "tests/test_trees.py::TestAllocationsMatchReference::test_budget_violations_equal"),
+    Mutant("weighted levels +1%", "trees.py",
+           "_split_levels(tree, alpha, w, tree.child_sums(w))",
+           "_split_levels(tree, alpha, w * 1.01, tree.child_sums(w))",
+           "tests/test_trees.py::TestAllocationsMatchReference::test_weighted_levels_bit_equal"),
+    Mutant("interval z scaled down", "localize.py",
+           "z = (prefix[ends] - prefix[starts]) / scales",
+           "z = (prefix[ends] - prefix[starts]) / scales * 0.99",
+           "tests/test_localize.py::TestIntervalPvalue::test_reference_shift"),
 ]
 
 # Mutants no test is known to kill, by name; each is a gap to close.

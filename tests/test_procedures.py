@@ -1,5 +1,6 @@
 """The tree descent, its local-family variant, and the flat baselines."""
 
+import dataclasses
 import math
 import random
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from treetest import (
+    ErrorReport,
     TestTree,
+    TreeRejections,
     benjamini_hochberg,
     bonferroni,
     build_complete_tree,
@@ -28,6 +31,7 @@ from helpers import (
     reference_bh,
     reference_descend,
     reference_descend_local,
+    reference_error_report,
     reference_holm,
 )
 
@@ -530,3 +534,38 @@ class TestErrorReport:
             rep = error_report(rng.random(n) < 0.4, rng.integers(0, 2, n))
             assert rep.fdp <= float(rep.any_false)
             assert rep.false_rejections / n <= float(rep.any_false)
+
+
+class TestErrorReportMatchesReference:
+    """``error_report`` counts through the simulator's ``_errors``; its
+    fields equal a plain ``count_nonzero`` reference, by value and by
+    Python type."""
+
+    @staticmethod
+    def check(rejected, truth):
+        got, want = error_report(rejected, truth), reference_error_report(rejected, truth)
+        fields = lambda rep: [(type(v), v) for v in dataclasses.astuple(rep)]
+        assert fields(got) == fields(want)
+        assert [type(v) for v in dataclasses.astuple(got)] == [int, int, float, bool, float]
+
+    def test_flags_ids_and_tree_rejections(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            flags, truth = rng.random(n) < rng.random(), (rng.random(n) < rng.random()).astype(int)
+            ids = frozenset(np.flatnonzero(flags).tolist())
+            for rejected in (flags, ids, set(ids), TreeRejections(ids, frozenset())):
+                self.check(rejected, truth)
+                self.check(rejected, truth.tolist())
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 5, 40_000])
+    def test_long_columns(self, n):
+        # from 2**15 on the counts are summed in int64: R = n would wrap in int16
+        rng = np.random.default_rng(n)
+        truth = rng.integers(0, 2, n)
+        for flags in (np.ones(n, dtype=bool), rng.random(n) < 0.7, np.zeros(n, dtype=bool)):
+            self.check(flags, truth)
+            self.check(flags, np.ones(n, dtype=int))  # all true: power 0
+            self.check(flags, np.zeros(n, dtype=int))
+        assert error_report(np.ones(n, dtype=bool), np.ones(n, dtype=int)) == ErrorReport(
+            false_rejections=n, rejections=n, fdp=1.0, any_false=True, power=0.0)

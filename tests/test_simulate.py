@@ -38,6 +38,7 @@ from treetest.trees import _subtree_sums
 
 from helpers import (
     children_from_parents,
+    descend_closed_forms,
     flat_closed_forms,
     gather_layer_trees,
     random_general_parents,
@@ -604,6 +605,23 @@ class TestCompare:
         bonferroni, bh = compare_procedures(cfg, ["bonferroni_flat", "bh_flat"])
         simulated = {"bonferroni_fwer": bonferroni.fwer_hat, "bonferroni_power": bonferroni.power_hat,
                      "bonferroni_pcer": bonferroni.pcer_hat, "bh_fdr": bh.fdr_hat}
+        for name, p in exact.items():
+            assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
+
+    @pytest.mark.parametrize("branching, truth, effect", [
+        ((2, 2, 2), (0,) * 7 + (1, 0, 1, 1, 0, 1, 0, 1), 2.0),
+        ((3, 2), (0, 0, 1, 0, 1, 1, 0, 1, 1, 1), 2.5),
+        ((2, 2), (0, 1, 0, 1, 1, 0, 1), 3.0),
+    ], ids=["binary-depth-three", "ternary-binary", "binary-depth-two"])
+    def test_descend_matches_closed_forms(self, branching, truth, effect):
+        # two-sided at 4 se against stage B's bottom-up recursion: with
+        # independent statistics the descent's FWER and power are exact
+        reps = 200_000
+        cfg = SimConfig(trees=(branching,), truth="explicit", truth_values=truth,
+                        effect=effect, replications=reps, seed=11)
+        exact = descend_closed_forms(branching, cfg.alpha, effect, truth)
+        (report,) = compare_procedures(cfg, ["descend"])
+        simulated = {"fwer": report.fwer_hat, "power": report.power_hat}
         for name, p in exact.items():
             assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
 
