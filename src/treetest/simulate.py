@@ -295,21 +295,22 @@ class SimReport:
 class _Instance:
     """Precomputed immutable state shared by all replication blocks.
 
-    Block layout: the statistics of a block are drawn row-major, one row per
-    replication, and transposed once to vertex-major ``(n_vertices, rows)``,
-    as is drawn truth; fixed truth is one vertex-major column for every
-    replication.  The sorted leaf scores are rank-major, ``(n_leaves, rows)``.
-    These arrays (the draw, the scores, drawn truth in both layouts and the
-    sorted leaf scores) are views of one worker's ``scratch``, which that
+    Block layout: every per-vertex array of a block is vertex-major,
+    ``(n_vertices, rows)``.  Only the draw, one row per replication in the
+    stream's order, and the leaf sort are row-major: independent statistics
+    and drawn truth are transposed once from the draw, and under nested
+    means ``_nested`` folds the leaf draw and drawn leaf truth straight into
+    their vertex-major rows.  Fixed truth is one vertex-major column for
+    every replication; the sorted leaf scores are rank-major, ``(n_leaves,
+    rows)``.  These arrays are views of one worker's ``scratch``, which that
     worker holds for the whole call and refills for every block it draws.
     The procedures are the kernels the public functions wrap, run on one
     tree's rows ``scores[off : off + n]`` at a time; ``scope[procedure]``
     holds the vertex ids of the rows a procedure returns, its hypotheses.
     ``leaves`` holds the leaf ids as a slice when they are contiguous (every
-    single tree), else as ``leaf_ids``.  Leaf counts, nested-means statistics
-    (from zeros, by ``np.add``) and nested truth (internal vertices from
-    True, by ``np.logical_and``) are ``trees._fold_up`` on each tree's
-    columns.
+    single tree), else as ``leaf_ids``.  Leaf counts (``np.add`` on ones),
+    nested-means statistics (``np.add``) and nested truth
+    (``np.logical_and``) are ``_nested`` folds.
 
     Scores and cuts: every kernel rejects where ``score <= cut``.  One
     ``_score_cuts`` call cuts every distinct threshold, and each table looks
@@ -349,9 +350,8 @@ class _Instance:
         self.leaves: Index = (
             slice(first, last + 1) if last - first + 1 == self.n_leaves else self.leaf_ids
         )
-        leaf_counts = np.zeros((1, self.n_vertices), dtype=np.int64)
-        leaf_counts[:, self.leaf_ids] = 1
-        self.leaf_counts = self._bottom_up(leaf_counts, np.add)[0]
+        counts = np.empty((self.n_vertices, 1), dtype=np.int64)
+        self.leaf_counts = self._nested(np.ones((1, self.n_leaves), np.int64), counts, np.add)[:, 0]
 
         all_ids = np.arange(self.n_vertices)
         self.scope = {
@@ -366,7 +366,8 @@ class _Instance:
         if config.truth != "random":
             self.fixed_truth = np.array(config.truth_values or (1,) * self.n_vertices, dtype=bool)
             if config.dependence == "nested_means":
-                self._nested_truth(self.fixed_truth[None, self.leaf_ids], self.fixed_truth[None])
+                leaf_truth = self.fixed_truth[None, self.leaf_ids]
+                self._nested(leaf_truth, self.fixed_truth[:, None], np.logical_and)
         self.all_null = {p: self.fixed_truth is not None and bool(self.fixed_truth[ids].all())
                          for p, ids in self.scope.items()}
 
@@ -388,20 +389,19 @@ class _Instance:
         self.holm_cuts, self.bh_cuts = map(lookup, flat)
         self.bonferroni_cut = lookup(alpha / m)
 
-    def _bottom_up(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-        """``trees._fold_up`` on each tree's columns of ``values``
-        (``(rows, n_vertices)``, in place)."""
-        for tree, off in zip(self.trees, self.offsets):
-            _fold_up(tree, values[:, off : off + tree.n_vertices].T, ufunc)
-        return values
-
-    def _nested_truth(self, leaf_truth: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Truth rows ``(rows, n_vertices)`` from leaf truth ``(rows, n_leaves)``,
-        written into ``out``: an internal vertex is a true null iff every
-        descendant leaf is."""
-        out.fill(True)
-        out[:, self.leaves] = leaf_truth
-        return self._bottom_up(out, np.logical_and)
+    def _nested(self, leaf_rows: np.ndarray, out: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """``ufunc`` folded up from the leaves into the vertex-major ``out``
+        (``(n_vertices, rows)``): the row-major ``leaf_rows`` (``(rows,
+        n_leaves)``) fill each tree's leaf rows, its last (a complete tree's
+        bottom layer), every internal row starts at ``ufunc.identity``, and
+        ``trees._fold_up`` runs on each tree's rows."""
+        parts = np.split(leaf_rows, np.searchsorted(self.leaf_ids, self.offsets[1:-1]), axis=1)
+        for tree, off, leaves in zip(self.trees, self.offsets, parts):
+            rows, inner = out[off : off + tree.n_vertices], tree.layers[-1].start
+            rows[:inner] = ufunc.identity
+            _transposed(leaves, rows[inner:])
+            _fold_up(tree, rows, ufunc)
+        return out
 
     def scratch(self, rows: int) -> dict[str, np.ndarray]:
         """Flat buffers for ``draw_block`` on blocks of up to ``rows`` replications.
@@ -415,11 +415,12 @@ class _Instance:
         """
         cells, leaf_cells = rows * self.n_vertices, rows * self.n_leaves
         floats = np.split(np.empty(2 * (cells + leaf_cells)), np.cumsum([cells, cells, leaf_cells]))
-        flags = np.split(np.empty(3 * cells, dtype=bool), 3)
-        # z: the row-major draw, whose leaf scores are then sorted in place;
-        # y: nested means' leaf draw, then a forest's gathered leaf scores;
-        # sorted: rank-major; alt: the drawn true nulls, then the false nulls
-        names = ("z", "scores", "y", "sorted", "truth", "truth_t", "alt")
+        flags = np.split(np.empty(2 * cells, dtype=bool), 2)
+        # z: the independent draw, row-major, whose leaf scores are then sorted
+        # in place; y: nested means' leaf draw, sorted in place likewise, or a
+        # forest's gathered leaf scores; sorted: rank-major; truth: vertex-major;
+        # alt: the drawn true nulls, row-major, then the false nulls
+        names = ("z", "scores", "y", "sorted", "truth", "alt")
         return dict(zip(names, floats + flags))
 
     # -- per-block work ---------------------------------------------------
@@ -440,7 +441,8 @@ class _Instance:
         flat Holm and BH share; otherwise it is ``None``.  The stream for
         block ``b`` is ``default_rng([seed, b])`` and the draw order inside a
         block is fixed (truth first when random, then the Gaussian data, both
-        drawn row-major), so results do not depend on scheduling.
+        drawn row-major, of the leaves alone under nested means), so results
+        do not depend on scheduling.
 
         Scores, drawn truth and sorted scores are views of ``scratch`` (from
         ``self.scratch``), valid until the next block drawn into it.
@@ -449,6 +451,13 @@ class _Instance:
 
         def buf(name: str, *shape: int) -> np.ndarray:
             return scratch[name][: math.prod(shape)].reshape(shape)
+
+        def score(z: np.ndarray) -> np.ndarray:  # -|z|, or its p-value, in place
+            np.abs(z, out=z)
+            np.negative(z, out=z)
+            if self.pvalue_score:
+                _pvalues_of_scores(z)
+            return z
 
         rng = np.random.default_rng([cfg.seed, block])
         nested = cfg.dependence == "nested_means"
@@ -460,33 +469,25 @@ class _Instance:
         else:
             rng.random(out=draw)
             alt = np.less(draw, cfg.truth_density, out=buf("alt", *draw.shape))
-            drawn = self._nested_truth(alt, buf("truth", rows, self.n_vertices)) if nested else alt
-            truth = _transposed(drawn, buf("truth_t", self.n_vertices, rows))
+            truth = buf("truth", self.n_vertices, rows)
+            truth = self._nested(alt, truth, np.logical_and) if nested else _transposed(alt, truth)
             np.logical_not(alt, out=alt)
 
         rng.standard_normal(out=draw)
         if cfg.effect:
             np.add(draw, cfg.effect, out=draw, where=alt)
+        scores = buf("scores", self.n_vertices, rows)
         if nested:
-            z = buf("z", rows, self.n_vertices)
-            z.fill(0.0)
-            z[:, self.leaves] = draw
-            self._bottom_up(z, np.add)
-            z /= np.sqrt(self.leaf_counts)
+            self._nested(draw, scores, np.add)
+            score(np.divide(scores, np.sqrt(self.leaf_counts)[:, None], out=scores))
         else:
-            z = draw
-
-        np.abs(z, out=z)
-        np.negative(z, out=z)
-        if self.pvalue_score:
-            _pvalues_of_scores(z)
-        scores = _transposed(z, buf("scores", self.n_vertices, rows))
+            _transposed(score(draw), scores)
         sorted_leaves = None
-        if sort_leaves:  # z and y are spent: sort the leaf scores in place, row by row
-            if isinstance(self.leaves, slice):
-                leaf = z[:, self.leaves]
+        if sort_leaves:  # the leaf scores, sorted in place row by row
+            if nested or isinstance(self.leaves, slice):  # a nested draw holds the leaves alone
+                leaf = score(draw) if nested else draw[:, self.leaves]
             else:  # a forest's leaves, gathered into y; "clip" keeps take from buffering
-                leaf = np.take(z, self.leaf_ids, axis=1, out=buf("y", rows, self.n_leaves),
+                leaf = np.take(draw, self.leaf_ids, axis=1, out=buf("y", rows, self.n_leaves),
                                mode="clip")
             leaf.sort(axis=1)
             sorted_leaves = _transposed(leaf, buf("sorted", self.n_leaves, rows))
@@ -565,22 +566,19 @@ def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bytes per (replication, vertex) cell of the scratch every worker holds for
-# the whole call: the row-major float64 draw and the vertex-major float64
-# scores.  The leaf and truth buffers come on top where a run uses them.
-_BLOCK_CELL_BYTES = 16
-
-
 def _check_block_memory(config: SimConfig, workers: int) -> None:
     """Refuse a run whose per-worker scratch cannot fit in physical memory.
 
     Works from the branchings alone, before any tree is built or any scratch
-    allocated.  The estimate counts only the two matrices every scratch
-    fills, so a run it refuses could not have run.
+    allocated.  The estimate counts only the two float64 matrices every
+    scratch fills, the vertex-major scores and the row-major draw (of every
+    vertex, or of the leaves alone under nested means), so a run it refuses
+    could not have run.
     """
     n_vertices = sum(_vertex_count(b) for b in config.trees)
+    drawn = sum(map(math.prod, config.trees)) if config.dependence == "nested_means" else n_vertices
     rows = min(config.block_size, config.replications)
-    need = _BLOCK_CELL_BYTES * rows * n_vertices * workers
+    need = 8 * rows * (n_vertices + drawn) * workers
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against

@@ -5,6 +5,7 @@ paths; that independence is the point.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -111,6 +112,65 @@ def descend_closed_forms(branching, alpha: float, effect: float, truth) -> dict:
     false = [v for v in range(len(parents)) if not truth[v]]
     power = sum(tested[v] * pi[v] for v in false) / max(len(false), 1)
     return {"fwer": 1 - N[0], "power": power}
+
+
+def nested_descend_closed_forms(branching, alpha: float, effect: float, truth=None,
+                                density=None, h: float = 0.02) -> float:
+    """Exact FWER of ``descend`` on the complete tree ``branching`` under
+    nested means, by a convolution fold on a grid of step ``h``.
+
+    Leaf data are independent N(0, 1), shifted by ``effect`` at a false
+    null; vertex ``v`` tests ``S_v / sqrt(L_v)``, ``S_v`` the sum of the data
+    of its ``L_v`` leaves, at level ``alpha`` split evenly among siblings,
+    and is a true null iff every leaf below it is.  Leaf ``l`` is a true
+    null with probability ``d_l``: ``truth[l]`` (0/1 per leaf, left to
+    right) when given, else ``density`` (1 when not given: the global null).
+
+    Every distribution is a vector of cell masses at the multiples ``k*h``,
+    so a sum of two grid points is a grid point and a sum of independent
+    statistics is ``np.convolve``; ``keep_v`` is the share of each cell
+    inside ``|s| < c_v * sqrt(L_v)``, the acceptance region of ``v``.  Let
+    ``g_v`` be the mass of ``S_v`` times P(no false rejection below ``v`` |
+    ``S_v``, ``v`` tested): ``f*keep`` at a true null, ``f`` at a false
+    leaf and ``f*keep + (1 - keep) * (g_c1 * ... * g_cb)`` at a false
+    internal vertex.  Over the leaf truth, ``A_v = E[g_v; all true below
+    v] = P(all true) * phi_v * keep_v`` (``phi_v`` the all-null mass) and
+    ``B_v = E[g_v; not all true] = keep_v * (F_v - P(all true) * phi_v) +
+    (1 - keep_v) * (*(A_c + B_c) - *A_c)``, ``F_v`` the mixture mass; FWER
+    is ``1 - sum(A_root + B_root)``.  Fixed truth is the case ``d_l`` in
+    {0, 1}."""
+    normal = statistics.NormalDist()
+    m = math.prod(branching)
+    d = [1.0 if density is None else density] * m if truth is None else list(truth)
+    half = math.ceil((effect + 12.0) / h)  # leaf cells k*h for |k| <= half
+    cdf = np.vectorize(normal.cdf)
+    conv = lambda arrays: functools.reduce(np.convolve, arrays)  # the mass of a sum
+    edges = (np.arange(-half, half + 2) - 0.5) * h
+    null, alt = np.diff(cdf(edges)), np.diff(cdf(edges - effect))
+
+    def keep(depth: int, size: int) -> np.ndarray:
+        cut = normal.inv_cdf(1 - alpha / math.prod(branching[:depth]) / 2)
+        bound = cut * math.sqrt(math.prod(branching[depth:]))
+        s = (np.arange(size) - size // 2) * h  # every grid is symmetric about 0
+        return np.clip((np.minimum(bound, s + h / 2) - np.maximum(-bound, s - h / 2)) / h, 0, 1)
+
+    def fold(depth: int, first: int):
+        """``(P(all true), phi, F, A, B)`` of the vertex at ``depth`` whose
+        leaves start at leaf ``first``."""
+        if depth == len(branching):
+            p = d[first]
+            mixed = p * null + (1 - p) * alt
+            return p, null, mixed, p * null * keep(depth, null.size), (1 - p) * alt
+        width = math.prod(branching[depth + 1 :])
+        kids = [fold(depth + 1, first + i * width) for i in range(branching[depth])]
+        p = math.prod(k[0] for k in kids)
+        phi, F = conv([k[1] for k in kids]), conv([k[2] for k in kids])
+        kv = keep(depth, phi.size)
+        nested = conv([a + b for *_, a, b in kids]) - conv([a for *_, a, _ in kids])
+        return p, phi, F, p * phi * kv, kv * (F - p * phi) + (1 - kv) * nested
+
+    _, _, _, A, B = fold(0, 0)
+    return 1.0 - float(np.sum(A + B))
 
 
 def reference_error_report(rejected, truth) -> ErrorReport:

@@ -98,9 +98,17 @@ MUTANTS = [
            "np.maximum(last - 1, 0)",
            "tests/test_simulate.py::TestScoreCuts::test_every_cut_is_the_last_float_that_passes"),
     Mutant("nested truth by OR", "simulate.py",
-           "self._bottom_up(out, np.logical_and)",
-           "self._bottom_up(out, np.logical_or)",
+           "self._nested(alt, truth, np.logical_and)",
+           "self._nested(alt, truth, np.logical_or)",
            "tests/test_simulate.py::TestVectorizedKernels::test_nested_truth_derived_from_leaves"),
+    Mutant("_nested skips the identity fill", "simulate.py",
+           "            rows[:inner] = ufunc.identity\n",
+           "",
+           "tests/test_simulate.py::TestScratch::test_nested_block_ignores_what_the_scratch_held"),
+    Mutant("nested sums normalized by L", "simulate.py",
+           "np.sqrt(self.leaf_counts)",
+           "self.leaf_counts",
+           "tests/test_simulate.py::TestCompare::test_nested_descend_matches_closed_forms"),
     Mutant("BH step-down in the simulator", "simulate.py",
            "_sorted_cut(sorted_leaves, self.bh_cuts, step_up=True)",
            "_sorted_cut(sorted_leaves, self.bh_cuts)",

@@ -41,6 +41,7 @@ from helpers import (
     descend_closed_forms,
     flat_closed_forms,
     gather_layer_trees,
+    nested_descend_closed_forms,
     random_general_parents,
     reference_attainable_sums,
     reference_bh,
@@ -505,6 +506,20 @@ class TestCompare:
         one_block = SimConfig(trees=((2, 2),), replications=100, block_size=1000)
         assert compare_procedures(one_block, ["descend"], threads=3)[0].replications == 100
 
+    def test_block_memory_bound_counts_the_nested_leaf_draw(self, monkeypatch):
+        # nested means draw the leaves alone: 8 bytes per vertex cell for the
+        # scores and 8 per leaf cell for the draw, 8 * 100 * (7 + 4) bytes
+        # here, against 16 * 100 * 7 for the independent draw of every vertex
+        nested = SimConfig(trees=((2, 2),), dependence="nested_means", replications=100)
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 100 * (7 + 4)}
+        monkeypatch.setattr(sim_module.os, "sysconf", memory.get)
+        assert compare_procedures(nested, ["descend"])[0].replications == 100
+        with pytest.raises(ValueError, match="1 block"):
+            compare_procedures(dataclasses.replace(nested, dependence="independent"), ["descend"])
+        memory["SC_PHYS_PAGES"] -= 1  # one byte short
+        with pytest.raises(ValueError, match="1 block"):
+            compare_procedures(nested, ["descend"])
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_does_not_grow_with_block_count(self, threads):
         # each block's counts hold an n_vertices array per procedure; kept
@@ -624,6 +639,32 @@ class TestCompare:
         simulated = {"fwer": report.fwer_hat, "power": report.power_hat}
         for name, p in exact.items():
             assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
+
+    @pytest.mark.parametrize("branching, alpha, effect, setting", [
+        ((2, 3), 0.05, 1.5, {"truth": "random", "truth_density": 0.6}),
+        ((2, 2, 2), 0.05, 1.0, EXPLICIT),
+        ((3, 2), 0.1, 2.0, {"truth": "explicit", "truth_values": (0,) * 4 + (1, 0, 1, 1, 0, 0)}),
+        ((2, 2, 2), 0.05, 1.0, {"truth": "random", "truth_density": 0.5}),
+    ], ids=["digest-config", "binary-depth-three", "ternary-binary", "binary-random"])
+    def test_nested_descend_matches_closed_forms(self, branching, alpha, effect, setting):
+        # two-sided at 4 se against stage C's convolution fold: under nested
+        # means a vertex tests the normalized sum of its leaves' data, and
+        # internal truth is derived from the leaves' (explicit internal values are not read)
+        reps, m = 200_000, math.prod(branching)
+        cfg = SimConfig(trees=(branching,), alpha=alpha, effect=effect, dependence="nested_means",
+                        replications=reps, seed=11, **setting)
+        leaf_truth = cfg.truth_values[-m:] if cfg.truth_values else None
+        p = nested_descend_closed_forms(branching, alpha, effect, leaf_truth, cfg.truth_density)
+        (report,) = compare_procedures(cfg, ["descend"])
+        assert abs(report.fwer_hat - p) <= 4 * math.sqrt(p * (1 - p) / reps)
+
+    def test_nested_oracle_error_is_its_grid_step(self):
+        # the grid's only error is its step: under the global null the descent
+        # errs iff the root rejects, at alpha exactly, and halving h moves little
+        assert nested_descend_closed_forms((2, 2), 0.05, 0.0) == pytest.approx(0.05, abs=1e-5)
+        coarse = nested_descend_closed_forms((2, 3), 0.05, 1.5, density=0.6)
+        assert nested_descend_closed_forms((2, 3), 0.05, 1.5, density=0.6, h=0.01) == (
+            pytest.approx(coarse, abs=5e-6))
 
 
 def step_ulps(x, k):
@@ -745,9 +786,9 @@ class TestLayeredAggregates:
         rng = np.random.default_rng(len(trees))
         truth = rng.random((50, inst.n_vertices)) < 0.8
         want = reference_internal_truth(self.forest_parents(trees), truth)
-        out = np.empty(truth.shape, dtype=bool)
-        assert inst._nested_truth(truth[:, inst.leaf_ids], out) is out
-        assert np.array_equal(out, want)
+        out = np.empty(truth.T.shape, dtype=bool)
+        assert inst._nested(truth[:, inst.leaf_ids], out, np.logical_and) is out
+        assert np.array_equal(out.T, want)
 
 
 class TestVectorizedKernels:
@@ -1274,6 +1315,35 @@ class TestScratch:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("trees", [((2,), (3, 2)), ((2,) * 8,)])
+    def test_nested_block_allocates_no_block_array(self, trees):
+        # the fold through a transposed row-major view once copied every
+        # family group, and the truth fold likewise: 195.3 KiB on both trees
+        cfg = SimConfig(trees=trees, truth="random", dependence="nested_means", effect=1.0)
+        inst = _Instance(cfg)
+        scratch = inst.scratch(8192)
+        inst.draw_block(0, 8192, True, scratch)
+        tracemalloc.start()
+        try:
+            inst.draw_block(1, 8192, True, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("cfg", CONFIGS[2:], ids=["random-forest", "explicit"])
+    def test_nested_block_ignores_what_the_scratch_held(self, cfg):
+        # a reused scratch holds the last block: every internal row of the
+        # folds must start from the fold's identity, not from what was there
+        inst, drawn = _Instance(cfg), []
+        for stale in (0, 1):  # every float cell 0.0 or 1.0, every flag False or True
+            scratch = inst.scratch(128)
+            for section in scratch.values():
+                section.fill(stale)
+            drawn.append([a.copy() for a in inst.draw_block(0, 128, True, scratch)])
+        for a, b in zip(*drawn):
+            assert np.array_equal(a, b)
 
     def test_leaves_are_a_slice_when_contiguous(self):
         assert _Instance(self.CONFIGS[0]).leaves == slice(7, 15)

@@ -93,6 +93,7 @@ def test_block_draw_fills_the_scratch():
     allocators |= {f"{name}_like" for name in allocators}
     assert called(draw) & allocators == set()
     assert called(definition("simulate.py", "_transposed")) & allocators == set()
+    assert called(definition("simulate.py", "_Instance", "_nested")) & allocators == set()
     assert "empty" in called(definition("simulate.py", "_Instance", "scratch"))
 
 
