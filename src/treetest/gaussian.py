@@ -11,7 +11,8 @@ Scores and cuts: a p-value rule ``two_sided_pvalue(z) <= t`` can be decided
 on the score ``-|z|`` instead, as ``-|z| <= c`` for the cut ``c`` of ``t``,
 the largest float64 with ``2*ndtr(c) <= t``.  That is exact only where
 float64 ``ndtr`` steps cleanly across ``c``, so ``_score_cuts`` checks each
-cut over +-16 ulps around it and gives NaN where the check fails.
+cut over +-16 ulps around it and gives NaN where the check fails.  Every
+score or p-value written in place, by any module, is written by ``_scores``.
 
 scipy loads at the first kernel call, not at import, so ``import treetest``
 and the commands that compute no p-value start without it.
@@ -74,11 +75,14 @@ def two_sided_pvalue(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _pvalues_of_scores(s: np.ndarray) -> None:
-    """``2*ndtr(s)`` written over the scores ``s = -|z|``, allocating nothing:
-    ``two_sided_pvalue`` for a block that is already scores."""
-    _special().ndtr(s, out=s)
-    s *= 2.0
+def _scores(z: np.ndarray, pvalues: bool) -> np.ndarray:
+    """``-|z|`` written over the float64 ``z``, or with ``pvalues`` its p-value
+    ``2*ndtr(-|z|)`` (``two_sided_pvalue`` in place), allocating nothing."""
+    np.negative(np.abs(z, out=z), out=z)
+    if pvalues:
+        _special().ndtr(z, out=z)
+        z *= 2.0
+    return z
 
 
 def critical_z(level):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import _check_sigma, two_sided_pvalue
+from .gaussian import _check_sigma, _scores
 from .trees import (TestTree, _descent, _number, _numeric, _tested, build_complete_tree,
                     uniform_levels)
 
@@ -164,7 +164,7 @@ def interval_pvalues(trials: TrialMatrix, itree: IntervalTree) -> np.ndarray:
         raise ValueError("trial sums overflow float64")
     if not np.isfinite(scales[0]) and np.isnan(z).any():  # the root's scale is the largest
         raise ValueError("an interval's total and its sigma * sqrt(R*w) both overflow float64")
-    return two_sided_pvalue(z)
+    return _scores(z, True)
 
 
 @dataclass(frozen=True)

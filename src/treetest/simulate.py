@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .gaussian import _pvalues_of_scores, _score_cuts
+from .gaussian import _score_cuts, _scores
 from .procedures import _count, _errors, _local_descent, _local_thresholds, _sorted_cut
 from .trees import (
     LEVEL_SUM_TOL,
@@ -191,6 +191,8 @@ class SimConfig:
         top = {key for _, section, _, key, _ in _FIELDS if section is None}
         if unknown := set(doc) - top - {"tree", "forest", "allocation", "truth"}:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        if "tree" in doc and "forest" in doc:
+            raise ValueError("give either 'tree' or 'forest', not both")
         # a section of the wrong JSON type surfaces as a TypeError
         try:
             allocation, alloc = _section(doc, "allocation", "uniform")
@@ -327,7 +329,8 @@ class _Instance:
     Family tables increase with rank along their last axis.  Scores are
     ``-|z|`` and cuts come from ``_score_cuts``, unless one cut that the
     run's ``procedures`` read fails its clean-step check; then ``pvalue_score``
-    is set, scores are the p-values ``2*ndtr(-|z|)`` and each cut is its threshold.
+    is set, scores are the p-values ``2*ndtr(-|z|)`` and each cut is its
+    threshold.  ``gaussian._scores`` writes either kind over the draw.
     """
 
     def __init__(self, config: SimConfig, procedures: Sequence[str] = PROCEDURES):
@@ -446,18 +449,12 @@ class _Instance:
 
         Scores, drawn truth and sorted scores are views of ``scratch`` (from
         ``self.scratch``), valid until the next block drawn into it.
+        ``gaussian._scores`` writes the scores over the draw or nested sums.
         """
-        cfg = self.config
+        cfg, pvalues = self.config, self.pvalue_score
 
         def buf(name: str, *shape: int) -> np.ndarray:
             return scratch[name][: math.prod(shape)].reshape(shape)
-
-        def score(z: np.ndarray) -> np.ndarray:  # -|z|, or its p-value, in place
-            np.abs(z, out=z)
-            np.negative(z, out=z)
-            if self.pvalue_score:
-                _pvalues_of_scores(z)
-            return z
 
         rng = np.random.default_rng([cfg.seed, block])
         nested = cfg.dependence == "nested_means"
@@ -479,13 +476,13 @@ class _Instance:
         scores = buf("scores", self.n_vertices, rows)
         if nested:
             self._nested(draw, scores, np.add)
-            score(np.divide(scores, np.sqrt(self.leaf_counts)[:, None], out=scores))
+            _scores(np.divide(scores, np.sqrt(self.leaf_counts)[:, None], out=scores), pvalues)
         else:
-            _transposed(score(draw), scores)
+            _transposed(_scores(draw, pvalues), scores)
         sorted_leaves = None
         if sort_leaves:  # the leaf scores, sorted in place row by row
             if nested or isinstance(self.leaves, slice):  # a nested draw holds the leaves alone
-                leaf = score(draw) if nested else draw[:, self.leaves]
+                leaf = _scores(draw, pvalues) if nested else draw[:, self.leaves]
             else:  # a forest's leaves, gathered into y; "clip" keeps take from buffering
                 leaf = np.take(draw, self.leaf_ids, axis=1, out=buf("y", rows, self.n_leaves),
                                mode="clip")
@@ -595,8 +592,9 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blocks(n: int, size: int) -> list[tuple[int, int]]:
-    return [(b, min(size, n - b * size)) for b in range((n + size - 1) // size)]
+# Blocks handed to the pool at a time: ``Executor.map`` submits all it is given
+# up front, a future of ≈2 KB per block, so bookkeeping would grow with blocks.
+_BLOCKS_AT_ONCE = 1024
 
 
 def compare_procedures(
@@ -621,18 +619,19 @@ def compare_procedures(
             raise ValueError(f"unknown procedure {p!r}; choose from {PROCEDURES}")
     if (threads := _number(threads, "threads", True)) < 1:
         raise ValueError("threads must be at least 1")
-    workers = min(threads, -(-config.replications // config.block_size), _available_cpus())
+    n, size = config.replications, config.block_size
+    blocks = range(-(-n // size))
+    workers = min(threads, len(blocks), _available_cpus())
     _check_block_memory(config, workers)
     inst = _Instance(config, procedures)
     started = time.perf_counter()
     sort_leaves = "holm_flat" in procedures or "bh_flat" in procedures
-    blocks = _blocks(config.replications, config.block_size)
     local = threading.local()  # each thread's scratch, made on its first block
 
-    def run_block(args: tuple[int, int]) -> list[dict]:
-        block, rows = args
+    def run_block(block: int) -> list[dict]:
         if not hasattr(local, "scratch"):
-            local.scratch = inst.scratch(blocks[0][1])
+            local.scratch = inst.scratch(min(size, n))
+        rows = min(size, n - block * size)
         scores, truth, sorted_leaves = inst.draw_block(block, rows, sort_leaves, local.scratch)
         return [
             inst.accumulate(proc, inst.run_procedure(proc, scores, sorted_leaves), truth)
@@ -642,8 +641,11 @@ def compare_procedures(
     # from 0, added in block order: the bits of the builtin ``sum`` over blocks
     totals: list[dict] = [{} for _ in procedures]
     with ThreadPoolExecutor(workers) as pool:  # starts no thread until ``pool.map``
-        for partial in (pool.map if workers > 1 else map)(run_block, blocks):
-            totals = [{k: t.get(k, 0) + v for k, v in p.items()} for t, p in zip(totals, partial)]
+        for lo in range(0, len(blocks), _BLOCKS_AT_ONCE):
+            chunk = blocks[lo : lo + _BLOCKS_AT_ONCE]
+            for partial in (pool.map if workers > 1 else map)(run_block, chunk):
+                totals = [{k: t.get(k, 0) + v for k, v in p.items()}
+                          for t, p in zip(totals, partial)]
 
     elapsed = time.perf_counter() - started
     reports = []

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gaussian import _check_sigma, _pvalues_of_scores, critical_z, std_normal_quantile
+from .gaussian import _check_sigma, _scores, critical_z, std_normal_quantile
 from .trees import _level, _number, _numeric
 
 __all__ = [
@@ -200,8 +200,7 @@ def _kept(c: np.ndarray, n: int, J: int, alpha: float, sigma: float) -> list[np.
         for j in range(1, J + 1):
             if j > 1:
                 f = ((f + f % n)[:, None] + (0, 1)).ravel()
-            p = c[f] / sigma  # two_sided_pvalue in place
-            _pvalues_of_scores(np.negative(np.abs(p, out=p), out=p))
+            p = _scores(c[f] / sigma, True)  # two_sided_pvalue in place
             if not (f := f[p <= alpha / (1 << j)]).size:  # ties reject
                 break  # nothing kept, so no deeper level is tested
             kept.append(f)

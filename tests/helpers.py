@@ -72,46 +72,58 @@ def flat_closed_forms(m: int, alpha: float, effect: float, m0=None, density=None
             "bonferroni_pcer": true_share * alpha / m, "bh_fdr": true_share * alpha}
 
 
-def descend_closed_forms(branching, alpha: float, effect: float, truth) -> dict:
-    """Exact FWER and power of ``descend`` on the complete tree ``branching``
-    (breadth-first ids, level ``alpha`` split evenly among siblings) with
-    independent two-sided tests, fixed ``truth`` (1 = true null) and false
-    nulls shifted by ``effect``.
+def descend_closed_forms(trees, alpha: float, effect: float, truth=None, density=None) -> dict:
+    """Exact FWER, power and per-vertex rejection frequencies of ``descend``
+    on the forest of complete trees ``trees`` (one branching list each; ids
+    breadth-first, tree after tree; each root at ``alpha / len(trees)`` and
+    each level split evenly among siblings) with independent two-sided tests
+    and false nulls shifted by ``effect``.  Vertex ``v`` is a true null with
+    chance ``t_v``: ``truth[v]`` (1 = true null, fixed) when given, else
+    ``density`` (random truth, redrawn every replication).
 
     Bottom-up, ``N(v)`` is the chance of no false rejection in the subtree
-    of a tested ``v``: ``1 - a_v`` at a true null, 1 at a false leaf (its
-    rejection is no error), and ``(1 - pi_v) + pi_v * prod N(c)`` at a false
-    internal vertex, with ``pi_v = Phi(-c_v - effect) + Phi(-c_v + effect)``
-    its rejection chance at cut ``c_v``; FWER is ``1 - N(root)``.  A vertex
-    is tested with the product of its ancestors' rejection chances (``a_u``
-    at a true null, ``pi_u`` at a false one), and power is the mean of
-    ``P(tested) * pi_v`` over the false nulls (0 when there are none)."""
+    of a tested ``v``: ``t_v (1 - a_v) + (1 - t_v) F_v``, where ``F_v`` is 1
+    at a leaf (a false leaf's rejection is no error) and ``(1 - pi_v) + pi_v
+    * prod N(c)`` at an internal vertex, with ``pi_v = Phi(-c_v - effect) +
+    Phi(-c_v + effect)`` its rejection chance at cut ``c_v`` when false;
+    truth and data are independent across vertices, so the children's
+    chances multiply.  FWER is ``1 - prod_roots N(root)``.  ``v`` rejects
+    with ``h_v = t_v a_v + (1 - t_v) pi_v``, so its rejection frequency is
+    ``h_v`` times the product of ``h_u`` over its ancestors ``u``.  Power,
+    under fixed truth only (else None), is the mean frequency over the false
+    nulls (0 when there are none)."""
     normal = statistics.NormalDist()
-    widths = [1]
-    for b in branching:
-        widths.append(widths[-1] * b)
-    starts = [sum(widths[:d]) for d in range(len(widths))]
-    parents, depth = [-1], [0]
-    for d, b in enumerate(branching):
-        parents += [starts[d] + i // b for i in range(widths[d + 1])]
-        depth += [d + 1] * widths[d + 1]
+    parents, a = [], []
+    for branching in trees:
+        widths = [1]
+        for b in branching:
+            widths.append(widths[-1] * b)
+        first = len(parents)
+        starts = [first + sum(widths[:d]) for d in range(len(widths))]
+        parents.append(-1)
+        for d, b in enumerate(branching):
+            parents += [starts[d] + i // b for i in range(widths[d + 1])]
+        a += [alpha / len(trees) / math.prod(branching[:d]) for d in range(len(widths))
+              for _ in range(widths[d])]
     kids = children_from_parents(parents)
-    a = [alpha / math.prod(branching[:d]) for d in depth]
+    t = [float(v) for v in truth] if truth is not None else [density] * len(parents)
     c = [normal.inv_cdf(1 - level / 2) for level in a]
     pi = [normal.cdf(-cut - effect) + normal.cdf(-cut + effect) for cut in c]
-    hit = [a[v] if truth[v] else pi[v] for v in range(len(parents))]
     N = [0.0] * len(parents)
     for v in reversed(range(len(parents))):
-        if truth[v]:
-            N[v] = 1 - a[v]
-        else:
-            N[v] = 1 - pi[v] + pi[v] * math.prod(N[k] for k in kids[v])
-    tested = [1.0] * len(parents)
-    for v in range(1, len(parents)):
-        tested[v] = tested[parents[v]] * hit[parents[v]]
-    false = [v for v in range(len(parents)) if not truth[v]]
-    power = sum(tested[v] * pi[v] for v in false) / max(len(false), 1)
-    return {"fwer": 1 - N[0], "power": power}
+        F = 1 - pi[v] + pi[v] * math.prod(N[k] for k in kids[v])  # 1 at a leaf
+        N[v] = t[v] * (1 - a[v]) + (1 - t[v]) * F
+    frequencies = np.array([t[v] * a[v] + (1 - t[v]) * pi[v] for v in range(len(parents))])
+    for v in range(len(parents)):  # parents come before their children
+        if parents[v] >= 0:
+            frequencies[v] *= frequencies[parents[v]]
+    power = None
+    if truth is not None:
+        false = [v for v in range(len(parents)) if not truth[v]]
+        power = sum(frequencies[false]) / max(len(false), 1)
+    roots = [v for v in range(len(parents)) if parents[v] < 0]
+    return {"fwer": 1 - math.prod(N[r] for r in roots), "power": power,
+            "frequencies": frequencies}
 
 
 def nested_descend_closed_forms(branching, alpha: float, effect: float, truth=None,

@@ -152,6 +152,19 @@ MUTANTS = [
            "z = (prefix[ends] - prefix[starts]) / scales",
            "z = (prefix[ends] - prefix[starts]) / scales * 0.99",
            "tests/test_localize.py::TestIntervalPvalue::test_reference_shift"),
+    Mutant("p-value kernel without its factor 2", "gaussian.py",
+           "z *= 2.0",
+           "z *= 1.0",
+           "tests/test_localize.py::TestIntervalPvalue::test_reference_shift"),
+    Mutant("pool gets every block at once", "simulate.py",
+           "_BLOCKS_AT_ONCE = 1024",
+           "_BLOCKS_AT_ONCE = 1 << 30",
+           "tests/test_simulate.py::TestCompare::test_bookkeeping_does_not_grow_with_block_count"),
+    Mutant("chunk of blocks one short", "simulate.py",
+           "blocks[lo : lo + _BLOCKS_AT_ONCE]",
+           "blocks[lo : lo + _BLOCKS_AT_ONCE - 1]",
+           "tests/test_simulate.py::TestCompare"
+           "::test_blocks_handed_over_in_chunks_sum_like_one_run"),
 ]
 
 # Mutants no test is known to kill, by name; each is a gap to close.

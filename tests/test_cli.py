@@ -497,6 +497,7 @@ class TestMalformedInputs:
         ),
         "truth-global-density": ("simulate", {**SIM_CONFIG, "truth": {"density": 0.3}}),
         "alpha-string": ("simulate", {**SIM_CONFIG, "alpha": "0.05"}),
+        "tree-and-forest": ("simulate", {**SIM_CONFIG, "forest": [{"branching": [3]}]}),  # ran (3,)
         "compare-alpha-string": ("compare", {**SIM_CONFIG, "alpha": "0.05"}),
         "allocation-branching-2.9": ("validate-lb", {**ALLOCATION, "branching": [2.9]}),
         "allocation-list": ("validate-lb", []),

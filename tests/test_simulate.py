@@ -298,6 +298,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig.from_doc({"frobnicate": 1})
 
+    def test_tree_and_forest_together_refused(self):
+        # the forest was read and the tree dropped silently, from to_doc too
+        doc = {"tree": {"branching": [2]}, "forest": [{"branching": [3]}]}
+        with pytest.raises(ValueError, match="^give either 'tree' or 'forest', not both$"):
+            SimConfig.from_doc(doc)
+
     def test_unknown_allocation_kind_refused(self):
         with pytest.raises(ValueError, match="^allocation must be 'uniform' or 'weighted'$"):
             SimConfig.from_doc({"allocation": "bogus"})
@@ -536,6 +542,32 @@ class TestCompare:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_bookkeeping_does_not_grow_with_block_count(self, monkeypatch):
+        # the pool once got every block up front, a future of ≈2 KB each:
+        # 4.4 MB at 2,000 one-row blocks and 8.7 MB at 4,000
+        monkeypatch.setattr(sim_module, "_available_cpus", lambda: 2)
+        compare_procedures(SimConfig(trees=((2,),), replications=2), ["descend"])  # loads scipy
+        peaks = []
+        for blocks in (2000, 4000):
+            cfg = SimConfig(trees=((2,),), replications=blocks, block_size=1)
+            tracemalloc.start()
+            try:
+                compare_procedures(cfg, ["descend"], threads=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_handed_over_in_chunks_sum_like_one_run(self, monkeypatch, threads):
+        # 11 blocks in chunks of 3, the last one short: every block counted once
+        cfg = SimConfig(trees=((2, 2),), truth="random", effect=1.0, replications=105,
+                        block_size=10, seed=6)
+        whole = TestScratch.docs(compare_procedures(cfg, PROCEDURES))
+        monkeypatch.setattr(sim_module, "_BLOCKS_AT_ONCE", 3)
+        chunked = TestScratch.docs(compare_procedures(cfg, PROCEDURES, threads=threads))
+        assert chunked == whole and whole[0]["replications"] == 105
+
     @pytest.mark.parametrize("threads, cpus, workers", [
         (100_000, 2, 2), (100_000, 64, 16), (3, 64, 3), (2, 1, 1),
     ])
@@ -623,22 +655,42 @@ class TestCompare:
         for name, p in exact.items():
             assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
 
-    @pytest.mark.parametrize("branching, truth, effect", [
-        ((2, 2, 2), (0,) * 7 + (1, 0, 1, 1, 0, 1, 0, 1), 2.0),
-        ((3, 2), (0, 0, 1, 0, 1, 1, 0, 1, 1, 1), 2.5),
-        ((2, 2), (0, 1, 0, 1, 1, 0, 1), 3.0),
-    ], ids=["binary-depth-three", "ternary-binary", "binary-depth-two"])
-    def test_descend_matches_closed_forms(self, branching, truth, effect):
+    @pytest.mark.parametrize("trees, truth, effect", [
+        (((2, 2, 2),), (0,) * 7 + (1, 0, 1, 1, 0, 1, 0, 1), 2.0),
+        (((3, 2),), (0, 0, 1, 0, 1, 1, 0, 1, 1, 1), 2.5),
+        (((2, 2),), (0, 1, 0, 1, 1, 0, 1), 3.0),
+        (((2, 2), (3,)), (0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1), 2.5),
+    ], ids=["binary-depth-three", "ternary-binary", "binary-depth-two", "forest"])
+    def test_descend_matches_closed_forms(self, trees, truth, effect):
         # two-sided at 4 se against stage B's bottom-up recursion: with
-        # independent statistics the descent's FWER and power are exact
+        # independent statistics the descent's FWER, power and per-vertex
+        # rejection frequencies are exact
         reps = 200_000
-        cfg = SimConfig(trees=(branching,), truth="explicit", truth_values=truth,
+        cfg = SimConfig(trees=trees, truth="explicit", truth_values=truth,
                         effect=effect, replications=reps, seed=11)
-        exact = descend_closed_forms(branching, cfg.alpha, effect, truth)
+        exact = descend_closed_forms(trees, cfg.alpha, effect, truth)
         (report,) = compare_procedures(cfg, ["descend"])
-        simulated = {"fwer": report.fwer_hat, "power": report.power_hat}
-        for name, p in exact.items():
-            assert abs(simulated[name] - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
+        for name, simulated in (("fwer", report.fwer_hat), ("power", report.power_hat)):
+            p = exact[name]
+            assert abs(simulated - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
+        p = exact["frequencies"]
+        assert np.all(abs(report.rejection_counts / reps - p) <= 4 * np.sqrt(p * (1 - p) / reps))
+
+    @pytest.mark.parametrize("trees, density, effect", [
+        (((2, 2, 2),), 0.5, 2.0),
+        (((3, 2),), 0.3, 1.0),
+        (((2, 2, 2, 2),), 0.7, 3.0),
+        (((2,), (3, 2)), 0.5, 2.0),
+    ], ids=["binary-depth-three", "ternary-binary", "binary-depth-four", "forest"])
+    def test_descend_under_random_truth_matches_closed_forms(self, trees, density, effect):
+        # two-sided at 4 se: truth redrawn per vertex and replication is
+        # independent of the data, so stage B's recursion holds in expectation
+        reps = 200_000
+        cfg = SimConfig(trees=trees, truth="random", truth_density=density,
+                        effect=effect, replications=reps, seed=11)
+        p = descend_closed_forms(trees, cfg.alpha, effect, density=density)["fwer"]
+        (report,) = compare_procedures(cfg, ["descend"])
+        assert abs(report.fwer_hat - p) <= 4 * math.sqrt(p * (1 - p) / reps)
 
     @pytest.mark.parametrize("branching, alpha, effect, setting", [
         ((2, 3), 0.05, 1.5, {"truth": "random", "truth_density": 0.6}),

@@ -1,7 +1,7 @@
 """Source-structure checks: one layer traversal, one number rule, one level
 rule, one per-vertex rule, one vertex id rule, one reader, no fresh block
 arrays, no unused public names or members, no test module lost, exact
-audits apart from the simulator, one scipy user.
+audits apart from the simulator, one scipy user, one score writer.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
@@ -16,7 +16,8 @@ through ``trees._vertex``, and only ``cli`` opens files.  The audits of
 ``exact`` check the simulator's guarantee, so they import nothing from
 ``simulate``, and they reach a tree only through the passes of ``trees``;
 the normal CDF and quantile come from ``gaussian`` alone, the one module
-that imports scipy, and only at its first kernel call.  Every name the
+that imports scipy, and only at its first kernel call; the scores ``-|z|``
+and their p-values are written by ``gaussian._scores`` alone.  Every name the
 package exports, and every public member of an exported class, has a user
 outside the tests, every test module imports, and every mutant of the
 register in ``mutants.py`` applies to exactly one place.
@@ -278,6 +279,19 @@ def test_only_gaussian_imports_scipy():
     users = {path.name for path in SRC.glob("*.py")
              if any(n.split(".")[0] == "scipy" for n in imports(path))}
     assert users == {"gaussian.py"}
+
+
+def test_only_gaussian_writes_scores():
+    # one score kernel, gaussian._scores: -|z| or its p-value written by a
+    # second module can drift from the scores the cuts were made for
+    names = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        if found := sorted(found & {"negative", "ndtr"}):
+            names[path.name] = found
+    assert names == {"gaussian.py": ["ndtr", "negative"]}
 
 
 def import_time(node: ast.AST):
