@@ -32,7 +32,7 @@ from .exact import _MAX_WEIGHTED, audit_alpha_sums
 from .localize import TrialMatrix, localize
 from .simulate import PROCEDURES, SimConfig, SimReport, compare_procedures, format_comparison
 from .simulate import simulate as run_simulation
-from .trees import _number, allocation_from_doc, level_budget_violations
+from .trees import _integer, _number, allocation_from_doc, level_budget_violations
 from .wavelet import denoise
 
 DEFAULT_SEED = 1729
@@ -58,8 +58,7 @@ def _write_json(path: str, doc: dict) -> None:
 def _read_csv(path: str, column: Optional[int] = None) -> np.ndarray:
     """Numbers of a CSV file, blank lines skipped: ``column`` as a 1-D array, or
     every row (all of one width) as a 2-D array.  Errors name the file."""
-    if column is not None and column < 0:
-        raise ValueError(f"column must be >= 0, got {column}")
+    column = None if column is None else _integer(column, "column")
     values, width = [], 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .trees import (LEVEL_SUM_TOL, LevelsLike, TestTree, _first_true, _fold_up, _level, _number,
+from .trees import (LEVEL_SUM_TOL, LevelsLike, TestTree, _first_true, _fold_up, _integer, _level,
                     _subtree_sums, as_levels, as_truth, build_complete_tree, uniform_levels,
                     weighted_levels)
 
@@ -122,15 +122,10 @@ def audit_alpha_sums(
     (1, 2, 3), 400 allocations) took 1.1 s (best of 3) with a 64 MB peak RSS
     on a 2-core host, nearly all of it in the literal route.
     """
-    branchings = tuple(sorted({_number(b, "branchings", True) for b in branchings}))
-    if any(b < 1 for b in branchings) or not branchings:
-        raise ValueError("branching factors must be >= 1")
-    counts = {"max_depth": max_depth, "n_weighted": n_weighted,
-              "literal_limit": literal_limit, "seed": seed}
-    max_depth, n_weighted, literal_limit, seed = (_number(v, k, True) for k, v in counts.items())
-    for name, count in zip(counts, (max_depth, n_weighted, literal_limit, seed)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0")
+    if not (branchings := tuple(sorted({_integer(b, "branchings", 1) for b in branchings}))):
+        raise ValueError("branchings must list at least one factor")
+    max_depth, n_weighted = _integer(max_depth, "max_depth"), _integer(n_weighted, "n_weighted")
+    literal_limit, seed = _integer(literal_limit, "literal_limit"), _integer(seed, "seed")
     bound = _level(alpha, "alpha") + LEVEL_SUM_TOL
     if max_depth > 3 or max(branchings) > 3 or literal_limit > 2**20 or n_weighted > _MAX_WEIGHTED:
         raise BudgetError("enumeration budget is depth <= 3, branching factors <= 3, "

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import _check_sigma, _scores
-from .trees import (TestTree, _descent, _number, _numeric, _tested, build_complete_tree,
+from .trees import (TestTree, _descent, _integer, _numeric, _tested, build_complete_tree,
                     uniform_levels)
 
 __all__ = [
@@ -111,16 +111,10 @@ def build_interval_tree(n_times: int, depth: int, arity: int = 2) -> IntervalTre
     arity**(depth-d)`` leaves, so that layer's starts and ends are the strided
     slices ``bounds[:-1:s]`` and ``bounds[s::s]``.
     """
-    n_times, depth = _number(n_times, "n_times", True), _number(depth, "depth", True)
-    arity = _number(arity, "arity", True)
-    if n_times < 1:
-        raise ValueError("n_times must be positive")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    n_times, depth = _integer(n_times, "n_times", 1), _integer(depth, "depth")
+    arity = _integer(arity, "arity", 1)
     if depth > n_times:
         raise ValueError(f"depth {depth} exceeds the {n_times} samples")
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
     if arity**depth > n_times:
         raise ValueError(f"{arity}**{depth} leaf intervals do not fit into {n_times} samples")
 
@@ -222,7 +216,7 @@ def localize(
     ``itree`` must have the given ``depth`` and ``arity`` and span exactly
     ``trials.n_times`` samples.
     """
-    depth, arity = _number(depth, "depth", True), _number(arity, "arity", True)
+    depth, arity = _integer(depth, "depth"), _integer(arity, "arity", 1)
     if itree is None:
         itree = build_interval_tree(trials.n_times, depth, arity)
     tree = itree.tree

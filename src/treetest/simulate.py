@@ -31,6 +31,7 @@ from .trees import (
     _branching_list,
     _descent,
     _fold_up,
+    _integer,
     _level,
     _listed,
     _number,
@@ -77,7 +78,8 @@ _FIELDS = (
 
 
 def monte_carlo_bound(alpha: float, n: int, z: float = 3.0) -> float:
-    """Upper acceptance bound ``alpha + z * binomial standard error``."""
+    """Upper acceptance bound ``alpha + z * binomial standard error`` of ``n`` draws."""
+    n = _integer(n, "n", 1)
     return alpha + z * float(np.sqrt(alpha * (1.0 - alpha) / n))
 
 
@@ -167,10 +169,8 @@ class SimConfig:
             raise ValueError(f"dependence must be one of {_DEPENDENCE}")
         if not 1 <= self.replications <= 10**9:
             raise ValueError("replications must lie in [1, 10^9]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be at least 1")
+        _integer(self.seed, "seed")
+        _integer(self.block_size, "block_size", 1)
         if self.weights is not None:
             if len(self.trees) != 1:
                 raise ValueError("weighted allocation supports a single tree only")
@@ -617,8 +617,7 @@ def compare_procedures(
     for p in procedures:
         if p not in PROCEDURES:
             raise ValueError(f"unknown procedure {p!r}; choose from {PROCEDURES}")
-    if (threads := _number(threads, "threads", True)) < 1:
-        raise ValueError("threads must be at least 1")
+    threads = _integer(threads, "threads", 1)
     n, size = config.replications, config.block_size
     blocks = range(-(-n // size))
     workers = min(threads, len(blocks), _available_cpus())

@@ -18,8 +18,9 @@ sums over that set restricted to subtrees (read through
 Vertices are dense integers, assigned breadth-first by the constructors,
 and every parent id is smaller than its children's ids; trees are immutable
 after construction and safe for concurrent reads.  A caller's vertex ids are
-read through ``_vertex``, its numbers through ``_number`` and its test
-levels through ``_level`` (``_number``, then the range (0, 1]).
+read through ``_vertex``, its numbers through ``_number``, its counts through
+``_integer`` (``_number``, then a floor) and its test levels through
+``_level`` (``_number``, then the range (0, 1]).
 
 A tree keeps its children as one read-only array ordered by parent, and
 ``children(v)`` returns a read-only view into it.  ``layers`` holds the
@@ -241,11 +242,9 @@ def _vertex_count(branching: Sequence[int]) -> int:
 
 
 def _branching_list(values, where: str = "branching") -> tuple[int, ...]:
-    """A branching list: integer factors >= 1 read by ``_number`` (a non-list
+    """A branching list: factors read by ``_integer``, at least 1 (a non-list
     is a ``TypeError`` naming ``where``), of at most ``MAX_VERTICES`` vertices."""
-    branching = tuple(_number(b, where, True) for b in _listed(values, where))
-    if any(b < 1 for b in branching):
-        raise ValueError("branching factors must be >= 1")
+    branching = tuple(_integer(b, where, 1) for b in _listed(values, where))
     if _vertex_count(branching) > MAX_VERTICES:
         raise ValueError(f"tree would exceed {MAX_VERTICES} vertices")
     return branching
@@ -538,6 +537,13 @@ def _number(value, where: str, integral: bool = False) -> Union[int, float]:
     return int(value) if integral else float(value)
 
 
+def _integer(value, where: str, least: int = 0) -> int:
+    """An integer read by ``_number``; a ``ValueError`` naming ``where`` below ``least``."""
+    if (value := _number(value, where, True)) < least:
+        raise ValueError(f"{where} must be >= {least}, got {value}")
+    return value
+
+
 def _level(value, where: str, below_one: bool = False) -> float:
     """A test level read by ``_number``, in (0, 1], or (0, 1) if ``below_one``."""
     level = _number(value, where)
@@ -573,6 +579,6 @@ def allocation_from_doc(doc: Mapping) -> tuple[TestTree, AlphaAllocation]:
             f"allocation lists {len(allocation)} levels, tree has {tree.n_vertices} vertices"
         )
     alloc = AlphaAllocation(np.asarray(allocation))
-    if root is not None and abs(root - alloc.root_level) > LEVEL_SUM_TOL:
+    if root is not None and not abs(root - alloc.root_level) <= LEVEL_SUM_TOL:
         raise ValueError("alpha_root disagrees with the allocation's root entry")
     return tree, alloc

@@ -12,8 +12,8 @@ coefficient is bounded by the chosen level.
 The two coarse values are exempt from testing and always kept, which keeps
 the transform invertible.
 
-Level counts (``J``, and ``j`` of ``WaveletTree.detail``) are read by
-``trees._number`` as integers.
+The level count ``J`` is read by ``trees._integer`` (at least 0), and ``j``
+of ``WaveletTree.detail`` by ``trees._number`` as an integer in 0..J.
 
 Known limitation: coefficients at low resolution levels average the signal
 over long stretches and can sit near zero even when fine-scale structure is
@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gaussian import _check_sigma, _scores, critical_z, std_normal_quantile
-from .trees import _level, _number, _numeric
+from .trees import _integer, _level, _number, _numeric
 
 __all__ = [
     "WaveletTree",
@@ -58,7 +58,7 @@ class WaveletTree:
 
     def __post_init__(self) -> None:
         c = _numeric(self.coeffs, "coefficients")
-        J = _level_index(self.J, "J")
+        J = _integer(self.J, "J")
         if c.shape[-1:] != (1 << (J + 1),):  # a 0-d array has no last axis
             raise ValueError(f"coefficient shape {c.shape} does not match J={J}")
         object.__setattr__(self, "coeffs", c)
@@ -73,13 +73,6 @@ class WaveletTree:
         if not 0 <= (j := _number(j, "j", True)) <= self.J:
             raise ValueError(f"detail level must lie in 0..{self.J}")
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
-
-
-def _level_index(value, where: str) -> int:
-    """A count of wavelet levels read by ``trees._number`` as an integer, at least 0."""
-    if (value := _number(value, where, True)) < 0:
-        raise ValueError(f"{where} must be >= 0")
-    return value
 
 
 def _check_length(n: int) -> int:
@@ -164,7 +157,7 @@ def level_thresholds(alpha: float, J: int, sigma: float) -> np.ndarray:
     in ``j``.  A threshold past float64 is infinite.
     """
     alpha, sigma = _level(alpha, "alpha", below_one=True), _check_sigma(sigma)
-    levels = alpha / np.ldexp(1.0, np.arange(1, _level_index(J, "J") + 1))
+    levels = alpha / np.ldexp(1.0, np.arange(1, _integer(J, "J") + 1))
     with np.errstate(over="ignore"):
         return sigma * critical_z(levels)
 

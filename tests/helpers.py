@@ -6,6 +6,7 @@ paths; that independence is the point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import statistics
 
@@ -72,14 +73,32 @@ def flat_closed_forms(m: int, alpha: float, effect: float, m0=None, density=None
             "bonferroni_pcer": true_share * alpha / m, "bh_fdr": true_share * alpha}
 
 
+def forest_layout(trees, alpha: float) -> tuple[list[int], list[float]]:
+    """Parent ids and test levels of the forest of complete trees ``trees``
+    (one branching list each): ids breadth-first, tree after tree, each root
+    at ``alpha / len(trees)`` and each level split evenly among siblings."""
+    parents, a = [], []
+    for branching in trees:
+        widths = [1]
+        for b in branching:
+            widths.append(widths[-1] * b)
+        first = len(parents)
+        starts = [first + sum(widths[:d]) for d in range(len(widths))]
+        parents.append(-1)
+        for d, b in enumerate(branching):
+            parents += [starts[d] + i // b for i in range(widths[d + 1])]
+        a += [alpha / len(trees) / math.prod(branching[:d]) for d in range(len(widths))
+              for _ in range(widths[d])]
+    return parents, a
+
+
 def descend_closed_forms(trees, alpha: float, effect: float, truth=None, density=None) -> dict:
     """Exact FWER, power and per-vertex rejection frequencies of ``descend``
-    on the forest of complete trees ``trees`` (one branching list each; ids
-    breadth-first, tree after tree; each root at ``alpha / len(trees)`` and
-    each level split evenly among siblings) with independent two-sided tests
-    and false nulls shifted by ``effect``.  Vertex ``v`` is a true null with
-    chance ``t_v``: ``truth[v]`` (1 = true null, fixed) when given, else
-    ``density`` (random truth, redrawn every replication).
+    on the forest of complete trees ``trees``, laid out by ``forest_layout``,
+    with independent two-sided tests and false nulls shifted by ``effect``.
+    Vertex ``v`` is a true null with chance ``t_v``: ``truth[v]`` (1 = true
+    null, fixed) when given, else ``density`` (random truth, redrawn every
+    replication).
 
     Bottom-up, ``N(v)`` is the chance of no false rejection in the subtree
     of a tested ``v``: ``t_v (1 - a_v) + (1 - t_v) F_v``, where ``F_v`` is 1
@@ -93,18 +112,7 @@ def descend_closed_forms(trees, alpha: float, effect: float, truth=None, density
     under fixed truth only (else None), is the mean frequency over the false
     nulls (0 when there are none)."""
     normal = statistics.NormalDist()
-    parents, a = [], []
-    for branching in trees:
-        widths = [1]
-        for b in branching:
-            widths.append(widths[-1] * b)
-        first = len(parents)
-        starts = [first + sum(widths[:d]) for d in range(len(widths))]
-        parents.append(-1)
-        for d, b in enumerate(branching):
-            parents += [starts[d] + i // b for i in range(widths[d + 1])]
-        a += [alpha / len(trees) / math.prod(branching[:d]) for d in range(len(widths))
-              for _ in range(widths[d])]
+    parents, a = forest_layout(trees, alpha)
     kids = children_from_parents(parents)
     t = [float(v) for v in truth] if truth is not None else [density] * len(parents)
     c = [normal.inv_cdf(1 - level / 2) for level in a]
@@ -122,6 +130,79 @@ def descend_closed_forms(trees, alpha: float, effect: float, truth=None, density
         false = [v for v in range(len(parents)) if not truth[v]]
         power = sum(frequencies[false]) / max(len(false), 1)
     roots = [v for v in range(len(parents)) if parents[v] < 0]
+    return {"fwer": 1 - math.prod(N[r] for r in roots), "power": power,
+            "frequencies": frequencies}
+
+
+def descend_local_closed_forms(trees, alpha: float, effect: float, truth=None,
+                               density=None) -> dict:
+    """Exact FWER, power and per-vertex rejection frequencies of the local
+    descent (``descend_local``, "children" layout) on the forest ``trees``,
+    laid out by ``forest_layout``, with independent two-sided tests, false
+    nulls shifted by ``effect`` and truth as in ``descend_closed_forms``.
+    Each internal vertex hosts the family of its children, tested by Holm at
+    its own level; a root is never tested itself.
+
+    In a family of ``k`` at level ``a``, each child's p-value falls into one
+    of ``k + 1`` bins cut at Holm's thresholds ``a/k < ... < a/1``: a true
+    null's bin chance is the bin's width, a false null's ``G(hi) - G(lo)``
+    with ``G(t) = Phi(-c(t) - effect) + Phi(-c(t) + effect)``, ``c(t)`` the
+    two-sided cut of ``t``.  Holm rejects the ``r`` smallest p-values, ``r``
+    the length of the run of sorted bins with ``bin_(i) <= i`` (from 0), and
+    a tie group of one bin never straddles the stop, so the rejected set
+    depends on the bins alone: enumerating the (truth, bin) states of a
+    family, at most ``(2(k+1))^k``, is exact.
+
+    Bottom-up, ``N(v)`` (1 at a leaf) is the chance of no false rejection in
+    and below the family of an active ``v``: the sum over its states of
+    their chance, times [no true null rejected], times ``prod N(c)`` when
+    the family is rejected whole.  FWER is ``1 - prod_roots N(root)``.
+    Top-down, a root is active, and a child is active with chance
+    ``active(parent) * P(the parent's family is rejected whole)``; it
+    rejects with ``active(parent) * P(it is rejected in its family)``.
+    Power, under fixed truth only (else None), is the mean frequency over
+    the false nulls below the roots (0 when there are none)."""
+    normal = statistics.NormalDist()
+    parents, a = forest_layout(trees, alpha)
+    kids = children_from_parents(parents)
+    t = [float(v) for v in truth] if truth is not None else [density] * len(parents)
+    below_cut = lambda x: (normal.cdf(-(c := normal.inv_cdf(1 - x / 2)) - effect)
+                           + normal.cdf(-c + effect))
+    n = len(parents)
+    N, whole, hit = [1.0] * n, [0.0] * n, [0.0] * n  # hit: rejected when its parent is active
+    for v in reversed(range(n)):
+        if not (family := kids[v]):
+            continue
+        k = len(family)
+        cuts = [0.0] + [a[v] / (k - i) for i in range(k)] + [1.0]
+        true_bins = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        g = [0.0] + [below_cut(x) for x in cuts[1:]]
+        false_bins = [hi - lo for lo, hi in zip(g, g[1:])]
+        states = [[(True, j, t[c] * q) for j, q in enumerate(true_bins)]
+                  + [(False, j, (1 - t[c]) * q) for j, q in enumerate(false_bins)]
+                  for c in family]
+        below, N[v] = math.prod(N[c] for c in family), 0.0
+        for combo in itertools.product(*states):
+            if not (chance := math.prod(q for _, _, q in combo)):
+                continue
+            bins = sorted(j for _, j, _ in combo)
+            r = next((i for i, j in enumerate(bins) if j > i), k)
+            rejected = [r > 0 and j <= bins[r - 1] for _, j, _ in combo]
+            for c, flag in zip(family, rejected):
+                hit[c] += chance * flag
+            whole[v] += chance * (r == k)
+            if not any(flag and null for flag, (null, _, _) in zip(rejected, combo)):
+                N[v] += chance * (below if r == k else 1.0)
+    active, frequencies = [1.0] * n, np.zeros(n)
+    for v in range(n):  # parents come before their children
+        if (u := parents[v]) >= 0:
+            frequencies[v] = active[u] * hit[v]
+            active[v] = active[u] * whole[u]
+    power = None
+    if truth is not None:
+        false = [v for v in range(n) if parents[v] >= 0 and not truth[v]]
+        power = sum(frequencies[false]) / max(len(false), 1)
+    roots = [v for v in range(n) if parents[v] < 0]
     return {"fwer": 1 - math.prod(N[r] for r in roots), "power": power,
             "frequencies": frequencies}
 

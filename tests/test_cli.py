@@ -223,7 +223,7 @@ class TestBruteForceCommand:
         assert main(["brute-force", "--max-depth", "1", "--weighted", "-5"]) == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
-        assert captured.err.splitlines() == ["error: n_weighted must be >= 0"]
+        assert captured.err.splitlines() == ["error: n_weighted must be >= 0, got -5"]
 
 
 class TestDenoiseCommand:
@@ -503,6 +503,8 @@ class TestMalformedInputs:
         "allocation-list": ("validate-lb", []),
         "allocation-length": ("validate-lb", {**ALLOCATION, "allocation": [0.05, 0.025]}),
         "allocation-not-json": ("validate-lb", "{not json"),
+        # written as NaN, read back by json.load; ran as a valid allocation
+        "allocation-root-nan": ("validate-lb", {**ALLOCATION, "alpha_root": float("nan")}),
         "config-not-utf8": ("simulate", b"\xff{}"),
         "trials-cell": ("localize", "1.0,2.0\n3.0,x\n"),
         "signal-cell": ("denoise", "".join("1.0\n" for _ in range(63)) + "one\n"),
@@ -529,6 +531,72 @@ class TestMalformedInputs:
         cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)
         assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
+class TestCountFloors:
+    """A count below its floor, from a flag or an input file, exits 2 with one
+    line naming the count and the value; the floor itself runs."""
+
+    FLAGS = {  # command, flag, the count it sets, its floor
+        "brute-force --max-depth": ("brute-force", "--max-depth", "max_depth", 0),
+        "brute-force --weighted": ("brute-force", "--weighted", "n_weighted", 0),
+        "brute-force --seed": ("brute-force", "--seed", "seed", 0),
+        "brute-force --branchings": ("brute-force", "--branchings", "branchings", 1),
+        "simulate --seed": ("simulate", "--seed", "seed", 0),
+        "simulate --threads": ("simulate", "--threads", "threads", 1),
+        "compare --threads": ("compare", "--threads", "threads", 1),
+        "denoise --column": ("denoise", "--column", "column", 0),
+        "localize --depth": ("localize", "--depth", "depth", 0),
+        "localize --arity": ("localize", "--arity", "arity", 1),
+    }
+    DOCUMENTS = {  # command, a document with the count at x, the count, its floor
+        "simulate block_size": ("simulate", lambda x: {**SIM_CONFIG, "block_size": x}, "block_size", 1),
+        "simulate branching": (
+            "simulate", lambda x: {**SIM_CONFIG, "tree": {"branching": [x]}}, "tree branching", 1),
+        "validate-lb branching": ("validate-lb", lambda x: {
+            "depth": 1, "branching": [x], "allocation": [0.05] * (1 + x)}, "branching", 1),
+    }
+
+    @staticmethod
+    def command(tmp_path, command, doc=None) -> list[str]:
+        """``command``'s arguments on small inputs, ``doc`` as its JSON file."""
+        if command in ("simulate", "compare", "validate-lb"):
+            path = write_json(tmp_path / "in.json", doc or {**SIM_CONFIG, "replications": 100})
+            return [command, "--tree" if command == "validate-lb" else "--config", path]
+        if command == "denoise":
+            (tmp_path / "sig.txt").write_text("".join(f"{i % 3}.0\n" for i in range(64)))
+            return [command, "--signal", str(tmp_path / "sig.txt"), "--sigma", "1.0",
+                    "--out", str(tmp_path / "out")]
+        if command == "localize":
+            (tmp_path / "trials.csv").write_text("0.0,1.0,0.0,1.0\n1.0,0.0,1.0,0.0\n")
+            return [command, "--trials", str(tmp_path / "trials.csv"), "--depth", "1"]
+        return [command, "--max-depth", "1", "--weighted", "0"]  # a later flag overrides these
+
+    @pytest.mark.parametrize("case", FLAGS)
+    def test_flag_below_the_floor_exits_2(self, tmp_path, capsys, case):
+        command, flag, name, floor = self.FLAGS[case]
+        assert main([*self.command(tmp_path, command), flag, str(floor - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {name} must be >= {floor}, got {floor - 1}"]
+
+    @pytest.mark.parametrize("case", FLAGS)
+    def test_flag_at_the_floor_runs(self, tmp_path, case):
+        command, flag, _, floor = self.FLAGS[case]
+        assert main([*self.command(tmp_path, command), flag, str(floor)]) == 0
+
+    @pytest.mark.parametrize("case", DOCUMENTS)
+    def test_document_below_the_floor_exits_2(self, tmp_path, capsys, case):
+        command, doc, name, floor = self.DOCUMENTS[case]
+        args = self.command(tmp_path, command, doc(floor - 1))
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {args[-1]}: {name} must be >= {floor}, got {floor - 1}"]
+
+    @pytest.mark.parametrize("case", DOCUMENTS)
+    def test_document_at_the_floor_runs(self, tmp_path, case):
+        command, doc, _, floor = self.DOCUMENTS[case]
+        assert main(self.command(tmp_path, command, doc(floor))) == 0
 
 
 PARSER_REFUSALS = [  # (command, case, its arguments, what the error line names)

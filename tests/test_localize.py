@@ -59,7 +59,8 @@ class TestBuildIntervalTree:
             assert max(widths) - min(widths) <= 1
 
     @pytest.mark.parametrize("n_times, depth, arity, message", [
-        (0, 1, 2, "n_times must be positive"),
+        # the first id names the old message, so the test keeps its name
+        pytest.param(0, 1, 2, "^n_times must be >= 1, got 0$", id="0-1-2-n_times must be positive"),
         (8, -1, 2, "depth must be >= 0"),
         (8, 1, 0, "arity must be >= 1"),
     ])

@@ -39,6 +39,7 @@ from treetest.trees import _subtree_sums
 from helpers import (
     children_from_parents,
     descend_closed_forms,
+    descend_local_closed_forms,
     flat_closed_forms,
     gather_layer_trees,
     nested_descend_closed_forms,
@@ -169,15 +170,19 @@ class TestSimConfig:
         ({"truth_density": 0.3}, "truth_density requires truth 'random'"),
         ({"trees": ((2,),), "truth": "explicit", "truth_values": (0, 1, 0), "truth_density": 0.5},
          "truth_density requires truth 'random'"),
-        ({"trees": ((-2,),), "truth": "explicit", "truth_values": (1,)},
-         "branching factors must be >= 1"),
-        ({"trees": ((0,), (2,))}, "branching factors must be >= 1"),
-        ({"trees": ((2, -1),)}, "branching factors must be >= 1"),
+        # these ids name the old message, so the tests keep their names
+        pytest.param({"trees": ((-2,),), "truth": "explicit", "truth_values": (1,)},
+                     r"^trees\[0\] must be >= 1, got -2$", id="kwargs12-branching factors must be >= 1"),
+        pytest.param({"trees": ((0,), (2,))}, r"^trees\[0\] must be >= 1, got 0$",
+                     id="kwargs13-branching factors must be >= 1"),
+        pytest.param({"trees": ((2, -1),)}, r"^trees\[0\] must be >= 1, got -1$",
+                     id="kwargs14-branching factors must be >= 1"),
         # weights were once refused only when a simulation ran
         ({"trees": ((2,),), "weights": (1.0, 2.0)}, "weight array covers 2 vertices, tree has 3"),
         ({"trees": ((2,),), "weights": (1.0, -2.0, 1.0)}, "weights must be positive and finite"),
         # each branching list is checked whole as it is read, before any other field
-        ({"trees": ((2, 0),), "seed": "1"}, "branching factors must be >= 1"),
+        pytest.param({"trees": ((2, 0),), "seed": "1"}, r"^trees\[0\] must be >= 1, got 0$",
+                     id="kwargs17-branching factors must be >= 1"),
         ({"trees": ((2,) * 24,), "alpha": None}, r"^tree would exceed 10000000 vertices$"),
     ])
     def test_field_refused(self, kwargs, message):
@@ -691,6 +696,38 @@ class TestCompare:
         p = descend_closed_forms(trees, cfg.alpha, effect, density=density)["fwer"]
         (report,) = compare_procedures(cfg, ["descend"])
         assert abs(report.fwer_hat - p) <= 4 * math.sqrt(p * (1 - p) / reps)
+
+    @pytest.mark.parametrize("trees, truth, density, effect", [
+        (((2, 2, 2),), (0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1), None, 2.0),
+        (((3, 2),), (0, 0, 1, 0, 1, 0, 1, 0, 1, 1), None, 2.5),
+        (((2, 2, 2),), None, 0.5, 2.0),
+        (((2,), (3, 2)), (0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0), None, 2.0),
+    ], ids=["binary-depth-three", "ternary-binary", "binary-random", "forest"])
+    def test_descend_local_matches_closed_forms(self, trees, truth, density, effect):
+        # two-sided at 4 se against the enumeration of each family's
+        # (truth, Holm bin) states: FWER, power under fixed truth, and every
+        # vertex's rejection frequency (the roots', never tested, are 0)
+        reps = 200_000
+        kind = {"truth": "explicit", "truth_values": truth} if truth else {
+            "truth": "random", "truth_density": density}
+        cfg = SimConfig(trees=trees, effect=effect, replications=reps, seed=11, **kind)
+        exact = descend_local_closed_forms(trees, cfg.alpha, effect, truth, density)
+        (report,) = compare_procedures(cfg, ["descend_local"])
+        for name, simulated in (("fwer", report.fwer_hat), ("power", report.power_hat)):
+            if (p := exact[name]) is not None:
+                assert abs(simulated - p) <= 4 * math.sqrt(p * (1 - p) / reps), name
+        p = exact["frequencies"]
+        assert np.all(abs(report.rejection_counts / reps - p) <= 4 * np.sqrt(p * (1 - p) / reps))
+
+    @pytest.mark.parametrize("trees", [((2, 2),), ((3,),), ((2,), (3, 2))])
+    def test_local_oracle_under_the_global_null(self, trees):
+        # every rejection is false and only the roots' families can err first:
+        # Holm errs at level a on b true nulls iff the smallest p is below a/b
+        alpha = 0.05
+        exact = descend_local_closed_forms(trees, alpha, 0.0, density=1.0)["fwer"]
+        a = alpha / len(trees)
+        assert exact == pytest.approx(
+            1 - math.prod((1 - a / b[0]) ** b[0] for b in trees if b), rel=1e-12)
 
     @pytest.mark.parametrize("branching, alpha, effect, setting", [
         ((2, 3), 0.05, 1.5, {"truth": "random", "truth_density": 0.6}),
@@ -1575,13 +1612,17 @@ class TestAuditAlphaSums:
     @pytest.mark.parametrize("name", ["literal_limit", "seed"])
     def test_negative_limit_and_seed_rejected(self, name):
         # literal_limit -5 used to run
-        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -5$"):
             audit_alpha_sums(1, (2,), **{name: -5})
 
     @pytest.mark.parametrize("max_depth, branchings, message", [
-        (1, (0,), "^branching factors must be >= 1$"),
-        (1, (), "^branching factors must be >= 1$"),
-        (-1, (2,), "^max_depth must be >= 0$"),
+        # the ids name the old messages, so the tests keep their names
+        pytest.param(1, (0,), "^branchings must be >= 1, got 0$",
+                     id="1-branchings0-^branching factors must be >= 1$"),
+        pytest.param(1, (), "^branchings must list at least one factor$",
+                     id="1-branchings1-^branching factors must be >= 1$"),
+        pytest.param(-1, (2,), "^max_depth must be >= 0, got -1$",
+                     id="-1-branchings2-^max_depth must be >= 0$"),
     ])
     def test_shape_arguments_refused(self, max_depth, branchings, message):
         with pytest.raises(ValueError, match=message):

@@ -1,15 +1,18 @@
-"""Source-structure checks: one layer traversal, one number rule, one level
-rule, one per-vertex rule, one vertex id rule, one reader, no fresh block
-arrays, no unused public names or members, no test module lost, exact
-audits apart from the simulator, one scipy user, one score writer.
+"""Source-structure checks: one layer traversal, one number rule, one count
+floor, one level rule, one per-vertex rule, one vertex id rule, one reader,
+no fresh block arrays, no unused public names or members, no test module
+lost, exact audits apart from the simulator, one scipy user, one score
+writer.
 
 Loops over ``TestTree.layers`` or ``TestTree.families`` belong to the tree
 passes of ``trees`` and the procedure kernels of ``procedures``; every other
 module goes through them.  The simulator draws each block into its worker's
 scratch.  JSON documents, ``SimConfig`` and count arguments read their
-numbers through ``trees._number``, scalar test levels through
-``trees._level`` and noise scales through ``gaussian._check_sigma`` (both
-by ``_number``), per-vertex inputs their shape through
+numbers through ``trees._number``, every count with a floor through
+``trees._integer`` (``_number``, then the floor: the one place a "must be
+>= " refusal is written), scalar test levels through ``trees._level`` and
+noise scales through ``gaussian._check_sigma`` (both by ``_number``),
+per-vertex inputs their shape through
 ``trees._per_vertex``, arrays of numbers their dtype through
 ``trees._numeric``, truth through ``trees._truth_flags`` and vertex ids
 through ``trees._vertex``, and only ``cli`` opens files.  The audits of
@@ -114,10 +117,27 @@ def test_documents_read_numbers_through_one_rule():
     assert {reader: names & {"int", "float"} for reader, names in readers.items()} == {
         reader: set() for reader in readers
     }
-    # the scan sees the rule, called directly or through the branching-list reader
-    assert all(names & {"_number", "_branching_list"} for names in readers.values())
+    # the scan sees the rule, called directly, through the count reader or through the
+    # branching-list reader
+    assert all(names & {"_number", "_integer", "_branching_list"} for names in readers.values())
     # a config's numbers are read once, by __post_init__, whatever built it
     assert "_number" not in called(definition("simulate.py", "SimConfig", "from_doc"))
+
+
+def test_counts_read_through_one_floor():
+    # eleven hand-written floors in six modules once gave four kinds of message
+    # for one refusal, and monte_carlo_bound checked none
+    owner = definition("trees.py", "_integer")
+    floors = {(path.name, i) for path in SRC.glob("*.py")
+              for i, line in enumerate(path.read_text().splitlines(), 1) if "must be >= " in line}
+    assert floors and all(name == "trees.py" and owner.lineno <= i <= owner.end_lineno
+                          for name, i in floors), floors
+    sites = [("trees.py", "_branching_list"), ("exact.py", "audit_alpha_sums"),
+             ("wavelet.py", "WaveletTree", "__post_init__"), ("wavelet.py", "level_thresholds"),
+             ("localize.py", "build_interval_tree"), ("localize.py", "localize"),
+             ("simulate.py", "SimConfig", "__post_init__"), ("simulate.py", "compare_procedures"),
+             ("simulate.py", "monte_carlo_bound"), ("cli.py", "_read_csv")]
+    assert [site for site in sites if "_integer" not in called(definition(*site))] == []
 
 
 def test_per_vertex_inputs_read_through_one_rule():

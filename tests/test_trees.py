@@ -21,9 +21,10 @@ from treetest import (
     weighted_levels,
 )
 from treetest import (SimConfig, TrialMatrix, WaveletTree, audit_alpha_sums, audit_subtree_sums,
-                      benjamini_hochberg, bonferroni, critical_z, denoise, descend, descend_batch,
-                      descend_local, error_report, haar_forward, holm, keep_mask, level_thresholds,
-                      localize, std_normal_cdf, std_normal_quantile, two_sided_pvalue)
+                      benjamini_hochberg, bonferroni, build_interval_tree, compare_procedures,
+                      critical_z, denoise, descend, descend_batch, descend_local, error_report,
+                      haar_forward, holm, keep_mask, level_thresholds, localize, monte_carlo_bound,
+                      std_normal_cdf, std_normal_quantile, two_sided_pvalue)
 from treetest import trees as trees_module
 from treetest.trees import _descent, _fold_up, _subtree_sums, as_levels, as_truth
 
@@ -90,7 +91,7 @@ class TestBuildCompleteTree:
         assert build_complete_tree([2.0]).n_vertices == 3
 
     def test_zero_branching_rejected(self):
-        with pytest.raises(ValueError, match="branching factors"):
+        with pytest.raises(ValueError, match=r"^branching must be >= 1, got 0$"):
             build_complete_tree([2, 0])
 
     def test_vertex_cap(self):
@@ -767,6 +768,61 @@ class TestLevelArguments:
         assert uniform_levels(build_complete_tree([2]), 1).root_level == 1.0
 
 
+class TestCountArguments:
+    """Every count with a floor is read through ``trees._integer``: one below
+    the floor is a ``ValueError`` naming the count and the value, where
+    eleven hand-written checks once gave four kinds of message and
+    ``monte_carlo_bound`` returned NaN for ``n = -5``; the floor itself runs."""
+
+    COUNTS = {  # a call with the count at x, the count's name, and its floor
+        "build_complete_tree": (lambda x: build_complete_tree([2, x]), "branching", 1),
+        "allocation_from_doc": (lambda x: allocation_from_doc(
+            {"depth": 1, "branching": [x], "allocation": [0.05] * (1 + x)}), "branching", 1),
+        "SimConfig trees": (lambda x: SimConfig(trees=((2,), (x,))), "trees[1]", 1),
+        "SimConfig seed": (lambda x: SimConfig(seed=x), "seed", 0),
+        "SimConfig block_size": (lambda x: SimConfig(block_size=x), "block_size", 1),
+        "audit_alpha_sums branchings": (
+            lambda x: audit_alpha_sums(1, (2, x), n_weighted=0), "branchings", 1),
+        "audit_alpha_sums max_depth": (
+            lambda x: audit_alpha_sums(x, (2,), n_weighted=0), "max_depth", 0),
+        "audit_alpha_sums n_weighted": (
+            lambda x: audit_alpha_sums(1, (2,), n_weighted=x), "n_weighted", 0),
+        "audit_alpha_sums literal_limit": (
+            lambda x: audit_alpha_sums(1, (2,), literal_limit=x), "literal_limit", 0),
+        "audit_alpha_sums seed": (lambda x: audit_alpha_sums(1, (2,), seed=x), "seed", 0),
+        "WaveletTree": (lambda x: WaveletTree(np.zeros(2), x), "J", 0),
+        "level_thresholds": (lambda x: level_thresholds(0.05, x, 1.0), "J", 0),
+        "build_interval_tree n_times": (lambda x: build_interval_tree(x, 0), "n_times", 1),
+        "build_interval_tree depth": (lambda x: build_interval_tree(8, x), "depth", 0),
+        "build_interval_tree arity": (lambda x: build_interval_tree(8, 1, x), "arity", 1),
+        "localize depth": (lambda x: localize(TrialMatrix(np.zeros((2, 8))), 0.05, x), "depth", 0),
+        "localize arity": (
+            lambda x: localize(TrialMatrix(np.zeros((2, 8))), 0.05, 1, x), "arity", 1),
+        "compare_procedures threads": (lambda x: compare_procedures(
+            SimConfig(replications=10), ["descend"], threads=x), "threads", 1),
+        "monte_carlo_bound": (lambda x: monte_carlo_bound(0.05, x), "n", 1),
+    }
+
+    @pytest.mark.parametrize("reader", COUNTS)
+    def test_below_the_floor_refused(self, reader):
+        read, name, floor = self.COUNTS[reader]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= {floor}, got {floor - 1}$"):
+            read(floor - 1)
+
+    @pytest.mark.parametrize("reader", COUNTS)
+    def test_floor_accepted(self, reader):
+        read, _, floor = self.COUNTS[reader]
+        read(floor)
+
+    def test_monte_carlo_bound_reads_n_by_the_rule(self):
+        # n = 0 (the floor case above) once raised ZeroDivisionError, and
+        # n = -5 returned NaN and n = 2.5 a bound
+        with pytest.raises(ValueError, match="^n must be >= 1, got -5$"):
+            monte_carlo_bound(0.05, -5)
+        with pytest.raises(TypeError, match=r"^n: expected an integer, got 2\.5$"):
+            monte_carlo_bound(0.05, 2.5)
+
+
 class TestDescentPassesMatchReference:
     """First-true flags and subtree membership come from the descent pass;
     compare them with per-vertex walks on random general trees and on trees
@@ -825,6 +881,13 @@ class TestSerialization:
         assert allocation_from_doc({**doc, "alpha_root": 0.05})[1].root_level == 0.05
         with pytest.raises(ValueError, match="alpha_root disagrees"):
             allocation_from_doc({**doc, "alpha_root": 0.1})
+
+    def test_nan_alpha_root_refused(self):
+        # NaN once passed: no difference from NaN is above the tolerance
+        doc = {"depth": 1, "branching": [2], "allocation": [0.05, 0.03, 0.02],
+               "alpha_root": float("nan")}
+        with pytest.raises(ValueError, match="^alpha_root disagrees with the allocation's root entry$"):
+            allocation_from_doc(doc)
 
     def test_depth_mismatch(self):
         doc = {"depth": 3, "branching": [2, 2], "allocation": [0.05] * 7}

@@ -124,7 +124,7 @@ class TestLevelIndexes:
     @pytest.mark.parametrize("reader", READERS)
     def test_negative_refused(self, reader):
         read, name = self.READERS[reader]
-        match = "^J must be >= 0$" if name == "J" else r"^detail level must lie in 0\.\.2$"
+        match = "^J must be >= 0, got -1$" if name == "J" else r"^detail level must lie in 0\.\.2$"
         with pytest.raises(ValueError, match=match):
             read(-1)
 
